@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigurationError, SingularCornerError
-from .grid import CORNER_EDGE_END, CORNER_EDGE_LOCAL, REF_CORNER_NORMALS, REF_CORNERS, FineGrid
+from .grid import CORNER_EDGE_LOCAL, REF_CORNER_NORMALS, REF_CORNERS, FineGrid
 
 #: Gauss-Legendre nodes/weights on [0, 1] used for Dirichlet edge integrals.
 _GAUSS3 = (
@@ -146,10 +146,23 @@ def corner_velocities(grid: FineGrid, U: np.ndarray):
     sign * |e| * global DOF) and pushed through the Piola transform.
     """
     dhat = U[grid.elem_corner_dof] * grid.elem_corner_sign * grid.elem_corner_elen
-    what = np.einsum("cks,ksi->cki", dhat, REF_CORNER_NORMALS)
-    w = np.einsum("ckij,ckj->cki", grid.corner_DF, what) / grid.corner_J[..., None]
+    # Two-term sums written out: einsum is several times slower on these shapes.
+    N = REF_CORNER_NORMALS
+    what = dhat[..., 0, None] * N[:, 0] + dhat[..., 1, None] * N[:, 1]
+    DF = grid.corner_DF
+    w = (DF[..., 0] * what[..., 0, None] + DF[..., 1] * what[..., 1, None])
+    w /= grid.corner_J[..., None]
     speed = np.linalg.norm(w, axis=-1)
     return w, speed
+
+
+#: Strict upper-triangle positions of a 4x4 vertex block.
+_UPPER = np.triu_indices(4, 1)
+
+
+def index_dtype(size: int):
+    """int32 for flat indices below 2**31, else int64."""
+    return np.int32 if size < 2**31 else np.int64
 
 
 class VertexBlockMatrix:
@@ -157,7 +170,8 @@ class VertexBlockMatrix:
 
     Blocks are padded to 4x4; ``vertex_dofs`` maps block slots to global DOF
     ids (-1 for padding).  Each DOF belongs to exactly one block, so matvec,
-    inversion and Cholesky checks all act blockwise.
+    inversion and Cholesky checks all act blockwise.  Padding slots hold zeros,
+    or a unit diagonal once DOFs are eliminated.
     """
 
     def __init__(self, blocks: np.ndarray, grid: FineGrid):
@@ -198,30 +212,51 @@ class VertexBlockMatrix:
         d[vd[mask]] = diag[mask]
         return d
 
-    def _padded(self) -> np.ndarray:
-        """Blocks with ones on unused diagonal slots, for LAPACK batch calls."""
-        padded = self.blocks.copy()
-        idx = np.arange(4)
-        diag = padded[:, idx, idx].copy()
-        diag[self.grid.vertex_dofs < 0] = 1.0
-        padded[:, idx, idx] = diag
-        return padded
+    def _unit_slots(self, dofs=()) -> np.ndarray:
+        """Blocks with a unit row and column at every padding slot and at the
+        slots of ``dofs``: ready for LAPACK batch calls, with ``dofs``
+        eliminated."""
+        pad_v, pad_s = np.nonzero(self.grid.vertex_dofs < 0)
+        dofs = np.asarray(dofs, dtype=np.int64)
+        v = np.concatenate([pad_v, self.grid.dof_vertex[dofs]])
+        s = np.concatenate([pad_s, self.grid.dof_vslot[dofs]])
+        out = self.blocks.copy()
+        out[v, s, :] = 0.0
+        out[v, :, s] = 0.0
+        out[v, s, s] = 1.0
+        return out
+
+    def cholesky(self, dofs=()) -> np.ndarray:
+        """Batched lower Cholesky factors (n_vertices, 4, 4) of the blocks,
+        with ``dofs`` eliminated as in :meth:`with_identity_rows`.
+
+        This is the SPD check of every solver: raises :class:`AssemblyError`
+        on a non-finite, asymmetric or indefinite block.
+        """
+        if not np.isfinite(self.blocks).all():
+            bad = np.flatnonzero(~np.isfinite(self.blocks).all(axis=(1, 2)))
+            raise AssemblyError(
+                f"non-finite vertex block at vertex {bad[0]} ({bad.size} in all)"
+            )
+        blocks = self._unit_slots(dofs)
+        upper = blocks[:, _UPPER[0], _UPPER[1]]
+        lower = blocks[:, _UPPER[1], _UPPER[0]]
+        # np.allclose(b, b.T, atol=1e-12) over the strict upper triangle.
+        if not np.all(np.abs(upper - lower) <= 1e-12 + 1e-5 * np.minimum(abs(upper), abs(lower))):
+            raise AssemblyError("vertex block is not symmetric")
+        try:
+            return np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError(f"vertex block is not positive definite: {exc}") from exc
 
     def check_positive_definite(self) -> bool:
         """Return True if every vertex block is SPD, else raise :class:`AssemblyError`."""
-        padded = self._padded()
-        if not np.allclose(padded, np.swapaxes(padded, 1, 2), atol=1e-12):
-            raise AssemblyError("vertex block is not symmetric")
-        try:
-            np.linalg.cholesky(padded)
-        except np.linalg.LinAlgError as exc:
-            raise AssemblyError(f"vertex block is not positive definite: {exc}") from exc
+        self.cholesky()
         return True
 
     def inverse_blocks(self) -> np.ndarray:
-        padded = self._padded()
         try:
-            inv = np.linalg.inv(padded)
+            inv = np.linalg.inv(self._unit_slots())
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(f"singular vertex block: {exc}") from exc
         return inv
@@ -251,62 +286,143 @@ class VertexBlockMatrix:
         Used to eliminate constrained (Neumann) DOFs while preserving the
         vertex-block structure and symmetry.
         """
-        out = self.blocks.copy()
-        if len(dofs):
-            v = self.grid.dof_vertex[dofs]
-            s = self.grid.dof_vslot[dofs]
-            out[v, s, :] = 0.0
-            out[v, :, s] = 0.0
-            out[v, s, s] = 1.0
-        return VertexBlockMatrix(out, self.grid)
+        return VertexBlockMatrix(self._unit_slots(dofs), self.grid)
 
 
-def corner_coefficient(grid: FineGrid, values) -> np.ndarray:
-    """Normalize a coefficient to one 2x2 tensor per element corner.
+def lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L x = b in every vertex block, entry-major: L (4, 4, n) lower
+    triangular, b (4, ..., n)."""
+    x = np.array(b, dtype=float)
+    for i in range(4):
+        for m in range(i):
+            x[i] -= L[i, m] * x[m]
+        x[i] /= L[i, i]
+    return x
 
-    Accepts a per-cell scalar (n_cells,), a per-corner scalar (n_cells, 4) or
-    a full tensor (n_cells, 4, 2, 2).
+
+def lower_transpose_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L^T x = b in every vertex block (layout as :func:`lower_solve`)."""
+    x = np.array(b, dtype=float)
+    for i in range(3, -1, -1):
+        for m in range(i + 1, 4):
+            x[i] -= L[m, i] * x[m]
+        x[i] /= L[i, i]
+    return x
+
+
+def vertex_cells(grid: FineGrid) -> np.ndarray:
+    """Cells around each vertex, (n_vertices, 4): slot k holds the cell whose
+    corner k is the vertex, -1 where there is none."""
+    cells = np.full((grid.n_vertices, 4), -1, dtype=np.int64)
+    cells[grid.elements, np.arange(4)] = np.arange(grid.n_cells)[:, None]
+    return cells
+
+
+def divergence_blocks(grid: FineGrid, B: sp.spmatrix, cells: np.ndarray) -> np.ndarray:
+    """The rows of B at each vertex's DOFs, restricted to the cells around it.
+
+    Returns (n_vertices, 4, 4) with [v, i, j] = B[vertex_dofs[v, i],
+    cells[v, j]].  Raises ValueError if B couples a DOF to a cell that does
+    not touch the DOF's vertex, which no divergence matrix of the grid does.
     """
-    values = np.asarray(values, dtype=float)
-    n = grid.n_cells
+    if B.shape != (grid.n_dofs, grid.n_cells):
+        raise ValueError(f"B has shape {B.shape}, expected {(grid.n_dofs, grid.n_cells)}")
+    coo = sp.coo_matrix(B)
+    coo.sum_duplicates()
+    nz = coo.data != 0
+    rows, cols, vals = coo.row[nz], coo.col[nz], coo.data[nz]
+    v = grid.dof_vertex[rows]
+    hit = cells[v] == cols[:, None]
+    if not hit.any(axis=1).all():
+        raise ValueError("B couples a velocity DOF to a cell away from the DOF's vertex")
+    blocks = np.zeros((grid.n_vertices, 4, 4))
+    blocks[v, grid.dof_vslot[rows], hit.argmax(axis=1)] = vals
+    return blocks
+
+
+@dataclass(frozen=True)
+class CornerGeometry:
+    """Grid data of the velocity assembly, shared by repeated assemblies.
+
+    ``factors[c, k, s] = t_s DF N_s / (2 sqrt(J))`` at corner k of cell c,
+    with N_s the reference normal of DOF slot s and t_s = sign * |e|, so the
+    corner contribution (1/4) t_s t_l N_s^T Mhat N_l of a coefficient tensor
+    C (Mhat = DF^T C DF / J) is ``factors_s^T C factors_l``.  ``index`` holds
+    the flat position of each (c, k, s, l) contribution in the
+    (n_vertices, 4, 4) block array.
+    """
+
+    factors: np.ndarray     # (n_cells, 4, 2, 2)
+    index: np.ndarray       # (n_cells, 4, 2, 2) int32
+
+
+def corner_geometry(grid: FineGrid) -> CornerGeometry:
+    """Corner factors and block scatter index of a grid."""
+    DF, N = grid.corner_DF, REF_CORNER_NORMALS
+    # DF N_s written out, as in corner_velocities.
+    dfn = DF[:, :, None, :, 0] * N[:, :, 0, None] + DF[:, :, None, :, 1] * N[:, :, 1, None]
+    t = grid.elem_corner_sign * grid.elem_corner_elen
+    factors = dfn * (0.5 * t / np.sqrt(grid.corner_J)[..., None])[..., None]
+    slot = grid.elem_corner_vslot
+    index = 16 * grid.elements[:, :, None, None] + 4 * slot[..., :, None] + slot[..., None, :]
+    return CornerGeometry(factors=factors, index=index.astype(index_dtype(16 * grid.n_vertices)))
+
+
+def _corner_scalar(values: np.ndarray, n: int):
+    """A per-cell (n,) or per-corner (n, 4) scalar as (n, 1) or (n, 4), else None."""
     if values.shape == (n,):
-        values = np.repeat(values[:, None], 4, axis=1)
+        return values[:, None]
     if values.shape == (n, 4):
-        return values[:, :, None, None] * np.eye(2)
-    if values.shape == (n, 4, 2, 2):
         return values
+    return None
+
+
+def corner_products(geometry: CornerGeometry, coeff, direction=None) -> np.ndarray:
+    """Corner contributions g_s^T C g_l, shape (n_cells, 4, 2, 2).
+
+    ``coeff`` is a per-cell scalar (n_cells,), a per-corner scalar
+    (n_cells, 4) or a full tensor (n_cells, 4, 2, 2).  With ``direction``
+    (n_cells, 4, 2) the tensor is the rank-one C = coeff w w^T, assembled as
+    coeff (g_s . w)(g_l . w).
+    """
+    g = geometry.factors
+    n = g.shape[0]
+    values = np.asarray(coeff, dtype=float)
+    scalar = _corner_scalar(values, n)
+    if direction is not None:
+        if scalar is None:
+            raise ValueError(f"rank-one coefficient needs a scalar per cell or corner, "
+                             f"got shape {values.shape} for {n} cells")
+        gw = g[..., 0] * direction[..., None, 0] + g[..., 1] * direction[..., None, 1]
+        return scalar[..., None, None] * (gw[..., :, None] * gw[..., None, :])
+    if scalar is not None:
+        gram = g[..., :, None, 0] * g[..., None, :, 0] + g[..., :, None, 1] * g[..., None, :, 1]
+        return scalar[..., None, None] * gram
+    if values.shape == (n, 4, 2, 2):
+        return g @ values @ np.swapaxes(g, -1, -2)
     raise ValueError(
         f"coefficient shape {values.shape} not understood for {n} cells"
     )
 
 
-def assemble_velocity_matrix(grid: FineGrid, coeff) -> VertexBlockMatrix:
+def assemble_velocity_matrix(grid: FineGrid, coeff, *, direction=None,
+                             geometry: CornerGeometry | None = None) -> VertexBlockMatrix:
     """Assemble (K u, v)_Q into per-vertex blocks.
 
     Each element corner contributes (1/4) T N^T Mhat N T in global DOF space,
     where Mhat = (1/J) DF^T K DF at the corner, N stacks the two reference
     corner normals and T = diag(sign * |e|) converts global DOFs to reference
     ones.  Both DOFs live at the corner's mesh vertex, so no contribution ever
-    links distinct vertex blocks.
+    links distinct vertex blocks.  The contributions come from the corner
+    factors of :class:`CornerGeometry` (see :func:`corner_products` for the
+    coefficient forms) and are summed into the blocks by one ``bincount``;
+    pass the grid's ``geometry`` to reuse it across assemblies.
     """
-    C = corner_coefficient(grid, coeff)
-    DF = grid.corner_DF
-    Mhat = np.einsum("ckja,ckjl,cklm->ckam", DF, C, DF) / grid.corner_J[..., None, None]
-    N = REF_CORNER_NORMALS  # (4, 2, 2): (corner, slot, component)
-    Ghat = np.einsum("ksi,ckij,klj->cksl", N, Mhat, N)
-    t = grid.elem_corner_sign * grid.elem_corner_elen  # (n_c, 4, 2)
-    contrib = 0.25 * t[..., :, None] * t[..., None, :] * Ghat
-
+    geo = corner_geometry(grid) if geometry is None else geometry
+    products = corner_products(geo, coeff, direction)
     n_vertices = grid.n_vertices
-    blocks = np.zeros((n_vertices, 4, 4))
-    v = grid.elements  # corner k of element c sits at vertex elements[c, k]
-    slot = grid.elem_corner_vslot  # (n_c, 4, 2)
-    np.add.at(
-        blocks,
-        (v[:, :, None, None], slot[:, :, :, None], slot[:, :, None, :]),
-        contrib,
-    )
-    return VertexBlockMatrix(blocks, grid)
+    blocks = np.bincount(geo.index.ravel(), weights=products.ravel(), minlength=16 * n_vertices)
+    return VertexBlockMatrix(blocks.reshape(n_vertices, 4, 4), grid)
 
 
 def assemble_divergence(grid: FineGrid) -> sp.csr_matrix:
@@ -450,6 +566,7 @@ def assemble_rhs(grid: FineGrid, f_cells: np.ndarray, bc: BoundarySpec):
     return G, F, constrained, values
 
 
-def quadrature_norm_matrix(grid: FineGrid) -> VertexBlockMatrix:
+def quadrature_norm_matrix(grid: FineGrid,
+                           geometry: CornerGeometry | None = None) -> VertexBlockMatrix:
     """Velocity mass matrix of the corner quadrature with unit coefficient."""
-    return assemble_velocity_matrix(grid, np.ones(grid.n_cells))
+    return assemble_velocity_matrix(grid, np.ones(grid.n_cells), geometry=geometry)

@@ -97,7 +97,7 @@ class EnrichmentState:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         self._system = LinearizedSystem(self.fine, self.f_cells, self.bc)
-        self._norm_M = quadrature_norm_matrix(self.fine)
+        self._norm_M = quadrature_norm_matrix(self.fine, self._system.geometry)
         self._ref_p_norm = np.sqrt(
             (self.reference.pressure**2 * self.fine.cell_areas).sum()
         )
@@ -124,11 +124,13 @@ class EnrichmentState:
         return darcy + brho * speed
 
     def velocity_matrix(self):
+        geometry = self._system.geometry
         if self.variant == "fixed_offline":
             if self._fixed_A is None:
-                self._fixed_A = assemble_velocity_matrix(self.fine, self._coefficient())
+                self._fixed_A = assemble_velocity_matrix(self.fine, self._coefficient(),
+                                                         geometry=geometry)
             return self._fixed_A
-        return assemble_velocity_matrix(self.fine, self._coefficient())
+        return assemble_velocity_matrix(self.fine, self._coefficient(), geometry=geometry)
 
     def errors(self) -> tuple:
         """(Erp, Eru) of the current solution against the fine reference."""

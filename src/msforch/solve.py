@@ -13,7 +13,10 @@ residual (the tensor is dropped where |u^n| vanishes).
 Because A is blockwise invertible, each step reduces to the SPD pressure
 system  B^T A^{-1} B P = B^T A^{-1} G - F  (optionally projected onto a
 coarse pressure space R), solved by a direct factorization or preconditioned
-conjugate gradients.  Convergence is declared on the relative increment
+conjugate gradients.  :class:`PreparedOperator` holds everything of that
+elimination which depends only on the grid and B, so a linearization step
+does numerical work only: assemble, factor the vertex blocks, form and
+factor S, back-substitute.  Convergence is declared on the relative increment
 max_z ||z^{n+1} - z^n|| / max(||z^n||, eps) over both state vectors z = P, U;
 the velocity must take part because on uniform flow a constant linearized
 coefficient scales out of the pressure system entirely, leaving P exact while
@@ -23,7 +26,7 @@ U is still moving.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -39,7 +42,13 @@ from .mfmfe import (
     assemble_divergence,
     assemble_rhs,
     assemble_velocity_matrix,
+    corner_geometry,
     corner_velocities,
+    divergence_blocks,
+    index_dtype,
+    lower_solve,
+    lower_transpose_solve,
+    vertex_cells,
 )
 
 #: Floor in the denominator of the relative pressure increment.
@@ -47,6 +56,11 @@ _EPS_NORM = 1e-30
 
 #: Dense Cholesky is used below this pressure-system size in 'auto' mode.
 _DENSE_LIMIT = 400
+
+#: A dense Cholesky pivot of S at or below this fraction of its largest
+#: diagonal entry marks S as singular: a closed no-flow box factors
+#: with a roundoff-sized last pivot instead of failing.
+_PIVOT_FLOOR = 1e-12
 
 
 @dataclass
@@ -96,10 +110,14 @@ def _solve_spd(S, rhs: np.ndarray, method: str, tol: float, maxiter: int) -> np.
     if method == "auto":
         method = "dense" if n <= _DENSE_LIMIT else "splu"
     if method == "dense":
+        Sd = S.toarray()
+        scale = Sd.diagonal().max(initial=0.0)
         try:
-            c, low = la.cho_factor(np.asarray(S.todense()) if sp.issparse(S) else S)
+            c, low = la.cho_factor(Sd, overwrite_a=True)
         except la.LinAlgError as exc:
             raise SingularSystemError(f"pressure system is not SPD: {exc}") from exc
+        if not c.diagonal().min(initial=np.inf) ** 2 > _PIVOT_FLOOR * scale:
+            raise SingularSystemError("pressure system is numerically singular")
         return la.cho_solve((c, low), rhs)
     if method == "splu":
         try:
@@ -131,6 +149,101 @@ def _solve_spd(S, rhs: np.ndarray, method: str, tol: float, maxiter: int) -> np.
     raise ValueError(f"unknown linear solver {method!r}")
 
 
+class PreparedOperator:
+    """Blockwise velocity elimination for one grid and divergence matrix B.
+
+    Everything that does not depend on the velocity matrix is computed once:
+    the rows B_v of B at each vertex's DOFs, restricted to the (up to four)
+    cells around the vertex; the maps between block slots and DOFs or cells;
+    and the positions of the per-vertex products B_v^T A_v^{-1} B_v in the
+    fixed 9-point pattern of the pressure Schur complement S, as compressed
+    columns.  A solve then factors the vertex blocks
+    A_v = L_v L_v^T by batched Cholesky (the SPD check), forms
+    X_v = L_v^{-1} B_v and y_v = L_v^{-1} G_v, sums S = sum_v X_v^T X_v and
+    the right-hand side sum_v X_v^T y_v - F by bincount, factors S and
+    recovers U_v = L_v^{-T} (y_v - X_v P_v).
+
+    Per-vertex arrays are stored entry-major, (4, ..., n_vertices), so each
+    block entry is one contiguous vector.  The rows and columns of A at
+    ``fixed_dofs`` act as the identity, which eliminates constrained DOFs
+    whose rows of B and entries of G are zero.
+    """
+
+    def __init__(self, grid: FineGrid, B: sp.spmatrix, fixed_dofs=()):
+        self.grid = grid
+        self.fixed_dofs = np.asarray(fixed_dofs, dtype=np.int64)
+        cells = vertex_cells(grid)
+        self.Bv = np.ascontiguousarray(divergence_blocks(grid, B, cells).transpose(1, 2, 0))
+        # Padding slots point one past the end: at a zero appended to the
+        # gathered vector, or at a scatter bin that is dropped.
+        dtype = index_dtype(4 * grid.n_vertices + grid.n_dofs)
+        self._cells = np.where(cells >= 0, cells, grid.n_cells).T.astype(dtype)
+        self._dofs = np.where(grid.vertex_dofs >= 0, grid.vertex_dofs, grid.n_dofs).T.astype(dtype)
+        self._slot_of_dof = (grid.dof_vslot * grid.n_vertices + grid.dof_vertex).astype(dtype)
+        # Where each entry [j, k, v] of the X_v^T X_v lands in the data of S
+        # (or one past the end), and S's row indices and column pointers.
+        n = grid.n_cells
+        rows, cols = self._cells[:, None, :], self._cells[None, :, :]
+        valid = (rows < n) & (cols < n)
+        keys, inverse = np.unique((cols.astype(np.int64) * n + rows)[valid], return_inverse=True)
+        index = np.full(valid.shape, keys.size, dtype=index_dtype(keys.size + 1))
+        index[valid] = inverse
+        self._S_index = index.ravel()
+        self._S_indices = (keys % n).astype(index.dtype)
+        self._S_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(index.dtype)
+
+    def schur_matrix(self, X: np.ndarray) -> sp.csc_matrix:
+        """S = sum_v X_v^T X_v in compressed columns."""
+        size = self._S_indices.size
+        data = np.bincount(self._S_index, weights=_gram_entries(X), minlength=size + 1)[:-1]
+        n = self.grid.n_cells
+        return sp.csc_matrix((data, self._S_indices, self._S_indptr), shape=(n, n))
+
+    def _eliminate(self, A: VertexBlockMatrix, G: np.ndarray, F: np.ndarray):
+        """(L, X, y, rhs): entry-major Cholesky factors of the blocks,
+        X = L^{-1} B_v, y = L^{-1} G_v and rhs = sum_v X_v^T y_v - F."""
+        L = np.ascontiguousarray(A.cholesky(self.fixed_dofs).transpose(1, 2, 0))
+        X = lower_solve(L, self.Bv)
+        y = lower_solve(L, np.append(G, 0.0)[self._dofs])
+        n = self.grid.n_cells
+        xty = np.einsum("ijv,iv->jv", X, y)
+        rhs = np.bincount(self._cells.ravel(), weights=xty.ravel(), minlength=n + 1)[:n] - F
+        return L, X, y, rhs
+
+    def _velocity(self, L: np.ndarray, X: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """U = A^{-1} (G - B P) = L^{-T} (y - X P_v) per vertex, in DOF order."""
+        XP = np.einsum("ijv,jv->iv", X, np.append(P, 0.0)[self._cells])
+        return lower_transpose_solve(L, y - XP).ravel()[self._slot_of_dof]
+
+    def solve(self, A: VertexBlockMatrix, G: np.ndarray, F: np.ndarray, method: str = "auto",
+              tol: float = 1e-12, maxiter: int = 20000):
+        """(U, P) of the saddle system on the full pressure space."""
+        L, X, y, rhs = self._eliminate(A, G, F)
+        P = _solve_spd(self.schur_matrix(X), rhs, method, tol, maxiter)
+        return self._velocity(L, X, y, P), P
+
+    def solve_reduced(self, A: VertexBlockMatrix, R: sp.spmatrix, G: np.ndarray, F: np.ndarray):
+        """(U, P_r) with the pressure constrained to the column space of R.
+
+        The reduced system R^T S R P_r = R^T (B^T A^{-1} G - F) is dense of
+        coarse dimension; the velocity follows from the fine pressure R P_r.
+        """
+        L, X, y, rhs = self._eliminate(A, G, F)
+        S = (R.T @ (self.schur_matrix(X) @ R)).toarray()
+        try:
+            c, low = la.cho_factor(S, overwrite_a=True)
+        except la.LinAlgError as exc:
+            raise SingularSystemError(f"reduced pressure system is not SPD: {exc}") from exc
+        Pr = la.cho_solve((c, low), R.T @ rhs)
+        return self._velocity(L, X, y, R @ Pr), Pr
+
+
+def _gram_entries(X: np.ndarray) -> np.ndarray:
+    """The entries [j, k, v] of every X_v^T X_v, flattened."""
+    return np.einsum("ijv,ikv->jkv", X, X).ravel()
+
+
 def schur_solve(
     A: VertexBlockMatrix,
     B: sp.spmatrix,
@@ -140,22 +253,14 @@ def schur_solve(
     method: str = "auto",
     linear_tol: float = 1e-12,
     linear_max_iter: int = 20000,
-    check_pd: bool = True,
 ):
     """Solve the saddle system via the blockwise-eliminated pressure equation.
 
     Velocity constraints must already be reduced out of (A, B, G, F).
-    Returns (U, P) with B^T U = F satisfied to solver precision.
+    Returns (U, P) with B^T U = F satisfied to solver precision.  Repeated
+    solves on one grid keep a :class:`PreparedOperator` instead.
     """
-    if check_pd:
-        A.check_positive_definite()
-    Ainv = A.inverse_sparse()
-    AinvB = Ainv @ B
-    S = (B.T @ AinvB).tocsc()
-    rhs = B.T @ (Ainv @ G) - F
-    P = _solve_spd(S, rhs, method, linear_tol, linear_max_iter)
-    U = Ainv @ (G - B @ P)
-    return U, P
+    return PreparedOperator(A.grid, B).solve(A, G, F, method, linear_tol, linear_max_iter)
 
 
 def reduced_schur_solve(
@@ -170,18 +275,7 @@ def reduced_schur_solve(
     The reduced SPD system (BR)^T A^{-1} (BR) P_r = (BR)^T A^{-1} G - R^T F is
     dense of coarse dimension; the returned velocity lives on the fine grid.
     """
-    A.check_positive_definite()
-    Ainv = A.inverse_sparse()
-    BR = (B @ R).tocsr()
-    S = np.asarray((BR.T @ (Ainv @ BR)).todense())
-    rhs = BR.T @ (Ainv @ G) - R.T @ F
-    try:
-        c, low = la.cho_factor(S)
-    except la.LinAlgError as exc:
-        raise SingularSystemError(f"reduced pressure system is not SPD: {exc}") from exc
-    Pr = la.cho_solve((c, low), rhs)
-    U = Ainv @ (G - BR @ Pr)
-    return U, Pr
+    return PreparedOperator(A.grid, B).solve_reduced(A, R, G, F)
 
 
 def saddle_oracle(A: VertexBlockMatrix, B: sp.spmatrix, G: np.ndarray, F: np.ndarray):
@@ -218,8 +312,10 @@ class LinearizedSystem:
     """Static parts of the fine saddle problem: B, right-hand sides, constraints.
 
     Neumann DOFs are eliminated by the lifting U = U_free + lift, identity
-    rows in A and zeroed rows of B; the lift term in G depends on the current
-    matrix and is applied per linearization step.
+    rows in A and zeroed rows of B (``Bfree``, built on access); the lift
+    term in G depends on the current matrix and is applied per linearization
+    step.  ``geometry`` (corner factors for assembly) and ``operator`` (the
+    prepared elimination) are computed once here and reused by every step.
     """
 
     def __init__(self, grid: FineGrid, f_cells: np.ndarray, bc: BoundarySpec):
@@ -230,10 +326,16 @@ class LinearizedSystem:
         self.cdofs = cdofs
         self.lift = np.zeros(grid.n_dofs)
         self.lift[cdofs] = cvals
-        free = np.ones(grid.n_dofs)
-        free[cdofs] = 0.0
-        self.Bfree = (sp.diags(free) @ self.B).tocsr()
         self.F = F - self.B.T @ self.lift
+        self.geometry = corner_geometry(grid)
+        self.operator = PreparedOperator(grid, self.Bfree, cdofs)
+
+    @property
+    def Bfree(self) -> sp.csr_matrix:
+        """B with the rows of the constrained DOFs zeroed."""
+        free = np.ones(self.grid.n_dofs)
+        free[self.cdofs] = 0.0
+        return (sp.diags(free) @ self.B).tocsr()
 
     def reduce(self, A: VertexBlockMatrix, G: np.ndarray):
         """Apply the constraint elimination to a freshly assembled matrix."""
@@ -243,28 +345,24 @@ class LinearizedSystem:
 
     def solve(self, A: VertexBlockMatrix, G: np.ndarray, cfg: NonlinearConfig,
               R: sp.spmatrix | None = None):
-        Ahat, G2 = self.reduce(A, G)
+        """(U, fine pressure, pressure coefficients) of one linearized step."""
+        G2 = G - A.matvec(self.lift) if self.lift.any() else G.copy()
+        G2[self.cdofs] = 0.0
         if R is None:
-            U, P = schur_solve(
-                Ahat, self.Bfree, G2, self.F,
-                method=cfg.linear_solver, linear_tol=cfg.linear_tol,
-                linear_max_iter=cfg.linear_max_iter,
-            )
-            U = U + self.lift
-            return U, P, P
-        U, Pr = reduced_schur_solve(Ahat, self.Bfree, R, G2, self.F)
+            U, P = self.operator.solve(A, G2, self.F, cfg.linear_solver, cfg.linear_tol,
+                                       cfg.linear_max_iter)
+            return U + self.lift, P, P
+        U, Pr = self.operator.solve_reduced(A, R, G2, self.F)
         return U + self.lift, np.asarray(R @ Pr).ravel(), Pr
 
 
-def _newton_tensor(grid: FineGrid, brho_cells: np.ndarray, w: np.ndarray,
-                   speed: np.ndarray) -> np.ndarray:
-    """Corner tensor beta rho (w (x) w)/|w|, zeroed below the velocity floor."""
+def _newton_scale(brho_cells: np.ndarray, speed: np.ndarray) -> np.ndarray:
+    """beta rho / |w| per corner, the scale of the rank-one Newton tensor
+    beta rho (w (x) w) / |w|; zero below the velocity floor."""
     floor = 1e-14 * max(speed.max(), 1.0)
-    safe = np.where(speed > floor, speed, 1.0)
-    outer = w[..., :, None] * w[..., None, :]
-    tensor = brho_cells[:, None, None, None] * outer / safe[..., None, None]
-    tensor[speed <= floor] = 0.0
-    return tensor
+    scale = brho_cells[:, None] / np.where(speed > floor, speed, 1.0)
+    scale[speed <= floor] = 0.0
+    return scale
 
 
 def nonlinear_solve(
@@ -288,16 +386,26 @@ def nonlinear_solve(
     cfg.validate()
     kappa.require_positive("permeability")
     sys_ = system if system is not None else LinearizedSystem(grid, f_cells, bc)
+    geo = sys_.geometry
     c_darcy = (mu / kappa.values)[:, None] * np.ones((1, 4))
     brho = beta.values * rho
 
-    def picard_coeff(U):
+    def picard_matrix(U):
+        """(A_pic, corner velocities, speeds) at the iterate U."""
         w, speed = corner_velocities(grid, U)
-        return c_darcy + brho[:, None] * speed, w, speed
+        A = assemble_velocity_matrix(grid, c_darcy + brho[:, None] * speed, geometry=geo)
+        return A, w, speed
+
+    def add_newton_term(A, U, w, speed):
+        """Add the Newton tensor to A in place; return the matching right-hand side."""
+        A_t = assemble_velocity_matrix(grid, _newton_scale(brho, speed), direction=w,
+                                       geometry=geo)
+        A.blocks += A_t.blocks
+        return sys_.G0 + A_t.matvec(U)
 
     if cfg.initial == "darcy":
-        A0 = assemble_velocity_matrix(grid, c_darcy)
-        U, P_fine, _ = sys_.solve(A0, sys_.G0, cfg, R)
+        U, P_fine, _ = sys_.solve(assemble_velocity_matrix(grid, c_darcy, geometry=geo),
+                                  sys_.G0, cfg, R)
     else:
         U = sys_.lift.copy()
         P_fine = np.zeros(grid.n_cells)
@@ -307,17 +415,11 @@ def nonlinear_solve(
     iterations = 0
     Pr = None
     for n in range(cfg.max_iter):
-        c_pic, w, speed = picard_coeff(U)
-        A_pic = assemble_velocity_matrix(grid, c_pic)
+        A, w, speed = picard_matrix(U)
         if history:
-            history[-1][1] = _momentum_residual(sys_, A_pic, U, P_fine)
-        if cfg.scheme == "newton":
-            A_t = assemble_velocity_matrix(grid, _newton_tensor(grid, brho, w, speed))
-            A_full = A_pic + A_t
-            G = sys_.G0 + A_t.matvec(U)
-        else:
-            A_full, G = A_pic, sys_.G0
-        U_new, P_new, Pr = sys_.solve(A_full, G, cfg, R)
+            history[-1][1] = _momentum_residual(sys_, A, U, P_fine)
+        G = add_newton_term(A, U, w, speed) if cfg.scheme == "newton" else sys_.G0
+        U_new, P_new, Pr = sys_.solve(A, G, cfg, R)
         rel_p = np.linalg.norm(P_new - P_fine) / max(np.linalg.norm(P_fine), _EPS_NORM)
         rel_u = np.linalg.norm(U_new - U) / max(np.linalg.norm(U), _EPS_NORM)
         rel = max(rel_p, rel_u)
@@ -329,9 +431,7 @@ def nonlinear_solve(
             break
 
     if history and np.isnan(history[-1][1]):
-        c_pic, _, _ = picard_coeff(U)
-        A_pic = assemble_velocity_matrix(grid, c_pic)
-        history[-1][1] = _momentum_residual(sys_, A_pic, U, P_fine)
+        history[-1][1] = _momentum_residual(sys_, picard_matrix(U)[0], U, P_fine)
     return FlowSolution(
         pressure=P_fine,
         velocity=U,
@@ -348,20 +448,6 @@ def _momentum_residual(sys_: LinearizedSystem, A_pic: VertexBlockMatrix,
     r = A_pic.matvec(U) + sys_.B @ P - sys_.G0
     r[sys_.cdofs] = 0.0
     return float(np.linalg.norm(r))
-
-
-def solve_nonlinear(
-    grid: FineGrid,
-    kappa: ScalarCellField,
-    beta: ScalarCellField,
-    bc: BoundarySpec,
-    f_cells: np.ndarray,
-    cfg: NonlinearConfig,
-    mu: float = 1.0,
-    rho: float = 1.0,
-) -> FlowSolution:
-    """Fine-grid nonlinear solve (full pressure space)."""
-    return nonlinear_solve(grid, kappa, beta, bc, f_cells, cfg, mu=mu, rho=rho)
 
 
 def cell_divergence(grid: FineGrid, B: sp.spmatrix, U: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ float linear algebra used by the implementation.
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msforch.errors import AssemblyError, ConfigurationError, SingularCornerError
 from msforch.grid import REF_CORNER_NORMALS, REF_CORNERS, build_fine_grid
@@ -15,6 +17,7 @@ from msforch.mfmfe import (
     assemble_divergence,
     assemble_rhs,
     assemble_velocity_matrix,
+    corner_geometry,
     corner_velocities,
     corner_velocity,
     five_spot,
@@ -427,3 +430,92 @@ def test_quadrature_norm_matrix_is_norm():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(grid.n_dofs)
     assert x @ M.matvec(x) > 0
+
+
+def _reference_blocks(grid, C):
+    """Vertex blocks by the direct corner formula (1/4) t_s t_l N_s^T Mhat N_l,
+    Mhat = DF^T C DF / J, accumulated with np.add.at; C is (n_cells, 4, 2, 2)."""
+    DF = grid.corner_DF
+    Mhat = np.einsum("ckja,ckjl,cklm->ckam", DF, C, DF) / grid.corner_J[..., None, None]
+    Ghat = np.einsum("ksi,ckij,klj->cksl", REF_CORNER_NORMALS, Mhat, REF_CORNER_NORMALS)
+    t = grid.elem_corner_sign * grid.elem_corner_elen
+    contrib = 0.25 * t[..., :, None] * t[..., None, :] * Ghat
+    blocks = np.zeros((grid.n_vertices, 4, 4))
+    slot = grid.elem_corner_vslot
+    np.add.at(blocks, (grid.elements[:, :, None, None], slot[:, :, :, None],
+                       slot[:, :, None, :]), contrib)
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 9), ny=st.integers(1, 9),
+    x0=st.floats(-5.0, 5.0), y0=st.floats(-5.0, 5.0),
+    width=st.floats(0.05, 20.0), height=st.floats(0.05, 20.0),
+    form=st.sampled_from(["cell", "corner", "rank_one", "tensor"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prepared_assembly_matches_corner_formula(nx, ny, x0, y0, width, height, form, seed):
+    """The corner-factor + bincount assembly equals the direct formula to
+    roundoff, with and without a reused CornerGeometry."""
+    grid = build_fine_grid(nx, ny, (x0, x0 + width, y0, y0 + height))
+    rng = np.random.default_rng(seed)
+    n = grid.n_cells
+    direction = None
+    if form == "cell":
+        coeff = rng.uniform(1e-3, 1e3, n)
+        C = coeff[:, None, None, None] * np.eye(2)
+    elif form == "corner":
+        coeff = rng.uniform(1e-3, 1e3, (n, 4))
+        C = coeff[..., None, None] * np.eye(2)
+    elif form == "rank_one":
+        coeff = rng.uniform(1e-3, 1e3, (n, 4))
+        direction = rng.standard_normal((n, 4, 2))
+        C = coeff[..., None, None] * direction[..., :, None] * direction[..., None, :]
+    else:
+        Q = rng.standard_normal((n, 4, 2, 2))
+        coeff = C = Q @ np.swapaxes(Q, -1, -2) + 0.1 * np.eye(2)
+    want = _reference_blocks(grid, C)
+    scale = np.abs(want).max()
+    for geometry in (None, corner_geometry(grid)):
+        got = assemble_velocity_matrix(grid, coeff, direction=direction, geometry=geometry)
+        assert np.abs(got.blocks - want).max() <= 1e-14 * scale
+
+
+def test_rank_one_needs_scalar_coefficient():
+    grid = build_fine_grid(2, 2)
+    with pytest.raises(ValueError, match="rank-one"):
+        assemble_velocity_matrix(grid, np.ones((4, 4, 2, 2)), direction=np.ones((4, 4, 2)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_block_fails_loudly():
+    """A NaN coefficient is reported as such, not as an asymmetric block."""
+    grid = build_fine_grid(3, 3)
+    coeff = np.ones(grid.n_cells)
+    coeff[4] = np.nan
+    A = assemble_velocity_matrix(grid, coeff)
+    with pytest.raises(AssemblyError, match="non-finite vertex block"):
+        A.check_positive_definite()
+    coeff[4] = np.inf
+    with pytest.raises(AssemblyError, match="non-finite vertex block"):
+        assemble_velocity_matrix(grid, coeff).cholesky()
+
+
+def test_asymmetric_block_fails_symmetry_check():
+    grid = build_fine_grid(2, 2)
+    A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
+    A.blocks[4, 0, 1] += 1e-3
+    with pytest.raises(AssemblyError, match="not symmetric"):
+        A.cholesky()
+
+
+def test_cholesky_factors_blocks_with_eliminated_dofs():
+    grid = build_fine_grid(3, 2)
+    rng = np.random.default_rng(11)
+    A = assemble_velocity_matrix(grid, rng.uniform(0.5, 2.0, grid.n_cells))
+    dofs = np.array([0, 3, 9])
+    L = A.cholesky(dofs)
+    padded = A.with_identity_rows(dofs).blocks
+    assert np.allclose(L @ np.swapaxes(L, 1, 2), padded, atol=1e-14)
+    assert np.all(np.triu(L, 1) == 0.0)

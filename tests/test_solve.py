@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msforch.errors import LinearSolverError, SingularSystemError
+from msforch.errors import AssemblyError, LinearSolverError, SingularSystemError
 from msforch.fields import ScalarCellField, gen_synthetic
 from msforch.grid import build_fine_grid
 from msforch.mfmfe import (
+    all_dirichlet_spec,
     assemble_divergence,
     assemble_velocity_matrix,
+    five_spot,
     left_right_spec,
     no_flow_spec,
     quadrature_norm_matrix,
@@ -239,3 +244,108 @@ def test_history_tracks_increments():
     assert sol.history.shape == (sol.iterations, 2)
     # final recorded increment is below tolerance
     assert sol.history[-1, 0] <= 1e-10
+
+
+def _preset_problem(rng, nx, ny, preset, tensor):
+    """A random problem on one of the three boundary presets: (system, A)."""
+    grid = build_fine_grid(nx, ny)
+    n = grid.n_cells
+    if preset == "left_right":
+        bc = left_right_spec(grid, rng.uniform(0.5, 2.0), rng.uniform(-1.0, 0.5))
+        f = rng.standard_normal(n)
+    elif preset == "dirichlet":
+        a, b, c = rng.uniform(-1.0, 1.0, 3)
+        bc = all_dirichlet_spec(grid, lambda x, y: a + b * x + c * y)
+        f = rng.standard_normal(n)
+    else:
+        bc, f = five_spot(grid)
+    if tensor:
+        Q = rng.standard_normal((n, 4, 2, 2))
+        coeff = Q @ np.swapaxes(Q, -1, -2) + 0.2 * np.eye(2)
+    else:
+        coeff = rng.uniform(0.1, 10.0, n)
+    return LinearizedSystem(grid, f, bc), assemble_velocity_matrix(grid, coeff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(1, 8), ny=st.integers(1, 8),
+    preset=st.sampled_from(["left_right", "dirichlet", "five_spot"]),
+    tensor=st.booleans(),
+    backend=st.sampled_from(["auto", "splu"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prepared_solve_matches_saddle_oracle(nx, ny, preset, tensor, backend, seed):
+    """The prepared operator (with the given factorization of S) and its
+    reduced path with R = I agree with the dense saddle oracle to 1e-12."""
+    sys_, A = _preset_problem(np.random.default_rng(seed), nx, ny, preset, tensor)
+    Ahat, G2 = sys_.reduce(A, sys_.G0)
+    U_ref, P_ref = saddle_oracle(Ahat, sys_.Bfree, G2, sys_.F)
+    U_ref = U_ref + sys_.lift
+    cfg = NonlinearConfig(linear_solver=backend)
+    U, P, _ = sys_.solve(A, sys_.G0, cfg)
+    assert _rel(U, U_ref) <= 1e-12
+    assert _rel(P, P_ref) <= 1e-12
+    identity = sp.identity(sys_.grid.n_cells, format="csr")
+    U_r, P_r, coeffs = sys_.solve(A, sys_.G0, cfg, R=identity)
+    assert _rel(U_r, U_ref) <= 1e-12
+    assert _rel(P_r, P_ref) <= 1e-12
+    assert np.array_equal(coeffs, P_r)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (3, 3), (7, 4), (12, 12), (30, 6)])
+def test_closed_box_is_singular_in_auto_mode(nx, ny):
+    """The dense Cholesky path of 'auto' mode reports singular pressure
+    systems instead of returning a roundoff-driven solution."""
+    grid = build_fine_grid(nx, ny)
+    rng = np.random.default_rng(nx * 100 + ny)
+    sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), no_flow_spec(grid))
+    A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-2.0, 2.0, grid.n_cells))
+    with pytest.raises(SingularSystemError):
+        sys_.solve(A, sys_.G0, NonlinearConfig())
+    Ahat, G2 = sys_.reduce(A, sys_.G0)
+    with pytest.raises(SingularSystemError):
+        schur_solve(Ahat, sys_.Bfree, G2, sys_.F)
+
+
+def test_indefinite_block_raises_assembly_error():
+    grid = build_fine_grid(4, 3)
+    sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid))
+    coeff = np.ones(grid.n_cells)
+    coeff[5] = -1.0
+    A = assemble_velocity_matrix(grid, coeff)
+    with pytest.raises(AssemblyError, match="positive definite"):
+        sys_.solve(A, sys_.G0, NonlinearConfig())
+    with pytest.raises(AssemblyError, match="positive definite"):
+        sys_.solve(A, sys_.G0, NonlinearConfig(), R=sp.identity(grid.n_cells, format="csr"))
+
+
+def test_schur_solve_rejects_foreign_divergence():
+    grid = build_fine_grid(3, 3)
+    A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
+    B = assemble_divergence(grid).tolil()
+    B[0, grid.n_cells - 1] = 1.0   # DOF 0 sits at vertex 0, far from the last cell
+    with pytest.raises(ValueError, match="away from"):
+        schur_solve(A, B.tocsr(), np.zeros(grid.n_dofs), np.zeros(grid.n_cells))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_coefficient_fails_on_first_iteration(monkeypatch):
+    """A NaN in beta surfaces as a non-finite vertex block in the first
+    linearization step, not as an asymmetric block after max_iter steps."""
+    grid = build_fine_grid(6, 6)
+    beta = _const(grid, 10.0)
+    beta.values[7] = np.nan
+    calls = []
+    solve = LinearizedSystem.solve
+
+    def counting_solve(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearizedSystem, "solve", counting_solve)
+    cfg = NonlinearConfig(scheme="picard", max_iter=10_000)
+    with pytest.raises(AssemblyError, match="non-finite vertex block"):
+        nonlinear_solve(grid, _const(grid), beta, left_right_spec(grid),
+                        np.zeros(grid.n_cells), cfg)
+    assert len(calls) == 2   # the Darcy initial guess, then the first step

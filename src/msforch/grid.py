@@ -292,23 +292,29 @@ class Subgrid:
     dofs: np.ndarray           # local dof -> global dof
 
 
+def block_indices(grid: FineGrid, ox: int, oy: int, mx: int, my: int) -> tuple:
+    """(cells, edges, dofs) of ``grid`` for the mx-by-my cell block with
+    lower-left cell (ox, oy), listed in the numbering of the block's own grid."""
+    if not (0 <= ox and ox + mx <= grid.nx and 0 <= oy and oy + my <= grid.ny):
+        raise ValueError(f"block ({ox},{oy},{mx},{my}) outside {grid.nx}x{grid.ny} grid")
+    # Row-major: x varies fastest.
+    ix, iy = ox + np.arange(mx + 1), (oy + np.arange(my + 1))[:, None]
+    cells = grid.cell_id(ix[:-1], iy[:-1]).ravel()
+    h_edges = grid.horizontal_edge(ix[:-1], iy).ravel()
+    v_edges = grid.vertical_edge(ix, iy[:-1]).ravel()
+    edges = np.concatenate([h_edges, v_edges])
+    dofs = (2 * edges[:, None] + np.array([0, 1])).ravel()
+    return cells, edges, dofs
+
+
 def subgrid(fine: FineGrid, ox: int, oy: int, mx: int, my: int) -> Subgrid:
     """Extract the mx-by-my block of cells with lower-left cell (ox, oy)."""
-    if not (0 <= ox and ox + mx <= fine.nx and 0 <= oy and oy + my <= fine.ny):
-        raise ValueError(f"block ({ox},{oy},{mx},{my}) outside {fine.nx}x{fine.ny} grid")
+    cells, edges, dofs = block_indices(fine, ox, oy, mx, my)
     hx, hy = fine.spacing
     x0, _, y0, _ = fine.domain
     local = build_fine_grid(
         mx, my, (x0 + ox * hx, x0 + (ox + mx) * hx, y0 + oy * hy, y0 + (oy + my) * hy)
     )
-    lix, liy = np.meshgrid(np.arange(mx), np.arange(my))
-    cells = fine.cell_id(ox + lix.ravel(), oy + liy.ravel())
-    ghx, ghy = np.meshgrid(np.arange(mx), np.arange(my + 1))
-    h_edges = fine.horizontal_edge(ox + ghx.ravel(), oy + ghy.ravel())
-    gwx, gwy = np.meshgrid(np.arange(mx + 1), np.arange(my))
-    v_edges = fine.vertical_edge(ox + gwx.ravel(), oy + gwy.ravel())
-    edges = np.concatenate([h_edges, v_edges])
-    dofs = (2 * edges[:, None] + np.array([0, 1])).ravel()
     return Subgrid(grid=local, rect=(ox, oy, mx, my), cells=cells, edges=edges, dofs=dofs)
 
 

@@ -276,6 +276,11 @@ class VertexBlockMatrix:
     def to_sparse(self) -> sp.csr_matrix:
         return self._sparse_from_blocks(self.blocks)
 
+    def gram(self, U: np.ndarray) -> np.ndarray:
+        """U^T A U for the columns of a (n_dofs, k) U, formed blockwise."""
+        Uv = self._gathered(U)
+        return np.tensordot(Uv, self.blocks @ Uv, axes=([0, 1], [0, 1]))
+
     def inverse_sparse(self) -> sp.csr_matrix:
         """Blockwise inverse as a sparse matrix (pad slots become unit diagonal)."""
         return self._sparse_from_blocks(self.inverse_blocks())

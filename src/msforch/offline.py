@@ -29,7 +29,7 @@ mu/kappa + beta rho |u| and re-decomposed, replacing those elements' columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -37,11 +37,11 @@ import scipy.sparse as sp
 
 from .errors import SingularSystemError
 from .fields import ScalarCellField
-from .grid import CoarseGrid, FineGrid, rect_boundary_edges, subgrid
+from .grid import CoarseGrid, FineGrid
+from .local import LocalShapes
 from .mfmfe import (
     BoundarySpec,
     assemble_divergence,
-    assemble_rhs,
     assemble_velocity_matrix,
     corner_velocities,
 )
@@ -77,53 +77,23 @@ class SpectralSpace:
         return self.snapshots_p @ self.eigenvectors[:, :m]
 
 
-def _snapshot_system(fine: FineGrid, coeff, sub, boundary_edges: np.ndarray):
-    """Assemble and factor one element's local Darcy-type snapshot problem."""
-    coeff = np.asarray(coeff)
-    local_coeff = coeff[sub.cells] if coeff.ndim == 1 else coeff[sub.cells, ...]
-    A = assemble_velocity_matrix(sub.grid, local_coeff)
-    B = assemble_divergence(sub.grid)
-    Ainv = A.inverse_sparse()
-    S = np.asarray((B.T @ (Ainv @ B)).todense())
-    try:
-        chol = la.cho_factor(S)
-    except la.LinAlgError as exc:
-        raise SingularSystemError(f"local snapshot system is not SPD: {exc}") from exc
-
-    # Dirichlet data columns: indicator of each boundary fine edge.
-    g2l = {int(e): i for i, e in enumerate(sub.edges)}
-    n_dofs = sub.grid.n_dofs
-    G = np.zeros((n_dofs, len(boundary_edges)))
-    for j, ge in enumerate(boundary_edges):
-        le = g2l[int(ge)]
-        sign = sub.grid.edge_boundary_sign[le]
-        half = 0.5 * sub.grid.edge_lengths[le]
-        G[2 * le, j] = -sign * half
-        G[2 * le + 1, j] = -sign * half
-    rhs = B.T @ (Ainv @ G)
-    P = la.cho_solve(chol, rhs)
-    U = Ainv @ (G - B @ P)
-    return P, U, B
-
-
 def build_snapshots(
     fine: FineGrid,
     coarse: CoarseGrid,
     i: int,
     coeff,
     gram_coeff=None,
+    shapes: LocalShapes | None = None,
 ) -> SpectralSpace:
     """Snapshot space of coarse element i.
 
     ``coeff`` is the coefficient of the local solves, per global cell or per
     (cell, corner); ``gram_coeff`` (default: same) is the coefficient of the
-    velocity energy Gram matrix used by the spectral problem.
+    velocity energy Gram matrix used by the spectral problem.  Pass the
+    coarse grid's ``shapes`` to reuse the per-shape local data across
+    elements; by default it is built for this call.
     """
-    ox, oy, mx, my = coarse.element_rect(i)
-    sub = subgrid(fine, ox, oy, mx, my)
-    edges = coarse.boundary_edges[i]
-    P, U, _ = _snapshot_system(fine, coeff, sub, edges)
-    return _with_grams(fine, coarse, i, sub, P, U, coeff if gram_coeff is None else gram_coeff)
+    return _snapshots(fine, coarse, i, coeff, gram_coeff, 0, shapes)
 
 
 def build_snapshots_oversampled(
@@ -133,44 +103,38 @@ def build_snapshots_oversampled(
     coeff,
     layers: int = 1,
     gram_coeff=None,
+    shapes: LocalShapes | None = None,
 ) -> SpectralSpace:
     """Snapshots computed on the oversampled block and restricted to T_i."""
     if layers < 1:
         raise ValueError("oversampling needs at least one layer")
-    rect_p = coarse.oversample_rect(i, layers)
-    sub_p = subgrid(fine, *rect_p)
-    edges_p = rect_boundary_edges(fine, *rect_p)
-    P_p, U_p, _ = _snapshot_system(fine, coeff, sub_p, edges_p)
-
-    ox, oy, mx, my = coarse.element_rect(i)
-    sub = subgrid(fine, ox, oy, mx, my)
-    cell_pos = {int(c): k for k, c in enumerate(sub_p.cells)}
-    dof_pos = {int(d): k for k, d in enumerate(sub_p.dofs)}
-    P = P_p[[cell_pos[int(c)] for c in sub.cells], :]
-    U = U_p[[dof_pos[int(d)] for d in sub.dofs], :]
-    return _with_grams(fine, coarse, i, sub, P, U, coeff if gram_coeff is None else gram_coeff)
+    return _snapshots(fine, coarse, i, coeff, gram_coeff, layers, shapes)
 
 
-def _with_grams(fine, coarse, i, sub, P, U, gram_coeff) -> SpectralSpace:
-    gram_coeff = np.asarray(gram_coeff)
-    local = gram_coeff[sub.cells] if gram_coeff.ndim == 1 else gram_coeff[sub.cells, ...]
-    M = assemble_velocity_matrix(sub.grid, local)
-    gram_a = U.T @ (M.to_sparse() @ U)
-    gram_s = (P * sub.grid.cell_areas[:, None]).T @ P
-    # Energy of the summed snapshots, formed on the velocity vector itself:
-    # evaluating 1' gram_a 1 instead would cancel catastrophically because
-    # the individual snapshot energies dwarf the sum's.
-    u_sum = U.sum(axis=1)
-    null_energy = float(u_sum @ (M.to_sparse() @ u_sum))
+def _snapshots(fine, coarse, i, coeff, gram_coeff, layers, shapes) -> SpectralSpace:
+    """One local Darcy-type solve per boundary-data column of element i's
+    block grown by ``layers``, restricted to the element, with its Grams."""
+    shapes = LocalShapes(coarse) if shapes is None else shapes
+    shape, cells, dofs = shapes.snapshot(i, layers)
+    A = assemble_velocity_matrix(shape.grid, np.asarray(coeff)[cells], geometry=shape.geometry)
+    U, P = shape.operator.solve_dense(A, shape.data)
+    if layers:
+        P, U = P[shape.element_cells], U[shape.element_dofs]
+        shape, cells, dofs = shapes.snapshot(i)
+    gram_coeff = np.asarray(coeff if gram_coeff is None else gram_coeff)
+    M = assemble_velocity_matrix(shape.grid, gram_coeff[cells], geometry=shape.geometry)
     return SpectralSpace(
         element=i,
-        cells=sub.cells,
-        dofs=sub.dofs,
+        cells=cells,
+        dofs=dofs,
         snapshots_p=P,
         snapshots_u=U,
-        gram_a=gram_a,
-        gram_s=gram_s,
-        null_energy=null_energy,
+        gram_a=M.gram(U),
+        gram_s=(P * fine.cell_areas[cells][:, None]).T @ P,
+        # Energy of the summed snapshots, formed on the velocity vector itself:
+        # evaluating 1' gram_a 1 instead would cancel catastrophically because
+        # the individual snapshot energies dwarf the sum's.
+        null_energy=float(M.gram(U.sum(axis=1, keepdims=True))[0, 0]),
     )
 
 
@@ -258,11 +222,19 @@ class ReductionMap:
     Columns are grouped per coarse element (element-major, eigenvalue-minor
     for offline columns; online columns append at the end).  ``provenance``
     tracks the origin of each column: 'offline', 'updated' or 'online'.
+    Change columns through the methods, which keep the cached matrix and the
+    per-element column index current.
     """
 
     n_cells: int
     columns: list              # per column: (element id, cells, values)
     provenance: list
+    _matrix: sp.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
+    _by_element: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for j, c in enumerate(self.columns):
+            self._by_element.setdefault(c[0], []).append(j)
 
     @property
     def n_columns(self) -> int:
@@ -270,25 +242,25 @@ class ReductionMap:
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        mat = getattr(self, "_matrix", None)
-        if mat is None or mat.shape[1] != self.n_columns:
+        if self._matrix is None or self._matrix.shape[1] != self.n_columns:
             rows = np.concatenate([c[1] for c in self.columns])
             cols = np.concatenate(
                 [np.full(len(c[1]), j) for j, c in enumerate(self.columns)]
             )
             data = np.concatenate([c[2] for c in self.columns])
-            mat = sp.csr_matrix((data, (rows, cols)), shape=(self.n_cells, self.n_columns))
-            self._matrix = mat
-        return mat
+            self._matrix = sp.csr_matrix((data, (rows, cols)),
+                                         shape=(self.n_cells, self.n_columns))
+        return self._matrix
 
     def columns_of(self, element: int) -> np.ndarray:
-        return np.array([j for j, c in enumerate(self.columns) if c[0] == element], dtype=int)
+        return np.array(self._by_element.get(element, []), dtype=int)
 
     def element_of(self) -> np.ndarray:
         return np.array([c[0] for c in self.columns], dtype=int)
 
     def append_column(self, element: int, cells: np.ndarray, values: np.ndarray,
                       provenance: str = "online") -> None:
+        self._by_element.setdefault(element, []).append(len(self.columns))
         self.columns.append((element, np.asarray(cells, dtype=int), np.asarray(values, dtype=float)))
         self.provenance.append(provenance)
         self._matrix = None
@@ -333,12 +305,14 @@ def build_offline_space(
 ) -> tuple:
     """Snapshot + decompose every coarse element; returns (spaces, ReductionMap)."""
     coeff = mu / kappa.values
+    shapes = LocalShapes(coarse)
     spaces = []
     for i in range(coarse.n_elements):
         if oversample_layers > 0:
-            space = build_snapshots_oversampled(fine, coarse, i, coeff, oversample_layers)
+            space = build_snapshots_oversampled(fine, coarse, i, coeff, oversample_layers,
+                                                shapes=shapes)
         else:
-            space = build_snapshots(fine, coarse, i, coeff)
+            space = build_snapshots(fine, coarse, i, coeff, shapes=shapes)
         spaces.append(spectral_decompose(space, m_off))
     return spaces, assemble_reduction(fine, spaces, m_off)
 
@@ -416,9 +390,10 @@ def update_offline(
     darcy = mu / kappa.values
     new_map = rmap.copy()
     new_spaces = list(spaces)
+    shapes = LocalShapes(coarse)
     for i in np.asarray(selected, dtype=int):
         m_i = len(rmap.columns_of(int(i)))
-        space = build_snapshots(fine, coarse, int(i), coeff, gram_coeff=darcy)
+        space = build_snapshots(fine, coarse, int(i), coeff, gram_coeff=darcy, shapes=shapes)
         space = spectral_decompose(space, m_i)
         new_spaces[int(i)] = space
         new_map.replace_element_columns(int(i), space.basis(m_i), space.cells)

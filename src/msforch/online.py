@@ -26,14 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import SingularSystemError
 from .fields import ScalarCellField
-from .grid import CoarseGrid, FineGrid, subgrid
+from .grid import CoarseGrid, FineGrid
+from .local import LocalShapes
 from .mfmfe import (
     BoundarySpec,
-    assemble_divergence,
     assemble_velocity_matrix,
     corner_velocities,
     quadrature_norm_matrix,
@@ -85,8 +84,9 @@ class EnrichmentState:
     history: list = field(default_factory=list)
     # caches refreshed whenever the solution changes
     _system: LinearizedSystem | None = None
+    _shapes: LocalShapes | None = None  # per-shape data of the online local problems
     _defect: np.ndarray | None = None   # f - div(u) per fine cell
-    _speed: np.ndarray | None = None    # |u| per (cell, corner)
+    _coeff: np.ndarray | None = None    # corner coefficient of the current linearization
     _fixed_A = None                     # velocity matrix at the offline speed
     _fixed_speed = None                 # |u_off| per (cell, corner), captured once
     _norm_M = None
@@ -97,6 +97,7 @@ class EnrichmentState:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         self._system = LinearizedSystem(self.fine, self.f_cells, self.bc)
+        self._shapes = LocalShapes(self.coarse)
         self._norm_M = quadrature_norm_matrix(self.fine, self._system.geometry)
         self._ref_p_norm = np.sqrt(
             (self.reference.pressure**2 * self.fine.cell_areas).sum()
@@ -112,25 +113,25 @@ class EnrichmentState:
     def set_solution(self, sol: FlowSolution) -> None:
         self.solution = sol
         self._defect = self.f_cells - cell_divergence(self.fine, self._system.B, sol.velocity)
-        self._speed = corner_velocities(self.fine, sol.velocity)[1]
-        if self.variant == "fixed_offline" and self._fixed_speed is None:
-            self._fixed_speed = self._speed.copy()
-
-    def _coefficient(self):
-        """Corner coefficient of the current linearization (variant-dependent)."""
+        speed = corner_velocities(self.fine, sol.velocity)[1]
+        if self.variant == "fixed_offline":
+            if self._fixed_speed is None:
+                self._fixed_speed = speed
+            speed = self._fixed_speed
+        # Shared by the local solves of a colour class and the reduced solve
+        # after it.
         darcy = (self.mu / self.kappa.values)[:, None]
         brho = (self.beta.values * self.rho)[:, None]
-        speed = self._speed if self.variant == "updating" else self._fixed_speed
-        return darcy + brho * speed
+        self._coeff = darcy + brho * speed
 
     def velocity_matrix(self):
         geometry = self._system.geometry
         if self.variant == "fixed_offline":
             if self._fixed_A is None:
-                self._fixed_A = assemble_velocity_matrix(self.fine, self._coefficient(),
+                self._fixed_A = assemble_velocity_matrix(self.fine, self._coeff,
                                                          geometry=geometry)
             return self._fixed_A
-        return assemble_velocity_matrix(self.fine, self._coefficient(), geometry=geometry)
+        return assemble_velocity_matrix(self.fine, self._coeff, geometry=geometry)
 
     def errors(self) -> tuple:
         """(Erp, Eru) of the current solution against the fine reference."""
@@ -208,64 +209,43 @@ def online_basis(state: EnrichmentState, i: int):
     orthogonal to the element's existing columns.
     """
     fine = state.fine
-    rect = state.coarse.oversample_rect(i, 1)
-    sub = subgrid(fine, *rect)
-    areas = sub.grid.cell_areas
+    shape, cells, dofs = state._shapes.online(i)
+    areas = fine.cell_areas[cells]
 
     # Conservation defect of the current solution on T+.  No zero-mean shift:
     # pinning the outer-ring pressure makes the local problem nonsingular, and
     # shifting the source visibly degrades the enrichment (the uniform part of
     # the defect is genuinely carried by flux into the pinned ring).
-    r = state._defect[sub.cells]
-    f_loc = state.f_cells[sub.cells]
+    r = state._defect[cells]
+    f_loc = state.f_cells[cells]
     div_loc = f_loc - r
     scale = np.sqrt((f_loc**2 * areas).sum()) + np.sqrt((div_loc**2 * areas).sum())
     # With f = 0 and a (numerically) exact solution, ||div u|| IS the defect,
     # so the relative test alone cannot recognize roundoff; floor it at the
     # divergence noise of the current velocity, which scales like eps |u| / h.
-    u_loc = state.solution.velocity[sub.dofs]
-    h_min = float(sub.grid.edge_lengths.min())
+    u_loc = state.solution.velocity[dofs]
+    h_min = float(shape.grid.edge_lengths.min())
     noise = 1e-13 * float(np.abs(u_loc).max(initial=0.0)) / h_min * np.sqrt(areas.sum())
     if np.sqrt((r**2 * areas).sum()) <= max(1e-12 * scale, noise, 1e-300):
         return None
 
-    coeff = state._coefficient()[sub.cells]
-    A = assemble_velocity_matrix(sub.grid, coeff)
-    B = assemble_divergence(sub.grid)
-
-    # Zero normal flux on the whole boundary of T+.
-    bdofs = (2 * sub.grid.boundary_edges[:, None] + np.array([0, 1])).ravel()
-    Ahat = A.with_identity_rows(bdofs)
-    free = np.ones(sub.grid.n_dofs)
-    free[bdofs] = 0.0
-    Bfree = B.multiply(free[:, None]).tocsr()
-
-    # Pin the pressure on the added layer T+ \ T, which both fixes the
-    # constant mode of the all-Neumann problem and confines the basis to
-    # patterns supported by the element itself.  (At domain boundaries the
-    # layer is clipped, so the pinned set is whatever of it remains.)
-    elem_cells = set(int(c) for c in state.coarse.coarse_elements[i])
-    layer = np.array([int(c) not in elem_cells for c in sub.cells])
-    keep = np.flatnonzero(~layer)
-    if keep.size == sub.grid.n_cells:
+    # Zero normal flux on the whole boundary of T+, and the pressure pinned
+    # on the added layer T+ \ T, which both fixes the constant mode of the
+    # all-Neumann problem and confines the basis to patterns supported by the
+    # element itself.  (At domain boundaries the layer is clipped, so the
+    # pinned set is whatever of it remains.)  The shape's operator solves for
+    # the pressure on the element's cells, in the element's cell order.
+    keep = shape.element_cells
+    if keep.size == shape.grid.n_cells:
         return None
-    Bk = Bfree[:, keep]
-
-    Ainv = Ahat.inverse_sparse()
-    S = np.asarray((Bk.T @ (Ainv @ Bk)).todense())
-    F = -(r * areas)[keep]
+    A = assemble_velocity_matrix(shape.grid, state._coeff[cells], geometry=shape.geometry)
     try:
-        chol = la.cho_factor(S)
-    except la.LinAlgError as exc:
-        raise SingularSystemError(f"online problem on element {i} is not SPD: {exc}") from exc
-    pk = la.cho_solve(chol, -F)
-    phi_plus = np.zeros(sub.grid.n_cells)
-    phi_plus[keep] = pk
+        phi = shape.operator.dense_pressure(A, -(r * areas)[keep])
+    except SingularSystemError as exc:
+        raise SingularSystemError(f"online problem on element {i}: {exc}") from exc
 
-    # Restrict to T_i and orthogonalize against its existing columns.
+    # Orthogonalize against the element's existing columns.
     cells_T = state.coarse.coarse_elements[i]
-    pos = {int(c): k for k, c in enumerate(sub.cells)}
-    phi = phi_plus[[pos[int(c)] for c in cells_T]]
     w = fine.cell_areas[cells_T]
     pre = np.sqrt((phi**2 * w).sum())
     if pre == 0.0:

@@ -25,6 +25,7 @@ U is still moving.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -104,21 +105,26 @@ class FlowSolution:
     coefficients: np.ndarray | None = None
 
 
+def _cholesky_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a dense SPD S (overwritten) by Cholesky; raises
+    :class:`SingularSystemError` when S is not SPD or a pivot is roundoff-sized."""
+    scale = S.diagonal().max(initial=0.0)
+    try:
+        c, low = la.cho_factor(S, overwrite_a=True)
+    except la.LinAlgError as exc:
+        raise SingularSystemError(f"pressure system is not SPD: {exc}") from exc
+    if not c.diagonal().min(initial=np.inf) ** 2 > _PIVOT_FLOOR * scale:
+        raise SingularSystemError("pressure system is numerically singular")
+    return la.cho_solve((c, low), rhs)
+
+
 def _solve_spd(S, rhs: np.ndarray, method: str, tol: float, maxiter: int) -> np.ndarray:
     """Solve the SPD pressure system with the requested backend."""
     n = S.shape[0]
     if method == "auto":
         method = "dense" if n <= _DENSE_LIMIT else "splu"
     if method == "dense":
-        Sd = S.toarray()
-        scale = Sd.diagonal().max(initial=0.0)
-        try:
-            c, low = la.cho_factor(Sd, overwrite_a=True)
-        except la.LinAlgError as exc:
-            raise SingularSystemError(f"pressure system is not SPD: {exc}") from exc
-        if not c.diagonal().min(initial=np.inf) ** 2 > _PIVOT_FLOOR * scale:
-            raise SingularSystemError("pressure system is numerically singular")
-        return la.cho_solve((c, low), rhs)
+        return _cholesky_solve(S.toarray(), rhs)
     if method == "splu":
         try:
             lu = spla.splu(sp.csc_matrix(S))
@@ -166,23 +172,40 @@ class PreparedOperator:
     Per-vertex arrays are stored entry-major, (4, ..., n_vertices), so each
     block entry is one contiguous vector.  The rows and columns of A at
     ``fixed_dofs`` act as the identity, which eliminates constrained DOFs
-    whose rows of B and entries of G are zero.
+    whose rows of B and entries of G are zero.  With ``kept_cells`` the
+    pressure lives on those cells only (in that order) and is zero on the
+    others, which pins it there.  :meth:`solve_dense` (any number of
+    right-hand-side columns) and :meth:`dense_pressure` (zero velocity data)
+    serve small local problems with a dense S.
+
+    ``singular`` records whether B annihilates the constant pressure on the
+    kept cells, i.e. no pressure datum fixes the constant; every full-space
+    solve then raises :class:`SingularSystemError`, whatever its backend.
     """
 
-    def __init__(self, grid: FineGrid, B: sp.spmatrix, fixed_dofs=()):
+    def __init__(self, grid: FineGrid, B: sp.spmatrix, fixed_dofs=(), kept_cells=None):
         self.grid = grid
         self.fixed_dofs = np.asarray(fixed_dofs, dtype=np.int64)
+        kept = np.arange(grid.n_cells) if kept_cells is None else np.asarray(kept_cells)
+        n = self.n_pressure = kept.size
         cells = vertex_cells(grid)
         self.Bv = np.ascontiguousarray(divergence_blocks(grid, B, cells).transpose(1, 2, 0))
-        # Padding slots point one past the end: at a zero appended to the
+        # Pressure numbering of the cells around each vertex.  Padding slots
+        # and dropped cells point one past the end: at a zero appended to the
         # gathered vector, or at a scatter bin that is dropped.
+        number = np.full(grid.n_cells + 1, n, dtype=np.int64)
+        number[kept] = np.arange(n)
         dtype = index_dtype(4 * grid.n_vertices + grid.n_dofs)
-        self._cells = np.where(cells >= 0, cells, grid.n_cells).T.astype(dtype)
+        self._cells = number[cells].T.astype(dtype)
         self._dofs = np.where(grid.vertex_dofs >= 0, grid.vertex_dofs, grid.n_dofs).T.astype(dtype)
         self._slot_of_dof = (grid.dof_vslot * grid.n_vertices + grid.dof_vertex).astype(dtype)
+        # B 1 = 0 on the kept cells, up to roundoff, row by row.
+        on_kept = self._cells < n
+        row_sum = sum(self.Bv[:, j] * on_kept[j] for j in range(4))
+        row_abs = sum(np.abs(self.Bv[:, j]) * on_kept[j] for j in range(4))
+        self.singular = bool(np.all(np.abs(row_sum) <= 1e-12 * row_abs))
         # Where each entry [j, k, v] of the X_v^T X_v lands in the data of S
         # (or one past the end), and S's row indices and column pointers.
-        n = grid.n_cells
         rows, cols = self._cells[:, None, :], self._cells[None, :, :]
         valid = (rows < n) & (cols < n)
         keys, inverse = np.unique((cols.astype(np.int64) * n + rows)[valid], return_inverse=True)
@@ -193,35 +216,86 @@ class PreparedOperator:
         self._S_indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(index.dtype)
 
+    @functools.cached_property
+    def _dense_index(self) -> np.ndarray:
+        """Flat position of each entry [j, k, v] of X_v^T X_v in a dense S
+        (n_pressure**2, one past the end, for dropped entries)."""
+        n = self.n_pressure
+        rows, cols = self._cells[:, None, :].astype(np.int64), self._cells[None, :, :]
+        index = np.where((rows < n) & (cols < n), rows * n + cols, n * n)
+        return index.ravel().astype(index_dtype(n * n + 1))
+
+    def _check_regular(self) -> None:
+        if self.singular:
+            raise SingularSystemError(
+                "pressure system is singular: no pressure datum fixes the constant")
+
     def schur_matrix(self, X: np.ndarray) -> sp.csc_matrix:
         """S = sum_v X_v^T X_v in compressed columns."""
         size = self._S_indices.size
         data = np.bincount(self._S_index, weights=_gram_entries(X), minlength=size + 1)[:-1]
-        n = self.grid.n_cells
+        n = self.n_pressure
         return sp.csc_matrix((data, self._S_indices, self._S_indptr), shape=(n, n))
 
-    def _eliminate(self, A: VertexBlockMatrix, G: np.ndarray, F: np.ndarray):
-        """(L, X, y, rhs): entry-major Cholesky factors of the blocks,
-        X = L^{-1} B_v, y = L^{-1} G_v and rhs = sum_v X_v^T y_v - F."""
+    def _cell_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-vertex entries (4, [k,] n_vertices) summed into their cells: (n, [k])."""
+        n = self.n_pressure
+        if values.ndim == 2:
+            return np.bincount(self._cells.ravel(), weights=values.ravel(), minlength=n + 1)[:n]
+        # Slot j of distinct vertices holds distinct cells (a cell has one
+        # corner j), so only the dropped bin n sees repeated indices.
+        sums = np.zeros((n + 1, values.shape[1]))
+        for j in range(4):
+            sums[self._cells[j]] += values[j].T
+        return sums[:n]
+
+    def _factor(self, A: VertexBlockMatrix):
+        """(L, X): entry-major Cholesky factors of the blocks and X = L^{-1} B_v."""
         L = np.ascontiguousarray(A.cholesky(self.fixed_dofs).transpose(1, 2, 0))
-        X = lower_solve(L, self.Bv)
-        y = lower_solve(L, np.append(G, 0.0)[self._dofs])
-        n = self.grid.n_cells
-        xty = np.einsum("ijv,iv->jv", X, y)
-        rhs = np.bincount(self._cells.ravel(), weights=xty.ravel(), minlength=n + 1)[:n] - F
-        return L, X, y, rhs
+        return L, lower_solve(L, self.Bv)
+
+    def _eliminate(self, A: VertexBlockMatrix, G: np.ndarray, F):
+        """(L, X, y, rhs): the factors of :meth:`_factor`, y = L^{-1} G_v and
+        rhs = sum_v X_v^T y_v - F.  G is one vector (n_dofs,) or one column
+        per right-hand side."""
+        L, X = self._factor(A)
+        y = lower_solve(L, _per_vertex(G, self._dofs))
+        return L, X, y, self._cell_sums(_blocks_times(X, y, transpose=True)) - F
 
     def _velocity(self, L: np.ndarray, X: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:
         """U = A^{-1} (G - B P) = L^{-T} (y - X P_v) per vertex, in DOF order."""
-        XP = np.einsum("ijv,jv->iv", X, np.append(P, 0.0)[self._cells])
-        return lower_transpose_solve(L, y - XP).ravel()[self._slot_of_dof]
+        U = lower_transpose_solve(L, y - _blocks_times(X, _per_vertex(P, self._cells)))
+        U = U.ravel() if U.ndim == 2 else U.transpose(0, 2, 1).reshape(-1, U.shape[1])
+        return U[self._slot_of_dof]
 
     def solve(self, A: VertexBlockMatrix, G: np.ndarray, F: np.ndarray, method: str = "auto",
               tol: float = 1e-12, maxiter: int = 20000):
         """(U, P) of the saddle system on the full pressure space."""
+        self._check_regular()
         L, X, y, rhs = self._eliminate(A, G, F)
         P = _solve_spd(self.schur_matrix(X), rhs, method, tol, maxiter)
         return self._velocity(L, X, y, P), P
+
+    def solve_dense(self, A: VertexBlockMatrix, G: np.ndarray, F=0.0):
+        """(U, P) with S formed and factored dense, for small local problems.
+
+        G is (n_dofs,) or holds one right-hand side per column, (n_dofs, k);
+        U and P then carry the same columns.
+        """
+        self._check_regular()
+        L, X, y, rhs = self._eliminate(A, G, F)
+        P = self._dense_solve(X, rhs)
+        return self._velocity(L, X, y, P), P
+
+    def dense_pressure(self, A: VertexBlockMatrix, F: np.ndarray) -> np.ndarray:
+        """P alone for zero velocity data (G = 0), S dense: S P = -F."""
+        self._check_regular()
+        return self._dense_solve(self._factor(A)[1], -F)
+
+    def _dense_solve(self, X: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        n = self.n_pressure
+        S = np.bincount(self._dense_index, weights=_gram_entries(X), minlength=n * n + 1)
+        return _cholesky_solve(S[:-1].reshape(n, n), rhs)
 
     def solve_reduced(self, A: VertexBlockMatrix, R: sp.spmatrix, G: np.ndarray, F: np.ndarray):
         """(U, P_r) with the pressure constrained to the column space of R.
@@ -237,6 +311,24 @@ class PreparedOperator:
             raise SingularSystemError(f"reduced pressure system is not SPD: {exc}") from exc
         Pr = la.cho_solve((c, low), R.T @ rhs)
         return self._velocity(L, X, y, R @ Pr), Pr
+
+
+def _blocks_times(X: np.ndarray, y: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """X_v y_v (or X_v^T y_v) per vertex, entry-major: X (4, 4, n), y (4, [k,] n)."""
+    if y.ndim == 2:
+        return np.einsum("jiv,jv->iv" if transpose else "ijv,jv->iv", X, y)
+    # Several columns: a batched matmul, several times faster than einsum here.
+    Xv = X.T if transpose else X.transpose(2, 0, 1)
+    return (Xv @ y.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+def _per_vertex(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]`` entry-major, (4, [k,] n_vertices), for a (n,) or
+    (n, k) ``values``; padding indices (n) read zero."""
+    if values.ndim == 1:
+        return np.append(values, 0.0)[index]
+    padded = np.concatenate([values, np.zeros((1, values.shape[1]))])
+    return padded[index].transpose(0, 2, 1)
 
 
 def _gram_entries(X: np.ndarray) -> np.ndarray:

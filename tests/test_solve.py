@@ -308,6 +308,53 @@ def test_closed_box_is_singular_in_auto_mode(nx, ny):
         schur_solve(Ahat, sys_.Bfree, G2, sys_.F)
 
 
+@pytest.mark.parametrize("method", ["splu", "cg"])
+@pytest.mark.parametrize("n", [3, 8, 20])
+def test_closed_box_is_singular_on_sparse_backends(n, method):
+    """SuperLU and CG report a closed no-flow box as singular instead of
+    returning a finite, roundoff-driven pressure."""
+    grid = build_fine_grid(n, n)
+    sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), no_flow_spec(grid))
+    A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
+    with pytest.raises(SingularSystemError):
+        sys_.solve(A, sys_.G0, NonlinearConfig(linear_solver=method))
+    Ahat, G2 = sys_.reduce(A, sys_.G0)
+    with pytest.raises(SingularSystemError):
+        schur_solve(Ahat, sys_.Bfree, G2, sys_.F, method=method)
+
+
+def test_closed_box_beyond_dense_limit_is_singular_in_auto_mode():
+    grid = build_fine_grid(30, 20)   # 600 cells: SuperLU in 'auto' mode
+    sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), no_flow_spec(grid))
+    A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
+    with pytest.raises(SingularSystemError):
+        sys_.solve(A, sys_.G0, NonlinearConfig())
+
+
+def test_numerically_singular_dense_system_raises():
+    """With a pressure datum the flow can barely reach, S is regular in
+    structure but singular to roundoff: the dense pivot test reports it."""
+    grid = build_fine_grid(4, 4)
+    sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid))
+    coeff = np.ones(grid.n_cells)
+    coeff[grid.cell_id(np.array([0, 3]), np.arange(4)[:, None]).ravel()] = 1e14
+    A = assemble_velocity_matrix(grid, coeff)
+    assert not sys_.operator.singular
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        sys_.solve(A, sys_.G0, NonlinearConfig(linear_solver="dense"))
+
+
+def test_one_pressure_datum_makes_the_box_regular():
+    """The five-spot producer's two Dirichlet edges fix the constant."""
+    grid = build_fine_grid(20, 20)
+    bc, f = five_spot(grid)
+    sys_ = LinearizedSystem(grid, f, bc)
+    assert not sys_.operator.singular
+    A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
+    U, P, _ = sys_.solve(A, sys_.G0, NonlinearConfig(linear_solver="splu"))
+    assert np.all(np.isfinite(P))
+
+
 def test_indefinite_block_raises_assembly_error():
     grid = build_fine_grid(4, 3)
     sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid))

@@ -11,7 +11,8 @@ builds generalized multiscale coarse pressure spaces: per-coarse-element
 snapshot solves, spectral (offline) bases, residual-selected offline updates
 with the Forchheimer-corrected coefficient, and residual-driven online
 enrichment under a four-color schedule.  :mod:`msforch.cli` wraps the
-library in a batch driver for error and iteration studies.
+library in a batch driver for error and iteration studies.  The names
+imported below are the package's public API.
 """
 
 from .errors import (
@@ -19,7 +20,6 @@ from .errors import (
     ConfigurationError,
     DegenerateElementError,
     LinearSolverError,
-    SingularCornerError,
     SingularSystemError,
 )
 from .fields import (
@@ -47,13 +47,10 @@ from .mfmfe import (
     assemble_rhs,
     assemble_velocity_matrix,
     corner_velocities,
-    corner_velocity,
     five_spot,
     left_right_spec,
     no_flow_spec,
-    piola,
     quadrature_norm_matrix,
-    reference_basis,
 )
 from .solve import (
     FlowSolution,
@@ -61,7 +58,6 @@ from .solve import (
     NonlinearConfig,
     cell_divergence,
     nonlinear_solve,
-    saddle_oracle,
     schur_solve,
     velocity_error_norm,
 )
@@ -99,74 +95,3 @@ from .online import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssemblyError",
-    "BoundarySpec",
-    "CoarseGrid",
-    "ConfigurationError",
-    "DegenerateElementError",
-    "EnrichmentState",
-    "FineGrid",
-    "FlowSolution",
-    "HistoryRow",
-    "LinearSolverError",
-    "LinearizedSystem",
-    "NonlinearConfig",
-    "ReductionMap",
-    "SYNTHETIC_KINDS",
-    "ScalarCellField",
-    "SingularCornerError",
-    "SingularSystemError",
-    "SpectralSpace",
-    "Subgrid",
-    "VARIANTS",
-    "VertexBlockMatrix",
-    "all_dirichlet_spec",
-    "assemble_divergence",
-    "assemble_reduction",
-    "assemble_rhs",
-    "assemble_velocity_matrix",
-    "bilinear_map",
-    "build_coarse_grid",
-    "build_fine_grid",
-    "build_offline_space",
-    "build_snapshots",
-    "build_snapshots_oversampled",
-    "cell_divergence",
-    "color_classes",
-    "conservation_residuals",
-    "corner_velocities",
-    "corner_velocity",
-    "detect_plateau",
-    "enrich_adaptive",
-    "enrich_uniform",
-    "error_metrics",
-    "five_spot",
-    "forchheimer_coeff",
-    "gen_synthetic",
-    "init_enrichment",
-    "left_right_spec",
-    "load_raster",
-    "load_triplets",
-    "ms_solve",
-    "no_flow_spec",
-    "nonlinear_solve",
-    "online_basis",
-    "online_residuals",
-    "piola",
-    "quadrature_norm_matrix",
-    "reference_basis",
-    "saddle_oracle",
-    "save_raster",
-    "save_triplets",
-    "schur_solve",
-    "select_by_fraction",
-    "solve_enriched",
-    "solve_offline",
-    "spectral_decompose",
-    "subgrid",
-    "sweep_final_errors",
-    "update_offline",
-    "velocity_error_norm",
-    "__version__",
-]

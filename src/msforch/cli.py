@@ -93,15 +93,6 @@ _DEFAULTS = {
     "out": ".",
 }
 
-#: Keys whose value participates in the config hash (everything that can
-#: change the numbers; the output directory does not).
-_HASHED_KEYS = (
-    "nx", "ny", "coarse_nx", "coarse_ny", "domain", "perm", "log10", "field",
-    "beta0", "scheme", "dof_per_t", "theta", "xi", "variant", "mode",
-    "sweeps", "tol", "max_iter", "oversample", "bc",
-)
-
-
 class _SolverFailure(RuntimeError):
     """A nonlinear solve ran out of iterations (exit code 1)."""
 
@@ -284,7 +275,8 @@ class RunConfig:
         return kind, seed, contrast
 
     def _config_hash(self) -> str:
-        """SHA-256 over the canonicalized numerics-affecting settings."""
+        """SHA-256 over the canonicalized numerics-affecting settings (every
+        setting that can change the numbers; the output directory cannot)."""
         parts = [f"command={self.command}"]
         canon = {
             "nx": self.nx, "ny": self.ny,
@@ -303,7 +295,7 @@ class RunConfig:
             "max_iter": str(self.max_iter), "oversample": str(self.oversample),
             "bc": self.bc_name,
         }
-        parts += [f"{k}={'' if canon[k] is None else canon[k]}" for k in _HASHED_KEYS]
+        parts += [f"{k}={'' if v is None else v}" for k, v in canon.items()]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
     # -- derived objects -------------------------------------------------
@@ -538,18 +530,9 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS)
     if args.config:
         merged.update(_read_config_file(args.config))
-    overrides = {
-        "out": args.out, "nx": args.nx, "ny": args.ny,
-        "coarse_nx": args.coarse_nx, "coarse_ny": args.coarse_ny,
-        "domain": args.domain, "perm": args.perm, "field": args.field,
-        "beta0": args.beta0, "scheme": args.scheme, "dof_per_t": args.dof_per_t,
-        "theta": args.theta, "xi": args.xi, "variant": args.variant,
-        "mode": args.mode, "sweeps": args.sweeps, "bc": args.bc,
-        "tol": args.tol, "max_iter": args.max_iter, "oversample": args.oversample,
-    }
-    if args.log10:
-        overrides["log10"] = "true"
-    merged.update({k: str(v) for k, v in overrides.items() if v is not None})
+    # Every flag not given on the command line is None (--log10 included).
+    merged.update({k: str(v) for k, v in vars(args).items()
+                   if k not in ("command", "config") and v is not None})
     return merged
 
 

@@ -5,10 +5,6 @@ class DegenerateElementError(ValueError):
     """Bilinear element map has a non-positive Jacobian determinant."""
 
 
-class SingularCornerError(ValueError):
-    """The two edge normals meeting at a corner are parallel."""
-
-
 class AssemblyError(RuntimeError):
     """An assembled velocity block failed a structural or definiteness check."""
 

@@ -10,7 +10,7 @@ from scipy.ndimage import gaussian_filter
 SYNTHETIC_KINDS = ("layered", "channel", "blobs")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScalarCellField:
     """One scalar value per fine cell, row-major with the bottom row first."""
 
@@ -27,7 +27,7 @@ class ScalarCellField:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite values")
-        object.__setattr__(self, "values", values)
+        self.values = values
 
     def require_positive(self, name: str = "field") -> "ScalarCellField":
         if np.any(self.values <= 0):

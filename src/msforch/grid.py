@@ -334,12 +334,9 @@ class CoarseGrid:
     fine: FineGrid
     Nx: int
     Ny: int
-    layers: int
     rects: np.ndarray               # (N_T, 4) lower-left cell and extent
     coarse_elements: list           # fine cell ids per coarse element
     boundary_edges: list            # counter-clockwise fine edges per element
-    oversample_rects: np.ndarray    # clipped rects for `layers` extra cells
-    oversample_cells: list
 
     @property
     def n_elements(self) -> int:
@@ -357,7 +354,7 @@ class CoarseGrid:
         return ax, ay, bx - ax, by - ay
 
 
-def build_coarse_grid(fine: FineGrid, Nx: int, Ny: int, layers: int = 0) -> CoarseGrid:
+def build_coarse_grid(fine: FineGrid, Nx: int, Ny: int) -> CoarseGrid:
     """Agglomerate the fine grid into Nx-by-Ny rectangular coarse elements."""
     if Nx < 1 or Ny < 1:
         raise ValueError(f"coarse grid must be at least 1x1, got {Nx}x{Ny}")
@@ -365,8 +362,6 @@ def build_coarse_grid(fine: FineGrid, Nx: int, Ny: int, layers: int = 0) -> Coar
         raise ValueError(
             f"coarse {Nx}x{Ny} does not divide fine {fine.nx}x{fine.ny}"
         )
-    if layers < 0:
-        raise ValueError("layers must be non-negative")
     mx, my = fine.nx // Nx, fine.ny // Ny
     rects = np.array(
         [(iX * mx, iY * my, mx, my) for iY in range(Ny) for iX in range(Nx)]
@@ -377,22 +372,5 @@ def build_coarse_grid(fine: FineGrid, Nx: int, Ny: int, layers: int = 0) -> Coar
         lix, liy = np.meshgrid(np.arange(w), np.arange(h))
         cells.append(fine.cell_id(ox + lix.ravel(), oy + liy.ravel()))
         bnd.append(rect_boundary_edges(fine, ox, oy, w, h))
-    coarse = CoarseGrid(
-        fine=fine,
-        Nx=Nx,
-        Ny=Ny,
-        layers=layers,
-        rects=rects,
-        coarse_elements=cells,
-        boundary_edges=bnd,
-        oversample_rects=np.zeros((Nx * Ny, 4), dtype=int),
-        oversample_cells=[],
-    )
-    os_rects = np.array([coarse.oversample_rect(i, layers) for i in range(Nx * Ny)])
-    os_cells = []
-    for ox, oy, w, h in os_rects:
-        lix, liy = np.meshgrid(np.arange(w), np.arange(h))
-        os_cells.append(fine.cell_id(ox + lix.ravel(), oy + liy.ravel()))
-    object.__setattr__(coarse, "oversample_rects", os_rects)
-    object.__setattr__(coarse, "oversample_cells", os_cells)
-    return coarse
+    return CoarseGrid(fine=fine, Nx=Nx, Ny=Ny, rects=rects, coarse_elements=cells,
+                      boundary_edges=bnd)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # subgrid and assemble_divergence are looked up on their modules at call
 # time, so that code rebinding them there (a tracer, a test counting calls)
@@ -57,10 +56,8 @@ def _online_shape(grid: FineGrid, element_cells: np.ndarray) -> tuple:
     """Operator of the online problem on T+: zero normal flux on the whole
     boundary, pressure pinned to zero outside the element."""
     bdofs = (2 * grid.boundary_edges[:, None] + np.array([0, 1])).ravel()
-    free = np.ones(grid.n_dofs)
-    free[bdofs] = 0.0
-    Bfree = (sp.diags(free) @ _mfmfe.assemble_divergence(grid)).tocsr()
-    return PreparedOperator(grid, Bfree, bdofs, kept_cells=element_cells), None
+    B = _mfmfe.assemble_divergence(grid)
+    return PreparedOperator(grid, B, bdofs, kept_cells=element_cells), None
 
 
 class LocalShapes:

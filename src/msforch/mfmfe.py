@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AssemblyError, ConfigurationError, SingularCornerError
-from .grid import CORNER_EDGE_LOCAL, REF_CORNER_NORMALS, REF_CORNERS, FineGrid
+from .errors import AssemblyError, ConfigurationError
+from .grid import REF_CORNER_NORMALS, FineGrid
 
 #: Gauss-Legendre nodes/weights on [0, 1] used for Dirichlet edge integrals.
 _GAUSS3 = (
@@ -43,107 +43,12 @@ _GAUSS3 = (
 )
 
 
-def _monomial_eval(xhat: np.ndarray) -> np.ndarray:
-    """Evaluate the 8 reference-space generators at points.
-
-    Returns an array of shape (..., 2, 8) mapping a coefficient vector to the
-    field value.  Coefficients 0-2 and 3-5 are the P1 parts of each component,
-    6 and 7 multiply curl(x^2 y) = (x^2, -2xy) and curl(x y^2) = (2xy, -y^2).
-    """
-    xhat = np.asarray(xhat, dtype=float)
-    x, y = xhat[..., 0], xhat[..., 1]
-    zero = np.zeros_like(x)
-    one = np.ones_like(x)
-    row_x = np.stack([one, x, y, zero, zero, zero, x**2, 2 * x * y], axis=-1)
-    row_y = np.stack([zero, zero, zero, one, x, y, -2 * x * y, -(y**2)], axis=-1)
-    return np.stack([row_x, row_y], axis=-2)
-
-
-def _nodal_coefficients() -> np.ndarray:
-    """Coefficients of the nodal basis, one column per (corner, slot) DOF."""
-    Phi = _monomial_eval(REF_CORNERS)          # (4, 2, 8)
-    # DOF functional (corner s, slot l): n_sl . v(r_s)
-    D = np.einsum("sli,sik->slk", REF_CORNER_NORMALS, Phi).reshape(8, 8)
-    return np.linalg.inv(D)
-
-
-_NODAL_COEFFS = _nodal_coefficients()
-
-
-def reference_basis(corner: int, slot: int):
-    """Nodal reference basis function for the DOF (corner, slot).
-
-    ``corner`` is 0..3 counter-clockwise from the origin, ``slot`` 0 for the
-    vertical edge at that corner and 1 for the horizontal one.  The returned
-    callable maps reference points to field values and satisfies
-    ``basis(r_s) . n_sl = delta``.
-    """
-    if not (0 <= corner < 4 and 0 <= slot < 2):
-        raise ValueError(f"corner must be 0..3 and slot 0..1, got ({corner}, {slot})")
-    coeff = _NODAL_COEFFS[:, 2 * corner + slot]
-
-    def basis(xhat):
-        return _monomial_eval(xhat) @ coeff
-
-    return basis
-
-
-def reference_divergence(corner: int, slot: int) -> float:
-    """Reference divergence of a nodal basis function (constant on the square)."""
-    coeff = _NODAL_COEFFS[:, 2 * corner + slot]
-    return coeff[1] + coeff[5]
-
-
-def piola(corners: np.ndarray, vhat):
-    """Push a reference field to the physical element (parametric evaluation).
-
-    Returns a callable of reference points producing ``(x, v(x))`` with
-    ``v = (1/J) DF vhat``.  Edge fluxes are preserved: the integral of
-    ``v . n`` over a physical edge equals that of ``vhat . nhat`` over the
-    reference edge.
-    """
-    from .grid import bilinear_map
-
-    def mapped(xhat):
-        x, DF, J = bilinear_map(corners, xhat)
-        vh = np.asarray(vhat(xhat), dtype=float)
-        v = (DF @ vh[..., None])[..., 0] / np.expand_dims(J, -1) if vh.ndim > 1 else DF @ vh / J
-        return x, v
-
-    return mapped
-
-
-def corner_velocity(corners: np.ndarray, corner: int, traces: np.ndarray):
-    """Velocity vector at an element corner from its two normal components.
-
-    ``traces`` holds the physical normal components (outward) of the field on
-    the vertical and horizontal edge meeting at the corner; the 2x2 system
-    n_1 . w = d_1, n_2 . w = d_2 is solved for w.  Raises
-    :class:`SingularCornerError` when the two normals are parallel.
-    """
-    corners = np.asarray(corners, dtype=float)
-    # Counter-clockwise edge tangents; outward normal is the -90 deg rotation.
-    normals = np.empty((2, 2))
-    for s in range(2):
-        le = CORNER_EDGE_LOCAL[corner, s]
-        a, b = le, (le + 1) % 4
-        t = corners[b] - corners[a]
-        n = np.array([t[1], -t[0]])
-        normals[s] = n / np.linalg.norm(n)
-    N = normals
-    det = N[0, 0] * N[1, 1] - N[0, 1] * N[1, 0]
-    if abs(det) < 1e-12:
-        raise SingularCornerError(f"parallel edge normals at corner {corner}")
-    w = np.linalg.solve(N, np.asarray(traces, dtype=float))
-    return w, float(np.linalg.norm(w))
-
-
 def corner_velocities(grid: FineGrid, U: np.ndarray):
     """Velocity vectors and speeds at all element corners, vectorized.
 
-    Equivalent to :func:`corner_velocity` element by element: the reference
-    corner value is recovered from the two corner DOFs (reference DOF equals
-    sign * |e| * global DOF) and pushed through the Piola transform.
+    The reference corner value is recovered from the two corner DOFs
+    (reference DOF equals sign * |e| * global DOF) and pushed through the
+    Piola transform.
     """
     dhat = U[grid.elem_corner_dof] * grid.elem_corner_sign * grid.elem_corner_elen
     # Two-term sums written out: einsum is several times slower on these shapes.
@@ -182,12 +87,6 @@ class VertexBlockMatrix:
     def n_dofs(self) -> int:
         return self.grid.n_dofs
 
-    def copy(self) -> "VertexBlockMatrix":
-        return VertexBlockMatrix(self.blocks.copy(), self.grid)
-
-    def __add__(self, other: "VertexBlockMatrix") -> "VertexBlockMatrix":
-        return VertexBlockMatrix(self.blocks + other.blocks, self.grid)
-
     def _gathered(self, x: np.ndarray) -> np.ndarray:
         vd = self.grid.vertex_dofs
         safe = np.where(vd >= 0, vd, 0)
@@ -202,15 +101,6 @@ class VertexBlockMatrix:
         mask = vd >= 0
         y[vd[mask]] = prod[mask]
         return y
-
-    def diagonal(self) -> np.ndarray:
-        vd = self.grid.vertex_dofs
-        d = np.zeros(self.n_dofs)
-        idx = np.arange(4)
-        diag = self.blocks[:, idx, idx]
-        mask = vd >= 0
-        d[vd[mask]] = diag[mask]
-        return d
 
     def _unit_slots(self, dofs=()) -> np.ndarray:
         """Blocks with a unit row and column at every padding slot and at the
@@ -288,8 +178,9 @@ class VertexBlockMatrix:
     def with_identity_rows(self, dofs: np.ndarray) -> "VertexBlockMatrix":
         """Zero the rows/columns of the given DOFs and put 1 on their diagonal.
 
-        Used to eliminate constrained (Neumann) DOFs while preserving the
-        vertex-block structure and symmetry.
+        This is the matrix :meth:`cholesky` factors with ``dofs``
+        eliminated; it keeps the vertex-block structure and symmetry, for
+        callers that reduce constrained (Neumann) DOFs out by hand.
         """
         return VertexBlockMatrix(self._unit_slots(dofs), self.grid)
 

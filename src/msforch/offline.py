@@ -117,7 +117,7 @@ def _snapshots(fine, coarse, i, coeff, gram_coeff, layers, shapes) -> SpectralSp
     shapes = LocalShapes(coarse) if shapes is None else shapes
     shape, cells, dofs = shapes.snapshot(i, layers)
     A = assemble_velocity_matrix(shape.grid, np.asarray(coeff)[cells], geometry=shape.geometry)
-    U, P = shape.operator.solve_dense(A, shape.data)
+    U, P = shape.operator.solve(A, shape.data, 0.0, "dense")
     if layers:
         P, U = P[shape.element_cells], U[shape.element_dofs]
         shape, cells, dofs = shapes.snapshot(i)

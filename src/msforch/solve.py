@@ -13,10 +13,12 @@ residual (the tensor is dropped where |u^n| vanishes).
 Because A is blockwise invertible, each step reduces to the SPD pressure
 system  B^T A^{-1} B P = B^T A^{-1} G - F  (optionally projected onto a
 coarse pressure space R), solved by a direct factorization or preconditioned
-conjugate gradients.  :class:`PreparedOperator` holds everything of that
-elimination which depends only on the grid and B, so a linearization step
-does numerical work only: assemble, factor the vertex blocks, form and
-factor S, back-substitute.  Convergence is declared on the relative increment
+conjugate gradients.  :class:`PreparedOperator` is the one owner of that
+elimination: it holds everything which depends only on the grid and B, it
+eliminates the constrained (Neumann) velocity DOFs itself, and it is the
+only place that forms S dense.  A linearization step does numerical work
+only: assemble, factor the vertex blocks, form and factor S,
+back-substitute.  Convergence is declared on the relative increment
 max_z ||z^{n+1} - z^n|| / max(||z^n||, eps) over both state vectors z = P, U;
 the velocity must take part because on uniform flow a constant linearized
 coefficient scales out of the pressure system entirely, leaving P exact while
@@ -26,7 +28,6 @@ U is still moving.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,13 +119,9 @@ def _cholesky_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return la.cho_solve((c, low), rhs)
 
 
-def _solve_spd(S, rhs: np.ndarray, method: str, tol: float, maxiter: int) -> np.ndarray:
-    """Solve the SPD pressure system with the requested backend."""
-    n = S.shape[0]
-    if method == "auto":
-        method = "dense" if n <= _DENSE_LIMIT else "splu"
-    if method == "dense":
-        return _cholesky_solve(S.toarray(), rhs)
+def _solve_spd(S: sp.csc_matrix, rhs: np.ndarray, method: str, tol: float,
+               maxiter: int) -> np.ndarray:
+    """Solve the sparse SPD pressure system with SuperLU or CG."""
     if method == "splu":
         try:
             lu = spla.splu(sp.csc_matrix(S))
@@ -160,23 +157,22 @@ class PreparedOperator:
 
     Everything that does not depend on the velocity matrix is computed once:
     the rows B_v of B at each vertex's DOFs, restricted to the (up to four)
-    cells around the vertex; the maps between block slots and DOFs or cells;
-    and the positions of the per-vertex products B_v^T A_v^{-1} B_v in the
-    fixed 9-point pattern of the pressure Schur complement S, as compressed
-    columns.  A solve then factors the vertex blocks
-    A_v = L_v L_v^T by batched Cholesky (the SPD check), forms
-    X_v = L_v^{-1} B_v and y_v = L_v^{-1} G_v, sums S = sum_v X_v^T X_v and
-    the right-hand side sum_v X_v^T y_v - F by bincount, factors S and
-    recovers U_v = L_v^{-T} (y_v - X_v P_v).
+    cells around the vertex, and the maps between block slots and DOFs or
+    cells.  A solve then factors the vertex blocks A_v = L_v L_v^T by
+    batched Cholesky (the SPD check), forms X_v = L_v^{-1} B_v and
+    y_v = L_v^{-1} G_v, sums S = sum_v X_v^T X_v and the right-hand side
+    sum_v X_v^T y_v - F by bincount, factors S and recovers
+    U_v = L_v^{-T} (y_v - X_v P_v).  The positions of the X_v^T X_v entries
+    in S are built on first use: flat positions in a dense S, or the fixed
+    9-point pattern of a sparse S in compressed columns.
 
     Per-vertex arrays are stored entry-major, (4, ..., n_vertices), so each
-    block entry is one contiguous vector.  The rows and columns of A at
-    ``fixed_dofs`` act as the identity, which eliminates constrained DOFs
-    whose rows of B and entries of G are zero.  With ``kept_cells`` the
-    pressure lives on those cells only (in that order) and is zero on the
-    others, which pins it there.  :meth:`solve_dense` (any number of
-    right-hand-side columns) and :meth:`dense_pressure` (zero velocity data)
-    serve small local problems with a dense S.
+    block entry is one contiguous vector.  Constrained (Neumann) DOFs are
+    eliminated here: the rows of A at ``fixed_dofs`` act as the identity,
+    their rows of B are zeroed and G is read as zero there, so U is zero at
+    them and the caller adds any lifting.  With ``kept_cells`` the pressure
+    lives on those cells only (in that order) and is zero on the others,
+    which pins it there.
 
     ``singular`` records whether B annihilates the constant pressure on the
     kept cells, i.e. no pressure datum fixes the constant; every full-space
@@ -185,36 +181,30 @@ class PreparedOperator:
 
     def __init__(self, grid: FineGrid, B: sp.spmatrix, fixed_dofs=(), kept_cells=None):
         self.grid = grid
-        self.fixed_dofs = np.asarray(fixed_dofs, dtype=np.int64)
+        fixed = self.fixed_dofs = np.asarray(fixed_dofs, dtype=np.int64)
         kept = np.arange(grid.n_cells) if kept_cells is None else np.asarray(kept_cells)
         n = self.n_pressure = kept.size
         cells = vertex_cells(grid)
+        fixed_slot, fixed_vertex = grid.dof_vslot[fixed], grid.dof_vertex[fixed]
         self.Bv = np.ascontiguousarray(divergence_blocks(grid, B, cells).transpose(1, 2, 0))
+        self.Bv[fixed_slot, :, fixed_vertex] = 0.0
         # Pressure numbering of the cells around each vertex.  Padding slots
         # and dropped cells point one past the end: at a zero appended to the
-        # gathered vector, or at a scatter bin that is dropped.
+        # gathered vector, or at a scatter bin that is dropped.  Fixed DOFs
+        # read G at the padding index, i.e. as zero.
         number = np.full(grid.n_cells + 1, n, dtype=np.int64)
         number[kept] = np.arange(n)
         dtype = index_dtype(4 * grid.n_vertices + grid.n_dofs)
         self._cells = number[cells].T.astype(dtype)
-        self._dofs = np.where(grid.vertex_dofs >= 0, grid.vertex_dofs, grid.n_dofs).T.astype(dtype)
+        dofs = np.where(grid.vertex_dofs >= 0, grid.vertex_dofs, grid.n_dofs)
+        dofs[fixed_vertex, fixed_slot] = grid.n_dofs
+        self._dofs = dofs.T.astype(dtype)
         self._slot_of_dof = (grid.dof_vslot * grid.n_vertices + grid.dof_vertex).astype(dtype)
         # B 1 = 0 on the kept cells, up to roundoff, row by row.
         on_kept = self._cells < n
         row_sum = sum(self.Bv[:, j] * on_kept[j] for j in range(4))
         row_abs = sum(np.abs(self.Bv[:, j]) * on_kept[j] for j in range(4))
         self.singular = bool(np.all(np.abs(row_sum) <= 1e-12 * row_abs))
-        # Where each entry [j, k, v] of the X_v^T X_v lands in the data of S
-        # (or one past the end), and S's row indices and column pointers.
-        rows, cols = self._cells[:, None, :], self._cells[None, :, :]
-        valid = (rows < n) & (cols < n)
-        keys, inverse = np.unique((cols.astype(np.int64) * n + rows)[valid], return_inverse=True)
-        index = np.full(valid.shape, keys.size, dtype=index_dtype(keys.size + 1))
-        index[valid] = inverse
-        self._S_index = index.ravel()
-        self._S_indices = (keys % n).astype(index.dtype)
-        self._S_indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(index.dtype)
 
     @functools.cached_property
     def _dense_index(self) -> np.ndarray:
@@ -225,6 +215,20 @@ class PreparedOperator:
         index = np.where((rows < n) & (cols < n), rows * n + cols, n * n)
         return index.ravel().astype(index_dtype(n * n + 1))
 
+    @functools.cached_property
+    def _sparse_pattern(self) -> tuple:
+        """(index, row indices, column pointers): where each entry [j, k, v]
+        of X_v^T X_v lands in the data of a compressed-column S (one past
+        the end for dropped entries), and S's fixed pattern."""
+        n = self.n_pressure
+        rows, cols = self._cells[:, None, :], self._cells[None, :, :]
+        valid = (rows < n) & (cols < n)
+        keys, inverse = np.unique((cols.astype(np.int64) * n + rows)[valid], return_inverse=True)
+        index = np.full(valid.shape, keys.size, dtype=index_dtype(keys.size + 1))
+        index[valid] = inverse
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        return index.ravel(), (keys % n).astype(index.dtype), indptr.astype(index.dtype)
+
     def _check_regular(self) -> None:
         if self.singular:
             raise SingularSystemError(
@@ -232,10 +236,20 @@ class PreparedOperator:
 
     def schur_matrix(self, X: np.ndarray) -> sp.csc_matrix:
         """S = sum_v X_v^T X_v in compressed columns."""
-        size = self._S_indices.size
-        data = np.bincount(self._S_index, weights=_gram_entries(X), minlength=size + 1)[:-1]
+        index, indices, indptr = self._sparse_pattern
+        data = np.bincount(index, weights=_gram_entries(X), minlength=indices.size + 1)[:-1]
         n = self.n_pressure
-        return sp.csc_matrix((data, self._S_indices, self._S_indptr), shape=(n, n))
+        return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+    def _dense_solve(self, X: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve S P = rhs with S = sum_v X_v^T X_v formed dense, for one or
+        several right-hand-side columns."""
+        n = self.n_pressure
+        S = np.bincount(self._dense_index, weights=_gram_entries(X), minlength=n * n + 1)
+        # S is bitwise symmetric, so its transpose is the same matrix, laid
+        # out in the column order that LAPACK factors in place (over twice
+        # as fast as handing it the row-ordered array).
+        return _cholesky_solve(S[:-1].reshape(n, n).T, rhs)
 
     def _cell_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-vertex entries (4, [k,] n_vertices) summed into their cells: (n, [k])."""
@@ -268,34 +282,29 @@ class PreparedOperator:
         U = U.ravel() if U.ndim == 2 else U.transpose(0, 2, 1).reshape(-1, U.shape[1])
         return U[self._slot_of_dof]
 
-    def solve(self, A: VertexBlockMatrix, G: np.ndarray, F: np.ndarray, method: str = "auto",
+    def solve(self, A: VertexBlockMatrix, G: np.ndarray, F, method: str = "auto",
               tol: float = 1e-12, maxiter: int = 20000):
-        """(U, P) of the saddle system on the full pressure space."""
-        self._check_regular()
-        L, X, y, rhs = self._eliminate(A, G, F)
-        P = _solve_spd(self.schur_matrix(X), rhs, method, tol, maxiter)
-        return self._velocity(L, X, y, P), P
-
-    def solve_dense(self, A: VertexBlockMatrix, G: np.ndarray, F=0.0):
-        """(U, P) with S formed and factored dense, for small local problems.
+        """(U, P) of the saddle system on the full pressure space.
 
         G is (n_dofs,) or holds one right-hand side per column, (n_dofs, k);
-        U and P then carry the same columns.
+        U and P then carry the same columns.  ``method`` is ``dense``
+        (Cholesky), ``splu``, ``cg``, or ``auto``: dense up to 400 pressure
+        unknowns, SuperLU beyond.
         """
         self._check_regular()
         L, X, y, rhs = self._eliminate(A, G, F)
-        P = self._dense_solve(X, rhs)
+        if method == "auto":
+            method = "dense" if self.n_pressure <= _DENSE_LIMIT else "splu"
+        if method == "dense":
+            P = self._dense_solve(X, rhs)
+        else:
+            P = _solve_spd(self.schur_matrix(X), rhs, method, tol, maxiter)
         return self._velocity(L, X, y, P), P
 
     def dense_pressure(self, A: VertexBlockMatrix, F: np.ndarray) -> np.ndarray:
         """P alone for zero velocity data (G = 0), S dense: S P = -F."""
         self._check_regular()
         return self._dense_solve(self._factor(A)[1], -F)
-
-    def _dense_solve(self, X: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        n = self.n_pressure
-        S = np.bincount(self._dense_index, weights=_gram_entries(X), minlength=n * n + 1)
-        return _cholesky_solve(S[:-1].reshape(n, n), rhs)
 
     def solve_reduced(self, A: VertexBlockMatrix, R: sp.spmatrix, G: np.ndarray, F: np.ndarray):
         """(U, P_r) with the pressure constrained to the column space of R.
@@ -348,9 +357,11 @@ def schur_solve(
 ):
     """Solve the saddle system via the blockwise-eliminated pressure equation.
 
-    Velocity constraints must already be reduced out of (A, B, G, F).
-    Returns (U, P) with B^T U = F satisfied to solver precision.  Repeated
-    solves on one grid keep a :class:`PreparedOperator` instead.
+    Every velocity DOF of (A, B, G, F) is free: a system with constrained
+    (Neumann) DOFs goes through a :class:`PreparedOperator` built with them
+    as ``fixed_dofs``, which eliminates them inside.  Returns (U, P) with
+    B^T U = F satisfied to solver precision.  Repeated solves on one grid
+    keep a :class:`PreparedOperator` instead.
     """
     return PreparedOperator(A.grid, B).solve(A, G, F, method, linear_tol, linear_max_iter)
 
@@ -370,44 +381,15 @@ def reduced_schur_solve(
     return PreparedOperator(A.grid, B).solve_reduced(A, R, G, F)
 
 
-def saddle_oracle(A: VertexBlockMatrix, B: sp.spmatrix, G: np.ndarray, F: np.ndarray):
-    """Reference solve of the full dense saddle matrix [[A, B], [B^T, 0]].
-
-    Intended as an independent cross-check for small systems; refuses more
-    than 5000 unknowns.  Raises :class:`SingularSystemError` on singular
-    systems instead of returning garbage.
-    """
-    n_u, n_p = B.shape
-    if n_u + n_p > 5000:
-        raise ValueError(f"saddle oracle limited to 5000 unknowns, got {n_u + n_p}")
-    K = np.zeros((n_u + n_p, n_u + n_p))
-    K[:n_u, :n_u] = np.asarray(A.to_sparse().todense())
-    Bd = np.asarray(B.todense())
-    K[:n_u, n_u:] = Bd
-    K[n_u:, :n_u] = Bd.T
-    b = np.concatenate([G, F])
-    # A backward-stable LU passes any residual-vs-(||K|| ||x||) test even on a
-    # singular matrix, so escalate the ill-conditioning estimate instead.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", la.LinAlgWarning)
-        try:
-            x = la.solve(K, b)
-        except (la.LinAlgError, la.LinAlgWarning) as exc:
-            raise SingularSystemError(f"saddle system is singular: {exc}") from exc
-    scale = np.linalg.norm(K, ord=np.inf) * np.linalg.norm(x, ord=np.inf) + np.linalg.norm(b)
-    if not np.all(np.isfinite(x)) or np.linalg.norm(K @ x - b) > 1e-8 * max(scale, 1e-300):
-        raise SingularSystemError("saddle system is numerically singular")
-    return x[:n_u], x[n_u:]
-
-
 class LinearizedSystem:
     """Static parts of the fine saddle problem: B, right-hand sides, constraints.
 
-    Neumann DOFs are eliminated by the lifting U = U_free + lift, identity
-    rows in A and zeroed rows of B (``Bfree``, built on access); the lift
+    Neumann DOFs are eliminated by the lifting U = U_free + lift: the lift
     term in G depends on the current matrix and is applied per linearization
-    step.  ``geometry`` (corner factors for assembly) and ``operator`` (the
-    prepared elimination) are computed once here and reused by every step.
+    step, and ``operator`` (the prepared elimination, built with the
+    constrained DOFs fixed) does the rest.  ``geometry`` (corner factors for
+    assembly) and ``operator`` are computed once here and reused by every
+    step.
     """
 
     def __init__(self, grid: FineGrid, f_cells: np.ndarray, bc: BoundarySpec):
@@ -420,26 +402,12 @@ class LinearizedSystem:
         self.lift[cdofs] = cvals
         self.F = F - self.B.T @ self.lift
         self.geometry = corner_geometry(grid)
-        self.operator = PreparedOperator(grid, self.Bfree, cdofs)
-
-    @property
-    def Bfree(self) -> sp.csr_matrix:
-        """B with the rows of the constrained DOFs zeroed."""
-        free = np.ones(self.grid.n_dofs)
-        free[self.cdofs] = 0.0
-        return (sp.diags(free) @ self.B).tocsr()
-
-    def reduce(self, A: VertexBlockMatrix, G: np.ndarray):
-        """Apply the constraint elimination to a freshly assembled matrix."""
-        G2 = G - A.matvec(self.lift)
-        G2[self.cdofs] = 0.0
-        return A.with_identity_rows(self.cdofs), G2
+        self.operator = PreparedOperator(grid, self.B, cdofs)
 
     def solve(self, A: VertexBlockMatrix, G: np.ndarray, cfg: NonlinearConfig,
               R: sp.spmatrix | None = None):
         """(U, fine pressure, pressure coefficients) of one linearized step."""
-        G2 = G - A.matvec(self.lift) if self.lift.any() else G.copy()
-        G2[self.cdofs] = 0.0
+        G2 = G - A.matvec(self.lift) if self.lift.any() else G
         if R is None:
             U, P = self.operator.solve(A, G2, self.F, cfg.linear_solver, cfg.linear_tol,
                                        cfg.linear_max_iter)

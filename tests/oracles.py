@@ -1,0 +1,160 @@
+"""Independent reference computations used by the tests only.
+
+Nothing here is on a solver path: these are the element kernels written out
+one element at a time (nodal reference basis, Piola transform, corner
+velocity), the monolithic dense saddle-point solve, and the explicit
+constraint elimination that the solvers do inside their prepared operator.
+"""
+
+import warnings
+
+import numpy as np
+import scipy.linalg as la
+import scipy.sparse as sp
+
+from msforch.errors import SingularSystemError
+from msforch.grid import CORNER_EDGE_LOCAL, REF_CORNER_NORMALS, REF_CORNERS, bilinear_map
+
+
+class SingularCornerError(ValueError):
+    """The two edge normals meeting at a corner are parallel."""
+
+
+def _monomial_eval(xhat: np.ndarray) -> np.ndarray:
+    """Evaluate the 8 reference-space generators at points.
+
+    Returns an array of shape (..., 2, 8) mapping a coefficient vector to the
+    field value.  Coefficients 0-2 and 3-5 are the P1 parts of each component,
+    6 and 7 multiply curl(x^2 y) = (x^2, -2xy) and curl(x y^2) = (2xy, -y^2).
+    """
+    xhat = np.asarray(xhat, dtype=float)
+    x, y = xhat[..., 0], xhat[..., 1]
+    zero = np.zeros_like(x)
+    one = np.ones_like(x)
+    row_x = np.stack([one, x, y, zero, zero, zero, x**2, 2 * x * y], axis=-1)
+    row_y = np.stack([zero, zero, zero, one, x, y, -2 * x * y, -(y**2)], axis=-1)
+    return np.stack([row_x, row_y], axis=-2)
+
+
+def _nodal_coefficients() -> np.ndarray:
+    """Coefficients of the nodal basis, one column per (corner, slot) DOF."""
+    Phi = _monomial_eval(REF_CORNERS)          # (4, 2, 8)
+    # DOF functional (corner s, slot l): n_sl . v(r_s)
+    D = np.einsum("sli,sik->slk", REF_CORNER_NORMALS, Phi).reshape(8, 8)
+    return np.linalg.inv(D)
+
+
+_NODAL_COEFFS = _nodal_coefficients()
+
+
+def reference_basis(corner: int, slot: int):
+    """Nodal reference basis function for the DOF (corner, slot).
+
+    ``corner`` is 0..3 counter-clockwise from the origin, ``slot`` 0 for the
+    vertical edge at that corner and 1 for the horizontal one.  The returned
+    callable maps reference points to field values and satisfies
+    ``basis(r_s) . n_sl = delta``.
+    """
+    if not (0 <= corner < 4 and 0 <= slot < 2):
+        raise ValueError(f"corner must be 0..3 and slot 0..1, got ({corner}, {slot})")
+    coeff = _NODAL_COEFFS[:, 2 * corner + slot]
+
+    def basis(xhat):
+        return _monomial_eval(xhat) @ coeff
+
+    return basis
+
+
+def reference_divergence(corner: int, slot: int) -> float:
+    """Reference divergence of a nodal basis function (constant on the square)."""
+    coeff = _NODAL_COEFFS[:, 2 * corner + slot]
+    return coeff[1] + coeff[5]
+
+
+def piola(corners: np.ndarray, vhat):
+    """Push a reference field to the physical element (parametric evaluation).
+
+    Returns a callable of reference points producing ``(x, v(x))`` with
+    ``v = (1/J) DF vhat``.  Edge fluxes are preserved: the integral of
+    ``v . n`` over a physical edge equals that of ``vhat . nhat`` over the
+    reference edge.
+    """
+
+    def mapped(xhat):
+        x, DF, J = bilinear_map(corners, xhat)
+        vh = np.asarray(vhat(xhat), dtype=float)
+        v = (DF @ vh[..., None])[..., 0] / np.expand_dims(J, -1) if vh.ndim > 1 else DF @ vh / J
+        return x, v
+
+    return mapped
+
+
+def corner_velocity(corners: np.ndarray, corner: int, traces: np.ndarray):
+    """Velocity vector at an element corner from its two normal components.
+
+    ``traces`` holds the physical normal components (outward) of the field on
+    the vertical and horizontal edge meeting at the corner; the 2x2 system
+    n_1 . w = d_1, n_2 . w = d_2 is solved for w.  Raises
+    :class:`SingularCornerError` when the two normals are parallel.
+    """
+    corners = np.asarray(corners, dtype=float)
+    # Counter-clockwise edge tangents; outward normal is the -90 deg rotation.
+    normals = np.empty((2, 2))
+    for s in range(2):
+        le = CORNER_EDGE_LOCAL[corner, s]
+        a, b = le, (le + 1) % 4
+        t = corners[b] - corners[a]
+        n = np.array([t[1], -t[0]])
+        normals[s] = n / np.linalg.norm(n)
+    N = normals
+    det = N[0, 0] * N[1, 1] - N[0, 1] * N[1, 0]
+    if abs(det) < 1e-12:
+        raise SingularCornerError(f"parallel edge normals at corner {corner}")
+    w = np.linalg.solve(N, np.asarray(traces, dtype=float))
+    return w, float(np.linalg.norm(w))
+
+
+def saddle_oracle(A, B: sp.spmatrix, G: np.ndarray, F: np.ndarray):
+    """Reference solve of the full dense saddle matrix [[A, B], [B^T, 0]].
+
+    Intended as an independent cross-check for small systems; refuses more
+    than 5000 unknowns.  Raises :class:`SingularSystemError` on singular
+    systems instead of returning garbage.
+    """
+    n_u, n_p = B.shape
+    if n_u + n_p > 5000:
+        raise ValueError(f"saddle oracle limited to 5000 unknowns, got {n_u + n_p}")
+    K = np.zeros((n_u + n_p, n_u + n_p))
+    K[:n_u, :n_u] = np.asarray(A.to_sparse().todense())
+    Bd = np.asarray(B.todense())
+    K[:n_u, n_u:] = Bd
+    K[n_u:, :n_u] = Bd.T
+    b = np.concatenate([G, F])
+    # A backward-stable LU passes any residual-vs-(||K|| ||x||) test even on a
+    # singular matrix, so escalate the ill-conditioning estimate instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", la.LinAlgWarning)
+        try:
+            x = la.solve(K, b)
+        except (la.LinAlgError, la.LinAlgWarning) as exc:
+            raise SingularSystemError(f"saddle system is singular: {exc}") from exc
+    scale = np.linalg.norm(K, ord=np.inf) * np.linalg.norm(x, ord=np.inf) + np.linalg.norm(b)
+    if not np.all(np.isfinite(x)) or np.linalg.norm(K @ x - b) > 1e-8 * max(scale, 1e-300):
+        raise SingularSystemError("saddle system is numerically singular")
+    return x[:n_u], x[n_u:]
+
+
+def eliminate_constraints(sys_, A):
+    """(A_hat, B_free, G_free): the Neumann constraints of a LinearizedSystem
+    eliminated by hand, for solvers that see only free DOFs.
+
+    A_hat has identity rows and columns at the constrained DOFs, B_free has
+    their rows zeroed, and G_free = G0 - A lift is zero there; the free
+    velocity plus ``sys_.lift`` and the pressure then solve the constrained
+    problem with the source ``sys_.F``.
+    """
+    free = np.ones(sys_.grid.n_dofs)
+    free[sys_.cdofs] = 0.0
+    G = sys_.G0 - A.matvec(sys_.lift)
+    G[sys_.cdofs] = 0.0
+    return A.with_identity_rows(sys_.cdofs), (sp.diags(free) @ sys_.B).tocsr(), G

@@ -7,6 +7,7 @@ from msforch.errors import DegenerateElementError
 from msforch.grid import (
     REF_CORNERS,
     bilinear_map,
+    block_indices,
     build_coarse_grid,
     build_fine_grid,
     rect_boundary_edges,
@@ -145,10 +146,10 @@ def test_coarse_160x60():
 
 def test_oversample_clipping():
     fine = build_fine_grid(100, 100)
-    coarse = build_coarse_grid(fine, 10, 10, layers=1)
+    coarse = build_coarse_grid(fine, 10, 10)
     # interior element: (10+2)^2 cells; corner element: (10+1)^2
-    interior = coarse.oversample_cells[11]
-    corner = coarse.oversample_cells[0]
+    interior = block_indices(fine, *coarse.oversample_rect(11, 1))[0]
+    corner = block_indices(fine, *coarse.oversample_rect(0, 1))[0]
     assert len(interior) == 144
     assert len(corner) == 121
     # T_i is contained in T_i+
@@ -160,8 +161,6 @@ def test_coarse_requires_divisibility():
     fine = build_fine_grid(10, 10)
     with pytest.raises(ValueError):
         build_coarse_grid(fine, 3, 2)
-    with pytest.raises(ValueError):
-        build_coarse_grid(fine, 2, 2, layers=-1)
 
 
 def test_boundary_edges_counter_clockwise():

@@ -21,7 +21,9 @@ from msforch.offline import (
     update_offline,
 )
 from msforch.online import enrich_uniform, init_enrichment, online_basis
-from msforch.solve import LinearizedSystem, NonlinearConfig, nonlinear_solve, saddle_oracle
+from msforch.solve import LinearizedSystem, NonlinearConfig, nonlinear_solve
+
+from oracles import eliminate_constraints, saddle_oracle
 
 
 def _rel(a, b):
@@ -46,8 +48,8 @@ def _oracle_snapshots(fine, rect, coeff):
         bc = BoundarySpec(dirichlet={int(le): float(le == datum)
                                      for le in sub.grid.boundary_edges})
         sys_ = LinearizedSystem(sub.grid, np.zeros(sub.grid.n_cells), bc)
-        Ahat, G2 = sys_.reduce(A, sys_.G0)
-        u, p = saddle_oracle(Ahat, sys_.Bfree, G2, sys_.F)
+        Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
+        u, p = saddle_oracle(Ahat, Bfree, G2, sys_.F)
         P.append(p)
         U.append(u)
     return sub, np.column_stack(P), np.column_stack(U)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from msforch.errors import AssemblyError, LinearSolverError, SingularSystemError
 from msforch.fields import ScalarCellField, gen_synthetic
-from msforch.grid import build_fine_grid
+from msforch.grid import build_coarse_grid, build_fine_grid
+from msforch.local import LocalShapes
 from msforch.mfmfe import (
     all_dirichlet_spec,
     assemble_divergence,
@@ -21,12 +22,14 @@ from msforch.mfmfe import (
 from msforch.solve import (
     LinearizedSystem,
     NonlinearConfig,
+    PreparedOperator,
     cell_divergence,
     nonlinear_solve,
-    saddle_oracle,
     schur_solve,
     velocity_error_norm,
 )
+
+from oracles import eliminate_constraints, saddle_oracle
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -42,8 +45,8 @@ def _random_reduced_system(rng, nx, ny):
     f = rng.standard_normal(grid.n_cells)
     sys_ = LinearizedSystem(grid, f, bc)
     A = assemble_velocity_matrix(grid, rng.uniform(0.1, 10.0, grid.n_cells))
-    Ahat, G2 = sys_.reduce(A, sys_.G0)
-    return Ahat, sys_.Bfree, G2, sys_.F
+    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
+    return Ahat, Bfree, G2, sys_.F
 
 
 def _rel(a, b):
@@ -80,11 +83,11 @@ def test_closed_box_is_singular():
     f = np.ones(grid.n_cells)
     sys_ = LinearizedSystem(grid, f, no_flow_spec(grid))
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
-    Ahat, G2 = sys_.reduce(A, sys_.G0)
+    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     with pytest.raises(SingularSystemError):
-        schur_solve(Ahat, sys_.Bfree, G2, sys_.F, method="dense")
+        schur_solve(Ahat, Bfree, G2, sys_.F, method="dense")
     with pytest.raises(SingularSystemError):
-        saddle_oracle(Ahat, sys_.Bfree, G2, sys_.F)
+        saddle_oracle(Ahat, Bfree, G2, sys_.F)
 
 
 def test_zero_data_zero_solution():
@@ -92,8 +95,8 @@ def test_zero_data_zero_solution():
     bc = left_right_spec(grid, 0.0, 0.0)
     sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), bc)
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
-    Ahat, G2 = sys_.reduce(A, sys_.G0)
-    U, P = schur_solve(Ahat, sys_.Bfree, G2, sys_.F, method="dense")
+    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
+    U, P = schur_solve(Ahat, Bfree, G2, sys_.F, method="dense")
     assert np.allclose(U, 0.0, atol=1e-13)
     assert np.allclose(P, 0.0, atol=1e-13)
 
@@ -191,9 +194,9 @@ def test_cg_iteration_cap_raises_with_residual():
     bc = left_right_spec(grid)
     sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), bc)
     A = assemble_velocity_matrix(grid, rng.uniform(0.01, 100.0, grid.n_cells))
-    Ahat, G2 = sys_.reduce(A, sys_.G0)
+    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     with pytest.raises(LinearSolverError) as info:
-        schur_solve(Ahat, sys_.Bfree, G2, sys_.F, method="cg", linear_max_iter=1)
+        schur_solve(Ahat, Bfree, G2, sys_.F, method="cg", linear_max_iter=1)
     assert info.value.final_residual > 0.0
 
 
@@ -279,8 +282,8 @@ def test_prepared_solve_matches_saddle_oracle(nx, ny, preset, tensor, backend, s
     """The prepared operator (with the given factorization of S) and its
     reduced path with R = I agree with the dense saddle oracle to 1e-12."""
     sys_, A = _preset_problem(np.random.default_rng(seed), nx, ny, preset, tensor)
-    Ahat, G2 = sys_.reduce(A, sys_.G0)
-    U_ref, P_ref = saddle_oracle(Ahat, sys_.Bfree, G2, sys_.F)
+    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
+    U_ref, P_ref = saddle_oracle(Ahat, Bfree, G2, sys_.F)
     U_ref = U_ref + sys_.lift
     cfg = NonlinearConfig(linear_solver=backend)
     U, P, _ = sys_.solve(A, sys_.G0, cfg)
@@ -303,9 +306,9 @@ def test_closed_box_is_singular_in_auto_mode(nx, ny):
     A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-2.0, 2.0, grid.n_cells))
     with pytest.raises(SingularSystemError):
         sys_.solve(A, sys_.G0, NonlinearConfig())
-    Ahat, G2 = sys_.reduce(A, sys_.G0)
+    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     with pytest.raises(SingularSystemError):
-        schur_solve(Ahat, sys_.Bfree, G2, sys_.F)
+        schur_solve(Ahat, Bfree, G2, sys_.F)
 
 
 @pytest.mark.parametrize("method", ["splu", "cg"])
@@ -318,9 +321,9 @@ def test_closed_box_is_singular_on_sparse_backends(n, method):
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
     with pytest.raises(SingularSystemError):
         sys_.solve(A, sys_.G0, NonlinearConfig(linear_solver=method))
-    Ahat, G2 = sys_.reduce(A, sys_.G0)
+    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     with pytest.raises(SingularSystemError):
-        schur_solve(Ahat, sys_.Bfree, G2, sys_.F, method=method)
+        schur_solve(Ahat, Bfree, G2, sys_.F, method=method)
 
 
 def test_closed_box_beyond_dense_limit_is_singular_in_auto_mode():
@@ -396,3 +399,59 @@ def test_non_finite_coefficient_fails_on_first_iteration(monkeypatch):
         nonlinear_solve(grid, _const(grid), beta, left_right_spec(grid),
                         np.zeros(grid.n_cells), cfg)
     assert len(calls) == 2   # the Darcy initial guess, then the first step
+
+
+@pytest.mark.parametrize("problem", ["left_right", "online"])
+def test_operator_eliminates_fixed_dofs(problem):
+    """Given the full B and a G that is nonzero at the fixed DOFs, the prepared
+    operator solves exactly as with those rows of B and entries of G zeroed
+    by hand: on a fine left-right system and on an online T+ problem with
+    pinned cells."""
+    rng = np.random.default_rng(11)
+    if problem == "left_right":
+        grid = build_fine_grid(7, 5)
+        sys_ = LinearizedSystem(grid, rng.standard_normal(grid.n_cells), left_right_spec(grid))
+        fixed, kept, F = sys_.cdofs, None, sys_.F
+    else:
+        coarse = build_coarse_grid(build_fine_grid(12, 12), 4, 4)
+        shape = LocalShapes(coarse).online(5)[0]
+        grid, kept = shape.grid, shape.element_cells
+        fixed = (2 * grid.boundary_edges[:, None] + np.array([0, 1])).ravel()
+        F = rng.standard_normal(kept.size)
+    B = assemble_divergence(grid)
+    A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-2.0, 2.0, grid.n_cells))
+    G = rng.standard_normal(grid.n_dofs)
+    free = np.ones(grid.n_dofs)
+    free[fixed] = 0.0
+    G_free = G.copy()
+    G_free[fixed] = 0.0
+    operator = PreparedOperator(grid, B, fixed, kept_cells=kept)
+    by_hand = PreparedOperator(grid, (sp.diags(free) @ B).tocsr(), fixed, kept_cells=kept)
+    for method in ("auto", "dense", "splu"):
+        U, P = operator.solve(A, G, F, method)
+        U_ref, P_ref = by_hand.solve(A, G_free, F, method)
+        assert np.array_equal(U, U_ref) and np.array_equal(P, P_ref)
+    assert np.array_equal(operator.dense_pressure(A, F), by_hand.dense_pressure(A, F))
+    if kept is None:
+        R = sp.identity(grid.n_cells, format="csr")
+        U, P = operator.solve_reduced(A, R, G, F)
+        U_ref, P_ref = by_hand.solve_reduced(A, R, G_free, F)
+        assert np.array_equal(U, U_ref) and np.array_equal(P, P_ref)
+
+
+@pytest.mark.parametrize("layers", [0, 1])
+def test_dense_solve_of_several_columns_matches_column_solves(layers):
+    """A dense solve of k right-hand-side columns (the snapshot problems)
+    gives the k single-column pressures exactly, and their velocities to
+    roundoff: the back-substitution of several columns is a batched matmul."""
+    rng = np.random.default_rng(layers)
+    coarse = build_coarse_grid(build_fine_grid(12, 12), 3, 3)
+    shape = LocalShapes(coarse).snapshot(4, layers)[0]
+    A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells),
+                                 geometry=shape.geometry)
+    U, P = shape.operator.solve(A, shape.data, 0.0, "dense")
+    assert P.shape == (shape.grid.n_cells, shape.data.shape[1]) and U.shape == shape.data.shape
+    for j in range(shape.data.shape[1]):
+        u, p = shape.operator.solve(A, shape.data[:, j], 0.0, "dense")
+        assert np.array_equal(p, P[:, j])
+        assert np.abs(u - U[:, j]).max() <= 1e-14 * np.abs(U[:, j]).max()

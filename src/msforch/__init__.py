@@ -19,7 +19,6 @@ from .errors import (
     AssemblyError,
     ConfigurationError,
     DegenerateElementError,
-    LinearSolverError,
     SingularSystemError,
 )
 from .fields import (
@@ -34,7 +33,6 @@ from .grid import (
     CoarseGrid,
     FineGrid,
     Subgrid,
-    bilinear_map,
     build_coarse_grid,
     build_fine_grid,
     subgrid,
@@ -67,7 +65,6 @@ from .offline import (
     assemble_reduction,
     build_offline_space,
     build_snapshots,
-    build_snapshots_oversampled,
     conservation_residuals,
     load_triplets,
     save_triplets,
@@ -89,7 +86,6 @@ from .online import (
     ms_solve,
     online_basis,
     online_residuals,
-    solve_enriched,
     sweep_final_errors,
 )
 

@@ -32,12 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AssemblyError,
-    ConfigurationError,
-    LinearSolverError,
-    SingularSystemError,
-)
+from .errors import AssemblyError, ConfigurationError, SingularSystemError
 from .fields import (
     SYNTHETIC_KINDS,
     ScalarCellField,
@@ -542,8 +537,8 @@ def main(argv=None) -> int:
         rc = RunConfig(args.command, _merge_settings(args))
         rc.out.mkdir(parents=True, exist_ok=True)
         return _DISPATCH[args.command](rc)
-    except (_SolverFailure, LinearSolverError, SingularSystemError,
-            AssemblyError, np.linalg.LinAlgError) as exc:
+    except (_SolverFailure, SingularSystemError, AssemblyError,
+            np.linalg.LinAlgError) as exc:
         print(f"msforch: error: {_oneline(exc)}", file=sys.stderr)
         return 1
     except (ConfigurationError, ValueError, OSError) as exc:

@@ -13,13 +13,5 @@ class SingularSystemError(RuntimeError):
     """A saddle-point or pressure system is singular (e.g. closed no-flow box)."""
 
 
-class LinearSolverError(RuntimeError):
-    """An iterative linear solve did not reach the requested tolerance."""
-
-    def __init__(self, message: str, final_residual: float | None = None):
-        super().__init__(message)
-        self.final_residual = final_residual
-
-
 class ConfigurationError(ValueError):
     """Inconsistent run configuration, e.g. an unlabeled boundary edge."""

@@ -1,9 +1,6 @@
 """Rectangular fine grids, coarse agglomerations and element geometry.
 
 The fine mesh is an axis-aligned tensor grid of ``nx`` by ``ny`` cells.
-Geometry helpers go through the bilinear corner map so element kernels can be
-exercised on perturbed quadrilaterals, but the builders here only produce
-rectangles.
 
 Conventions relied on by every assembly routine downstream:
 
@@ -52,41 +49,6 @@ CORNER_EDGE_END = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
 
 # Edge orientation signs of an element: bottom, right, top, left.
 ELEMENT_EDGE_SIGNS = np.array([-1, 1, 1, -1])
-
-
-def bilinear_map(corners: np.ndarray, xhat: np.ndarray):
-    """Map reference points to a physical quadrilateral.
-
-    ``corners`` holds the four physical corners counter-clockwise, ``xhat``
-    one or more reference points in [0,1]^2.  Returns ``(x, DF, J)``: the
-    physical points, the 2x2 Jacobians and their determinants.  Raises
-    :class:`DegenerateElementError` when a determinant is not positive.
-    """
-    corners = np.asarray(corners, dtype=float)
-    if corners.shape != (4, 2):
-        raise ValueError(f"corners must have shape (4, 2), got {corners.shape}")
-    xhat = np.asarray(xhat, dtype=float)
-    scalar_input = xhat.ndim == 1
-    pts = np.atleast_2d(xhat)
-    xi, eta = pts[:, 0], pts[:, 1]
-    r1, r2, r3, r4 = corners
-    x = (
-        np.outer((1 - xi) * (1 - eta), r1)
-        + np.outer(xi * (1 - eta), r2)
-        + np.outer(xi * eta, r3)
-        + np.outer((1 - xi) * eta, r4)
-    )
-    dx = np.outer(1 - eta, r2 - r1) + np.outer(eta, r3 - r4)
-    dy = np.outer(1 - xi, r4 - r1) + np.outer(xi, r3 - r2)
-    DF = np.stack([dx, dy], axis=-1)  # (n, 2, 2), columns are d/dxi, d/deta
-    J = DF[:, 0, 0] * DF[:, 1, 1] - DF[:, 0, 1] * DF[:, 1, 0]
-    if np.any(J <= 0):
-        raise DegenerateElementError(
-            f"non-positive Jacobian determinant (min {J.min():.3e})"
-        )
-    if scalar_input:
-        return x[0], DF[0], J[0]
-    return x, DF, J
 
 
 @dataclass(frozen=True)

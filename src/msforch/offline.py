@@ -84,40 +84,25 @@ def build_snapshots(
     coeff,
     gram_coeff=None,
     shapes: LocalShapes | None = None,
+    layers: int = 0,
 ) -> SpectralSpace:
     """Snapshot space of coarse element i.
 
-    ``coeff`` is the coefficient of the local solves, per global cell or per
-    (cell, corner); ``gram_coeff`` (default: same) is the coefficient of the
-    velocity energy Gram matrix used by the spectral problem.  Pass the
-    coarse grid's ``shapes`` to reuse the per-shape local data across
-    elements; by default it is built for this call.
+    One local Darcy-type solve per boundary-data column of element i's block
+    grown by ``layers`` (oversampling; 0 solves on the element itself),
+    restricted to the element, with its Grams.  ``coeff`` is the coefficient
+    of the local solves, per global cell or per (cell, corner);
+    ``gram_coeff`` (default: same) is the coefficient of the velocity energy
+    Gram matrix used by the spectral problem.  Pass the coarse grid's
+    ``shapes`` to reuse the per-shape local data across elements; by default
+    it is built for this call.
     """
-    return _snapshots(fine, coarse, i, coeff, gram_coeff, 0, shapes)
-
-
-def build_snapshots_oversampled(
-    fine: FineGrid,
-    coarse: CoarseGrid,
-    i: int,
-    coeff,
-    layers: int = 1,
-    gram_coeff=None,
-    shapes: LocalShapes | None = None,
-) -> SpectralSpace:
-    """Snapshots computed on the oversampled block and restricted to T_i."""
-    if layers < 1:
-        raise ValueError("oversampling needs at least one layer")
-    return _snapshots(fine, coarse, i, coeff, gram_coeff, layers, shapes)
-
-
-def _snapshots(fine, coarse, i, coeff, gram_coeff, layers, shapes) -> SpectralSpace:
-    """One local Darcy-type solve per boundary-data column of element i's
-    block grown by ``layers``, restricted to the element, with its Grams."""
+    if layers < 0:
+        raise ValueError("oversampling layers must be non-negative")
     shapes = LocalShapes(coarse) if shapes is None else shapes
     shape, cells, dofs = shapes.snapshot(i, layers)
     A = assemble_velocity_matrix(shape.grid, np.asarray(coeff)[cells], geometry=shape.geometry)
-    U, P = shape.operator.solve(A, shape.data, 0.0, "dense")
+    U, P = shape.operator.solve(A, shape.data, 0.0)
     if layers:
         P, U = P[shape.element_cells], U[shape.element_dofs]
         shape, cells, dofs = shapes.snapshot(i)
@@ -255,9 +240,6 @@ class ReductionMap:
     def columns_of(self, element: int) -> np.ndarray:
         return np.array(self._by_element.get(element, []), dtype=int)
 
-    def element_of(self) -> np.ndarray:
-        return np.array([c[0] for c in self.columns], dtype=int)
-
     def append_column(self, element: int, cells: np.ndarray, values: np.ndarray,
                       provenance: str = "online") -> None:
         self._by_element.setdefault(element, []).append(len(self.columns))
@@ -308,11 +290,7 @@ def build_offline_space(
     shapes = LocalShapes(coarse)
     spaces = []
     for i in range(coarse.n_elements):
-        if oversample_layers > 0:
-            space = build_snapshots_oversampled(fine, coarse, i, coeff, oversample_layers,
-                                                shapes=shapes)
-        else:
-            space = build_snapshots(fine, coarse, i, coeff, shapes=shapes)
+        space = build_snapshots(fine, coarse, i, coeff, shapes=shapes, layers=oversample_layers)
         spaces.append(spectral_decompose(space, m_off))
     return spaces, assemble_reduction(fine, spaces, m_off)
 

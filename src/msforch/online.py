@@ -43,7 +43,6 @@ from .solve import (
     LinearizedSystem,
     NonlinearConfig,
     cell_divergence,
-    nonlinear_solve,
     velocity_error_norm,
 )
 
@@ -240,7 +239,7 @@ def online_basis(state: EnrichmentState, i: int):
         return None
     A = assemble_velocity_matrix(shape.grid, state._coeff[cells], geometry=shape.geometry)
     try:
-        phi = shape.operator.dense_pressure(A, -(r * areas)[keep])
+        phi = shape.operator.pressure(A, -(r * areas)[keep])
     except SingularSystemError as exc:
         raise SingularSystemError(f"online problem on element {i}: {exc}") from exc
 
@@ -263,7 +262,7 @@ def ms_solve(state: EnrichmentState) -> FlowSolution:
     """One linearized solve in the current reduced space (no nonlinear loop)."""
     A = state.velocity_matrix()
     sys_ = state._system
-    U, P_fine, Pr = sys_.solve(A, sys_.G0, state.cfg, R=state.rmap.matrix.tocsr())
+    U, P_fine, Pr = sys_.solve(A, sys_.G0, state.rmap.matrix.tocsr())
     sol = FlowSolution(
         pressure=P_fine, velocity=U, iterations=1, converged=True,
         history=np.zeros((0, 2)), coefficients=Pr,
@@ -353,11 +352,3 @@ def detect_plateau(eru_per_sweep: np.ndarray, rel_change: float = 0.01):
             return k + 1
     return None
 
-
-def solve_enriched(state: EnrichmentState, cfg: NonlinearConfig | None = None) -> FlowSolution:
-    """Full nonlinear solve in the enriched space, for end-of-run reporting."""
-    cfg = state.cfg if cfg is None else cfg
-    return nonlinear_solve(
-        state.fine, state.kappa, state.beta, state.bc, state.f_cells, cfg,
-        mu=state.mu, rho=state.rho, R=state.rmap.matrix.tocsr(),
-    )

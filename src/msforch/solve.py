@@ -12,13 +12,14 @@ residual (the tensor is dropped where |u^n| vanishes).
 
 Because A is blockwise invertible, each step reduces to the SPD pressure
 system  B^T A^{-1} B P = B^T A^{-1} G - F  (optionally projected onto a
-coarse pressure space R), solved by a direct factorization or preconditioned
-conjugate gradients.  :class:`PreparedOperator` is the one owner of that
-elimination: it holds everything which depends only on the grid and B, it
-eliminates the constrained (Neumann) velocity DOFs itself, and it is the
-only place that forms S dense.  A linearization step does numerical work
-only: assemble, factor the vertex blocks, form and factor S,
-back-substitute.  Convergence is declared on the relative increment
+coarse pressure space R), solved by a direct factorization whose kind
+follows from the system's size alone: dense Cholesky up to
+``_DENSE_LIMIT`` cells, SuperLU beyond.  :class:`PreparedOperator` is the
+one owner of that elimination: it holds everything which depends only on
+the grid and B, it eliminates the constrained (Neumann) velocity DOFs
+itself, and it is the only place that factors S.  A linearization step
+does numerical work only: assemble, factor the vertex blocks, form and
+factor S, back-substitute.  Convergence is declared on the relative increment
 max_z ||z^{n+1} - z^n|| / max(||z^n||, eps) over both state vectors z = P, U;
 the velocity must take part because on uniform flow a constant linearized
 coefficient scales out of the pressure system entirely, leaving P exact while
@@ -35,7 +36,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import LinearSolverError, SingularSystemError
+from .errors import SingularSystemError
 from .fields import ScalarCellField
 from .grid import FineGrid
 from .mfmfe import (
@@ -56,7 +57,8 @@ from .mfmfe import (
 #: Floor in the denominator of the relative pressure increment.
 _EPS_NORM = 1e-30
 
-#: Dense Cholesky is used below this pressure-system size in 'auto' mode.
+#: Pressure systems of up to this many cells are factored by dense
+#: Cholesky, larger ones by SuperLU.
 _DENSE_LIMIT = 400
 
 #: A dense Cholesky pivot of S at or below this fraction of its largest
@@ -67,23 +69,15 @@ _PIVOT_FLOOR = 1e-12
 
 @dataclass
 class NonlinearConfig:
-    """Settings for the outer linearization loop and inner pressure solves."""
+    """Settings of the outer linearization loop."""
 
     scheme: str = "newton"          # "picard" | "newton"
     tol_nl: float = 1e-8
     max_iter: int = 200
-    initial: str = "darcy"         # "darcy" | "zero"
-    linear_solver: str = "auto"    # "auto" | "dense" | "splu" | "cg"
-    linear_tol: float = 1e-12
-    linear_max_iter: int = 20000
 
     def validate(self) -> None:
         if self.scheme not in ("picard", "newton"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.initial not in ("darcy", "zero"):
-            raise ValueError(f"unknown initial guess {self.initial!r}")
-        if self.linear_solver not in ("auto", "dense", "splu", "cg"):
-            raise ValueError(f"unknown linear solver {self.linear_solver!r}")
         if self.tol_nl <= 0 or self.max_iter < 1:
             raise ValueError("tol_nl must be positive and max_iter >= 1")
 
@@ -119,37 +113,17 @@ def _cholesky_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return la.cho_solve((c, low), rhs)
 
 
-def _solve_spd(S: sp.csc_matrix, rhs: np.ndarray, method: str, tol: float,
-               maxiter: int) -> np.ndarray:
-    """Solve the sparse SPD pressure system with SuperLU or CG."""
-    if method == "splu":
-        try:
-            lu = spla.splu(sp.csc_matrix(S))
-        except RuntimeError as exc:
-            raise SingularSystemError(f"pressure system is singular: {exc}") from exc
-        out = lu.solve(rhs)
-        if not np.all(np.isfinite(out)):
-            raise SingularSystemError("pressure solve produced non-finite values")
-        return out
-    if method == "cg":
-        Ssp = sp.csr_matrix(S)
-        diag = Ssp.diagonal()
-        if np.any(diag <= 0):
-            raise SingularSystemError("pressure system has a non-positive diagonal")
-        M = sp.diags(1.0 / diag)
-        rhs2 = np.atleast_2d(rhs.T).T
-        out = np.empty_like(rhs2, dtype=float)
-        for j in range(rhs2.shape[1]):
-            x, info = spla.cg(Ssp, rhs2[:, j], rtol=tol, atol=0.0, maxiter=maxiter, M=M)
-            if info > 0:
-                res = float(np.linalg.norm(Ssp @ x - rhs2[:, j]))
-                raise LinearSolverError(
-                    f"CG did not converge in {maxiter} iterations (residual {res:.3e})",
-                    final_residual=res,
-                )
-            out[:, j] = x
-        return out if rhs.ndim > 1 else out[:, 0]
-    raise ValueError(f"unknown linear solver {method!r}")
+def _splu_solve(S: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a sparse SPD S by SuperLU, for one or several right-hand-side
+    columns; raises :class:`SingularSystemError` when S is singular."""
+    try:
+        lu = spla.splu(S)
+    except RuntimeError as exc:
+        raise SingularSystemError(f"pressure system is singular: {exc}") from exc
+    out = lu.solve(rhs)
+    if not np.all(np.isfinite(out)):
+        raise SingularSystemError("pressure solve produced non-finite values")
+    return out
 
 
 class PreparedOperator:
@@ -162,9 +136,11 @@ class PreparedOperator:
     batched Cholesky (the SPD check), forms X_v = L_v^{-1} B_v and
     y_v = L_v^{-1} G_v, sums S = sum_v X_v^T X_v and the right-hand side
     sum_v X_v^T y_v - F by bincount, factors S and recovers
-    U_v = L_v^{-T} (y_v - X_v P_v).  The positions of the X_v^T X_v entries
-    in S are built on first use: flat positions in a dense S, or the fixed
-    9-point pattern of a sparse S in compressed columns.
+    U_v = L_v^{-T} (y_v - X_v P_v).  S is factored by dense Cholesky up to
+    ``_DENSE_LIMIT`` pressure cells and by SuperLU beyond.  The positions of
+    the X_v^T X_v entries in S are built on first use: flat positions in a
+    dense S, or the fixed 9-point pattern of a sparse S in compressed
+    columns.
 
     Per-vertex arrays are stored entry-major, (4, ..., n_vertices), so each
     block entry is one contiguous vector.  Constrained (Neumann) DOFs are
@@ -176,7 +152,7 @@ class PreparedOperator:
 
     ``singular`` records whether B annihilates the constant pressure on the
     kept cells, i.e. no pressure datum fixes the constant; every full-space
-    solve then raises :class:`SingularSystemError`, whatever its backend.
+    solve then raises :class:`SingularSystemError`, whatever its size.
     """
 
     def __init__(self, grid: FineGrid, B: sp.spmatrix, fixed_dofs=(), kept_cells=None):
@@ -241,10 +217,13 @@ class PreparedOperator:
         n = self.n_pressure
         return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
-    def _dense_solve(self, X: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve S P = rhs with S = sum_v X_v^T X_v formed dense, for one or
-        several right-hand-side columns."""
+    def _pressure(self, X: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve S P = rhs with S = sum_v X_v^T X_v, for one or several
+        right-hand-side columns: S dense up to ``_DENSE_LIMIT`` cells,
+        by SuperLU beyond."""
         n = self.n_pressure
+        if n > _DENSE_LIMIT:
+            return _splu_solve(self.schur_matrix(X), rhs)
         S = np.bincount(self._dense_index, weights=_gram_entries(X), minlength=n * n + 1)
         # S is bitwise symmetric, so its transpose is the same matrix, laid
         # out in the column order that LAPACK factors in place (over twice
@@ -282,29 +261,21 @@ class PreparedOperator:
         U = U.ravel() if U.ndim == 2 else U.transpose(0, 2, 1).reshape(-1, U.shape[1])
         return U[self._slot_of_dof]
 
-    def solve(self, A: VertexBlockMatrix, G: np.ndarray, F, method: str = "auto",
-              tol: float = 1e-12, maxiter: int = 20000):
+    def solve(self, A: VertexBlockMatrix, G: np.ndarray, F):
         """(U, P) of the saddle system on the full pressure space.
 
         G is (n_dofs,) or holds one right-hand side per column, (n_dofs, k);
-        U and P then carry the same columns.  ``method`` is ``dense``
-        (Cholesky), ``splu``, ``cg``, or ``auto``: dense up to 400 pressure
-        unknowns, SuperLU beyond.
+        U and P then carry the same columns.
         """
         self._check_regular()
         L, X, y, rhs = self._eliminate(A, G, F)
-        if method == "auto":
-            method = "dense" if self.n_pressure <= _DENSE_LIMIT else "splu"
-        if method == "dense":
-            P = self._dense_solve(X, rhs)
-        else:
-            P = _solve_spd(self.schur_matrix(X), rhs, method, tol, maxiter)
+        P = self._pressure(X, rhs)
         return self._velocity(L, X, y, P), P
 
-    def dense_pressure(self, A: VertexBlockMatrix, F: np.ndarray) -> np.ndarray:
-        """P alone for zero velocity data (G = 0), S dense: S P = -F."""
+    def pressure(self, A: VertexBlockMatrix, F: np.ndarray) -> np.ndarray:
+        """P alone for zero velocity data (G = 0): S P = -F."""
         self._check_regular()
-        return self._dense_solve(self._factor(A)[1], -F)
+        return self._pressure(self._factor(A)[1], -F)
 
     def solve_reduced(self, A: VertexBlockMatrix, R: sp.spmatrix, G: np.ndarray, F: np.ndarray):
         """(U, P_r) with the pressure constrained to the column space of R.
@@ -314,11 +285,7 @@ class PreparedOperator:
         """
         L, X, y, rhs = self._eliminate(A, G, F)
         S = (R.T @ (self.schur_matrix(X) @ R)).toarray()
-        try:
-            c, low = la.cho_factor(S, overwrite_a=True)
-        except la.LinAlgError as exc:
-            raise SingularSystemError(f"reduced pressure system is not SPD: {exc}") from exc
-        Pr = la.cho_solve((c, low), R.T @ rhs)
+        Pr = _cholesky_solve(S, R.T @ rhs)
         return self._velocity(L, X, y, R @ Pr), Pr
 
 
@@ -350,10 +317,6 @@ def schur_solve(
     B: sp.spmatrix,
     G: np.ndarray,
     F: np.ndarray,
-    *,
-    method: str = "auto",
-    linear_tol: float = 1e-12,
-    linear_max_iter: int = 20000,
 ):
     """Solve the saddle system via the blockwise-eliminated pressure equation.
 
@@ -363,7 +326,7 @@ def schur_solve(
     B^T U = F satisfied to solver precision.  Repeated solves on one grid
     keep a :class:`PreparedOperator` instead.
     """
-    return PreparedOperator(A.grid, B).solve(A, G, F, method, linear_tol, linear_max_iter)
+    return PreparedOperator(A.grid, B).solve(A, G, F)
 
 
 def reduced_schur_solve(
@@ -404,13 +367,11 @@ class LinearizedSystem:
         self.geometry = corner_geometry(grid)
         self.operator = PreparedOperator(grid, self.B, cdofs)
 
-    def solve(self, A: VertexBlockMatrix, G: np.ndarray, cfg: NonlinearConfig,
-              R: sp.spmatrix | None = None):
+    def solve(self, A: VertexBlockMatrix, G: np.ndarray, R: sp.spmatrix | None = None):
         """(U, fine pressure, pressure coefficients) of one linearized step."""
         G2 = G - A.matvec(self.lift) if self.lift.any() else G
         if R is None:
-            U, P = self.operator.solve(A, G2, self.F, cfg.linear_solver, cfg.linear_tol,
-                                       cfg.linear_max_iter)
+            U, P = self.operator.solve(A, G2, self.F)
             return U + self.lift, P, P
         U, Pr = self.operator.solve_reduced(A, R, G2, self.F)
         return U + self.lift, np.asarray(R @ Pr).ravel(), Pr
@@ -437,7 +398,8 @@ def nonlinear_solve(
     R: sp.spmatrix | None = None,
     system: LinearizedSystem | None = None,
 ) -> FlowSolution:
-    """Run the Picard or Newton loop on the fine or reduced pressure space.
+    """Run the Picard or Newton loop on the fine or reduced pressure space,
+    starting from the Darcy (beta = 0) solution.
 
     The same engine drives both: with R the pressure updates live in the
     coarse space but the increment test and history use the fine expansion,
@@ -463,12 +425,7 @@ def nonlinear_solve(
         A.blocks += A_t.blocks
         return sys_.G0 + A_t.matvec(U)
 
-    if cfg.initial == "darcy":
-        U, P_fine, _ = sys_.solve(assemble_velocity_matrix(grid, c_darcy, geometry=geo),
-                                  sys_.G0, cfg, R)
-    else:
-        U = sys_.lift.copy()
-        P_fine = np.zeros(grid.n_cells)
+    U, P_fine, _ = sys_.solve(assemble_velocity_matrix(grid, c_darcy, geometry=geo), sys_.G0, R)
 
     history = []
     converged = False
@@ -479,7 +436,7 @@ def nonlinear_solve(
         if history:
             history[-1][1] = _momentum_residual(sys_, A, U, P_fine)
         G = add_newton_term(A, U, w, speed) if cfg.scheme == "newton" else sys_.G0
-        U_new, P_new, Pr = sys_.solve(A, G, cfg, R)
+        U_new, P_new, Pr = sys_.solve(A, G, R)
         rel_p = np.linalg.norm(P_new - P_fine) / max(np.linalg.norm(P_fine), _EPS_NORM)
         rel_u = np.linalg.norm(U_new - U) / max(np.linalg.norm(U), _EPS_NORM)
         rel = max(rel_p, rel_u)

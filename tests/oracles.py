@@ -1,9 +1,10 @@
 """Independent reference computations used by the tests only.
 
 Nothing here is on a solver path: these are the element kernels written out
-one element at a time (nodal reference basis, Piola transform, corner
-velocity), the monolithic dense saddle-point solve, and the explicit
-constraint elimination that the solvers do inside their prepared operator.
+one element at a time (bilinear element map, nodal reference basis, Piola
+transform, corner velocity), the monolithic dense saddle-point solve, and
+the explicit constraint elimination that the solvers do inside their
+prepared operator.
 """
 
 import warnings
@@ -12,8 +13,43 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from msforch.errors import SingularSystemError
-from msforch.grid import CORNER_EDGE_LOCAL, REF_CORNER_NORMALS, REF_CORNERS, bilinear_map
+from msforch.errors import DegenerateElementError, SingularSystemError
+from msforch.grid import CORNER_EDGE_LOCAL, REF_CORNER_NORMALS, REF_CORNERS
+
+
+def bilinear_map(corners: np.ndarray, xhat: np.ndarray):
+    """Map reference points to a physical quadrilateral.
+
+    ``corners`` holds the four physical corners counter-clockwise, ``xhat``
+    one or more reference points in [0,1]^2.  Returns ``(x, DF, J)``: the
+    physical points, the 2x2 Jacobians and their determinants.  Raises
+    :class:`DegenerateElementError` when a determinant is not positive.
+    """
+    corners = np.asarray(corners, dtype=float)
+    if corners.shape != (4, 2):
+        raise ValueError(f"corners must have shape (4, 2), got {corners.shape}")
+    xhat = np.asarray(xhat, dtype=float)
+    scalar_input = xhat.ndim == 1
+    pts = np.atleast_2d(xhat)
+    xi, eta = pts[:, 0], pts[:, 1]
+    r1, r2, r3, r4 = corners
+    x = (
+        np.outer((1 - xi) * (1 - eta), r1)
+        + np.outer(xi * (1 - eta), r2)
+        + np.outer(xi * eta, r3)
+        + np.outer((1 - xi) * eta, r4)
+    )
+    dx = np.outer(1 - eta, r2 - r1) + np.outer(eta, r3 - r4)
+    dy = np.outer(1 - xi, r4 - r1) + np.outer(xi, r3 - r2)
+    DF = np.stack([dx, dy], axis=-1)  # (n, 2, 2), columns are d/dxi, d/deta
+    J = DF[:, 0, 0] * DF[:, 1, 1] - DF[:, 0, 1] * DF[:, 1, 0]
+    if np.any(J <= 0):
+        raise DegenerateElementError(
+            f"non-positive Jacobian determinant (min {J.min():.3e})"
+        )
+    if scalar_input:
+        return x[0], DF[0], J[0]
+    return x, DF, J
 
 
 class SingularCornerError(ValueError):

@@ -1,7 +1,9 @@
 """Batch CLI: artifacts, schemas, exit codes, determinism, config handling."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,16 +227,20 @@ def test_config_file_with_cli_override(tmp_path):
 
 
 def test_module_entrypoint(tmp_path):
+    # The subprocesses import this checkout's package, installed or not.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "msforch.cli", "gen-field", "--nx", "6",
          "--ny", "6", "--field", "layered:1:10", "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "field_layered_s1_c10_6x6.txt").exists()
     bad = subprocess.run(
         [sys.executable, "-m", "msforch.cli", "resolve"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert bad.returncode == 2
     assert len(bad.stderr.strip().splitlines()) == 1

@@ -6,13 +6,14 @@ import pytest
 from msforch.errors import DegenerateElementError
 from msforch.grid import (
     REF_CORNERS,
-    bilinear_map,
     block_indices,
     build_coarse_grid,
     build_fine_grid,
     rect_boundary_edges,
     subgrid,
 )
+
+from oracles import bilinear_map
 
 
 def test_single_element_counts():

@@ -16,7 +16,6 @@ from msforch.mfmfe import BoundarySpec, assemble_divergence, assemble_velocity_m
 from msforch.offline import (
     build_offline_space,
     build_snapshots,
-    build_snapshots_oversampled,
     solve_offline,
     update_offline,
 )
@@ -80,10 +79,7 @@ def test_cached_snapshots_match_saddle_oracle(mx, my, Nx, Ny, layers, per_corner
     assert np.allclose(shape.grid.vertices - shape.grid.vertices[0],
                        sub.grid.vertices - sub.grid.vertices[0], rtol=0.0, atol=1e-14)
 
-    if layers:
-        space = build_snapshots_oversampled(fine, coarse, i, coeff, layers, shapes=shapes)
-    else:
-        space = build_snapshots(fine, coarse, i, coeff, shapes=shapes)
+    space = build_snapshots(fine, coarse, i, coeff, shapes=shapes, layers=layers)
     element = subgrid(fine, *coarse.element_rect(i))
     cell_pos = {int(c): k for k, c in enumerate(sub.cells)}
     dof_pos = {int(d): k for k, d in enumerate(sub.dofs)}

@@ -14,7 +14,6 @@ from msforch.offline import (
     assemble_reduction,
     build_offline_space,
     build_snapshots,
-    build_snapshots_oversampled,
     conservation_residuals,
     load_triplets,
     save_triplets,
@@ -335,10 +334,10 @@ def test_oversampled_snapshots():
     fine, coarse, kappa = _setup(12, 3)  # 4x4-cell coarse elements
     coeff = 1.0 / kappa.values
     with pytest.raises(ValueError):
-        build_snapshots_oversampled(fine, coarse, 4, coeff, layers=0)
-    interior = build_snapshots_oversampled(fine, coarse, 4, coeff, layers=1)
+        build_snapshots(fine, coarse, 4, coeff, layers=-1)
+    interior = build_snapshots(fine, coarse, 4, coeff, layers=1)
     assert interior.n_snapshots == 24  # 6x6-cell block: 4 * (4 + 2) edges
-    corner = build_snapshots_oversampled(fine, coarse, 0, coeff, layers=1)
+    corner = build_snapshots(fine, coarse, 0, coeff, layers=1)
     assert corner.n_snapshots == 20   # clipped 5x5-cell block
     assert len(interior.cells) == 16  # restricted to the element itself
     # summed boundary datum is 1 on the oversampled boundary: restriction

@@ -17,7 +17,6 @@ from msforch.online import (
     ms_solve,
     online_basis,
     online_residuals,
-    solve_enriched,
     sweep_final_errors,
 )
 from msforch.solve import FlowSolution, NonlinearConfig, nonlinear_solve
@@ -191,7 +190,7 @@ def test_appended_target_direction_is_recovered_exactly(problem):
     state = _fresh_state(p, variant="fixed_offline")
     fine = p["fine"]
     A_frozen = state.velocity_matrix()
-    U_star, P_star, _ = state._system.solve(A_frozen, state._system.G0, p["cfg"])
+    U_star, P_star, _ = state._system.solve(A_frozen, state._system.G0)
     M = state._norm_M
     d0 = np.sqrt((state.solution.velocity - U_star) @ M.matvec(state.solution.velocity - U_star))
     assert d0 > 1e-8
@@ -290,15 +289,3 @@ def test_online_residuals_consistency(problem):
     )
     assert np.allclose(online_residuals(state), direct, rtol=1e-12, atol=1e-300)
 
-
-def test_solve_enriched_runs_full_nonlinear_loop(problem):
-    p = problem
-    state = _fresh_state(p)
-    enrich_uniform(state, 1)
-    sol = solve_enriched(state)
-    assert sol.converged
-    assert sol.iterations >= 1
-    erp, eru = error_metrics(p["fine"], sol, p["ref"])
-    assert np.isfinite(erp) and np.isfinite(eru)
-    _, eru_off = error_metrics(p["fine"], p["off"], p["ref"])
-    assert eru < eru_off

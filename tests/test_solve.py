@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msforch.errors import AssemblyError, LinearSolverError, SingularSystemError
+from msforch.errors import AssemblyError, SingularSystemError
 from msforch.fields import ScalarCellField, gen_synthetic
 from msforch.grid import build_coarse_grid, build_fine_grid
 from msforch.local import LocalShapes
@@ -20,12 +20,14 @@ from msforch.mfmfe import (
     quadrature_norm_matrix,
 )
 from msforch.solve import (
+    _DENSE_LIMIT,
     LinearizedSystem,
     NonlinearConfig,
     PreparedOperator,
     cell_divergence,
     nonlinear_solve,
     schur_solve,
+    _splu_solve,
     velocity_error_norm,
 )
 
@@ -58,22 +60,20 @@ def test_schur_matches_saddle_oracle():
     for _ in range(6):
         nx, ny = rng.integers(1, 7, size=2)
         Ahat, B, G, F = _random_reduced_system(rng, int(nx), int(ny))
-        U1, P1 = schur_solve(Ahat, B, G, F, method="dense")
+        U1, P1 = schur_solve(Ahat, B, G, F)
         U2, P2 = saddle_oracle(Ahat, B, G, F)
         assert _rel(U1, U2) <= 1e-12
         assert _rel(P1, P2) <= 1e-12
 
 
-def test_schur_backends_agree():
+def test_schur_backends_agree(monkeypatch):
     rng = np.random.default_rng(3)
     Ahat, B, G, F = _random_reduced_system(rng, 6, 5)
-    U_d, P_d = schur_solve(Ahat, B, G, F, method="dense")
-    U_s, P_s = schur_solve(Ahat, B, G, F, method="splu")
-    U_c, P_c = schur_solve(Ahat, B, G, F, method="cg", linear_tol=1e-14)
+    U_d, P_d = schur_solve(Ahat, B, G, F)
+    monkeypatch.setattr("msforch.solve._DENSE_LIMIT", 0)   # SuperLU from here on
+    U_s, P_s = schur_solve(Ahat, B, G, F)
     assert _rel(P_s, P_d) <= 1e-10
-    assert _rel(P_c, P_d) <= 1e-8
     assert _rel(U_s, U_d) <= 1e-10
-    assert _rel(U_c, U_d) <= 1e-8
 
 
 def test_closed_box_is_singular():
@@ -85,7 +85,7 @@ def test_closed_box_is_singular():
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     with pytest.raises(SingularSystemError):
-        schur_solve(Ahat, Bfree, G2, sys_.F, method="dense")
+        schur_solve(Ahat, Bfree, G2, sys_.F)
     with pytest.raises(SingularSystemError):
         saddle_oracle(Ahat, Bfree, G2, sys_.F)
 
@@ -96,7 +96,7 @@ def test_zero_data_zero_solution():
     sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), bc)
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
-    U, P = schur_solve(Ahat, Bfree, G2, sys_.F, method="dense")
+    U, P = schur_solve(Ahat, Bfree, G2, sys_.F)
     assert np.allclose(U, 0.0, atol=1e-13)
     assert np.allclose(P, 0.0, atol=1e-13)
 
@@ -172,43 +172,11 @@ def test_max_iter_exhaustion_is_reported_not_raised():
     assert sol.history.shape[0] == 3
 
 
-def test_initial_guess_does_not_change_solution():
-    grid = build_fine_grid(8, 8)
-    kappa = _const(grid)
-    beta = _const(grid, 50.0)
-    bc = left_right_spec(grid)
-    sols = [
-        nonlinear_solve(
-            grid, kappa, beta, bc, np.zeros(grid.n_cells),
-            NonlinearConfig(scheme="newton", tol_nl=1e-12, initial=init),
-        )
-        for init in ("darcy", "zero")
-    ]
-    assert np.allclose(sols[0].pressure, sols[1].pressure, atol=1e-9)
-    assert np.allclose(sols[0].velocity, sols[1].velocity, atol=1e-9)
-
-
-def test_cg_iteration_cap_raises_with_residual():
-    rng = np.random.default_rng(17)
-    grid = build_fine_grid(12, 12)
-    bc = left_right_spec(grid)
-    sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), bc)
-    A = assemble_velocity_matrix(grid, rng.uniform(0.01, 100.0, grid.n_cells))
-    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
-    with pytest.raises(LinearSolverError) as info:
-        schur_solve(Ahat, Bfree, G2, sys_.F, method="cg", linear_max_iter=1)
-    assert info.value.final_residual > 0.0
-
-
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         NonlinearConfig(scheme="gauss").validate()
     with pytest.raises(ValueError):
-        NonlinearConfig(initial="warm").validate()
-    with pytest.raises(ValueError):
         NonlinearConfig(max_iter=0).validate()
-    with pytest.raises(ValueError):
-        NonlinearConfig(linear_solver="amg").validate()
 
 
 def test_velocity_error_norm_definition():
@@ -275,22 +243,25 @@ def _preset_problem(rng, nx, ny, preset, tensor):
     nx=st.integers(1, 8), ny=st.integers(1, 8),
     preset=st.sampled_from(["left_right", "dirichlet", "five_spot"]),
     tensor=st.booleans(),
-    backend=st.sampled_from(["auto", "splu"]),
+    superlu=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_prepared_solve_matches_saddle_oracle(nx, ny, preset, tensor, backend, seed):
-    """The prepared operator (with the given factorization of S) and its
-    reduced path with R = I agree with the dense saddle oracle to 1e-12."""
+def test_prepared_solve_matches_saddle_oracle(nx, ny, preset, tensor, superlu, seed):
+    """The prepared operator (with S factored dense, or by SuperLU under a
+    lowered size limit) and its reduced path with R = I agree with the
+    dense saddle oracle to 1e-12."""
     sys_, A = _preset_problem(np.random.default_rng(seed), nx, ny, preset, tensor)
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     U_ref, P_ref = saddle_oracle(Ahat, Bfree, G2, sys_.F)
     U_ref = U_ref + sys_.lift
-    cfg = NonlinearConfig(linear_solver=backend)
-    U, P, _ = sys_.solve(A, sys_.G0, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        if superlu:
+            mp.setattr("msforch.solve._DENSE_LIMIT", 0)
+        U, P, _ = sys_.solve(A, sys_.G0)
     assert _rel(U, U_ref) <= 1e-12
     assert _rel(P, P_ref) <= 1e-12
     identity = sp.identity(sys_.grid.n_cells, format="csr")
-    U_r, P_r, coeffs = sys_.solve(A, sys_.G0, cfg, R=identity)
+    U_r, P_r, coeffs = sys_.solve(A, sys_.G0, identity)
     assert _rel(U_r, U_ref) <= 1e-12
     assert _rel(P_r, P_ref) <= 1e-12
     assert np.array_equal(coeffs, P_r)
@@ -298,40 +269,67 @@ def test_prepared_solve_matches_saddle_oracle(nx, ny, preset, tensor, backend, s
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (3, 3), (7, 4), (12, 12), (30, 6)])
 def test_closed_box_is_singular_in_auto_mode(nx, ny):
-    """The dense Cholesky path of 'auto' mode reports singular pressure
-    systems instead of returning a roundoff-driven solution."""
+    """The dense Cholesky path of systems up to 400 cells reports singular
+    pressure systems instead of returning a roundoff-driven solution."""
     grid = build_fine_grid(nx, ny)
     rng = np.random.default_rng(nx * 100 + ny)
     sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), no_flow_spec(grid))
     A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-2.0, 2.0, grid.n_cells))
     with pytest.raises(SingularSystemError):
-        sys_.solve(A, sys_.G0, NonlinearConfig())
+        sys_.solve(A, sys_.G0)
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     with pytest.raises(SingularSystemError):
         schur_solve(Ahat, Bfree, G2, sys_.F)
 
 
-@pytest.mark.parametrize("method", ["splu", "cg"])
-@pytest.mark.parametrize("n", [3, 8, 20])
-def test_closed_box_is_singular_on_sparse_backends(n, method):
-    """SuperLU and CG report a closed no-flow box as singular instead of
-    returning a finite, roundoff-driven pressure."""
+@pytest.mark.parametrize("n", [3, 8, 20], ids=lambda n: f"{n}-splu")
+def test_closed_box_is_singular_on_sparse_backends(n, monkeypatch):
+    """SuperLU, forced on small systems by a lowered size limit, reports a
+    closed no-flow box as singular instead of returning a finite,
+    roundoff-driven pressure."""
+    monkeypatch.setattr("msforch.solve._DENSE_LIMIT", 0)
     grid = build_fine_grid(n, n)
     sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), no_flow_spec(grid))
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
     with pytest.raises(SingularSystemError):
-        sys_.solve(A, sys_.G0, NonlinearConfig(linear_solver=method))
+        sys_.solve(A, sys_.G0)
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     with pytest.raises(SingularSystemError):
-        schur_solve(Ahat, Bfree, G2, sys_.F, method=method)
+        schur_solve(Ahat, Bfree, G2, sys_.F)
 
 
 def test_closed_box_beyond_dense_limit_is_singular_in_auto_mode():
-    grid = build_fine_grid(30, 20)   # 600 cells: SuperLU in 'auto' mode
+    grid = build_fine_grid(30, 20)   # 600 cells: SuperLU by size
     sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), no_flow_spec(grid))
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
     with pytest.raises(SingularSystemError):
-        sys_.solve(A, sys_.G0, NonlinearConfig())
+        sys_.solve(A, sys_.G0)
+
+
+@pytest.fixture
+def superlu_calls(monkeypatch):
+    """Shapes of the right-hand sides that reach the SuperLU solve."""
+    calls = []
+
+    def counting(S, rhs):
+        calls.append(rhs.shape)
+        return _splu_solve(S, rhs)
+
+    monkeypatch.setattr("msforch.solve._splu_solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("nx, superlu", [(20, False), (21, True)])
+def test_system_size_picks_the_factorization(nx, superlu, superlu_calls):
+    """A 20x20 system (400 cells) factors S dense, a 21x20 one (420 cells)
+    by SuperLU; both match the saddle oracle to 1e-12."""
+    sys_, A = _preset_problem(np.random.default_rng(nx), nx, 20, "left_right", False)
+    U, P, _ = sys_.solve(A, sys_.G0)
+    assert superlu_calls == ([(sys_.grid.n_cells,)] if superlu else [])
+    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
+    U_ref, P_ref = saddle_oracle(Ahat, Bfree, G2, sys_.F)
+    assert _rel(U, U_ref + sys_.lift) <= 1e-12
+    assert _rel(P, P_ref) <= 1e-12
 
 
 def test_numerically_singular_dense_system_raises():
@@ -344,17 +342,19 @@ def test_numerically_singular_dense_system_raises():
     A = assemble_velocity_matrix(grid, coeff)
     assert not sys_.operator.singular
     with pytest.raises(SingularSystemError, match="numerically singular"):
-        sys_.solve(A, sys_.G0, NonlinearConfig(linear_solver="dense"))
+        sys_.solve(A, sys_.G0)
 
 
-def test_one_pressure_datum_makes_the_box_regular():
-    """The five-spot producer's two Dirichlet edges fix the constant."""
+def test_one_pressure_datum_makes_the_box_regular(monkeypatch):
+    """The five-spot producer's two Dirichlet edges fix the constant (S
+    factored by SuperLU under a lowered size limit)."""
+    monkeypatch.setattr("msforch.solve._DENSE_LIMIT", 0)
     grid = build_fine_grid(20, 20)
     bc, f = five_spot(grid)
     sys_ = LinearizedSystem(grid, f, bc)
     assert not sys_.operator.singular
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
-    U, P, _ = sys_.solve(A, sys_.G0, NonlinearConfig(linear_solver="splu"))
+    U, P, _ = sys_.solve(A, sys_.G0)
     assert np.all(np.isfinite(P))
 
 
@@ -365,9 +365,9 @@ def test_indefinite_block_raises_assembly_error():
     coeff[5] = -1.0
     A = assemble_velocity_matrix(grid, coeff)
     with pytest.raises(AssemblyError, match="positive definite"):
-        sys_.solve(A, sys_.G0, NonlinearConfig())
+        sys_.solve(A, sys_.G0)
     with pytest.raises(AssemblyError, match="positive definite"):
-        sys_.solve(A, sys_.G0, NonlinearConfig(), R=sp.identity(grid.n_cells, format="csr"))
+        sys_.solve(A, sys_.G0, sp.identity(grid.n_cells, format="csr"))
 
 
 def test_schur_solve_rejects_foreign_divergence():
@@ -402,7 +402,7 @@ def test_non_finite_coefficient_fails_on_first_iteration(monkeypatch):
 
 
 @pytest.mark.parametrize("problem", ["left_right", "online"])
-def test_operator_eliminates_fixed_dofs(problem):
+def test_operator_eliminates_fixed_dofs(problem, monkeypatch):
     """Given the full B and a G that is nonzero at the fixed DOFs, the prepared
     operator solves exactly as with those rows of B and entries of G zeroed
     by hand: on a fine left-right system and on an online T+ problem with
@@ -427,11 +427,12 @@ def test_operator_eliminates_fixed_dofs(problem):
     G_free[fixed] = 0.0
     operator = PreparedOperator(grid, B, fixed, kept_cells=kept)
     by_hand = PreparedOperator(grid, (sp.diags(free) @ B).tocsr(), fixed, kept_cells=kept)
-    for method in ("auto", "dense", "splu"):
-        U, P = operator.solve(A, G, F, method)
-        U_ref, P_ref = by_hand.solve(A, G_free, F, method)
+    for limit in (_DENSE_LIMIT, 0):   # S dense, then by SuperLU
+        monkeypatch.setattr("msforch.solve._DENSE_LIMIT", limit)
+        U, P = operator.solve(A, G, F)
+        U_ref, P_ref = by_hand.solve(A, G_free, F)
         assert np.array_equal(U, U_ref) and np.array_equal(P, P_ref)
-    assert np.array_equal(operator.dense_pressure(A, F), by_hand.dense_pressure(A, F))
+        assert np.array_equal(operator.pressure(A, F), by_hand.pressure(A, F))
     if kept is None:
         R = sp.identity(grid.n_cells, format="csr")
         U, P = operator.solve_reduced(A, R, G, F)
@@ -449,9 +450,28 @@ def test_dense_solve_of_several_columns_matches_column_solves(layers):
     shape = LocalShapes(coarse).snapshot(4, layers)[0]
     A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells),
                                  geometry=shape.geometry)
-    U, P = shape.operator.solve(A, shape.data, 0.0, "dense")
+    U, P = shape.operator.solve(A, shape.data, 0.0)
     assert P.shape == (shape.grid.n_cells, shape.data.shape[1]) and U.shape == shape.data.shape
     for j in range(shape.data.shape[1]):
-        u, p = shape.operator.solve(A, shape.data[:, j], 0.0, "dense")
+        u, p = shape.operator.solve(A, shape.data[:, j], 0.0)
         assert np.array_equal(p, P[:, j])
         assert np.abs(u - U[:, j]).max() <= 1e-14 * np.abs(U[:, j]).max()
+
+
+def test_snapshot_columns_beyond_dense_limit_go_through_superlu(superlu_calls):
+    """A snapshot block of more than 400 cells (a 21x20 element of a 42x40
+    grid) solves all its boundary-data columns with one SuperLU
+    factorization, and they equal the single-column solves."""
+    rng = np.random.default_rng(7)
+    coarse = build_coarse_grid(build_fine_grid(42, 40), 2, 2)
+    shape = LocalShapes(coarse).snapshot(3)[0]
+    A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells),
+                                 geometry=shape.geometry)
+    U, P = shape.operator.solve(A, shape.data, 0.0)
+    k = shape.data.shape[1]
+    assert superlu_calls == [(420, k)]
+    for j in range(k):
+        u, p = shape.operator.solve(A, shape.data[:, j], 0.0)
+        assert np.array_equal(p, P[:, j])
+        assert np.abs(u - U[:, j]).max() <= 1e-14 * np.abs(U[:, j]).max()
+    assert len(superlu_calls) == 1 + k

@@ -2,15 +2,17 @@
 
 The package discretizes the nonlinear Darcy-Forchheimer model
 
-    mu kappa^-1 u + beta rho |u| u + grad p = 0,    div u = f
+    kappa^-1 u + beta |u| u + grad p = 0,    div u = f
 
 on rectangular fine grids with lowest-order BDM velocities and cellwise
 pressures, using corner (trapezoidal) quadrature so the velocity mass matrix
-decouples into per-vertex blocks.  On top of the fine discretization it
-builds generalized multiscale coarse pressure spaces: per-coarse-element
-snapshot solves, spectral (offline) bases, residual-selected offline updates
-with the Forchheimer-corrected coefficient, and residual-driven online
-enrichment under a four-color schedule.  :mod:`msforch.cli` wraps the
+decouples into per-vertex blocks.  kappa and beta absorb the viscosity mu and
+the density rho of the physical model, as kappa/mu and beta rho.  On top of
+the fine discretization it builds generalized multiscale coarse pressure
+spaces: per-coarse-element snapshot solves, spectral (offline) bases,
+residual-selected offline updates with the Forchheimer-corrected
+coefficient, and residual-driven online enrichment under a four-color
+schedule.  :mod:`msforch.cli` wraps the
 library in a batch driver for error and iteration studies.  The names
 imported below are the package's public API.
 """

@@ -116,6 +116,8 @@ def _parse_floats(key: str, raw: str) -> list:
         raise ConfigurationError(f"{key} must be a comma-separated number list: {exc}")
     if not vals:
         raise ConfigurationError(f"{key} must not be empty")
+    if not np.isfinite(vals).all():
+        raise ConfigurationError(f"{key} must hold finite numbers, got {raw!r}")
     return vals
 
 
@@ -244,9 +246,12 @@ class RunConfig:
 
     def _float(self, key: str) -> float:
         try:
-            return float(self.raw[key])
+            val = float(self.raw[key])
         except ValueError:
             raise ConfigurationError(f"{key} must be a number, got {self.raw[key]!r}")
+        if not np.isfinite(val):
+            raise ConfigurationError(f"{key} must be finite, got {self.raw[key]!r}")
+        return val
 
     @staticmethod
     def _field_spec(raw):

@@ -17,6 +17,14 @@ A velocity DOF value is the normal component of the field with respect to the
 at one of its corners always belong to edges meeting at that mesh vertex, the
 corner quadrature used by the velocity bilinear form couples DOFs only within
 per-vertex groups; ``vertex_dofs`` records those groups.
+
+The grid also carries the geometric factors of that quadrature,
+``corner_factors[c, k, s] = t_s DF N_s / (2 sqrt(J))`` at corner k of cell c,
+with N_s the reference normal of DOF slot s and t_s = sign * |e|, so the
+corner contribution (1/4) t_s t_l N_s^T Mhat N_l of a coefficient tensor C
+(Mhat = DF^T C DF / J) is ``corner_factors_s^T C corner_factors_l``, and
+``corner_index``, the flat position of each (c, k, s, l) contribution in the
+(n_vertices, 4, 4) vertex-block array.
 """
 
 from __future__ import annotations
@@ -51,6 +59,11 @@ CORNER_EDGE_END = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
 ELEMENT_EDGE_SIGNS = np.array([-1, 1, 1, -1])
 
 
+def index_dtype(size: int):
+    """int32 for flat indices below 2**31, else int64."""
+    return np.int32 if size < 2**31 else np.int64
+
+
 @dataclass(frozen=True)
 class FineGrid:
     """Axis-aligned rectangular mesh with edge-endpoint velocity DOFs."""
@@ -77,9 +90,10 @@ class FineGrid:
     elem_corner_dof: np.ndarray   # (n_cells, 4, 2)
     elem_corner_sign: np.ndarray  # (n_cells, 4, 2)
     elem_corner_elen: np.ndarray  # (n_cells, 4, 2)
-    elem_corner_vslot: np.ndarray  # (n_cells, 4, 2)
     corner_DF: np.ndarray         # (n_cells, 4, 2, 2) Jacobian at each corner
     corner_J: np.ndarray          # (n_cells, 4)
+    corner_factors: np.ndarray    # (n_cells, 4, 2, 2) quadrature factors, slot s then axis
+    corner_index: np.ndarray      # (n_cells, 4, 2, 2) vertex-block scatter index
 
     @property
     def n_cells(self) -> int:
@@ -123,8 +137,8 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     if nx < 1 or ny < 1:
         raise ValueError(f"grid must have at least one cell per direction, got {nx}x{ny}")
     x0, x1, y0, y1 = map(float, domain)
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError(f"domain must have positive extent, got {domain}")
+    if not (np.isfinite([x0, x1, y0, y1]).all() and x1 > x0 and y1 > y0):
+        raise ValueError(f"domain must be finite with positive extent, got {domain}")
 
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
@@ -197,7 +211,6 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     elem_corner_dof = 2 * elem_corner_edge + CORNER_EDGE_END[None, :, :]
     elem_corner_sign = element_edge_signs[:, CORNER_EDGE_LOCAL]
     elem_corner_elen = edge_lengths[elem_corner_edge]
-    elem_corner_vslot = dof_vslot[elem_corner_dof]
 
     P = vertices[elements]  # (n_c, 4, 2)
     xi = REF_CORNERS[:, 0][None, :, None]
@@ -208,6 +221,15 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     corner_J = corner_DF[..., 0, 0] * corner_DF[..., 1, 1] - corner_DF[..., 0, 1] * corner_DF[..., 1, 0]
     if np.any(corner_J <= 0):
         raise DegenerateElementError("grid contains an inverted element")
+
+    # DF N_s written out, as in mfmfe.corner_velocities.
+    N = REF_CORNER_NORMALS
+    dfn = (corner_DF[:, :, None, :, 0] * N[:, :, 0, None]
+           + corner_DF[:, :, None, :, 1] * N[:, :, 1, None])
+    t = elem_corner_sign * elem_corner_elen
+    corner_factors = dfn * (0.5 * t / np.sqrt(corner_J)[..., None])[..., None]
+    slot = dof_vslot[elem_corner_dof]
+    corner_index = 16 * elements[:, :, None, None] + 4 * slot[..., :, None] + slot[..., None, :]
 
     # Shoelace area and centroid of the corner quadrilateral.
     x_c, y_c = P[..., 0], P[..., 1]
@@ -237,9 +259,10 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
         elem_corner_dof=elem_corner_dof,
         elem_corner_sign=elem_corner_sign,
         elem_corner_elen=elem_corner_elen,
-        elem_corner_vslot=elem_corner_vslot,
         corner_DF=corner_DF,
         corner_J=corner_J,
+        corner_factors=corner_factors,
+        corner_index=corner_index.astype(index_dtype(16 * n_vertices)),
     )
 
 

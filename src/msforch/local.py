@@ -24,7 +24,6 @@ import numpy as np
 from . import grid as _grid
 from . import mfmfe as _mfmfe
 from .grid import CoarseGrid, FineGrid, block_indices, rect_boundary_edges
-from .mfmfe import CornerGeometry, corner_geometry
 from .solve import PreparedOperator
 
 
@@ -33,7 +32,6 @@ class LocalShape:
     """Coefficient-independent data of one local problem shape."""
 
     grid: FineGrid                 # the block re-meshed as a standalone grid
-    geometry: CornerGeometry       # corner factors of ``grid``
     operator: PreparedOperator     # velocity elimination of the local problem
     element_cells: np.ndarray      # block-local ids of the element's cells, element order
     element_dofs: np.ndarray       # block-local ids of the element's DOFs, element order
@@ -65,7 +63,7 @@ class LocalShapes:
 
     Shapes are keyed by the problem, the block's extent and the element's
     offset and extent inside the block; blocks of one extent share their
-    grid and corner geometry.
+    grid.
     """
 
     def __init__(self, coarse: CoarseGrid):
@@ -92,12 +90,11 @@ class LocalShapes:
         shape = self._shapes.get(key)
         if shape is None:
             if rect[2:] not in self._grids:
-                local = _grid.subgrid(fine, *rect).grid
-                self._grids[rect[2:]] = local, corner_geometry(local)
-            local, geometry = self._grids[rect[2:]]
+                self._grids[rect[2:]] = _grid.subgrid(fine, *rect).grid
+            local = self._grids[rect[2:]]
             element_cells, _, element_dofs = block_indices(local, *inner)
             operator, data = build(local, element_cells)
-            shape = LocalShape(local, geometry, operator, element_cells, element_dofs, data)
+            shape = LocalShape(local, operator, element_cells, element_dofs, data)
             self._shapes[key] = shape
         cells, _, dofs = block_indices(fine, *rect)
         return shape, cells, dofs

@@ -17,7 +17,10 @@ quadrature rule
 which only sees corner values.  Since the corner value of a BDM1 field is
 fixed by the two DOFs at that corner, the assembled matrix decouples into one
 small symmetric positive definite block per mesh vertex
-(:class:`VertexBlockMatrix`), and its inverse is available blockwise.
+(:class:`VertexBlockMatrix`), and its inverse is available blockwise.  The
+coefficient K is 1/kappa for Darcy flow and 1/kappa + beta |u| (plus the
+rank-one Newton tensor) for Forchheimer flow; the geometric part of every
+corner term comes from the grid's precomputed ``corner_factors``.
 
 The divergence matrix has entries B[dof, cell] = -int_cell q div v, which for
 linear normal traces is exactly -sign * |e| / 2 per edge-endpoint DOF.  The
@@ -63,11 +66,6 @@ def corner_velocities(grid: FineGrid, U: np.ndarray):
 
 #: Strict upper-triangle positions of a 4x4 vertex block.
 _UPPER = np.triu_indices(4, 1)
-
-
-def index_dtype(size: int):
-    """int32 for flat indices below 2**31, else int64."""
-    return np.int32 if size < 2**31 else np.int64
 
 
 class VertexBlockMatrix:
@@ -118,7 +116,8 @@ class VertexBlockMatrix:
 
     def cholesky(self, dofs=()) -> np.ndarray:
         """Batched lower Cholesky factors (n_vertices, 4, 4) of the blocks,
-        with ``dofs`` eliminated as in :meth:`with_identity_rows`.
+        with ``dofs`` eliminated: their rows and columns replaced by those of
+        the identity.
 
         This is the SPD check of every solver: raises :class:`AssemblyError`
         on a non-finite, asymmetric or indefinite block.
@@ -175,15 +174,6 @@ class VertexBlockMatrix:
         """Blockwise inverse as a sparse matrix (pad slots become unit diagonal)."""
         return self._sparse_from_blocks(self.inverse_blocks())
 
-    def with_identity_rows(self, dofs: np.ndarray) -> "VertexBlockMatrix":
-        """Zero the rows/columns of the given DOFs and put 1 on their diagonal.
-
-        This is the matrix :meth:`cholesky` factors with ``dofs``
-        eliminated; it keeps the vertex-block structure and symmetry, for
-        callers that reduce constrained (Neumann) DOFs out by hand.
-        """
-        return VertexBlockMatrix(self._unit_slots(dofs), self.grid)
-
 
 def lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L x = b in every vertex block, entry-major: L (4, 4, n) lower
@@ -236,34 +226,6 @@ def divergence_blocks(grid: FineGrid, B: sp.spmatrix, cells: np.ndarray) -> np.n
     return blocks
 
 
-@dataclass(frozen=True)
-class CornerGeometry:
-    """Grid data of the velocity assembly, shared by repeated assemblies.
-
-    ``factors[c, k, s] = t_s DF N_s / (2 sqrt(J))`` at corner k of cell c,
-    with N_s the reference normal of DOF slot s and t_s = sign * |e|, so the
-    corner contribution (1/4) t_s t_l N_s^T Mhat N_l of a coefficient tensor
-    C (Mhat = DF^T C DF / J) is ``factors_s^T C factors_l``.  ``index`` holds
-    the flat position of each (c, k, s, l) contribution in the
-    (n_vertices, 4, 4) block array.
-    """
-
-    factors: np.ndarray     # (n_cells, 4, 2, 2)
-    index: np.ndarray       # (n_cells, 4, 2, 2) int32
-
-
-def corner_geometry(grid: FineGrid) -> CornerGeometry:
-    """Corner factors and block scatter index of a grid."""
-    DF, N = grid.corner_DF, REF_CORNER_NORMALS
-    # DF N_s written out, as in corner_velocities.
-    dfn = DF[:, :, None, :, 0] * N[:, :, 0, None] + DF[:, :, None, :, 1] * N[:, :, 1, None]
-    t = grid.elem_corner_sign * grid.elem_corner_elen
-    factors = dfn * (0.5 * t / np.sqrt(grid.corner_J)[..., None])[..., None]
-    slot = grid.elem_corner_vslot
-    index = 16 * grid.elements[:, :, None, None] + 4 * slot[..., :, None] + slot[..., None, :]
-    return CornerGeometry(factors=factors, index=index.astype(index_dtype(16 * grid.n_vertices)))
-
-
 def _corner_scalar(values: np.ndarray, n: int):
     """A per-cell (n,) or per-corner (n, 4) scalar as (n, 1) or (n, 4), else None."""
     if values.shape == (n,):
@@ -273,15 +235,16 @@ def _corner_scalar(values: np.ndarray, n: int):
     return None
 
 
-def corner_products(geometry: CornerGeometry, coeff, direction=None) -> np.ndarray:
-    """Corner contributions g_s^T C g_l, shape (n_cells, 4, 2, 2).
+def corner_products(grid: FineGrid, coeff, direction=None) -> np.ndarray:
+    """Corner contributions g_s^T C g_l, shape (n_cells, 4, 2, 2), with g the
+    grid's ``corner_factors``.
 
     ``coeff`` is a per-cell scalar (n_cells,), a per-corner scalar
     (n_cells, 4) or a full tensor (n_cells, 4, 2, 2).  With ``direction``
     (n_cells, 4, 2) the tensor is the rank-one C = coeff w w^T, assembled as
     coeff (g_s . w)(g_l . w).
     """
-    g = geometry.factors
+    g = grid.corner_factors
     n = g.shape[0]
     values = np.asarray(coeff, dtype=float)
     scalar = _corner_scalar(values, n)
@@ -301,23 +264,22 @@ def corner_products(geometry: CornerGeometry, coeff, direction=None) -> np.ndarr
     )
 
 
-def assemble_velocity_matrix(grid: FineGrid, coeff, *, direction=None,
-                             geometry: CornerGeometry | None = None) -> VertexBlockMatrix:
+def assemble_velocity_matrix(grid: FineGrid, coeff, *, direction=None) -> VertexBlockMatrix:
     """Assemble (K u, v)_Q into per-vertex blocks.
 
     Each element corner contributes (1/4) T N^T Mhat N T in global DOF space,
     where Mhat = (1/J) DF^T K DF at the corner, N stacks the two reference
     corner normals and T = diag(sign * |e|) converts global DOFs to reference
     ones.  Both DOFs live at the corner's mesh vertex, so no contribution ever
-    links distinct vertex blocks.  The contributions come from the corner
-    factors of :class:`CornerGeometry` (see :func:`corner_products` for the
-    coefficient forms) and are summed into the blocks by one ``bincount``;
-    pass the grid's ``geometry`` to reuse it across assemblies.
+    links distinct vertex blocks.  The contributions come from the grid's
+    ``corner_factors`` (see :func:`corner_products` for the coefficient
+    forms) and are summed into the blocks by one ``bincount`` over its
+    ``corner_index``.
     """
-    geo = corner_geometry(grid) if geometry is None else geometry
-    products = corner_products(geo, coeff, direction)
+    products = corner_products(grid, coeff, direction)
     n_vertices = grid.n_vertices
-    blocks = np.bincount(geo.index.ravel(), weights=products.ravel(), minlength=16 * n_vertices)
+    blocks = np.bincount(grid.corner_index.ravel(), weights=products.ravel(),
+                         minlength=16 * n_vertices)
     return VertexBlockMatrix(blocks.reshape(n_vertices, 4, 4), grid)
 
 
@@ -462,7 +424,6 @@ def assemble_rhs(grid: FineGrid, f_cells: np.ndarray, bc: BoundarySpec):
     return G, F, constrained, values
 
 
-def quadrature_norm_matrix(grid: FineGrid,
-                           geometry: CornerGeometry | None = None) -> VertexBlockMatrix:
+def quadrature_norm_matrix(grid: FineGrid) -> VertexBlockMatrix:
     """Velocity mass matrix of the corner quadrature with unit coefficient."""
-    return assemble_velocity_matrix(grid, np.ones(grid.n_cells), geometry=geometry)
+    return assemble_velocity_matrix(grid, np.ones(grid.n_cells))

@@ -9,7 +9,7 @@ constants.
 The snapshots are compressed by the generalized eigenproblem
 
     A^i Phi = lambda S^i Phi,
-    A^i[r, l] = (mu/kappa psi_r, psi_l)_Q on T_i,
+    A^i[r, l] = (kappa^-1 psi_r, psi_l)_Q on T_i,
     S^i[r, l] = (phi_r, phi_l) on T_i,
 
 keeping the eigenvectors of the smallest eigenvalues.  The zero eigenvalue
@@ -24,7 +24,7 @@ Residual-driven updating: after a nonlinear solve in the reduced space, the
 cell-conservation defect R_i = int_{T_i} |f - div u|^2 ranks the coarse
 elements; the smallest set whose residuals reach a fraction theta of the
 total is re-snapshotted with the solution-dependent coefficient
-mu/kappa + beta rho |u| and re-decomposed, replacing those elements' columns.
+1/kappa + beta |u| and re-decomposed, replacing those elements' columns.
 """
 
 from __future__ import annotations
@@ -101,13 +101,13 @@ def build_snapshots(
         raise ValueError("oversampling layers must be non-negative")
     shapes = LocalShapes(coarse) if shapes is None else shapes
     shape, cells, dofs = shapes.snapshot(i, layers)
-    A = assemble_velocity_matrix(shape.grid, np.asarray(coeff)[cells], geometry=shape.geometry)
+    A = assemble_velocity_matrix(shape.grid, np.asarray(coeff)[cells])
     U, P = shape.operator.solve(A, shape.data, 0.0)
     if layers:
         P, U = P[shape.element_cells], U[shape.element_dofs]
         shape, cells, dofs = shapes.snapshot(i)
     gram_coeff = np.asarray(coeff if gram_coeff is None else gram_coeff)
-    M = assemble_velocity_matrix(shape.grid, gram_coeff[cells], geometry=shape.geometry)
+    M = assemble_velocity_matrix(shape.grid, gram_coeff[cells])
     return SpectralSpace(
         element=i,
         cells=cells,
@@ -282,11 +282,10 @@ def build_offline_space(
     coarse: CoarseGrid,
     kappa: ScalarCellField,
     m_off: int,
-    mu: float = 1.0,
     oversample_layers: int = 0,
 ) -> tuple:
     """Snapshot + decompose every coarse element; returns (spaces, ReductionMap)."""
-    coeff = mu / kappa.values
+    coeff = 1.0 / kappa.values
     shapes = LocalShapes(coarse)
     spaces = []
     for i in range(coarse.n_elements):
@@ -303,13 +302,9 @@ def solve_offline(
     f_cells: np.ndarray,
     rmap: ReductionMap,
     cfg: NonlinearConfig,
-    mu: float = 1.0,
-    rho: float = 1.0,
 ) -> FlowSolution:
     """Nonlinear solve with pressure constrained to the offline space."""
-    return nonlinear_solve(
-        fine, kappa, beta, bc, f_cells, cfg, mu=mu, rho=rho, R=rmap.matrix.tocsr()
-    )
+    return nonlinear_solve(fine, kappa, beta, bc, f_cells, cfg, R=rmap.matrix.tocsr())
 
 
 def conservation_residuals(
@@ -354,18 +349,16 @@ def update_offline(
     selected: np.ndarray,
     kappa: ScalarCellField,
     beta: ScalarCellField,
-    mu: float = 1.0,
-    rho: float = 1.0,
 ) -> tuple:
     """Re-snapshot the selected elements with the solution-dependent coefficient.
 
-    The local problems use mu/kappa + beta rho |u| at element corners; the
+    The local problems use 1/kappa + beta |u| at element corners; the
     spectral problem keeps the Darcy-weighted velocity Gram matrix.  Returns
     (new ReductionMap, new spaces list); each element's column count is kept.
     """
     _, speed = corner_velocities(fine, velocity)
-    coeff = (mu / kappa.values)[:, None] + (beta.values * rho)[:, None] * speed
-    darcy = mu / kappa.values
+    darcy = 1.0 / kappa.values
+    coeff = darcy[:, None] + beta.values[:, None] * speed
     new_map = rmap.copy()
     new_spaces = list(spaces)
     shapes = LocalShapes(coarse)

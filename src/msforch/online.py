@@ -15,7 +15,7 @@ indices), one reduced linearized solve after each color: either uniformly
 (every element, every color) or adaptively (elements selected once per
 sweep by the xi-fraction residual rule, then intersected with each color).
 
-Two coefficient variants: 'updating' re-linearizes mu/kappa + beta rho |u|
+Two coefficient variants: 'updating' re-linearizes 1/kappa + beta |u|
 at the current multiscale velocity before every local solve and reduced
 solve; 'fixed_offline' freezes the coefficient at the initial offline
 velocity, which is cheaper but stalls at a positive error plateau.
@@ -76,8 +76,6 @@ class EnrichmentState:
     cfg: NonlinearConfig
     reference: FlowSolution
     variant: str = "updating"
-    mu: float = 1.0
-    rho: float = 1.0
     solution: FlowSolution | None = None
     level: int = 0                      # completed color sub-iterations
     history: list = field(default_factory=list)
@@ -97,7 +95,7 @@ class EnrichmentState:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         self._system = LinearizedSystem(self.fine, self.f_cells, self.bc)
         self._shapes = LocalShapes(self.coarse)
-        self._norm_M = quadrature_norm_matrix(self.fine, self._system.geometry)
+        self._norm_M = quadrature_norm_matrix(self.fine)
         self._ref_p_norm = np.sqrt(
             (self.reference.pressure**2 * self.fine.cell_areas).sum()
         )
@@ -119,18 +117,14 @@ class EnrichmentState:
             speed = self._fixed_speed
         # Shared by the local solves of a colour class and the reduced solve
         # after it.
-        darcy = (self.mu / self.kappa.values)[:, None]
-        brho = (self.beta.values * self.rho)[:, None]
-        self._coeff = darcy + brho * speed
+        self._coeff = (1.0 / self.kappa.values)[:, None] + self.beta.values[:, None] * speed
 
     def velocity_matrix(self):
-        geometry = self._system.geometry
         if self.variant == "fixed_offline":
             if self._fixed_A is None:
-                self._fixed_A = assemble_velocity_matrix(self.fine, self._coeff,
-                                                         geometry=geometry)
+                self._fixed_A = assemble_velocity_matrix(self.fine, self._coeff)
             return self._fixed_A
-        return assemble_velocity_matrix(self.fine, self._coeff, geometry=geometry)
+        return assemble_velocity_matrix(self.fine, self._coeff)
 
     def errors(self) -> tuple:
         """(Erp, Eru) of the current solution against the fine reference."""
@@ -175,14 +169,12 @@ def init_enrichment(
     reference: FlowSolution,
     offline_solution: FlowSolution,
     variant: str = "updating",
-    mu: float = 1.0,
-    rho: float = 1.0,
 ) -> EnrichmentState:
     """Set up an enrichment run starting from a converged offline solution."""
     state = EnrichmentState(
         fine=fine, coarse=coarse, kappa=kappa, beta=beta, bc=bc,
         f_cells=np.asarray(f_cells, dtype=float), rmap=rmap.copy(), cfg=cfg,
-        reference=reference, variant=variant, mu=mu, rho=rho,
+        reference=reference, variant=variant,
     )
     state.set_solution(offline_solution)
     return state
@@ -237,7 +229,7 @@ def online_basis(state: EnrichmentState, i: int):
     keep = shape.element_cells
     if keep.size == shape.grid.n_cells:
         return None
-    A = assemble_velocity_matrix(shape.grid, state._coeff[cells], geometry=shape.geometry)
+    A = assemble_velocity_matrix(shape.grid, state._coeff[cells])
     try:
         phi = shape.operator.pressure(A, -(r * areas)[keep])
     except SingularSystemError as exc:

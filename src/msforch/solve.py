@@ -4,9 +4,10 @@ The discrete model per linearization step is
 
     A(|u^n|) U^{n+1} + B P^{n+1} = G^n,      B^T U^{n+1} = F,
 
-where A carries the coefficient mu/kappa + beta rho |u^n| at element corners.
+where A carries the coefficient 1/kappa + beta |u^n| at element corners
+(kappa and beta carry any viscosity and density, as kappa/mu and beta rho).
 Picard uses G^n = G.  Newton augments A with the rank-one corner tensor
-beta rho (u^n (x) u^n) / |u^n| and adds the matching term to the right-hand
+beta (u^n (x) u^n) / |u^n| and adds the matching term to the right-hand
 side, G^n = G + A_tensor U^n, which is the exact Jacobian of the momentum
 residual (the tensor is dropped where |u^n| vanishes).
 
@@ -38,17 +39,15 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularSystemError
 from .fields import ScalarCellField
-from .grid import FineGrid
+from .grid import FineGrid, index_dtype
 from .mfmfe import (
     BoundarySpec,
     VertexBlockMatrix,
     assemble_divergence,
     assemble_rhs,
     assemble_velocity_matrix,
-    corner_geometry,
     corner_velocities,
     divergence_blocks,
-    index_dtype,
     lower_solve,
     lower_transpose_solve,
     vertex_cells,
@@ -78,7 +77,7 @@ class NonlinearConfig:
     def validate(self) -> None:
         if self.scheme not in ("picard", "newton"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.tol_nl <= 0 or self.max_iter < 1:
+        if not self.tol_nl > 0 or self.max_iter < 1:
             raise ValueError("tol_nl must be positive and max_iter >= 1")
 
 
@@ -156,7 +155,6 @@ class PreparedOperator:
     """
 
     def __init__(self, grid: FineGrid, B: sp.spmatrix, fixed_dofs=(), kept_cells=None):
-        self.grid = grid
         fixed = self.fixed_dofs = np.asarray(fixed_dofs, dtype=np.int64)
         kept = np.arange(grid.n_cells) if kept_cells is None else np.asarray(kept_cells)
         n = self.n_pressure = kept.size
@@ -350,9 +348,8 @@ class LinearizedSystem:
     Neumann DOFs are eliminated by the lifting U = U_free + lift: the lift
     term in G depends on the current matrix and is applied per linearization
     step, and ``operator`` (the prepared elimination, built with the
-    constrained DOFs fixed) does the rest.  ``geometry`` (corner factors for
-    assembly) and ``operator`` are computed once here and reused by every
-    step.
+    constrained DOFs fixed) does the rest; it is built once here and reused
+    by every step.
     """
 
     def __init__(self, grid: FineGrid, f_cells: np.ndarray, bc: BoundarySpec):
@@ -364,7 +361,6 @@ class LinearizedSystem:
         self.lift = np.zeros(grid.n_dofs)
         self.lift[cdofs] = cvals
         self.F = F - self.B.T @ self.lift
-        self.geometry = corner_geometry(grid)
         self.operator = PreparedOperator(grid, self.B, cdofs)
 
     def solve(self, A: VertexBlockMatrix, G: np.ndarray, R: sp.spmatrix | None = None):
@@ -377,11 +373,11 @@ class LinearizedSystem:
         return U + self.lift, np.asarray(R @ Pr).ravel(), Pr
 
 
-def _newton_scale(brho_cells: np.ndarray, speed: np.ndarray) -> np.ndarray:
-    """beta rho / |w| per corner, the scale of the rank-one Newton tensor
-    beta rho (w (x) w) / |w|; zero below the velocity floor."""
+def _newton_scale(beta_cells: np.ndarray, speed: np.ndarray) -> np.ndarray:
+    """beta / |w| per corner, the scale of the rank-one Newton tensor
+    beta (w (x) w) / |w|; zero below the velocity floor."""
     floor = 1e-14 * max(speed.max(), 1.0)
-    scale = brho_cells[:, None] / np.where(speed > floor, speed, 1.0)
+    scale = beta_cells[:, None] / np.where(speed > floor, speed, 1.0)
     scale[speed <= floor] = 0.0
     return scale
 
@@ -393,10 +389,7 @@ def nonlinear_solve(
     bc: BoundarySpec,
     f_cells: np.ndarray,
     cfg: NonlinearConfig,
-    mu: float = 1.0,
-    rho: float = 1.0,
     R: sp.spmatrix | None = None,
-    system: LinearizedSystem | None = None,
 ) -> FlowSolution:
     """Run the Picard or Newton loop on the fine or reduced pressure space,
     starting from the Darcy (beta = 0) solution.
@@ -407,25 +400,22 @@ def nonlinear_solve(
     """
     cfg.validate()
     kappa.require_positive("permeability")
-    sys_ = system if system is not None else LinearizedSystem(grid, f_cells, bc)
-    geo = sys_.geometry
-    c_darcy = (mu / kappa.values)[:, None] * np.ones((1, 4))
-    brho = beta.values * rho
+    sys_ = LinearizedSystem(grid, f_cells, bc)
+    c_darcy = (1.0 / kappa.values)[:, None] * np.ones((1, 4))
 
     def picard_matrix(U):
         """(A_pic, corner velocities, speeds) at the iterate U."""
         w, speed = corner_velocities(grid, U)
-        A = assemble_velocity_matrix(grid, c_darcy + brho[:, None] * speed, geometry=geo)
+        A = assemble_velocity_matrix(grid, c_darcy + beta.values[:, None] * speed)
         return A, w, speed
 
     def add_newton_term(A, U, w, speed):
         """Add the Newton tensor to A in place; return the matching right-hand side."""
-        A_t = assemble_velocity_matrix(grid, _newton_scale(brho, speed), direction=w,
-                                       geometry=geo)
+        A_t = assemble_velocity_matrix(grid, _newton_scale(beta.values, speed), direction=w)
         A.blocks += A_t.blocks
         return sys_.G0 + A_t.matvec(U)
 
-    U, P_fine, _ = sys_.solve(assemble_velocity_matrix(grid, c_darcy, geometry=geo), sys_.G0, R)
+    U, P_fine, _ = sys_.solve(assemble_velocity_matrix(grid, c_darcy), sys_.G0, R)
 
     history = []
     converged = False

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from msforch.errors import DegenerateElementError, SingularSystemError
 from msforch.grid import CORNER_EDGE_LOCAL, REF_CORNER_NORMALS, REF_CORNERS
+from msforch.mfmfe import VertexBlockMatrix
 
 
 def bilinear_map(corners: np.ndarray, xhat: np.ndarray):
@@ -180,6 +181,17 @@ def saddle_oracle(A, B: sp.spmatrix, G: np.ndarray, F: np.ndarray):
     return x[:n_u], x[n_u:]
 
 
+def with_identity_rows(A, dofs):
+    """A copy of the VertexBlockMatrix A with the rows and columns of ``dofs``
+    zeroed and 1 on their diagonal.
+
+    This is the matrix ``A.cholesky(dofs)`` factors; it keeps the
+    vertex-block structure and symmetry, for solvers that see the
+    constrained (Neumann) DOFs eliminated by hand.
+    """
+    return VertexBlockMatrix(A._unit_slots(dofs), A.grid)
+
+
 def eliminate_constraints(sys_, A):
     """(A_hat, B_free, G_free): the Neumann constraints of a LinearizedSystem
     eliminated by hand, for solvers that see only free DOFs.
@@ -193,4 +205,4 @@ def eliminate_constraints(sys_, A):
     free[sys_.cdofs] = 0.0
     G = sys_.G0 - A.matvec(sys_.lift)
     G[sys_.cdofs] = 0.0
-    return A.with_identity_rows(sys_.cdofs), (sp.diags(free) @ sys_.B).tocsr(), G
+    return with_identity_rows(A, sys_.cdofs), (sp.diags(free) @ sys_.B).tocsr(), G

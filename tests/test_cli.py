@@ -129,6 +129,12 @@ def test_exit_2_config_errors(tmp_path, capsys):
     assert main(["fine", "--nx", "8", "--ny", "8", "--bc", "preset:wells"] + base) == 2
     for line in capsys.readouterr().err.strip().splitlines():
         assert line.startswith("msforch: error:")
+    # non-finite numbers, each reported by one error line
+    for flags in (["--tol", "nan"], ["--domain", "0,inf,0,1"], ["--dof-per-t", "inf"],
+                  ["--beta0", "nan"], ["--theta", "inf"]):
+        assert main(["fine", "--nx", "8", "--ny", "8"] + flags + base) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("msforch: error:")
 
 
 def test_exit_1_nonconvergence(tmp_path, capsys):

@@ -88,6 +88,9 @@ def test_invalid_grid_arguments():
         build_fine_grid(0, 4)
     with pytest.raises(ValueError):
         build_fine_grid(4, 4, domain=(0.0, 0.0, 0.0, 1.0))
+    for bad in ((0.0, np.inf, 0.0, 1.0), (-np.inf, 1.0, 0.0, 1.0), (0.0, 1.0, np.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            build_fine_grid(4, 4, domain=bad)
 
 
 def test_bilinear_map_identity_element():

@@ -22,7 +22,7 @@ from msforch.offline import (
 from msforch.online import enrich_uniform, init_enrichment, online_basis
 from msforch.solve import LinearizedSystem, NonlinearConfig, nonlinear_solve
 
-from oracles import eliminate_constraints, saddle_oracle
+from oracles import eliminate_constraints, saddle_oracle, with_identity_rows
 
 
 def _rel(a, b):
@@ -104,7 +104,7 @@ def _pinned_oracle(fine, coarse, i, coeff, defect):
     B = sp.diags(free) @ assemble_divergence(sub.grid)
     keep = np.flatnonzero(np.isin(sub.cells, coarse.coarse_elements[i]))
     areas = sub.grid.cell_areas
-    _, p = saddle_oracle(A.with_identity_rows(bdofs), sp.csr_matrix(B)[:, keep],
+    _, p = saddle_oracle(with_identity_rows(A, bdofs), sp.csr_matrix(B)[:, keep],
                          np.zeros(sub.grid.n_dofs), -(defect[sub.cells] * areas)[keep])
     return p
 

@@ -17,7 +17,6 @@ from msforch.mfmfe import (
     assemble_divergence,
     assemble_rhs,
     assemble_velocity_matrix,
-    corner_geometry,
     corner_velocities,
     five_spot,
     left_right_spec,
@@ -31,6 +30,7 @@ from oracles import (
     piola,
     reference_basis,
     reference_divergence,
+    with_identity_rows,
 )
 
 # The 8 generators of the velocity space on the reference square: P1 vector
@@ -309,7 +309,7 @@ def test_with_identity_rows():
     grid = build_fine_grid(2, 2)
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
     dofs = np.array([0, 5, 7])
-    Ahat = A.with_identity_rows(dofs).to_sparse().toarray()
+    Ahat = with_identity_rows(A, dofs).to_sparse().toarray()
     for d in dofs:
         row = Ahat[d].copy()
         col = Ahat[:, d].copy()
@@ -445,7 +445,7 @@ def _reference_blocks(grid, C):
     t = grid.elem_corner_sign * grid.elem_corner_elen
     contrib = 0.25 * t[..., :, None] * t[..., None, :] * Ghat
     blocks = np.zeros((grid.n_vertices, 4, 4))
-    slot = grid.elem_corner_vslot
+    slot = grid.dof_vslot[grid.elem_corner_dof]
     np.add.at(blocks, (grid.elements[:, :, None, None], slot[:, :, :, None],
                        slot[:, :, None, :]), contrib)
     return blocks
@@ -461,7 +461,7 @@ def _reference_blocks(grid, C):
 )
 def test_prepared_assembly_matches_corner_formula(nx, ny, x0, y0, width, height, form, seed):
     """The corner-factor + bincount assembly equals the direct formula to
-    roundoff, with and without a reused CornerGeometry."""
+    roundoff."""
     grid = build_fine_grid(nx, ny, (x0, x0 + width, y0, y0 + height))
     rng = np.random.default_rng(seed)
     n = grid.n_cells
@@ -481,9 +481,8 @@ def test_prepared_assembly_matches_corner_formula(nx, ny, x0, y0, width, height,
         coeff = C = Q @ np.swapaxes(Q, -1, -2) + 0.1 * np.eye(2)
     want = _reference_blocks(grid, C)
     scale = np.abs(want).max()
-    for geometry in (None, corner_geometry(grid)):
-        got = assemble_velocity_matrix(grid, coeff, direction=direction, geometry=geometry)
-        assert np.abs(got.blocks - want).max() <= 1e-14 * scale
+    got = assemble_velocity_matrix(grid, coeff, direction=direction)
+    assert np.abs(got.blocks - want).max() <= 1e-14 * scale
 
 
 def test_rank_one_needs_scalar_coefficient():
@@ -520,6 +519,6 @@ def test_cholesky_factors_blocks_with_eliminated_dofs():
     A = assemble_velocity_matrix(grid, rng.uniform(0.5, 2.0, grid.n_cells))
     dofs = np.array([0, 3, 9])
     L = A.cholesky(dofs)
-    padded = A.with_identity_rows(dofs).blocks
+    padded = with_identity_rows(A, dofs).blocks
     assert np.allclose(L @ np.swapaxes(L, 1, 2), padded, atol=1e-14)
     assert np.all(np.triu(L, 1) == 0.0)

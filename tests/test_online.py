@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msforch.fields import ScalarCellField, gen_synthetic
+from msforch.fields import ScalarCellField, forchheimer_coeff, gen_synthetic
 from msforch.grid import build_coarse_grid, build_fine_grid
-from msforch.mfmfe import left_right_spec
-from msforch.offline import ReductionMap, build_offline_space, solve_offline
+from msforch.mfmfe import assemble_divergence, left_right_spec
+from msforch.offline import (
+    ReductionMap,
+    build_offline_space,
+    solve_offline,
+    update_offline,
+)
 from msforch.online import (
     color_classes,
     detect_plateau,
@@ -19,7 +26,7 @@ from msforch.online import (
     online_residuals,
     sweep_final_errors,
 )
-from msforch.solve import FlowSolution, NonlinearConfig, nonlinear_solve
+from msforch.solve import FlowSolution, NonlinearConfig, cell_divergence, nonlinear_solve
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +296,60 @@ def test_online_residuals_consistency(problem):
     )
     assert np.allclose(online_residuals(state), direct, rtol=1e-12, atol=1e-300)
 
+
+
+def _coarse_balance(fine, B, sol, rmap, f):
+    """Largest conservation defect of ``sol`` tested against one column of ``rmap``."""
+    r = f - cell_divergence(fine, B, sol.velocity)
+    return max(abs((values * r[cells] * fine.cell_areas[cells]).sum())
+               for _, cells, values in rmap.columns)
+
+
+def _weighted_sigma_min(fine, rmap):
+    """Smallest singular value of the area-weighted reduction map D^(1/2) R."""
+    R = rmap.matrix.toarray() * np.sqrt(fine.cell_areas)[:, None]
+    return np.linalg.svd(R, compute_uv=False).min()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    Nx=st.integers(2, 3), Ny=st.integers(2, 3),
+    mx=st.integers(2, 4), my=st.integers(2, 4),
+    seed=st.integers(0, 1000),
+    contrast=st.floats(1.0, 1e3),
+    beta0=st.floats(0.0, 200.0),
+)
+def test_reduced_solves_conserve_mass_and_keep_full_rank(Nx, Ny, mx, my, seed, contrast, beta0):
+    """Every reduced solve (offline, fully updated, and after each colour
+    class of one uniform sweep) balances fluxes against every coarse basis
+    column to 1e-8, and the area-weighted reduction map keeps full column
+    rank through the enrichment."""
+    nx, ny = Nx * mx, Ny * my
+    fine = build_fine_grid(nx, ny)
+    coarse = build_coarse_grid(fine, Nx, Ny)
+    kappa = gen_synthetic("blobs", seed, contrast, nx, ny)
+    beta = forchheimer_coeff(kappa, beta0)
+    bc, f = left_right_spec(fine), np.zeros(fine.n_cells)
+    cfg = NonlinearConfig(scheme="newton", tol_nl=1e-10, max_iter=100)
+    B = assemble_divergence(fine)
+
+    ref = nonlinear_solve(fine, kappa, beta, bc, f, cfg)
+    spaces, rmap = build_offline_space(fine, coarse, kappa, 2)
+    assert _weighted_sigma_min(fine, rmap) > 0.5
+    off = solve_offline(fine, kappa, beta, bc, f, rmap, cfg)
+    assert _coarse_balance(fine, B, off, rmap, f) <= 1e-8
+    rmap_til, _ = update_offline(fine, coarse, rmap, spaces, off.velocity,
+                                 np.arange(coarse.n_elements), kappa, beta)
+    til = solve_offline(fine, kappa, beta, bc, f, rmap_til, cfg)
+    assert _coarse_balance(fine, B, til, rmap_til, f) <= 1e-8
+    assert _weighted_sigma_min(fine, rmap_til) > 0.5
+
+    state = init_enrichment(fine, coarse, kappa, beta, bc, f, rmap, cfg, ref, off)
+    for cls in color_classes(coarse):
+        for i in cls:
+            cand = online_basis(state, int(i))
+            if cand is not None:
+                state.rmap.append_column(int(i), *cand)
+        sol = ms_solve(state)
+        assert _coarse_balance(fine, B, sol, state.rmap, f) <= 1e-8
+        assert _weighted_sigma_min(fine, state.rmap) > 0.5

@@ -177,6 +177,8 @@ def test_bad_config_rejected():
         NonlinearConfig(scheme="gauss").validate()
     with pytest.raises(ValueError):
         NonlinearConfig(max_iter=0).validate()
+    with pytest.raises(ValueError):
+        NonlinearConfig(tol_nl=float("nan")).validate()
 
 
 def test_velocity_error_norm_definition():
@@ -448,8 +450,7 @@ def test_dense_solve_of_several_columns_matches_column_solves(layers):
     rng = np.random.default_rng(layers)
     coarse = build_coarse_grid(build_fine_grid(12, 12), 3, 3)
     shape = LocalShapes(coarse).snapshot(4, layers)[0]
-    A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells),
-                                 geometry=shape.geometry)
+    A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells))
     U, P = shape.operator.solve(A, shape.data, 0.0)
     assert P.shape == (shape.grid.n_cells, shape.data.shape[1]) and U.shape == shape.data.shape
     for j in range(shape.data.shape[1]):
@@ -465,8 +466,7 @@ def test_snapshot_columns_beyond_dense_limit_go_through_superlu(superlu_calls):
     rng = np.random.default_rng(7)
     coarse = build_coarse_grid(build_fine_grid(42, 40), 2, 2)
     shape = LocalShapes(coarse).snapshot(3)[0]
-    A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells),
-                                 geometry=shape.geometry)
+    A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells))
     U, P = shape.operator.solve(A, shape.data, 0.0)
     k = shape.data.shape[1]
     assert superlu_calls == [(420, k)]

@@ -13,9 +13,11 @@ Commands
                combination plus the final pressure raster.
 ``gen-field``  generates a synthetic permeability raster.
 
-Configuration is a flat ``key = value`` text file (``--config``) with
-command-line flags overriding file values.  Every CSV starts with a
-``# config-hash`` comment derived from the effective configuration, and
+Every setting is one ``_SETTINGS`` entry: default, parser and help text.  A
+``--config`` file holds flat ``key = value`` lines whose keys are the flag
+names (with ``-`` or ``_``) or ``out``; an unknown key is an input error, and
+flags override the file.  Every CSV and raster starts with a ``# config-hash``
+comment over the command and every setting but ``out`` and ``config``, and
 identical configurations produce byte-identical outputs.
 
 Exit codes: 0 success, 1 solver non-convergence or numerical failure,
@@ -29,6 +31,7 @@ import argparse
 import hashlib
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,28 +68,8 @@ from .solve import NonlinearConfig, nonlinear_solve
 #: Float format used in every CSV cell and file-name fragment.
 _G = ".12g"
 
-_SCHEMES = ("picard", "newton")
-_BC_PRESETS = ("preset:left-right", "preset:five-spot")
-_MODES = ("uniform", "adaptive")
 _VARIANT_NAMES = {"updating": "updating", "fixed": "fixed_offline"}
 
-_DEFAULTS = {
-    "domain": "0,1,0,1",
-    "log10": "false",
-    "beta0": "100",
-    "scheme": "newton",
-    "dof_per_t": "4",
-    "theta": "0.75",
-    "xi": "0.75",
-    "variant": "updating",
-    "mode": "uniform",
-    "sweeps": "3",
-    "tol": "1e-8",
-    "max_iter": "30000",
-    "oversample": "0",
-    "bc": "preset:left-right",
-    "out": ".",
-}
 
 class _SolverFailure(RuntimeError):
     """A nonlinear solve ran out of iterations (exit code 1)."""
@@ -100,33 +83,119 @@ def _oneline(exc: BaseException) -> str:
     return " ".join(str(exc).split()) or exc.__class__.__name__
 
 
-def _parse_bool(key: str, raw: str) -> bool:
+# ---------------------------------------------------------------------------
+# settings: each parser maps the raw text to a value or raises
+# ValueError("must ...")
+
+
+def _valid(convert, ok, rule: str):
+    """Parser that converts the raw text and requires ``ok(value)``."""
+    def parse(raw: str):
+        try:
+            val = convert(raw)
+            if ok(val):
+                return val
+        except ValueError:
+            pass
+        raise ValueError(f"must be {rule}")
+    return parse
+
+
+def _bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigurationError(f"{key} must be a boolean, got {raw!r}")
+    raise ValueError("must be a boolean")
 
 
-def _parse_floats(key: str, raw: str) -> list:
-    try:
-        vals = [float(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigurationError(f"{key} must be a comma-separated number list: {exc}")
-    if not vals:
-        raise ConfigurationError(f"{key} must not be empty")
-    if not np.isfinite(vals).all():
-        raise ConfigurationError(f"{key} must hold finite numbers, got {raw!r}")
-    return vals
+def _numbers(raw: str) -> list:
+    return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
-def _parse_ints(key: str, raw: str) -> list:
-    vals = _parse_floats(key, raw)
-    out = [int(v) for v in vals]
-    if any(v != int(v) for v in vals):
-        raise ConfigurationError(f"{key} must hold integers, got {raw!r}")
-    return out
+def _counts(raw: str) -> list:
+    vals = _numbers(raw)
+    if not vals or not all(m.is_integer() and m >= 1 for m in vals):
+        raise ValueError("must be a list of integers >= 1")
+    return [int(m) for m in vals]
+
+
+class _FieldSpec(NamedTuple):
+    kind: str
+    seed: int
+    contrast: float
+
+    def __str__(self) -> str:
+        return f"{self.kind}:{self.seed}:{_g(self.contrast)}"
+
+
+def _field(raw: str):
+    if not raw:
+        return None
+    kind, seed, contrast = raw.split(":")
+    return _FieldSpec(kind, int(seed), float(contrast))
+
+
+def _choice(*names: str):
+    return _valid(str, lambda v: v in names, f"one of {', '.join(names)}")
+
+
+_COUNT = _valid(int, lambda n: n >= 1, "an integer >= 1")
+_KINDS = ", ".join(SYNTHETIC_KINDS)
+
+#: name -> (default, parser, help).  The order is the config-hash order.
+_SETTINGS = {
+    "nx": (None, _COUNT, "fine cells in x"),
+    "ny": (None, _COUNT, "fine cells in y"),
+    "coarse_nx": (None, _COUNT, "coarse elements in x"),
+    "coarse_ny": (None, _COUNT, "coarse elements in y"),
+    "domain": ("0,1,0,1", _valid(
+        _numbers, lambda d: len(d) == 4 and np.isfinite(d).all() and d[0] < d[1] and d[2] < d[3],
+        "x0,x1,y0,y1 with x1 > x0 and y1 > y0"), "rectangle bounds x0,x1,y0,y1"),
+    "perm": (None, str, "permeability raster file"),
+    "log10": ("false", _bool, "raster stores log10 of the permeability"),
+    "field": (None, _valid(_field, lambda f: f is None or (
+        f.kind in SYNTHETIC_KINDS and f.seed >= 0 and f.contrast >= 1),
+        f"kind:seed:contrast with kind in {_KINDS}, seed >= 0, contrast >= 1"),
+        f"synthetic generator kind:seed:contrast; kinds: {_KINDS}"),
+    "beta0": ("100", _valid(_numbers, lambda b: b and all(0 <= x < np.inf for x in b),
+                            "a list of finite numbers >= 0"),
+              "comma-separated Forchheimer strengths"),
+    "scheme": ("newton", _valid(
+        lambda raw: [s.strip().lower() for s in raw.split(",") if s.strip()],
+        lambda s: s and set(s) <= {"picard", "newton"}, "picard, newton or a list of them"),
+        "picard or newton (fine accepts a comma list)"),
+    "dof_per_t": ("4", _counts, "offline basis counts per coarse element"),
+    "theta": ("0.75", _valid(float, lambda v: 0 < v <= 1, "a number in (0, 1]"),
+              "offline update residual fraction"),
+    "xi": ("0.75", _valid(float, lambda v: 0 < v < 1, "a number in (0, 1)"),
+           "adaptive enrichment residual fraction"),
+    "variant": ("updating", _choice(*_VARIANT_NAMES), "online coefficient: updating or fixed"),
+    "mode": ("uniform", _choice("uniform", "adaptive"), "enrichment schedule: uniform or adaptive"),
+    "sweeps": ("3", _COUNT, "full four-color enrichment sweeps"),
+    "tol": ("1e-8", _valid(float, lambda v: 0 < v < np.inf, "a positive finite number"),
+            "nonlinear stopping tolerance"),
+    "max_iter": ("30000", _COUNT, "nonlinear iteration cap"),
+    "oversample": ("0", _valid(int, lambda n: n >= 0, "an integer >= 0"),
+                   "snapshot oversampling layers"),
+    "bc": ("preset:left-right", _choice("preset:left-right", "preset:five-spot"),
+           "preset:left-right or preset:five-spot"),
+}
+
+
+def _canon(value) -> str:
+    """The text of a parsed setting that the config hash covers; a field
+    spec's is its kind:seed:contrast str()."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ",".join(_canon(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _g(value)
+    return str(value)
 
 
 def _read_config_file(path: str) -> dict:
@@ -138,165 +207,51 @@ def _read_config_file(path: str) -> dict:
             if not body:
                 continue
             if "=" not in body:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected 'key = value', got {body!r}"
-                )
-            key, value = body.split("=", 1)
-            found[key.strip().lower().replace("-", "_")] = value.strip()
+                raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
+            name, value = (part.strip() for part in body.split("=", 1))
+            key = name.lower().replace("-", "_")
+            if key not in _SETTINGS and key != "out":
+                raise ConfigurationError(f"{path}:{lineno}: unknown setting {name!r}")
+            found[key] = value
     return found
 
 
 class RunConfig:
-    """Effective settings of one CLI invocation, merged and validated."""
+    """Effective settings of one CLI invocation, parsed and cross-checked.
+
+    Each ``_SETTINGS`` entry becomes an attribute holding its parsed value
+    (None when it is unset and has no default).
+    """
 
     def __init__(self, command: str, raw: dict):
-        self.command = command
-        self.raw = raw
         self.out = Path(raw["out"])
+        canon = [f"command={command}"]
+        for key, (_, parse, _) in _SETTINGS.items():
+            value = raw[key]
+            if value is not None:
+                try:
+                    value = parse(value)
+                except ValueError as exc:
+                    raise ConfigurationError(f"{key} {exc}, got {raw[key]!r}") from None
+            setattr(self, key, value)
+            canon.append(f"{key}={_canon(value)}")
+        self.hash = hashlib.sha256("\n".join(canon).encode()).hexdigest()
 
-        need_grid = command in ("fine", "offline", "online", "gen-field")
-        self.nx = self._int("nx", required=need_grid, minimum=1)
-        self.ny = self._int("ny", required=need_grid, minimum=1)
-
-        need_coarse = command in ("offline", "online")
-        self.coarse_nx = self._int("coarse_nx", required=need_coarse, minimum=1)
-        self.coarse_ny = self._int("coarse_ny", required=need_coarse, minimum=1)
-        if need_coarse:
+        if self.nx is None or self.ny is None:
+            raise ConfigurationError("the fine grid size is required: --nx and --ny")
+        if command in ("offline", "online"):
+            if self.coarse_nx is None or self.coarse_ny is None:
+                raise ConfigurationError(f"{command} needs --coarse-nx and --coarse-ny")
             if self.nx % self.coarse_nx or self.ny % self.coarse_ny:
-                raise ConfigurationError(
-                    f"coarse grid {self.coarse_nx}x{self.coarse_ny} must divide "
-                    f"the fine grid {self.nx}x{self.ny}"
-                )
-
-        dom = _parse_floats("domain", raw["domain"])
-        if len(dom) != 4 or dom[1] <= dom[0] or dom[3] <= dom[2]:
-            raise ConfigurationError(f"domain must be x0,x1,y0,y1 with x1>x0, y1>y0, got {raw['domain']!r}")
-        self.domain = tuple(dom)
-
-        self.perm = raw.get("perm")
-        self.log10 = _parse_bool("log10", raw["log10"])
-        self.field_spec = self._field_spec(raw.get("field"))
+                raise ConfigurationError(f"coarse grid {self.coarse_nx}x{self.coarse_ny} "
+                                         f"must divide the fine grid {self.nx}x{self.ny}")
+            if len(self.scheme) != 1:
+                raise ConfigurationError(f"{command} expects a single scheme, got {self.scheme}")
         if command == "gen-field":
-            if self.field_spec is None:
-                raise ConfigurationError("gen-field needs a generator spec: --field kind:seed:contrast")
-        elif self.perm and self.field_spec:
-            raise ConfigurationError("give either --perm or --field, not both")
-        elif not self.perm and not self.field_spec:
-            raise ConfigurationError("a permeability source is required: --perm PATH or --field kind:seed:contrast")
-
-        self.beta0 = _parse_floats("beta0", raw["beta0"])
-        if any(b < 0 for b in self.beta0):
-            raise ConfigurationError("beta0 values must be >= 0")
-
-        self.schemes = [s.strip().lower() for s in raw["scheme"].split(",") if s.strip()]
-        for s in self.schemes:
-            if s not in _SCHEMES:
-                raise ConfigurationError(f"scheme must be picard or newton, got {s!r}")
-        if not self.schemes:
-            raise ConfigurationError("scheme must not be empty")
-        if command in ("offline", "online") and len(self.schemes) != 1:
-            raise ConfigurationError(f"{command} expects a single scheme, got {raw['scheme']!r}")
-
-        self.dof_per_t = _parse_ints("dof_per_t", raw["dof_per_t"])
-        if any(m < 1 for m in self.dof_per_t):
-            raise ConfigurationError("dof_per_t entries must be >= 1")
-
-        self.theta = self._float("theta")
-        if not (0 < self.theta <= 1):
-            raise ConfigurationError(f"theta must be in (0, 1], got {self.theta}")
-        self.xi = self._float("xi")
-        if not (0 < self.xi < 1):
-            raise ConfigurationError(f"xi must be in (0, 1), got {self.xi}")
-
-        if raw["variant"] not in _VARIANT_NAMES:
-            raise ConfigurationError(f"variant must be updating or fixed, got {raw['variant']!r}")
-        self.variant_name = raw["variant"]
-        self.variant = _VARIANT_NAMES[raw["variant"]]
-
-        if raw["mode"] not in _MODES:
-            raise ConfigurationError(f"mode must be uniform or adaptive, got {raw['mode']!r}")
-        self.mode = raw["mode"]
-
-        self.sweeps = self._int("sweeps", required=True, minimum=1)
-        self.tol = self._float("tol")
-        if self.tol <= 0:
-            raise ConfigurationError("tol must be positive")
-        self.max_iter = self._int("max_iter", required=True, minimum=1)
-        self.oversample = self._int("oversample", required=True, minimum=0)
-
-        if raw["bc"] not in _BC_PRESETS:
-            raise ConfigurationError(f"bc must be one of {', '.join(_BC_PRESETS)}, got {raw['bc']!r}")
-        self.bc_name = raw["bc"]
-
-        self.hash = self._config_hash()
-
-    def _int(self, key: str, required: bool, minimum: int):
-        raw = self.raw.get(key)
-        if raw is None:
-            if required:
-                raise ConfigurationError(f"missing required setting {key!r}")
-            return None
-        try:
-            val = int(str(raw).strip())
-        except ValueError:
-            raise ConfigurationError(f"{key} must be an integer, got {raw!r}")
-        if val < minimum:
-            raise ConfigurationError(f"{key} must be >= {minimum}, got {val}")
-        return val
-
-    def _float(self, key: str) -> float:
-        try:
-            val = float(self.raw[key])
-        except ValueError:
-            raise ConfigurationError(f"{key} must be a number, got {self.raw[key]!r}")
-        if not np.isfinite(val):
-            raise ConfigurationError(f"{key} must be finite, got {self.raw[key]!r}")
-        return val
-
-    @staticmethod
-    def _field_spec(raw):
-        if raw is None or raw == "":
-            return None
-        parts = str(raw).split(":")
-        if len(parts) != 3:
-            raise ConfigurationError(f"field spec must be kind:seed:contrast, got {raw!r}")
-        kind, seed_s, contrast_s = parts
-        if kind not in SYNTHETIC_KINDS:
-            raise ConfigurationError(f"field kind must be one of {', '.join(SYNTHETIC_KINDS)}, got {kind!r}")
-        try:
-            seed = int(seed_s)
-            contrast = float(contrast_s)
-        except ValueError:
-            raise ConfigurationError(f"field spec must be kind:seed:contrast, got {raw!r}")
-        if seed < 0:
-            raise ConfigurationError("field seed must be >= 0")
-        if contrast < 1:
-            raise ConfigurationError(f"field contrast must be >= 1, got {contrast}")
-        return kind, seed, contrast
-
-    def _config_hash(self) -> str:
-        """SHA-256 over the canonicalized numerics-affecting settings (every
-        setting that can change the numbers; the output directory cannot)."""
-        parts = [f"command={self.command}"]
-        canon = {
-            "nx": self.nx, "ny": self.ny,
-            "coarse_nx": self.coarse_nx, "coarse_ny": self.coarse_ny,
-            "domain": ",".join(_g(v) for v in self.domain),
-            "perm": self.perm or "",
-            "log10": str(self.log10).lower(),
-            "field": "" if self.field_spec is None else
-                     f"{self.field_spec[0]}:{self.field_spec[1]}:{_g(self.field_spec[2])}",
-            "beta0": ",".join(_g(b) for b in self.beta0),
-            "scheme": ",".join(self.schemes),
-            "dof_per_t": ",".join(str(m) for m in self.dof_per_t),
-            "theta": _g(self.theta), "xi": _g(self.xi),
-            "variant": self.variant_name, "mode": self.mode,
-            "sweeps": str(self.sweeps), "tol": _g(self.tol),
-            "max_iter": str(self.max_iter), "oversample": str(self.oversample),
-            "bc": self.bc_name,
-        }
-        parts += [f"{k}={'' if v is None else v}" for k, v in canon.items()]
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+            if self.field is None:
+                raise ConfigurationError("gen-field needs --field kind:seed:contrast")
+        elif bool(self.perm) == (self.field is not None):
+            raise ConfigurationError("give exactly one of --perm PATH and --field kind:seed:contrast")
 
     # -- derived objects -------------------------------------------------
 
@@ -306,12 +261,11 @@ class RunConfig:
     def permeability(self) -> ScalarCellField:
         if self.perm:
             return load_raster(self.perm, self.nx, self.ny, log10=self.log10, positive=True)
-        kind, seed, contrast = self.field_spec
-        return gen_synthetic(kind, seed, contrast, self.nx, self.ny)
+        return gen_synthetic(*self.field, self.nx, self.ny)
 
     def boundary(self, fine):
         """(BoundarySpec, source per cell) for the configured preset."""
-        if self.bc_name == "preset:left-right":
+        if self.bc == "preset:left-right":
             return left_right_spec(fine, 1.0, 0.0), np.zeros(fine.n_cells)
         return five_spot(fine)
 
@@ -340,7 +294,7 @@ def cmd_fine(rc: RunConfig) -> int:
     fine = build_fine_grid(rc.nx, rc.ny, rc.domain)
     kappa = rc.permeability()
     bc, f_cells = rc.boundary(fine)
-    combos = [(b0, s) for b0 in rc.beta0 for s in rc.schemes]
+    combos = [(b0, s) for b0 in rc.beta0 for s in rc.scheme]
     comments = [f"config-hash {rc.hash}"]
     iter_rows = []
     for b0, scheme in combos:
@@ -369,7 +323,7 @@ def cmd_offline(rc: RunConfig) -> int:
     coarse = build_coarse_grid(fine, rc.coarse_nx, rc.coarse_ny)
     kappa = rc.permeability()
     bc, f_cells = rc.boundary(fine)
-    cfg = rc.solver_config(rc.schemes[0])
+    cfg = rc.solver_config(rc.scheme[0])
     spaces, _ = build_offline_space(
         fine, coarse, kappa, max(rc.dof_per_t), oversample_layers=rc.oversample
     )
@@ -423,7 +377,7 @@ def cmd_online(rc: RunConfig) -> int:
     coarse = build_coarse_grid(fine, rc.coarse_nx, rc.coarse_ny)
     kappa = rc.permeability()
     bc, f_cells = rc.boundary(fine)
-    cfg = rc.solver_config(rc.schemes[0])
+    cfg = rc.solver_config(rc.scheme[0])
     spaces, _ = build_offline_space(
         fine, coarse, kappa, max(rc.dof_per_t), oversample_layers=rc.oversample
     )
@@ -437,19 +391,19 @@ def cmd_online(rc: RunConfig) -> int:
             _require_converged(off, f"offline solve (beta0={b0:g}, dof_per_T={m})")
             state = init_enrichment(
                 fine, coarse, kappa, beta, bc, f_cells, rmap, cfg, ref, off,
-                variant=rc.variant,
+                variant=_VARIANT_NAMES[rc.variant],
             )
             if rc.mode == "uniform":
                 enrich_uniform(state, rc.sweeps)
             else:
                 enrich_adaptive(state, rc.xi, rc.sweeps)
             comments = [f"config-hash {rc.hash}"]
-            if rc.variant == "fixed_offline":
+            if rc.variant == "fixed":
                 plateau = detect_plateau(sweep_final_errors(state))
                 comments.append(
                     f"plateau=true sweep={plateau}" if plateau else "plateau=false"
                 )
-            sfx = f"_b{b0:g}_m{m}_{rc.mode}_{rc.variant_name}"
+            sfx = f"_b{b0:g}_m{m}_{rc.mode}_{rc.variant}"
             _write_csv(
                 rc.out / f"history{sfx}.csv", comments,
                 "level,subiter,dim_Wms,n_added,Erp,Eru,total_residual",
@@ -462,7 +416,7 @@ def cmd_online(rc: RunConfig) -> int:
 
 
 def cmd_gen_field(rc: RunConfig) -> int:
-    kind, seed, contrast = rc.field_spec
+    kind, seed, contrast = rc.field
     field = gen_synthetic(kind, seed, contrast, rc.nx, rc.ny)
     name = f"field_{kind}_s{seed}_c{contrast:g}_{rc.nx}x{rc.ny}.txt"
     save_raster(field, rc.out / name, comment=f"config-hash {rc.hash}")
@@ -493,29 +447,10 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="flat key = value settings file")
     common.add_argument("--out", metavar="DIR", help="output directory (default '.')")
-    common.add_argument("--nx", type=int, help="fine cells in x")
-    common.add_argument("--ny", type=int, help="fine cells in y")
-    common.add_argument("--coarse-nx", type=int, help="coarse elements in x")
-    common.add_argument("--coarse-ny", type=int, help="coarse elements in y")
-    common.add_argument("--domain", metavar="X0,X1,Y0,Y1", help="rectangle bounds (default unit square)")
-    common.add_argument("--perm", metavar="PATH", help="permeability raster file")
-    common.add_argument("--log10", action="store_true", default=None,
-                        help="raster stores log10 of the permeability")
-    common.add_argument("--field", metavar="KIND:SEED:CONTRAST",
-                        help=f"synthetic generator spec; kinds: {', '.join(SYNTHETIC_KINDS)}")
-    common.add_argument("--beta0", metavar="LIST", help="comma-separated Forchheimer strengths")
-    common.add_argument("--scheme", metavar="NAME", help="picard or newton (fine accepts a comma list)")
-    common.add_argument("--dof-per-t", metavar="LIST", help="offline basis counts per coarse element")
-    common.add_argument("--theta", type=float, help="offline update residual fraction in (0,1]")
-    common.add_argument("--xi", type=float, help="adaptive enrichment residual fraction in (0,1)")
-    common.add_argument("--variant", choices=sorted(_VARIANT_NAMES),
-                        help="online linearization coefficient")
-    common.add_argument("--mode", choices=_MODES, help="enrichment schedule")
-    common.add_argument("--sweeps", type=int, help="full four-color enrichment sweeps")
-    common.add_argument("--bc", metavar="PRESET", help=" or ".join(_BC_PRESETS))
-    common.add_argument("--tol", type=float, help="nonlinear stopping tolerance")
-    common.add_argument("--max-iter", type=int, help="nonlinear iteration cap")
-    common.add_argument("--oversample", type=int, help="snapshot oversampling layers")
+    for key, (default, parse, text) in _SETTINGS.items():
+        switch = {"action": "store_const", "const": "true"} if parse is _bool else {}
+        common.add_argument("--" + key.replace("_", "-"), **switch,
+                            help=text if default is None else f"{text} (default {default})")
 
     parser = _Parser(prog="msforch", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -527,11 +462,12 @@ def _build_parser() -> _Parser:
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
+    """Table defaults, overridden by the --config file, overridden by flags."""
+    merged = {"out": ".", **{key: entry[0] for key, entry in _SETTINGS.items()}}
     if args.config:
         merged.update(_read_config_file(args.config))
     # Every flag not given on the command line is None (--log10 included).
-    merged.update({k: str(v) for k, v in vars(args).items()
+    merged.update({k: v for k, v in vars(args).items()
                    if k not in ("command", "config") and v is not None})
     return merged
 

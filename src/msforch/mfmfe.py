@@ -64,6 +64,11 @@ def corner_velocities(grid: FineGrid, U: np.ndarray):
     return w, speed
 
 
+def corner_coefficient(kappa: np.ndarray, beta: np.ndarray, speed: np.ndarray) -> np.ndarray:
+    """Forchheimer coefficient 1/kappa + beta |u| per (cell, corner) from per-cell kappa, beta."""
+    return (1.0 / kappa)[:, None] + beta[:, None] * speed
+
+
 #: Strict upper-triangle positions of a 4x4 vertex block.
 _UPPER = np.triu_indices(4, 1)
 
@@ -161,9 +166,6 @@ class VertexBlockMatrix:
         )
         mat.sum_duplicates()
         return mat
-
-    def to_sparse(self) -> sp.csr_matrix:
-        return self._sparse_from_blocks(self.blocks)
 
     def gram(self, U: np.ndarray) -> np.ndarray:
         """U^T A U for the columns of a (n_dofs, k) U, formed blockwise."""

@@ -43,6 +43,7 @@ from .mfmfe import (
     BoundarySpec,
     assemble_divergence,
     assemble_velocity_matrix,
+    corner_coefficient,
     corner_velocities,
 )
 from .solve import FlowSolution, NonlinearConfig, cell_divergence, nonlinear_solve
@@ -358,7 +359,7 @@ def update_offline(
     """
     _, speed = corner_velocities(fine, velocity)
     darcy = 1.0 / kappa.values
-    coeff = darcy[:, None] + beta.values[:, None] * speed
+    coeff = corner_coefficient(kappa.values, beta.values, speed)
     new_map = rmap.copy()
     new_spaces = list(spaces)
     shapes = LocalShapes(coarse)

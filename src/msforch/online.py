@@ -34,6 +34,7 @@ from .local import LocalShapes
 from .mfmfe import (
     BoundarySpec,
     assemble_velocity_matrix,
+    corner_coefficient,
     corner_velocities,
     quadrature_norm_matrix,
 )
@@ -117,7 +118,7 @@ class EnrichmentState:
             speed = self._fixed_speed
         # Shared by the local solves of a colour class and the reduced solve
         # after it.
-        self._coeff = (1.0 / self.kappa.values)[:, None] + self.beta.values[:, None] * speed
+        self._coeff = corner_coefficient(self.kappa.values, self.beta.values, speed)
 
     def velocity_matrix(self):
         if self.variant == "fixed_offline":

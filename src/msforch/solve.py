@@ -46,6 +46,7 @@ from .mfmfe import (
     assemble_divergence,
     assemble_rhs,
     assemble_velocity_matrix,
+    corner_coefficient,
     corner_velocities,
     divergence_blocks,
     lower_solve,
@@ -401,12 +402,11 @@ def nonlinear_solve(
     cfg.validate()
     kappa.require_positive("permeability")
     sys_ = LinearizedSystem(grid, f_cells, bc)
-    c_darcy = (1.0 / kappa.values)[:, None] * np.ones((1, 4))
 
     def picard_matrix(U):
         """(A_pic, corner velocities, speeds) at the iterate U."""
         w, speed = corner_velocities(grid, U)
-        A = assemble_velocity_matrix(grid, c_darcy + beta.values[:, None] * speed)
+        A = assemble_velocity_matrix(grid, corner_coefficient(kappa.values, beta.values, speed))
         return A, w, speed
 
     def add_newton_term(A, U, w, speed):
@@ -415,7 +415,7 @@ def nonlinear_solve(
         A.blocks += A_t.blocks
         return sys_.G0 + A_t.matvec(U)
 
-    U, P_fine, _ = sys_.solve(assemble_velocity_matrix(grid, c_darcy), sys_.G0, R)
+    U, P_fine, _ = sys_.solve(assemble_velocity_matrix(grid, 1.0 / kappa.values), sys_.G0, R)
 
     history = []
     converged = False

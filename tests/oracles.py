@@ -162,7 +162,7 @@ def saddle_oracle(A, B: sp.spmatrix, G: np.ndarray, F: np.ndarray):
     if n_u + n_p > 5000:
         raise ValueError(f"saddle oracle limited to 5000 unknowns, got {n_u + n_p}")
     K = np.zeros((n_u + n_p, n_u + n_p))
-    K[:n_u, :n_u] = np.asarray(A.to_sparse().todense())
+    K[:n_u, :n_u] = to_sparse(A).toarray()
     Bd = np.asarray(B.todense())
     K[:n_u, n_u:] = Bd
     K[n_u:, :n_u] = Bd.T
@@ -179,6 +179,11 @@ def saddle_oracle(A, B: sp.spmatrix, G: np.ndarray, F: np.ndarray):
     if not np.all(np.isfinite(x)) or np.linalg.norm(K @ x - b) > 1e-8 * max(scale, 1e-300):
         raise SingularSystemError("saddle system is numerically singular")
     return x[:n_u], x[n_u:]
+
+
+def to_sparse(A):
+    """The VertexBlockMatrix A as a global sparse matrix."""
+    return A._sparse_from_blocks(A.blocks)
 
 
 def with_identity_rows(A, dofs):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from msforch.cli import main
-from msforch.fields import gen_synthetic, load_raster
+from msforch.fields import ScalarCellField, gen_synthetic, load_raster, save_raster
 from msforch.offline import load_triplets
 
 FIELD = "blobs:4:100"
@@ -130,8 +130,10 @@ def test_exit_2_config_errors(tmp_path, capsys):
     for line in capsys.readouterr().err.strip().splitlines():
         assert line.startswith("msforch: error:")
     # non-finite numbers, each reported by one error line
+    # and malformed flag values
     for flags in (["--tol", "nan"], ["--domain", "0,inf,0,1"], ["--dof-per-t", "inf"],
-                  ["--beta0", "nan"], ["--theta", "inf"]):
+                  ["--beta0", "nan"], ["--theta", "inf"], ["--sweeps", "2.5"],
+                  ["--variant", "frozen"]):
         assert main(["fine", "--nx", "8", "--ny", "8"] + flags + base) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("msforch: error:")
@@ -230,6 +232,75 @@ def test_config_file_with_cli_override(tmp_path):
     rows = _data_rows(tmp_path / "iterations.csv")
     assert len(rows) == 1
     assert rows[0].split(",")[0] == "5"
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("nx = 8\nny = 8\nfield = blobs:4:100\nbetaO = 5\nshceme = picard\n")
+    assert main(["fine", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("msforch: error:")
+    assert f"{cfg}:4:" in err[0] and "'betaO'" in err[0]
+    assert not (tmp_path / "iterations.csv").exists()
+
+
+# Digests written by the tree before the settings table was introduced; the
+# hash must not move when the CLI code does.
+GOLDEN_HASHES = [
+    pytest.param(
+        ["fine", "--nx", "8", "--ny", "8", "--field", FIELD],
+        "938cf8e1911d909d36a2e94cee551bad2beed9fc9264bce23ab05ffce5b7d448", id="defaults"),
+    pytest.param(
+        ["fine", "--nx", "8", "--ny", "8", "--perm", "k.txt", "--log10", "--beta0", "10",
+         "--tol", "1e-10", "--max-iter", "200"],
+        "84feea0db0892f6a6364865bb7ab4e03b565e690c74e3c7facdcaf8e8755f7a9", id="perm-log10"),
+    pytest.param(
+        ["fine", "--config", "run.cfg", "--beta0", "5"],
+        "dec02140853dbe0ac312257dc8631569e90fbf8d5758193ec99dd1f877b0f206", id="config-override"),
+    pytest.param(
+        ["fine", "--nx", "8", "--ny", "8", "--field", "layered:1:10",
+         "--scheme", " Newton , picard", "--beta0", "0, 10", "--domain", "0,2,0,1",
+         "--bc", "preset:five-spot"],
+        "b60ad23c4870466b53a3e9cc22303b2a3b9ffc15c16169effbca308a64274ac1", id="scheme-list"),
+    pytest.param(
+        ["offline", "--nx", "8", "--ny", "8", "--coarse-nx", "2", "--coarse-ny", "2",
+         "--field", "channel:7:1000", "--oversample", "1", "--dof-per-t", "2,3",
+         "--theta", "0.5", "--beta0", "0,10"],
+        "a7a3ef3bcb9a889341d868ae4025bb1b60ddda1d31fa59951525bd38239e7a62", id="offline-oversample"),
+    pytest.param(
+        ["online", "--nx", "8", "--ny", "8", "--coarse-nx", "2", "--coarse-ny", "2",
+         "--field", FIELD, "--variant", "fixed", "--mode", "adaptive", "--xi", "0.5",
+         "--sweeps", "1", "--dof-per-t", "2"],
+        "4f20f0b5a9a2c77121b94f632d127c33902500c3927da164706c5f8702539960", id="online-fixed-adaptive"),
+    pytest.param(
+        ["gen-field", "--nx", "12", "--ny", "7", "--field", "blobs:5:1000"],
+        "b4b6690c0ab304023b07a7aa118e2a94d51c078653d22caa036c8ba77f1dff00", id="gen-field"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_HASHES)
+def test_config_hash_is_pinned(tmp_path, monkeypatch, argv, digest):
+    # The --perm path is part of the hash, so the run uses a relative one.
+    monkeypatch.chdir(tmp_path)
+    kappa = gen_synthetic("blobs", 3, 100.0, 8, 8)
+    save_raster(ScalarCellField(8, 8, np.log10(kappa.values)), tmp_path / "k.txt")
+    (tmp_path / "run.cfg").write_text(
+        "nx = 8\nny = 8\nfield = blobs:4:100\nbeta0 = 1, 10\nscheme = newton\n"
+    )
+    assert main(argv + ["--out", "out"]) == 0
+    stamps = {_lines(p)[0] for p in (tmp_path / "out").iterdir()} - {"# rows cols nnz"}
+    assert stamps == {f"# config-hash {digest}"}
+
+
+def test_help_lists_every_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fine", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("config", "out", "nx", "ny", "coarse-nx", "coarse-ny", "domain", "perm",
+                 "log10", "field", "beta0", "scheme", "dof-per-t", "theta", "xi", "variant",
+                 "mode", "sweeps", "tol", "max-iter", "oversample", "bc"):
+        assert f"--{name} " in out or f"--{name}\n" in out, name
 
 
 def test_module_entrypoint(tmp_path):

@@ -329,7 +329,7 @@ def cmd_offline(rc: RunConfig) -> int:
     )
     maps = {m: assemble_reduction(fine, spaces, m) for m in rc.dof_per_t}
     for m, rmap in maps.items():
-        save_triplets(rmap, rc.out / f"rmap_dof{m}.txt")
+        save_triplets(rmap, rc.out / f"rmap_dof{m}.txt", f"config-hash {rc.hash}")
 
     rows = []
     for b0 in rc.beta0:

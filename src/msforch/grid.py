@@ -18,13 +18,15 @@ at one of its corners always belong to edges meeting at that mesh vertex, the
 corner quadrature used by the velocity bilinear form couples DOFs only within
 per-vertex groups; ``vertex_dofs`` records those groups.
 
-The grid also carries the geometric factors of that quadrature,
-``corner_factors[c, k, s] = t_s DF N_s / (2 sqrt(J))`` at corner k of cell c,
-with N_s the reference normal of DOF slot s and t_s = sign * |e|, so the
-corner contribution (1/4) t_s t_l N_s^T Mhat N_l of a coefficient tensor C
-(Mhat = DF^T C DF / J) is ``corner_factors_s^T C corner_factors_l``, and
-``corner_index``, the flat position of each (c, k, s, l) contribution in the
-(n_vertices, 4, 4) vertex-block array.
+The grid's only corner geometry (DF, signs and lengths are not kept) is
+that quadrature's: ``corner_factors[c, k, s] = g_s = t_s DF N_s /
+(2 sqrt(J))`` at corner k of cell c, with N_s the reference normal of DOF
+slot s and t_s = sign * |e|, the determinants ``corner_J``, the DOF of
+each slot ``elem_corner_dof`` and ``corner_index``, the flat position of
+each (c, k, s, l) contribution in the (n_vertices, 4, 4) vertex-block
+array.  The corner contribution (1/4) t_s t_l N_s^T Mhat N_l of a
+coefficient C (Mhat = DF^T C DF / J) is g_s^T C g_l, and the corner
+velocity is w = (2 / sqrt(J)) sum_s U_s g_s.
 """
 
 from __future__ import annotations
@@ -86,12 +88,9 @@ class FineGrid:
     dof_vslot: np.ndarray         # (n_dofs,) slot of the dof inside its vertex block
     cell_areas: np.ndarray        # (n_cells,)
     cell_centers: np.ndarray      # (n_cells, 2)
-    # Corner bookkeeping, slot 0 = vertical edge, slot 1 = horizontal edge.
+    # Corner geometry, slot 0 = vertical edge, slot 1 = horizontal edge.
     elem_corner_dof: np.ndarray   # (n_cells, 4, 2)
-    elem_corner_sign: np.ndarray  # (n_cells, 4, 2)
-    elem_corner_elen: np.ndarray  # (n_cells, 4, 2)
-    corner_DF: np.ndarray         # (n_cells, 4, 2, 2) Jacobian at each corner
-    corner_J: np.ndarray          # (n_cells, 4)
+    corner_J: np.ndarray          # (n_cells, 4) Jacobian determinant at each corner
     corner_factors: np.ndarray    # (n_cells, 4, 2, 2) quadrature factors, slot s then axis
     corner_index: np.ndarray      # (n_cells, 4, 2, 2) vertex-block scatter index
 
@@ -135,7 +134,7 @@ class FineGrid:
 def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     """Build the nx-by-ny rectangular mesh of the given domain."""
     if nx < 1 or ny < 1:
-        raise ValueError(f"grid must have at least one cell per direction, got {nx}x{ny}")
+        raise ValueError(f"grid must have at least one cell per axis, got {nx}x{ny}")
     x0, x1, y0, y1 = map(float, domain)
     if not (np.isfinite([x0, x1, y0, y1]).all() and x1 > x0 and y1 > y0):
         raise ValueError(f"domain must be finite with positive extent, got {domain}")
@@ -209,24 +208,22 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
 
     elem_corner_edge = element_edges[:, CORNER_EDGE_LOCAL]        # (n_c, 4, 2)
     elem_corner_dof = 2 * elem_corner_edge + CORNER_EDGE_END[None, :, :]
-    elem_corner_sign = element_edge_signs[:, CORNER_EDGE_LOCAL]
-    elem_corner_elen = edge_lengths[elem_corner_edge]
 
     P = vertices[elements]  # (n_c, 4, 2)
     xi = REF_CORNERS[:, 0][None, :, None]
     eta = REF_CORNERS[:, 1][None, :, None]
     dx = (P[:, None, 1] - P[:, None, 0]) * (1 - eta) + (P[:, None, 2] - P[:, None, 3]) * eta
     dy = (P[:, None, 3] - P[:, None, 0]) * (1 - xi) + (P[:, None, 2] - P[:, None, 1]) * xi
-    corner_DF = np.stack([dx, dy], axis=-1)  # (n_c, 4, 2, 2)
-    corner_J = corner_DF[..., 0, 0] * corner_DF[..., 1, 1] - corner_DF[..., 0, 1] * corner_DF[..., 1, 0]
+    DF = np.stack([dx, dy], axis=-1)  # (n_c, 4, 2, 2)
+    corner_J = DF[..., 0, 0] * DF[..., 1, 1] - DF[..., 0, 1] * DF[..., 1, 0]
     if np.any(corner_J <= 0):
         raise DegenerateElementError("grid contains an inverted element")
 
-    # DF N_s written out, as in mfmfe.corner_velocities.
+    # DF N_s written out: einsum is several times slower on these shapes.
     N = REF_CORNER_NORMALS
-    dfn = (corner_DF[:, :, None, :, 0] * N[:, :, 0, None]
-           + corner_DF[:, :, None, :, 1] * N[:, :, 1, None])
-    t = elem_corner_sign * elem_corner_elen
+    dfn = (DF[:, :, None, :, 0] * N[:, :, 0, None]
+           + DF[:, :, None, :, 1] * N[:, :, 1, None])
+    t = element_edge_signs[:, CORNER_EDGE_LOCAL] * edge_lengths[elem_corner_edge]
     corner_factors = dfn * (0.5 * t / np.sqrt(corner_J)[..., None])[..., None]
     slot = dof_vslot[elem_corner_dof]
     corner_index = 16 * elements[:, :, None, None] + 4 * slot[..., :, None] + slot[..., None, :]
@@ -257,9 +254,6 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
         cell_areas=cell_areas,
         cell_centers=cell_centers,
         elem_corner_dof=elem_corner_dof,
-        elem_corner_sign=elem_corner_sign,
-        elem_corner_elen=elem_corner_elen,
-        corner_DF=corner_DF,
         corner_J=corner_J,
         corner_factors=corner_factors,
         corner_index=corner_index.astype(index_dtype(16 * n_vertices)),

@@ -19,8 +19,11 @@ fixed by the two DOFs at that corner, the assembled matrix decouples into one
 small symmetric positive definite block per mesh vertex
 (:class:`VertexBlockMatrix`), and its inverse is available blockwise.  The
 coefficient K is 1/kappa for Darcy flow and 1/kappa + beta |u| (plus the
-rank-one Newton tensor) for Forchheimer flow; the geometric part of every
-corner term comes from the grid's precomputed ``corner_factors``.
+rank-one Newton tensor) for Forchheimer flow.  Every corner quantity is the
+same Piola push of the corner's two DOFs through the grid's precomputed
+``corner_factors`` g_s: the matrix entries g_s^T K g_l, the corner velocity
+w = (2 / sqrt(J)) sum_s U_s g_s, and the products of a step's matrices with
+the iterate (:func:`linearize`).
 
 The divergence matrix has entries B[dof, cell] = -int_cell q div v, which for
 linear normal traces is exactly -sign * |e| / 2 per edge-endpoint DOF.  The
@@ -37,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigurationError
-from .grid import REF_CORNER_NORMALS, FineGrid
+from .grid import FineGrid
 
 #: Gauss-Legendre nodes/weights on [0, 1] used for Dirichlet edge integrals.
 _GAUSS3 = (
@@ -49,18 +52,19 @@ _GAUSS3 = (
 def corner_velocities(grid: FineGrid, U: np.ndarray):
     """Velocity vectors and speeds at all element corners, vectorized.
 
-    The reference corner value is recovered from the two corner DOFs
-    (reference DOF equals sign * |e| * global DOF) and pushed through the
-    Piola transform.
+    The Piola push of a corner's two DOFs, w = (2 / sqrt(J)) sum_s U_s g_s,
+    with g the grid's ``corner_factors``.
     """
-    dhat = U[grid.elem_corner_dof] * grid.elem_corner_sign * grid.elem_corner_elen
-    # Two-term sums written out: einsum is several times slower on these shapes.
-    N = REF_CORNER_NORMALS
-    what = dhat[..., 0, None] * N[:, 0] + dhat[..., 1, None] * N[:, 1]
-    DF = grid.corner_DF
-    w = (DF[..., 0] * what[..., 0, None] + DF[..., 1] * what[..., 1, None])
-    w /= grid.corner_J[..., None]
-    speed = np.linalg.norm(w, axis=-1)
+    g = grid.corner_factors
+    dofs = grid.elem_corner_dof
+    u0, u1 = U[dofs[..., 0]], U[dofs[..., 1]]
+    scale = 2.0 / np.sqrt(grid.corner_J)
+    # Sums written out per component, (n_cells, 4) each: broadcasting over
+    # the trailing length-2 axes, or einsum, is several times slower.
+    w = np.empty(g.shape[:-1])
+    for a in range(2):
+        w[..., a] = (u0 * g[..., 0, a] + u1 * g[..., 1, a]) * scale
+    speed = np.sqrt(w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1])
     return w, speed
 
 
@@ -228,61 +232,76 @@ def divergence_blocks(grid: FineGrid, B: sp.spmatrix, cells: np.ndarray) -> np.n
     return blocks
 
 
-def _corner_scalar(values: np.ndarray, n: int):
-    """A per-cell (n,) or per-corner (n, 4) scalar as (n, 1) or (n, 4), else None."""
-    if values.shape == (n,):
-        return values[:, None]
-    if values.shape == (n, 4):
-        return values
-    return None
-
-
-def corner_products(grid: FineGrid, coeff, direction=None) -> np.ndarray:
-    """Corner contributions g_s^T C g_l, shape (n_cells, 4, 2, 2), with g the
-    grid's ``corner_factors``.
-
-    ``coeff`` is a per-cell scalar (n_cells,), a per-corner scalar
-    (n_cells, 4) or a full tensor (n_cells, 4, 2, 2).  With ``direction``
-    (n_cells, 4, 2) the tensor is the rank-one C = coeff w w^T, assembled as
-    coeff (g_s . w)(g_l . w).
-    """
-    g = grid.corner_factors
-    n = g.shape[0]
-    values = np.asarray(coeff, dtype=float)
-    scalar = _corner_scalar(values, n)
-    if direction is not None:
-        if scalar is None:
-            raise ValueError(f"rank-one coefficient needs a scalar per cell or corner, "
-                             f"got shape {values.shape} for {n} cells")
-        gw = g[..., 0] * direction[..., None, 0] + g[..., 1] * direction[..., None, 1]
-        return scalar[..., None, None] * (gw[..., :, None] * gw[..., None, :])
-    if scalar is not None:
-        gram = g[..., :, None, 0] * g[..., None, :, 0] + g[..., :, None, 1] * g[..., None, :, 1]
-        return scalar[..., None, None] * gram
-    if values.shape == (n, 4, 2, 2):
-        return g @ values @ np.swapaxes(g, -1, -2)
-    raise ValueError(
-        f"coefficient shape {values.shape} not understood for {n} cells"
-    )
-
-
-def assemble_velocity_matrix(grid: FineGrid, coeff, *, direction=None) -> VertexBlockMatrix:
+def assemble_velocity_matrix(grid: FineGrid, coeff) -> VertexBlockMatrix:
     """Assemble (K u, v)_Q into per-vertex blocks.
 
     Each element corner contributes (1/4) T N^T Mhat N T in global DOF space,
     where Mhat = (1/J) DF^T K DF at the corner, N stacks the two reference
     corner normals and T = diag(sign * |e|) converts global DOFs to reference
     ones.  Both DOFs live at the corner's mesh vertex, so no contribution ever
-    links distinct vertex blocks.  The contributions come from the grid's
-    ``corner_factors`` (see :func:`corner_products` for the coefficient
-    forms) and are summed into the blocks by one ``bincount`` over its
-    ``corner_index``.
+    links distinct vertex blocks.  With g the grid's ``corner_factors`` the
+    contribution of slots (s, l) is g_s^T K g_l: K is a per-cell scalar
+    (n_cells,), a per-corner scalar (n_cells, 4) or a full tensor
+    (n_cells, 4, 2, 2).  The contributions are summed into the blocks by one
+    ``bincount`` over the grid's ``corner_index``.
     """
-    products = corner_products(grid, coeff, direction)
+    g = grid.corner_factors
+    n = g.shape[0]
+    values = np.asarray(coeff, dtype=float)
+    # Written out per component, as in corner_velocities.
+    products = np.empty(g.shape)
+    if values.shape in ((n,), (n, 4)):
+        scalar = values if values.ndim == 2 else values[:, None]
+        for s, l in np.ndindex(2, 2):
+            products[..., s, l] = scalar * (g[..., s, 0] * g[..., l, 0] + g[..., s, 1] * g[..., l, 1])
+    elif values.shape == (n, 4, 2, 2):
+        for s in range(2):
+            gK = [g[..., s, 0] * values[..., 0, a] + g[..., s, 1] * values[..., 1, a] for a in range(2)]
+            for l in range(2):
+                products[..., s, l] = gK[0] * g[..., l, 0] + gK[1] * g[..., l, 1]
+    else:
+        raise ValueError(f"coefficient shape {values.shape} not understood for {n} cells")
     n_vertices = grid.n_vertices
     blocks = np.bincount(grid.corner_index.ravel(), weights=products.ravel(),
                          minlength=16 * n_vertices)
     return VertexBlockMatrix(blocks.reshape(n_vertices, 4, 4), grid)
+
+
+def linearize(grid: FineGrid, kappa: np.ndarray, beta: np.ndarray, U: np.ndarray, scheme):
+    """Linearize the Forchheimer momentum equation at the iterate U in one
+    pass over the corners: ``(A, AU, AtU)``, with kappa and beta per cell.
+
+    A is the step matrix with the corner coefficient c = 1/kappa + beta |w|
+    (``scheme="picard"``), or the tensor c I + (beta / |w|) w w^T, the
+    Jacobian of A_pic(U) U (``"newton"``; its rank-one part A_t is dropped
+    where |w| vanishes), or None (``scheme=None``: products only).
+    AU = A_pic(U) U and, for Newton, AtU = A_t U (else 0.0) need no matrix:
+    with h_s = (sqrt(J) / 2) g_s . w, corner slot s adds c h_s and
+    (beta / |w|) |w|^2 h_s to its DOF, summed by one ``bincount`` each.
+    """
+    w, speed = corner_velocities(grid, U)
+    c = corner_coefficient(kappa, beta, speed)
+    g = grid.corner_factors
+    half = 0.5 * np.sqrt(grid.corner_J)
+    h = np.empty(w.shape)
+    for s in range(2):
+        h[..., s] = (g[..., s, 0] * w[..., 0] + g[..., s, 1] * w[..., 1]) * half
+    dofs = grid.elem_corner_dof.ravel()
+
+    def slot_sums(scale):
+        return np.bincount(dofs, weights=(scale[..., None] * h).ravel(), minlength=grid.n_dofs)
+
+    AU = slot_sums(c)
+    if scheme != "newton":
+        return (None if scheme is None else assemble_velocity_matrix(grid, c)), AU, 0.0
+    # beta / |w| per corner, zero below the velocity floor.
+    floor = 1e-14 * max(speed.max(), 1.0)
+    moving = speed > floor
+    scale = np.where(moving, beta[:, None] / np.where(moving, speed, 1.0), 0.0)
+    C = np.empty(g.shape)
+    for a, b in np.ndindex(2, 2):
+        C[..., a, b] = scale * w[..., a] * w[..., b] + (c if a == b else 0.0)
+    return assemble_velocity_matrix(grid, C), AU, slot_sums(scale * speed**2)
 
 
 def assemble_divergence(grid: FineGrid) -> sp.csr_matrix:

@@ -107,8 +107,11 @@ def build_snapshots(
     if layers:
         P, U = P[shape.element_cells], U[shape.element_dofs]
         shape, cells, dofs = shapes.snapshot(i)
-    gram_coeff = np.asarray(coeff if gram_coeff is None else gram_coeff)
-    M = assemble_velocity_matrix(shape.grid, gram_coeff[cells])
+    if gram_coeff is None and not layers:
+        M = A  # the Gram coefficient and grid are those of the solves
+    else:
+        gram_coeff = np.asarray(coeff if gram_coeff is None else gram_coeff)
+        M = assemble_velocity_matrix(shape.grid, gram_coeff[cells])
     return SpectralSpace(
         element=i,
         cells=cells,
@@ -372,12 +375,13 @@ def update_offline(
     return new_map, new_spaces
 
 
-def save_triplets(rmap: ReductionMap, path) -> None:
-    """Write the reduction map as 'row col value' triplets with a size header."""
+def save_triplets(rmap: ReductionMap, path, comment: str) -> None:
+    """Write the reduction map as 'row col value' triplets with a size header,
+    after a first line ``# comment``."""
     mat = rmap.matrix.tocoo()
     order = np.lexsort((mat.col, mat.row))
     with open(path, "w") as fh:
-        fh.write(f"# rows cols nnz\n{mat.shape[0]} {mat.shape[1]} {mat.nnz}\n")
+        fh.write(f"# {comment}\n# rows cols nnz\n{mat.shape[0]} {mat.shape[1]} {mat.nnz}\n")
         for r, c, v in zip(mat.row[order], mat.col[order], mat.data[order]):
             fh.write(f"{r} {c} {format(v, '.17g')}\n")
 

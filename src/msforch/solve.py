@@ -6,10 +6,12 @@ The discrete model per linearization step is
 
 where A carries the coefficient 1/kappa + beta |u^n| at element corners
 (kappa and beta carry any viscosity and density, as kappa/mu and beta rho).
-Picard uses G^n = G.  Newton augments A with the rank-one corner tensor
-beta (u^n (x) u^n) / |u^n| and adds the matching term to the right-hand
-side, G^n = G + A_tensor U^n, which is the exact Jacobian of the momentum
-residual (the tensor is dropped where |u^n| vanishes).
+Picard uses G^n = G.  Newton's A carries the corner tensor
+(1/kappa + beta |u^n|) I + A_t, A_t = beta (u^n (x) u^n) / |u^n| (dropped
+where |u^n| vanishes), the exact Jacobian of the momentum residual, and
+G^n = G + A_t U^n.  One corner pass (:func:`msforch.mfmfe.linearize`)
+gives a step its one assembled matrix, A(|u^n|) U^n for the residual and
+A_t U^n, without a matrix-vector product.
 
 Because A is blockwise invertible, each step reduces to the SPD pressure
 system  B^T A^{-1} B P = B^T A^{-1} G - F  (optionally projected onto a
@@ -46,9 +48,8 @@ from .mfmfe import (
     assemble_divergence,
     assemble_rhs,
     assemble_velocity_matrix,
-    corner_coefficient,
-    corner_velocities,
     divergence_blocks,
+    linearize,
     lower_solve,
     lower_transpose_solve,
     vertex_cells,
@@ -374,15 +375,6 @@ class LinearizedSystem:
         return U + self.lift, np.asarray(R @ Pr).ravel(), Pr
 
 
-def _newton_scale(beta_cells: np.ndarray, speed: np.ndarray) -> np.ndarray:
-    """beta / |w| per corner, the scale of the rank-one Newton tensor
-    beta (w (x) w) / |w|; zero below the velocity floor."""
-    floor = 1e-14 * max(speed.max(), 1.0)
-    scale = beta_cells[:, None] / np.where(speed > floor, speed, 1.0)
-    scale[speed <= floor] = 0.0
-    return scale
-
-
 def nonlinear_solve(
     grid: FineGrid,
     kappa: ScalarCellField,
@@ -397,24 +389,12 @@ def nonlinear_solve(
 
     The same engine drives both: with R the pressure updates live in the
     coarse space but the increment test and history use the fine expansion,
-    so iteration counts are directly comparable.
+    so iteration counts are directly comparable.  Each step assembles one
+    matrix (:func:`linearize`); the Darcy start assembles one more.
     """
     cfg.validate()
     kappa.require_positive("permeability")
     sys_ = LinearizedSystem(grid, f_cells, bc)
-
-    def picard_matrix(U):
-        """(A_pic, corner velocities, speeds) at the iterate U."""
-        w, speed = corner_velocities(grid, U)
-        A = assemble_velocity_matrix(grid, corner_coefficient(kappa.values, beta.values, speed))
-        return A, w, speed
-
-    def add_newton_term(A, U, w, speed):
-        """Add the Newton tensor to A in place; return the matching right-hand side."""
-        A_t = assemble_velocity_matrix(grid, _newton_scale(beta.values, speed), direction=w)
-        A.blocks += A_t.blocks
-        return sys_.G0 + A_t.matvec(U)
-
     U, P_fine, _ = sys_.solve(assemble_velocity_matrix(grid, 1.0 / kappa.values), sys_.G0, R)
 
     history = []
@@ -422,11 +402,10 @@ def nonlinear_solve(
     iterations = 0
     Pr = None
     for n in range(cfg.max_iter):
-        A, w, speed = picard_matrix(U)
+        A, AU, AtU = linearize(grid, kappa.values, beta.values, U, cfg.scheme)
         if history:
-            history[-1][1] = _momentum_residual(sys_, A, U, P_fine)
-        G = add_newton_term(A, U, w, speed) if cfg.scheme == "newton" else sys_.G0
-        U_new, P_new, Pr = sys_.solve(A, G, R)
+            history[-1][1] = _momentum_residual(sys_, AU, P_fine)
+        U_new, P_new, Pr = sys_.solve(A, sys_.G0 + AtU, R)
         rel_p = np.linalg.norm(P_new - P_fine) / max(np.linalg.norm(P_fine), _EPS_NORM)
         rel_u = np.linalg.norm(U_new - U) / max(np.linalg.norm(U), _EPS_NORM)
         rel = max(rel_p, rel_u)
@@ -437,8 +416,9 @@ def nonlinear_solve(
             converged = True
             break
 
-    if history and np.isnan(history[-1][1]):
-        history[-1][1] = _momentum_residual(sys_, picard_matrix(U)[0], U, P_fine)
+    if history:
+        AU = linearize(grid, kappa.values, beta.values, U, None)[1]
+        history[-1][1] = _momentum_residual(sys_, AU, P_fine)
     return FlowSolution(
         pressure=P_fine,
         velocity=U,
@@ -449,10 +429,9 @@ def nonlinear_solve(
     )
 
 
-def _momentum_residual(sys_: LinearizedSystem, A_pic: VertexBlockMatrix,
-                       U: np.ndarray, P: np.ndarray) -> float:
-    """Norm of the nonlinear momentum residual on the free DOFs."""
-    r = A_pic.matvec(U) + sys_.B @ P - sys_.G0
+def _momentum_residual(sys_: LinearizedSystem, AU: np.ndarray, P: np.ndarray) -> float:
+    """Norm of the momentum residual AU + B P - G0, AU = A_pic(U) U, on the free DOFs."""
+    r = AU + sys_.B @ P - sys_.G0
     r[sys_.cdofs] = 0.0
     return float(np.linalg.norm(r))
 

@@ -1,10 +1,11 @@
 """Independent reference computations used by the tests only.
 
 Nothing here is on a solver path: these are the element kernels written out
-one element at a time (bilinear element map, nodal reference basis, Piola
-transform, corner velocity), the monolithic dense saddle-point solve, and
-the explicit constraint elimination that the solvers do inside their
-prepared operator.
+one element at a time (bilinear element map, corner geometry, nodal
+reference basis, Piola transform, corner velocity), the monolithic dense
+saddle-point solve, and the explicit constraint elimination that the solvers
+do inside their prepared operator.  The corner geometry is derived from the
+grid's vertices, edges and signs, not from its precomputed corner data.
 """
 
 import warnings
@@ -14,7 +15,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from msforch.errors import DegenerateElementError, SingularSystemError
-from msforch.grid import CORNER_EDGE_LOCAL, REF_CORNER_NORMALS, REF_CORNERS
+from msforch.grid import CORNER_EDGE_END, CORNER_EDGE_LOCAL, REF_CORNER_NORMALS, REF_CORNERS
 from msforch.mfmfe import VertexBlockMatrix
 
 
@@ -51,6 +52,21 @@ def bilinear_map(corners: np.ndarray, xhat: np.ndarray):
     if scalar_input:
         return x[0], DF[0], J[0]
     return x, DF, J
+
+
+def corner_geometry(grid):
+    """(DF, J, t, dofs) at every element corner: the Jacobian
+    (n_cells, 4, 2, 2) and its determinant (n_cells, 4) by
+    :func:`bilinear_map` at the reference corners, and per DOF slot
+    (n_cells, 4, 2) t = sign * |e| and the global DOF, from the grid's
+    vertices, element edges, signs and edge lengths alone."""
+    DF = np.empty((grid.n_cells, 4, 2, 2))
+    J = np.empty((grid.n_cells, 4))
+    for c in range(grid.n_cells):
+        _, DF[c], J[c] = bilinear_map(grid.vertices[grid.elements[c]], REF_CORNERS)
+    edges = grid.element_edges[:, CORNER_EDGE_LOCAL]
+    t = grid.element_edge_signs[:, CORNER_EDGE_LOCAL] * grid.edge_lengths[edges]
+    return DF, J, t, 2 * edges + CORNER_EDGE_END
 
 
 class SingularCornerError(ValueError):

@@ -14,18 +14,22 @@ from hypothesis import strategies as st
 from msforch.errors import AssemblyError, ConfigurationError
 from msforch.grid import REF_CORNER_NORMALS, REF_CORNERS, build_fine_grid
 from msforch.mfmfe import (
+    VertexBlockMatrix,
     assemble_divergence,
     assemble_rhs,
     assemble_velocity_matrix,
+    corner_coefficient,
     corner_velocities,
     five_spot,
     left_right_spec,
+    linearize,
     no_flow_spec,
     quadrature_norm_matrix,
 )
 
 from oracles import (
     SingularCornerError,
+    corner_geometry,
     corner_velocity,
     piola,
     reference_basis,
@@ -200,26 +204,32 @@ def test_corner_velocity_singular():
         corner_velocity(corners, 0, np.array([1.0, 1.0]))
 
 
-def test_corner_velocities_matches_per_corner_solve():
-    grid = build_fine_grid(3, 2, domain=(0.0, 1.5, 0.0, 1.0))
-    rng = np.random.default_rng(5)
-    U = rng.standard_normal(grid.n_dofs)
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(1, 9), ny=st.integers(1, 9),
+    x0=st.floats(-5.0, 5.0), y0=st.floats(-5.0, 5.0),
+    width=st.floats(0.05, 20.0), height=st.floats(0.05, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_corner_velocities_matches_per_corner_solve(nx, ny, x0, y0, width, height, seed):
+    grid = build_fine_grid(nx, ny, (x0, x0 + width, y0, y0 + height))
+    U = np.random.default_rng(seed).standard_normal(grid.n_dofs)
     w_all, speed_all = corner_velocities(grid, U)
+    _, _, t, dofs = corner_geometry(grid)
     for c in range(grid.n_cells):
         corners = grid.vertices[grid.elements[c]]
         for k in range(4):
-            traces = U[grid.elem_corner_dof[c, k]] * grid.elem_corner_sign[c, k]
-            w, speed = corner_velocity(corners, k, traces)
-            assert np.allclose(w_all[c, k], w, atol=1e-12)
-            assert speed_all[c, k] == pytest.approx(speed, abs=1e-12)
+            w, speed = corner_velocity(corners, k, U[dofs[c, k]] * np.sign(t[c, k]))
+            assert np.abs(w_all[c, k] - w).max() <= 1e-12
+            assert abs(speed_all[c, k] - speed) <= 1e-12
 
 
 def _nodal_dof_vector(grid, cell, corner, slot):
     """Global DOF vector whose element-local reference trace is the (corner,
     slot) Kronecker delta (unit square elements: reference = physical)."""
+    _, _, t, dofs = corner_geometry(grid)
     u = np.zeros(grid.n_dofs)
-    d = grid.elem_corner_dof[cell, corner, slot]
-    u[d] = grid.elem_corner_sign[cell, corner, slot] / grid.elem_corner_elen[cell, corner, slot]
+    u[dofs[cell, corner, slot]] = 1.0 / t[cell, corner, slot]
     return u
 
 
@@ -440,16 +450,29 @@ def test_quadrature_norm_matrix_is_norm():
 def _reference_blocks(grid, C):
     """Vertex blocks by the direct corner formula (1/4) t_s t_l N_s^T Mhat N_l,
     Mhat = DF^T C DF / J, accumulated with np.add.at; C is (n_cells, 4, 2, 2)."""
-    DF = grid.corner_DF
-    Mhat = np.einsum("ckja,ckjl,cklm->ckam", DF, C, DF) / grid.corner_J[..., None, None]
+    DF, J, t, dofs = corner_geometry(grid)
+    Mhat = np.einsum("ckja,ckjl,cklm->ckam", DF, C, DF) / J[..., None, None]
     Ghat = np.einsum("ksi,ckij,klj->cksl", REF_CORNER_NORMALS, Mhat, REF_CORNER_NORMALS)
-    t = grid.elem_corner_sign * grid.elem_corner_elen
     contrib = 0.25 * t[..., :, None] * t[..., None, :] * Ghat
     blocks = np.zeros((grid.n_vertices, 4, 4))
-    slot = grid.dof_vslot[grid.elem_corner_dof]
+    slot = grid.dof_vslot[dofs]
     np.add.at(blocks, (grid.elements[:, :, None, None], slot[:, :, :, None],
                        slot[:, :, None, :]), contrib)
     return blocks
+
+
+def _reference_velocities(grid, U):
+    """Corner velocities (n_cells, 4, 2) by the Piola transform written out:
+    w = DF what / J with what = sum_s t_s U_s N_s."""
+    DF, J, t, dofs = corner_geometry(grid)
+    what = np.einsum("cks,ksi->cki", t * U[dofs], REF_CORNER_NORMALS)
+    return np.einsum("ckij,ckj->cki", DF, what) / J[..., None]
+
+
+def _newton_problem(grid, rng):
+    """Random per-cell kappa and beta and a random iterate U."""
+    kappa = 10.0 ** rng.uniform(-2.0, 2.0, grid.n_cells)
+    return kappa, rng.uniform(0.0, 100.0, grid.n_cells), rng.standard_normal(grid.n_dofs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,39 +480,69 @@ def _reference_blocks(grid, C):
     nx=st.integers(1, 9), ny=st.integers(1, 9),
     x0=st.floats(-5.0, 5.0), y0=st.floats(-5.0, 5.0),
     width=st.floats(0.05, 20.0), height=st.floats(0.05, 20.0),
-    form=st.sampled_from(["cell", "corner", "rank_one", "tensor"]),
+    form=st.sampled_from(["cell", "corner", "newton", "tensor"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_prepared_assembly_matches_corner_formula(nx, ny, x0, y0, width, height, form, seed):
     """The corner-factor + bincount assembly equals the direct formula to
-    roundoff."""
+    roundoff; so do a Newton step's matrix and its products A_pic U and
+    A_t U."""
     grid = build_fine_grid(nx, ny, (x0, x0 + width, y0, y0 + height))
     rng = np.random.default_rng(seed)
     n = grid.n_cells
-    direction = None
-    if form == "cell":
+    if form == "newton":
+        kappa, beta, U = _newton_problem(grid, rng)
+        w = _reference_velocities(grid, U)
+        speed = np.linalg.norm(w, axis=-1)
+        C_pic = ((1.0 / kappa)[:, None] + beta[:, None] * speed)[..., None, None] * np.eye(2)
+        C_t = (beta[:, None] / speed)[..., None, None] * w[..., :, None] * w[..., None, :]
+        got, AU, AtU = linearize(grid, kappa, beta, U, "newton")
+        for vector, C_part in ((AU, C_pic), (AtU, C_t)):
+            A_part = to_sparse(VertexBlockMatrix(_reference_blocks(grid, C_part), grid))
+            scale = (abs(A_part) @ np.abs(U)).max()
+            assert np.abs(vector - A_part @ U).max() <= 1e-13 * scale
+        C = C_pic + C_t
+    elif form == "cell":
         coeff = rng.uniform(1e-3, 1e3, n)
         C = coeff[:, None, None, None] * np.eye(2)
     elif form == "corner":
         coeff = rng.uniform(1e-3, 1e3, (n, 4))
         C = coeff[..., None, None] * np.eye(2)
-    elif form == "rank_one":
-        coeff = rng.uniform(1e-3, 1e3, (n, 4))
-        direction = rng.standard_normal((n, 4, 2))
-        C = coeff[..., None, None] * direction[..., :, None] * direction[..., None, :]
     else:
         Q = rng.standard_normal((n, 4, 2, 2))
         coeff = C = Q @ np.swapaxes(Q, -1, -2) + 0.1 * np.eye(2)
     want = _reference_blocks(grid, C)
     scale = np.abs(want).max()
-    got = assemble_velocity_matrix(grid, coeff, direction=direction)
+    if form != "newton":
+        got = assemble_velocity_matrix(grid, coeff)
     assert np.abs(got.blocks - want).max() <= 1e-14 * scale
 
 
-def test_rank_one_needs_scalar_coefficient():
-    grid = build_fine_grid(2, 2)
-    with pytest.raises(ValueError, match="rank-one"):
-        assemble_velocity_matrix(grid, np.ones((4, 4, 2, 2)), direction=np.ones((4, 4, 2)))
+@pytest.mark.parametrize("nx, ny, domain", [
+    (1, 1, (0.0, 1.0, 0.0, 1.0)),
+    (4, 3, (-2.0, 1.5, 3.0, 3.4)),
+    (7, 5, (10.0, 30.0, -1.0, 0.0)),
+])
+def test_newton_step_matrix_is_the_residual_jacobian(nx, ny, domain):
+    """The Newton step matrix is the Jacobian of r(U) = A_pic(U) U - G0: it
+    matches a central difference of the assembled Picard product."""
+    grid = build_fine_grid(nx, ny, domain)
+    rng = np.random.default_rng(nx * ny)
+    kappa, beta, U = _newton_problem(grid, rng)
+    delta = rng.standard_normal(grid.n_dofs)
+    eps = 1e-6 * np.linalg.norm(U) / np.linalg.norm(delta)
+
+    def residual(V):
+        speed = corner_velocities(grid, V)[1]
+        return assemble_velocity_matrix(grid, corner_coefficient(kappa, beta, speed)).matvec(V)
+
+    # No corner speed near the floor, where |w| is not differentiable.
+    for V in (U - eps * delta, U, U + eps * delta):
+        speed = corner_velocities(grid, V)[1]
+        assert speed.min() > 1e-3 * speed.max()
+    fd = (residual(U + eps * delta) - residual(U - eps * delta)) / (2 * eps)
+    jd = linearize(grid, kappa, beta, U, "newton")[0].matvec(delta)
+    assert np.linalg.norm(jd - fd) <= 1e-6 * np.linalg.norm(jd)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -7,7 +7,7 @@ import scipy.linalg as la
 from msforch.errors import SingularSystemError
 from msforch.fields import ScalarCellField, gen_synthetic
 from msforch.grid import build_coarse_grid, build_fine_grid, subgrid
-from msforch.mfmfe import BoundarySpec, left_right_spec
+from msforch.mfmfe import BoundarySpec, assemble_velocity_matrix, left_right_spec
 from msforch.offline import (
     ReductionMap,
     SpectralSpace,
@@ -61,7 +61,6 @@ def test_single_snapshot_matches_independent_local_solve():
     for le in sub.grid.boundary_edges:
         bc.dirichlet[int(le)] = 1.0 if int(le) == datum_edge else 0.0
     sys_ = LinearizedSystem(sub.grid, np.zeros(sub.grid.n_cells), bc)
-    from msforch.mfmfe import assemble_velocity_matrix
 
     A = assemble_velocity_matrix(sub.grid, (1.0 / kappa.values)[sub.cells])
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
@@ -308,11 +307,28 @@ def test_update_reduces_velocity_error_full_at_least_partial():
     assert eru_til < eru_off
 
 
+@pytest.mark.parametrize("layers, per_element", [(0, 1), (1, 2)])
+def test_snapshots_assemble_the_gram_matrix_only_when_it_differs(layers, per_element, monkeypatch):
+    """Without oversampling or a separate Gram coefficient the Gram matrix is
+    the matrix of the local solves, which is assembled once."""
+    fine, coarse, kappa = _setup(8, 4)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return assemble_velocity_matrix(*args, **kwargs)
+
+    monkeypatch.setattr("msforch.offline.assemble_velocity_matrix", spy)
+    build_offline_space(fine, coarse, kappa, 2, oversample_layers=layers)
+    assert len(calls) == per_element * coarse.n_elements
+
+
 def test_triplet_roundtrip(tmp_path):
     fine, coarse, kappa = _setup(8, 4)
     _, rmap = build_offline_space(fine, coarse, kappa, 2)
     path = tmp_path / "rmap.txt"
-    save_triplets(rmap, path)
+    save_triplets(rmap, path, "config-hash 0123")
+    assert path.read_text().splitlines()[0] == "# config-hash 0123"
     loaded = load_triplets(path)
     assert loaded.shape == rmap.matrix.shape
     assert np.allclose(loaded.toarray(), rmap.matrix.toarray(), atol=0.0)

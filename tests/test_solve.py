@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msforch.errors import AssemblyError, SingularSystemError
-from msforch.fields import ScalarCellField, gen_synthetic
+from msforch.fields import ScalarCellField, forchheimer_coeff, gen_synthetic
 from msforch.grid import build_coarse_grid, build_fine_grid
 from msforch.local import LocalShapes
 from msforch.mfmfe import (
     all_dirichlet_spec,
     assemble_divergence,
     assemble_velocity_matrix,
+    corner_coefficient,
+    corner_velocities,
     five_spot,
     left_right_spec,
     no_flow_spec,
@@ -217,6 +219,39 @@ def test_history_tracks_increments():
     assert sol.history.shape == (sol.iterations, 2)
     # final recorded increment is below tolerance
     assert sol.history[-1, 0] <= 1e-10
+
+
+@pytest.mark.parametrize("scheme", ["picard", "newton"])
+@pytest.mark.parametrize("max_iter", [200, 1])
+def test_one_assembly_per_step_and_fresh_last_residual(scheme, max_iter, monkeypatch):
+    """A step assembles one matrix, the Darcy start one more, and nothing
+    is assembled after the loop; the last history residual is that of a
+    fresh Picard matrix at the returned iterate."""
+    grid = build_fine_grid(8, 6)
+    kappa = gen_synthetic("blobs", 2, 100.0, 8, 6)
+    beta = forchheimer_coeff(kappa, 0.3)
+    bc, f = five_spot(grid)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return assemble_velocity_matrix(*args, **kwargs)
+
+    monkeypatch.setattr("msforch.mfmfe.assemble_velocity_matrix", spy)
+    monkeypatch.setattr("msforch.solve.assemble_velocity_matrix", spy)
+    cfg = NonlinearConfig(scheme=scheme, max_iter=max_iter)
+    sol = nonlinear_solve(grid, kappa, beta, bc, f, cfg)
+    assert sol.converged == (max_iter > 1) and sol.iterations >= 1
+    assert len(calls) == sol.iterations + 1
+    monkeypatch.undo()
+    if sol.converged:
+        return   # the residual is at roundoff
+    sys_ = LinearizedSystem(grid, f, bc)
+    speed = corner_velocities(grid, sol.velocity)[1]
+    A = assemble_velocity_matrix(grid, corner_coefficient(kappa.values, beta.values, speed))
+    r = A.matvec(sol.velocity) + sys_.B @ sol.pressure - sys_.G0
+    r[sys_.cdofs] = 0.0
+    assert abs(sol.history[-1, 1] - np.linalg.norm(r)) <= 1e-12 * np.linalg.norm(r)
 
 
 def _preset_problem(rng, nx, ny, preset, tensor):

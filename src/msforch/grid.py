@@ -253,7 +253,7 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
         dof_vslot=dof_vslot,
         cell_areas=cell_areas,
         cell_centers=cell_centers,
-        elem_corner_dof=elem_corner_dof,
+        elem_corner_dof=elem_corner_dof.astype(index_dtype(2 * edge_nodes.shape[0])),
         corner_J=corner_J,
         corner_factors=corner_factors,
         corner_index=corner_index.astype(index_dtype(16 * n_vertices)),

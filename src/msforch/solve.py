@@ -17,16 +17,17 @@ Because A is blockwise invertible, each step reduces to the SPD pressure
 system  B^T A^{-1} B P = B^T A^{-1} G - F  (optionally projected onto a
 coarse pressure space R), solved by a direct factorization whose kind
 follows from the system's size alone: dense Cholesky up to
-``_DENSE_LIMIT`` cells, SuperLU beyond.  :class:`PreparedOperator` is the
-one owner of that elimination: it holds everything which depends only on
-the grid and B, it eliminates the constrained (Neumann) velocity DOFs
-itself, and it is the only place that factors S.  A linearization step
-does numerical work only: assemble, factor the vertex blocks, form and
-factor S, back-substitute.  Convergence is declared on the relative increment
-max_z ||z^{n+1} - z^n|| / max(||z^n||, eps) over both state vectors z = P, U;
-the velocity must take part because on uniform flow a constant linearized
-coefficient scales out of the pressure system entirely, leaving P exact while
-U is still moving.
+``_DENSE_LIMIT`` cells, beyond that SuperLU, without its own ordering or
+pivoting, on S numbered in geometric nested-dissection order.
+:class:`PreparedOperator` is the one owner of that elimination: it holds
+everything which depends only on the grid and B, it eliminates the
+constrained (Neumann) velocity DOFs itself, and it is the only place that
+factors S.  A linearization step does numerical work only: assemble, factor
+the vertex blocks, form and factor S, back-substitute.  Convergence is
+declared on the relative increment max_z ||z^{n+1} - z^n|| / max(||z^n||,
+eps) over both state vectors z = P, U; the velocity must take part because
+on uniform flow a constant linearized coefficient scales out of the pressure
+system entirely, leaving P exact while U is still moving.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from .mfmfe import (
 _EPS_NORM = 1e-30
 
 #: Pressure systems of up to this many cells are factored by dense
-#: Cholesky, larger ones by SuperLU.
-_DENSE_LIMIT = 400
+#: Cholesky, larger ones by SuperLU: the measured crossover of the two.
+_DENSE_LIMIT = 272
 
 #: A dense Cholesky pivot of S at or below this fraction of its largest
 #: diagonal entry marks S as singular: a closed no-flow box factors
@@ -116,9 +117,11 @@ def _cholesky_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _splu_solve(S: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     """Solve with a sparse SPD S by SuperLU, for one or several right-hand-side
-    columns; raises :class:`SingularSystemError` when S is singular."""
+    columns; raises :class:`SingularSystemError` when S is singular.  S comes
+    in a fill-reducing order and, being SPD, needs no pivoting."""
     try:
-        lu = spla.splu(S)
+        lu = spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystemError(f"pressure system is singular: {exc}") from exc
     out = lu.solve(rhs)
@@ -140,8 +143,8 @@ class PreparedOperator:
     U_v = L_v^{-T} (y_v - X_v P_v).  S is factored by dense Cholesky up to
     ``_DENSE_LIMIT`` pressure cells and by SuperLU beyond.  The positions of
     the X_v^T X_v entries in S are built on first use: flat positions in a
-    dense S, or the fixed 9-point pattern of a sparse S in compressed
-    columns.
+    dense S, or the fixed 9-point pattern of a sparse S in compressed columns
+    in the cells' nested-dissection order, which SuperLU factors as it is.
 
     Per-vertex arrays are stored entry-major, (4, ..., n_vertices), so each
     block entry is one contiguous vector.  Constrained (Neumann) DOFs are
@@ -170,6 +173,7 @@ class PreparedOperator:
         # read G at the padding index, i.e. as zero.
         number = np.full(grid.n_cells + 1, n, dtype=np.int64)
         number[kept] = np.arange(n)
+        self._kept_yx = np.divmod(kept, grid.nx)
         dtype = index_dtype(4 * grid.n_vertices + grid.n_dofs)
         self._cells = number[cells].T.astype(dtype)
         dofs = np.where(grid.vertex_dofs >= 0, grid.vertex_dofs, grid.n_dofs)
@@ -192,12 +196,21 @@ class PreparedOperator:
         return index.ravel().astype(index_dtype(n * n + 1))
 
     @functools.cached_property
+    def _order(self) -> np.ndarray:
+        """The pressure numbers in the nested-dissection order of their cells,
+        a rectangle: the grid, a snapshot block or the element inside T+."""
+        iy, ix = (v - v.min() for v in self._kept_yx)
+        width = ix.max() + 1
+        return np.argsort(iy * width + ix)[_nested_dissection(width, iy.max() + 1)]
+
+    @functools.cached_property
     def _sparse_pattern(self) -> tuple:
         """(index, row indices, column pointers): where each entry [j, k, v]
-        of X_v^T X_v lands in the data of a compressed-column S (one past
-        the end for dropped entries), and S's fixed pattern."""
+        of X_v^T X_v lands in the data of a compressed-column S in
+        :attr:`_order` (past the end if dropped), and S's fixed pattern."""
         n = self.n_pressure
-        rows, cols = self._cells[:, None, :], self._cells[None, :, :]
+        cells = np.append(np.argsort(self._order), n)[self._cells]
+        rows, cols = cells[:, None, :], cells[None, :, :]
         valid = (rows < n) & (cols < n)
         keys, inverse = np.unique((cols.astype(np.int64) * n + rows)[valid], return_inverse=True)
         index = np.full(valid.shape, keys.size, dtype=index_dtype(keys.size + 1))
@@ -211,7 +224,7 @@ class PreparedOperator:
                 "pressure system is singular: no pressure datum fixes the constant")
 
     def schur_matrix(self, X: np.ndarray) -> sp.csc_matrix:
-        """S = sum_v X_v^T X_v in compressed columns."""
+        """S = sum_v X_v^T X_v in compressed columns, numbered in :attr:`_order`."""
         index, indices, indptr = self._sparse_pattern
         data = np.bincount(index, weights=_gram_entries(X), minlength=indices.size + 1)[:-1]
         n = self.n_pressure
@@ -220,10 +233,12 @@ class PreparedOperator:
     def _pressure(self, X: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve S P = rhs with S = sum_v X_v^T X_v, for one or several
         right-hand-side columns: S dense up to ``_DENSE_LIMIT`` cells,
-        by SuperLU beyond."""
+        by SuperLU in nested-dissection order beyond."""
         n = self.n_pressure
         if n > _DENSE_LIMIT:
-            return _splu_solve(self.schur_matrix(X), rhs)
+            P = np.empty(rhs.shape)
+            P[self._order] = _splu_solve(self.schur_matrix(X), rhs[self._order])
+            return P
         S = np.bincount(self._dense_index, weights=_gram_entries(X), minlength=n * n + 1)
         # S is bitwise symmetric, so its transpose is the same matrix, laid
         # out in the column order that LAPACK factors in place (over twice
@@ -284,9 +299,24 @@ class PreparedOperator:
         coarse dimension; the velocity follows from the fine pressure R P_r.
         """
         L, X, y, rhs = self._eliminate(A, G, F)
-        S = (R.T @ (self.schur_matrix(X) @ R)).toarray()
+        R_nd = R[self._order]
+        S = (R_nd.T @ (self.schur_matrix(X) @ R_nd)).toarray()
         Pr = _cholesky_solve(S, R.T @ rhs)
         return self._velocity(L, X, y, R @ Pr), Pr
+
+
+def _nested_dissection(nx: int, ny: int) -> np.ndarray:
+    """Row-major ids of an nx-by-ny cell block in nested-dissection order (George
+    1973): a line of cells across the longer side, which S does not couple
+    across, follows both halves; blocks of at most 16 cells keep natural order."""
+    def order(b):
+        if b.size <= 16:
+            return [np.sort(b, axis=None)]
+        b = b if b.shape[1] >= b.shape[0] else b.T
+        m = b.shape[1] // 2
+        return order(b[:, :m]) + order(b[:, m + 1:]) + [b[:, m]]
+
+    return np.concatenate(order(np.arange(nx * ny).reshape(ny, nx)))
 
 
 def _blocks_times(X: np.ndarray, y: np.ndarray, transpose: bool = False) -> np.ndarray:

@@ -3,11 +3,15 @@
 ``perfbench/spans.py`` records spans by rebinding msforch functions and
 methods by name, so deleting or renaming one of them breaks the benchmark.
 This test installs the tracer once and checks that leaving it restores the
-package; it only reads ``perfbench/``.
+package, and that a sparse pressure solve still shows up as the
+``solve.factor`` span the benchmark's tests require on every workload; it
+only reads ``perfbench/``.
 """
 
 import importlib
 from pathlib import Path
+
+import numpy as np
 
 import msforch
 import msforch.solve
@@ -27,3 +31,23 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
              msforch.solve.la)
     assert all(a is b for a, b in zip(after, before))
     assert tracer.spans == []
+
+
+def test_sparse_factorization_is_traced(monkeypatch):
+    """Each SuperLU factorization of a system beyond the dense limit is one
+    ``solve.factor`` span inside the nonlinear solve's span."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    grid = msforch.build_fine_grid(24, 24)
+    assert grid.n_cells > msforch.solve._DENSE_LIMIT
+    kappa = msforch.ScalarCellField(24, 24, np.ones(grid.n_cells))
+    beta = msforch.ScalarCellField(24, 24, np.zeros(grid.n_cells))
+    tracer = spans.Tracer()
+    with tracer.installed():
+        sol = msforch.nonlinear_solve(grid, kappa, beta, msforch.left_right_spec(grid),
+                                      np.zeros(grid.n_cells), msforch.NonlinearConfig())
+    names = [span[0] for span in tracer.spans]
+    assert names[0] == "solve.nonlinear_solve"
+    factors = [span for span in tracer.spans if span[0] == "solve.factor"]
+    assert len(factors) == sol.iterations + 1   # the Darcy start, then each step
+    assert all(span[4] == tracer.spans[0][4] for span in factors)

@@ -5,6 +5,8 @@ import pytest
 
 from msforch.errors import DegenerateElementError
 from msforch.grid import (
+    CORNER_EDGE_END,
+    CORNER_EDGE_LOCAL,
     REF_CORNERS,
     block_indices,
     build_coarse_grid,
@@ -196,3 +198,12 @@ def test_subgrid_index_maps():
     )
     with pytest.raises(ValueError):
         subgrid(fine, 5, 0, 3, 2)
+
+
+def test_corner_indices_are_int32():
+    """The corner DOF ids and the vertex-block scatter index are stored in
+    the index type ``index_dtype`` picks for their range."""
+    g = build_fine_grid(7, 5)
+    assert g.elem_corner_dof.dtype == g.corner_index.dtype == np.int32
+    corner_edges = g.element_edges[:, CORNER_EDGE_LOCAL]
+    assert np.array_equal(g.elem_corner_dof, 2 * corner_edges + CORNER_EDGE_END)

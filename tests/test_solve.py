@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -306,7 +307,7 @@ def test_prepared_solve_matches_saddle_oracle(nx, ny, preset, tensor, superlu, s
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (3, 3), (7, 4), (12, 12), (30, 6)])
 def test_closed_box_is_singular_in_auto_mode(nx, ny):
-    """The dense Cholesky path of systems up to 400 cells reports singular
+    """The dense Cholesky path of small systems reports singular
     pressure systems instead of returning a roundoff-driven solution."""
     grid = build_fine_grid(nx, ny)
     rng = np.random.default_rng(nx * 100 + ny)
@@ -356,11 +357,12 @@ def superlu_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("nx, superlu", [(20, False), (21, True)])
+@pytest.mark.parametrize("nx, superlu", [(17, False), (18, True)])
 def test_system_size_picks_the_factorization(nx, superlu, superlu_calls):
-    """A 20x20 system (400 cells) factors S dense, a 21x20 one (420 cells)
+    """A 17x16 system (272 cells) factors S dense, an 18x16 one (288 cells)
     by SuperLU; both match the saddle oracle to 1e-12."""
-    sys_, A = _preset_problem(np.random.default_rng(nx), nx, 20, "left_right", False)
+    assert 17 * 16 == _DENSE_LIMIT
+    sys_, A = _preset_problem(np.random.default_rng(nx), nx, 16, "left_right", False)
     U, P, _ = sys_.solve(A, sys_.G0)
     assert superlu_calls == ([(sys_.grid.n_cells,)] if superlu else [])
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
@@ -495,18 +497,112 @@ def test_dense_solve_of_several_columns_matches_column_solves(layers):
 
 
 def test_snapshot_columns_beyond_dense_limit_go_through_superlu(superlu_calls):
-    """A snapshot block of more than 400 cells (a 21x20 element of a 42x40
-    grid) solves all its boundary-data columns with one SuperLU
-    factorization, and they equal the single-column solves."""
+    """A snapshot block of more than ``_DENSE_LIMIT`` cells (an 18x16
+    element of a 36x32 grid) solves all its boundary-data columns with one
+    SuperLU factorization, and they equal the single-column solves."""
     rng = np.random.default_rng(7)
-    coarse = build_coarse_grid(build_fine_grid(42, 40), 2, 2)
+    coarse = build_coarse_grid(build_fine_grid(36, 32), 2, 2)
     shape = LocalShapes(coarse).snapshot(3)[0]
     A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells))
     U, P = shape.operator.solve(A, shape.data, 0.0)
     k = shape.data.shape[1]
-    assert superlu_calls == [(420, k)]
+    assert 288 > _DENSE_LIMIT and superlu_calls == [(288, k)]
     for j in range(k):
         u, p = shape.operator.solve(A, shape.data[:, j], 0.0)
         assert np.array_equal(p, P[:, j])
         assert np.abs(u - U[:, j]).max() <= 1e-14 * np.abs(U[:, j]).max()
     assert len(superlu_calls) == 1 + k
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 17), (1, 60), (17, 1), (60, 1), (7, 5), (40, 40)])
+def test_nested_dissection_orders_every_cell_once(nx, ny):
+    """The ordering is a permutation of the pressure numbers on full grids
+    and on 1 x k and k x 1 strips, and S built in that order is symmetric
+    and couples only cells that share a vertex."""
+    grid = build_fine_grid(nx, ny)
+    operator = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid)).operator
+    order = operator._order
+    assert np.array_equal(np.sort(order), np.arange(grid.n_cells))
+    A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
+    S = operator.schur_matrix(operator._factor(A)[1]).toarray()
+    ix, iy = order % nx, order // nx
+    coupled = (np.abs(ix[:, None] - ix) <= 1) & (np.abs(iy[:, None] - iy) <= 1)
+    assert np.all(S[~coupled] == 0.0) and np.array_equal(S, S.T)
+
+
+def test_nested_dissection_of_the_online_element():
+    """On the online T+ problem the pressure lives on the element's cells
+    only; their order is a permutation of those pressure numbers."""
+    shapes = LocalShapes(build_coarse_grid(build_fine_grid(40, 40), 2, 2))
+    for i in range(4):
+        shape = shapes.online(i)[0]
+        operator = shape.operator
+        assert operator.n_pressure == shape.element_cells.size == 400
+        assert np.array_equal(np.sort(operator._order), np.arange(400))
+
+
+def test_nested_dissection_needs_less_fill_than_superlu_defaults(monkeypatch):
+    """On a 40x40 grid SuperLU on the nested-dissection-ordered S keeps its
+    rows and columns in place and fills fewer entries of L + U than SuperLU
+    with its own defaults on the naturally ordered S."""
+    grid = build_fine_grid(40, 40)
+    sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid))
+    A = assemble_velocity_matrix(grid, 1.0 / gen_synthetic("blobs", 2, 100.0, 40, 40).values)
+    factors = []
+    splu = spla.splu
+
+    def recording(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spla, "splu", recording)
+    sys_.solve(A, sys_.G0)
+    (lu,) = factors
+    identity = np.arange(grid.n_cells)
+    assert np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)
+    operator = sys_.operator
+    rank = np.argsort(operator._order)
+    natural = operator.schur_matrix(operator._factor(A)[1])[rank][:, rank].tocsc()
+    defaults = splu(natural)
+    assert lu.L.nnz + lu.U.nnz < defaults.L.nnz + defaults.U.nnz
+
+
+def test_sparse_local_solves_match_dense(monkeypatch):
+    """Forced onto SuperLU, the online T+ operator (pressure on the element's
+    cells only) and a snapshot operator with its many boundary-data columns
+    agree with their dense solves to 1e-12."""
+    rng = np.random.default_rng(5)
+    coarse = build_coarse_grid(build_fine_grid(24, 24), 3, 3)
+    shapes = LocalShapes(coarse)
+    online, snapshot = shapes.online(4)[0], shapes.snapshot(4, 1)[0]
+    problems = ((online, np.zeros(online.grid.n_dofs), rng.standard_normal(online.element_cells.size)),
+                (snapshot, snapshot.data, 0.0))
+    for shape, G, F in problems:
+        A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells))
+        U_d, P_d = shape.operator.solve(A, G, F)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("msforch.solve._DENSE_LIMIT", 0)
+            U_s, P_s = shape.operator.solve(A, G, F)
+        assert _rel(P_s, P_d) <= 1e-12 and _rel(U_s, U_d) <= 1e-12
+    assert snapshot.data.shape[1] == 40
+
+
+def test_high_contrast_regular_system_solves(monkeypatch):
+    """A checkerboard of permeabilities 1e-7 and 1e7 (contrast 1e14; the two
+    columns at the Dirichlet sides at 1e-7, so S's diagonal stays within the
+    dense pivot floor) gives vertex blocks spanning 14 decades and a regular
+    S that SuperLU, without pivoting, solves as the dense path does: cell
+    balance to 1e-10, pressures and velocities to 1e-8 relative."""
+    grid = build_fine_grid(16, 16)
+    ix, iy = np.arange(grid.n_cells) % 16, np.arange(grid.n_cells) // 16
+    kappa = np.where(((ix + iy) % 2 == 0) | (ix == 0) | (ix == 15), 1e-7, 1e7)
+    f = np.random.default_rng(14).standard_normal(grid.n_cells)
+    sys_ = LinearizedSystem(grid, f, left_right_spec(grid))
+    A = assemble_velocity_matrix(grid, 1.0 / kappa)
+    U_d, P_d, _ = sys_.solve(A, sys_.G0)
+    monkeypatch.setattr("msforch.solve._DENSE_LIMIT", 0)
+    U, P, _ = sys_.solve(A, sys_.G0)
+    defect = np.abs(cell_divergence(grid, sys_.B, U) - f)
+    scale = (abs(sys_.B).T @ np.abs(U)) / grid.cell_areas
+    assert defect.max() <= 1e-10 * scale.max()
+    assert _rel(P, P_d) <= 1e-8 and _rel(U, U_d) <= 1e-8

@@ -306,12 +306,12 @@ def cmd_fine(rc: RunConfig) -> int:
         xs, ys = fine.cell_centers[:, 0], fine.cell_centers[:, 1]
         _write_csv(
             rc.out / f"fine_solution{sfx}.csv", comments, "cell,x,y,p",
-            [f"{i},{_g(x)},{_g(y)},{_g(p)}"
-             for i, (x, y, p) in enumerate(zip(xs, ys, sol.pressure))],
+            [f"%d,%{_G},%{_G},%{_G}" % row for row in zip(
+                range(fine.n_cells), xs.tolist(), ys.tolist(), sol.pressure.tolist())],
         )
         _write_csv(
             rc.out / f"fine_velocity{sfx}.csv", comments, "dof,value",
-            [f"{i},{_g(v)}" for i, v in enumerate(sol.velocity)],
+            [f"%d,%{_G}" % row for row in enumerate(sol.velocity.tolist())],
         )
         _save_pressure_raster(rc, sol.pressure, f"pressure{sfx}.txt")
     _write_csv(rc.out / "iterations.csv", comments, "beta0,scheme,iterations", iter_rows)

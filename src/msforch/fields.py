@@ -1,11 +1,15 @@
-"""Cellwise material fields: permeability rasters and synthetic generators."""
+"""Cellwise material fields: permeability rasters and synthetic generators.
+
+The synthetic generators smooth white noise with :func:`_smooth_periodic`, a
+periodic separable Gaussian equal bit for bit to scipy's wrap-mode
+``gaussian_filter``, so the package imports no scipy image filters.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 SYNTHETIC_KINDS = ("layered", "channel", "blobs")
 
@@ -67,25 +71,48 @@ def load_raster(path, nx: int, ny: int, log10: bool = False,
 
 def save_raster(field: ScalarCellField, path, comment: str | None = None) -> None:
     """Write a field in the raster format read by :func:`load_raster`."""
+    head = f"# {comment}\n" if comment else ""
+    head += f"# {field.nx} x {field.ny}, row-major, bottom row first\n"
+    row = " ".join(["%.17g"] * field.nx) + "\n"
     with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(f"# {field.nx} x {field.ny}, row-major, bottom row first\n")
-        grid = field.as_array2d()
-        for row in grid:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+        fh.write(head + "".join(row % tuple(r) for r in field.as_array2d().tolist()))
+
+
+def _smooth_periodic(a: np.ndarray, sigma) -> np.ndarray:
+    """Periodic Gaussian smoothing with per-axis widths ``sigma``.
+
+    Equals scipy's ``gaussian_filter(a, sigma, mode="wrap")`` (truncate 4)
+    bit for bit: axis 0 first, scipy's normalized weights, and its
+    symmetric accumulation ``x[i] w0 + sum_{j=r..1} (x[i-j] + x[i+j]) wj``.
+    """
+    for axis, s in enumerate(sigma):
+        r = int(4.0 * s + 0.5)
+        w = np.exp(-0.5 / (s * s) * np.arange(-r, r + 1) ** 2)
+        w = w / w.sum()
+        x = np.moveaxis(a, axis, 0)
+        n = x.shape[0]
+        x = np.pad(x, [(r, r), (0, 0)], mode="wrap")
+        out = x[r:r + n] * w[r]
+        tmp = np.empty_like(out)
+        for j in range(r, 0, -1):
+            np.add(x[r - j:r - j + n], x[r + j:r + j + n], out=tmp)
+            tmp *= w[r + j]
+            out += tmp
+        a = np.moveaxis(out, 0, axis)
+    return a
 
 
 def _correlated_unit(rng: np.random.Generator, nx: int, ny: int,
                      sx: float, sy: float) -> np.ndarray:
     """Spatially correlated noise with exactly uniform marginals on [0, 1].
 
-    Gaussian white noise is smoothed with correlation lengths (sx, sy) in
-    cell units, then rank-transformed so the values are an even spread over
-    [0, 1] while keeping the smooth spatial structure.
+    Gaussian white noise is smoothed periodically by :func:`_smooth_periodic`
+    (bitwise ``gaussian_filter(mode="wrap")``) with correlation lengths
+    (sx, sy) in cell units, then rank-transformed so the values are an even
+    spread over [0, 1] while keeping the smooth spatial structure.
     """
-    noise = gaussian_filter(rng.standard_normal((ny, nx)),
-                            sigma=(max(sy, 0.5), max(sx, 0.5)), mode="wrap")
+    noise = _smooth_periodic(rng.standard_normal((ny, nx)),
+                             (max(sy, 0.5), max(sx, 0.5)))
     flat = noise.ravel()
     ranks = np.empty(flat.size)
     ranks[np.argsort(flat, kind="stable")] = np.arange(flat.size)

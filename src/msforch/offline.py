@@ -380,10 +380,10 @@ def save_triplets(rmap: ReductionMap, path, comment: str) -> None:
     after a first line ``# comment``."""
     mat = rmap.matrix.tocoo()
     order = np.lexsort((mat.col, mat.row))
+    entries = zip(mat.row[order].tolist(), mat.col[order].tolist(), mat.data[order].tolist())
     with open(path, "w") as fh:
-        fh.write(f"# {comment}\n# rows cols nnz\n{mat.shape[0]} {mat.shape[1]} {mat.nnz}\n")
-        for r, c, v in zip(mat.row[order], mat.col[order], mat.data[order]):
-            fh.write(f"{r} {c} {format(v, '.17g')}\n")
+        fh.write(f"# {comment}\n# rows cols nnz\n{mat.shape[0]} {mat.shape[1]} {mat.nnz}\n"
+                 + "".join(["%d %d %.17g\n" % e for e in entries]))
 
 
 def load_triplets(path) -> sp.csr_matrix:

@@ -303,11 +303,16 @@ def test_help_lists_every_flag(capsys):
         assert f"--{name} " in out or f"--{name}\n" in out, name
 
 
-def test_module_entrypoint(tmp_path):
-    # The subprocesses import this checkout's package, installed or not.
+def _checkout_env():
+    """Environment whose subprocesses import this checkout's package,
+    installed or not."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entrypoint(tmp_path):
+    env = _checkout_env()
     proc = subprocess.run(
         [sys.executable, "-m", "msforch.cli", "gen-field", "--nx", "6",
          "--ny", "6", "--field", "layered:1:10", "--out", str(tmp_path)],
@@ -321,3 +326,15 @@ def test_module_entrypoint(tmp_path):
     )
     assert bad.returncode == 2
     assert len(bad.stderr.strip().splitlines()) == 1
+
+
+def test_import_loads_no_scipy_ndimage():
+    """The package needs numpy and scipy's sparse and linalg modules only; a
+    fresh interpreter shows it, since tests may import scipy.ndimage."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, msforch, msforch.cli; print('scipy.ndimage' in sys.modules)"],
+        capture_output=True, text=True, env=_checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -76,14 +76,12 @@ class FineGrid:
     vertices: np.ndarray          # (n_vertices, 2)
     elements: np.ndarray          # (n_cells, 4) vertex ids, counter-clockwise
     edge_nodes: np.ndarray        # (n_edges, 2) endpoint vertex ids
-    edge_normals: np.ndarray      # (n_edges, 2) global unit normal
     edge_lengths: np.ndarray      # (n_edges,)
     element_edges: np.ndarray     # (n_cells, 4) edge ids: bottom, right, top, left
     element_edge_signs: np.ndarray  # (n_cells, 4)
     edge_side: np.ndarray         # (n_edges,) -1 interior, 0/1/2/3 bottom/right/top/left
     edge_boundary_sign: np.ndarray  # (n_edges,) sign in the unique adjacent element
     vertex_dofs: np.ndarray       # (n_vertices, 4) dof ids padded with -1
-    vertex_degree: np.ndarray     # (n_vertices,)
     dof_vertex: np.ndarray        # (n_dofs,)
     dof_vslot: np.ndarray         # (n_dofs,) slot of the dof inside its vertex block
     cell_areas: np.ndarray        # (n_cells,)
@@ -163,9 +161,6 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     wx, wy = wx.ravel(), wy.ravel()
     v_nodes = np.column_stack([vid(wx, wy), vid(wx, wy + 1)])
     edge_nodes = np.vstack([h_nodes, v_nodes])
-    edge_normals = np.vstack(
-        [np.tile([0.0, 1.0], (n_h, 1)), np.tile([1.0, 0.0], (n_v, 1))]
-    )
     edge_lengths = np.linalg.norm(
         vertices[edge_nodes[:, 1]] - vertices[edge_nodes[:, 0]], axis=1
     )
@@ -241,14 +236,12 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
         vertices=vertices,
         elements=elements,
         edge_nodes=edge_nodes,
-        edge_normals=edge_normals,
         edge_lengths=edge_lengths,
         element_edges=element_edges,
         element_edge_signs=element_edge_signs,
         edge_side=edge_side,
         edge_boundary_sign=edge_boundary_sign,
         vertex_dofs=vertex_dofs,
-        vertex_degree=degree,
         dof_vertex=dof_vertex,
         dof_vslot=dof_vslot,
         cell_areas=cell_areas,
@@ -315,7 +308,6 @@ class CoarseGrid:
     Ny: int
     rects: np.ndarray               # (N_T, 4) lower-left cell and extent
     coarse_elements: list           # fine cell ids per coarse element
-    boundary_edges: list            # counter-clockwise fine edges per element
 
     @property
     def n_elements(self) -> int:
@@ -346,10 +338,7 @@ def build_coarse_grid(fine: FineGrid, Nx: int, Ny: int) -> CoarseGrid:
         [(iX * mx, iY * my, mx, my) for iY in range(Ny) for iX in range(Nx)]
     )
     cells = []
-    bnd = []
     for ox, oy, w, h in rects:
         lix, liy = np.meshgrid(np.arange(w), np.arange(h))
         cells.append(fine.cell_id(ox + lix.ravel(), oy + liy.ravel()))
-        bnd.append(rect_boundary_edges(fine, ox, oy, w, h))
-    return CoarseGrid(fine=fine, Nx=Nx, Ny=Ny, rects=rects, coarse_elements=cells,
-                      boundary_edges=bnd)
+    return CoarseGrid(fine=fine, Nx=Nx, Ny=Ny, rects=rects, coarse_elements=cells)

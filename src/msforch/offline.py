@@ -18,7 +18,10 @@ the constant mode.  Eigenvectors are S-orthonormal, which makes the resulting
 pressure basis L2-orthonormal on the element; signs are fixed so the largest
 entry is positive, and eigenvalues are sorted ascending, so column order is
 deterministic.  Stacking each element's selected basis columns yields the
-global reduction map R used by the reduced Schur solves.
+global reduction map R used by the reduced Schur solves.  The snapshot
+velocities enter only A^i and the energy of the summed snapshots, so
+:class:`SpectralSpace` keeps the pressures and the two Gram matrices and
+drops the velocities once those are formed.
 
 Residual-driven updating: after a nonlinear solve in the reduced space, the
 cell-conservation defect R_i = int_{T_i} |f - div u|^2 ranks the coarse
@@ -55,9 +58,7 @@ class SpectralSpace:
 
     element: int
     cells: np.ndarray            # global fine cells of T_i
-    dofs: np.ndarray             # global velocity DOFs of the T_i subgrid
     snapshots_p: np.ndarray      # (n_local_cells, J) pressures on T_i
-    snapshots_u: np.ndarray      # (n_local_dofs, J) velocities on T_i
     gram_a: np.ndarray           # (J, J) velocity energy Gram matrix
     gram_s: np.ndarray           # (J, J) pressure L2 Gram matrix
     null_energy: float = 0.0     # velocity energy of the summed snapshots
@@ -91,8 +92,9 @@ def build_snapshots(
 
     One local Darcy-type solve per boundary-data column of element i's block
     grown by ``layers`` (oversampling; 0 solves on the element itself),
-    restricted to the element, with its Grams.  ``coeff`` is the coefficient
-    of the local solves, per global cell or per (cell, corner);
+    restricted to the element, with its Grams; the snapshot velocities are
+    dropped once the Grams are formed.  ``coeff`` is the coefficient of the
+    local solves, per global cell or per (cell, corner);
     ``gram_coeff`` (default: same) is the coefficient of the velocity energy
     Gram matrix used by the spectral problem.  Pass the coarse grid's
     ``shapes`` to reuse the per-shape local data across elements; by default
@@ -101,12 +103,12 @@ def build_snapshots(
     if layers < 0:
         raise ValueError("oversampling layers must be non-negative")
     shapes = LocalShapes(coarse) if shapes is None else shapes
-    shape, cells, dofs = shapes.snapshot(i, layers)
+    shape, cells, _ = shapes.snapshot(i, layers)
     A = assemble_velocity_matrix(shape.grid, np.asarray(coeff)[cells])
     U, P = shape.operator.solve(A, shape.data, 0.0)
     if layers:
         P, U = P[shape.element_cells], U[shape.element_dofs]
-        shape, cells, dofs = shapes.snapshot(i)
+        shape, cells, _ = shapes.snapshot(i)
     if gram_coeff is None and not layers:
         M = A  # the Gram coefficient and grid are those of the solves
     else:
@@ -115,9 +117,7 @@ def build_snapshots(
     return SpectralSpace(
         element=i,
         cells=cells,
-        dofs=dofs,
         snapshots_p=P,
-        snapshots_u=U,
         gram_a=M.gram(U),
         gram_s=(P * fine.cell_areas[cells][:, None]).T @ P,
         # Energy of the summed snapshots, formed on the velocity vector itself:
@@ -316,11 +316,14 @@ def conservation_residuals(
     coarse: CoarseGrid,
     velocity: np.ndarray,
     f_cells: np.ndarray,
-    B: sp.spmatrix | None = None,
 ) -> np.ndarray:
     """Per coarse element: int_{T_i} |f - div u|^2 dx (cellwise exact)."""
-    B = assemble_divergence(fine) if B is None else B
-    defect = np.asarray(f_cells) - cell_divergence(fine, B, velocity)
+    defect = np.asarray(f_cells) - cell_divergence(fine, assemble_divergence(fine), velocity)
+    return element_residuals(fine, coarse, defect)
+
+
+def element_residuals(fine: FineGrid, coarse: CoarseGrid, defect: np.ndarray) -> np.ndarray:
+    """Per coarse element: int_{T_i} defect^2 dx of a per-cell defect."""
     weighted = defect**2 * fine.cell_areas
     return np.array([weighted[cells].sum() for cells in coarse.coarse_elements])
 

@@ -13,12 +13,20 @@ the map keeps full column rank.
 Elements are processed in a four-color schedule (parity of the coarse
 indices), one reduced linearized solve after each color: either uniformly
 (every element, every color) or adaptively (elements selected once per
-sweep by the xi-fraction residual rule, then intersected with each color).
+sweep by the xi-fraction residual rule, then intersected with each color;
+colors left without a selected element are skipped).  Both schedules run
+through one sweep loop.
 
 Two coefficient variants: 'updating' re-linearizes 1/kappa + beta |u|
 at the current multiscale velocity before every local solve and reduced
 solve; 'fixed_offline' freezes the coefficient at the initial offline
 velocity, which is cheaper but stalls at a positive error plateau.
+
+:class:`EnrichmentState` keeps only what the schedule reads and derives each
+quantity once.  Per solution: the cell defect f - div(u), which feeds both
+the local problems and the per-element residuals, and (for 'updating') the
+corner coefficient with its fine velocity matrix; 'fixed_offline' computes
+those two once.  Per run: the reference norms of the relative errors.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .mfmfe import (
     corner_velocities,
     quadrature_norm_matrix,
 )
-from .offline import ReductionMap, conservation_residuals, select_by_fraction
+from .offline import ReductionMap, element_residuals, select_by_fraction
 from .solve import (
     FlowSolution,
     LinearizedSystem,
@@ -48,6 +56,7 @@ from .solve import (
 )
 
 VARIANTS = ("updating", "fixed_offline")
+PLATEAU_CHANGE = 0.01   # relative Eru change per sweep below which enrichment has stalled
 
 
 @dataclass
@@ -78,31 +87,21 @@ class EnrichmentState:
     reference: FlowSolution
     variant: str = "updating"
     solution: FlowSolution | None = None
-    level: int = 0                      # completed color sub-iterations
     history: list = field(default_factory=list)
-    # caches refreshed whenever the solution changes
+    # derived once per run (_system, _shapes, _norms) or per solution
     _system: LinearizedSystem | None = None
     _shapes: LocalShapes | None = None  # per-shape data of the online local problems
     _defect: np.ndarray | None = None   # f - div(u) per fine cell
-    _coeff: np.ndarray | None = None    # corner coefficient of the current linearization
-    _fixed_A = None                     # velocity matrix at the offline speed
-    _fixed_speed = None                 # |u_off| per (cell, corner), captured once
-    _norm_M = None
-    _ref_p_norm: float = 0.0
-    _ref_u_norm: float = 0.0
+    _coeff: np.ndarray | None = None    # corner coefficient; the first solution's if fixed
+    _A = None                           # fine velocity matrix of _coeff, assembled on use
+    _norms: tuple = ()                  # reference norms, see _reference_norms
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         self._system = LinearizedSystem(self.fine, self.f_cells, self.bc)
         self._shapes = LocalShapes(self.coarse)
-        self._norm_M = quadrature_norm_matrix(self.fine)
-        self._ref_p_norm = np.sqrt(
-            (self.reference.pressure**2 * self.fine.cell_areas).sum()
-        )
-        self._ref_u_norm = velocity_error_norm(self._norm_M, self.reference.velocity)
-        if self._ref_p_norm == 0.0 or self._ref_u_norm == 0.0:
-            raise ValueError("reference solution has zero norm; relative errors undefined")
+        self._norms = _reference_norms(self.fine, self.reference)
 
     @property
     def dim(self) -> int:
@@ -111,51 +110,43 @@ class EnrichmentState:
     def set_solution(self, sol: FlowSolution) -> None:
         self.solution = sol
         self._defect = self.f_cells - cell_divergence(self.fine, self._system.B, sol.velocity)
-        speed = corner_velocities(self.fine, sol.velocity)[1]
-        if self.variant == "fixed_offline":
-            if self._fixed_speed is None:
-                self._fixed_speed = speed
-            speed = self._fixed_speed
-        # Shared by the local solves of a colour class and the reduced solve
-        # after it.
-        self._coeff = corner_coefficient(self.kappa.values, self.beta.values, speed)
+        if self.variant == "updating" or self._coeff is None:
+            # Shared by the local solves of a colour class and the reduced
+            # solve after it.
+            speed = corner_velocities(self.fine, sol.velocity)[1]
+            self._coeff = corner_coefficient(self.kappa.values, self.beta.values, speed)
+            self._A = None
 
     def velocity_matrix(self):
-        if self.variant == "fixed_offline":
-            if self._fixed_A is None:
-                self._fixed_A = assemble_velocity_matrix(self.fine, self._coeff)
-            return self._fixed_A
-        return assemble_velocity_matrix(self.fine, self._coeff)
+        if self._A is None:
+            self._A = assemble_velocity_matrix(self.fine, self._coeff)
+        return self._A
 
     def errors(self) -> tuple:
         """(Erp, Eru) of the current solution against the fine reference."""
-        return error_metrics(
-            self.fine,
-            self.solution,
-            self.reference,
-            norm_matrix=self._norm_M,
-            p_norm=self._ref_p_norm,
-            u_norm=self._ref_u_norm,
-        )
+        return _relative_errors(self.fine, self.solution, self.reference, self._norms)
 
 
-def error_metrics(
-    fine: FineGrid,
-    sol: FlowSolution,
-    ref: FlowSolution,
-    norm_matrix=None,
-    p_norm: float | None = None,
-    u_norm: float | None = None,
-) -> tuple:
-    """Relative L2 pressure error and quadrature-norm velocity error."""
-    M = quadrature_norm_matrix(fine) if norm_matrix is None else norm_matrix
-    den_p = np.sqrt((ref.pressure**2 * fine.cell_areas).sum()) if p_norm is None else p_norm
-    den_u = velocity_error_norm(M, ref.velocity) if u_norm is None else u_norm
-    if den_p == 0.0 or den_u == 0.0:
+def _reference_norms(fine: FineGrid, ref: FlowSolution) -> tuple:
+    """(quadrature norm matrix, L2 pressure norm, velocity norm) of a reference."""
+    M = quadrature_norm_matrix(fine)
+    p_norm = np.sqrt((ref.pressure**2 * fine.cell_areas).sum())
+    u_norm = velocity_error_norm(M, ref.velocity)
+    if p_norm == 0.0 or u_norm == 0.0:
         raise ValueError("reference solution has zero norm; relative errors undefined")
-    erp = np.sqrt((((sol.pressure - ref.pressure) ** 2) * fine.cell_areas).sum()) / den_p
-    eru = velocity_error_norm(M, sol.velocity - ref.velocity) / den_u
+    return M, p_norm, u_norm
+
+
+def _relative_errors(fine: FineGrid, sol: FlowSolution, ref: FlowSolution, norms: tuple) -> tuple:
+    M, p_norm, u_norm = norms
+    erp = np.sqrt((((sol.pressure - ref.pressure) ** 2) * fine.cell_areas).sum()) / p_norm
+    eru = velocity_error_norm(M, sol.velocity - ref.velocity) / u_norm
     return float(erp), float(eru)
+
+
+def error_metrics(fine: FineGrid, sol: FlowSolution, ref: FlowSolution) -> tuple:
+    """Relative L2 pressure error and quadrature-norm velocity error."""
+    return _relative_errors(fine, sol, ref, _reference_norms(fine, ref))
 
 
 def init_enrichment(
@@ -266,63 +257,46 @@ def ms_solve(state: EnrichmentState) -> FlowSolution:
 
 def online_residuals(state: EnrichmentState) -> np.ndarray:
     """Per coarse element conservation residual of the current solution."""
-    return conservation_residuals(
-        state.fine, state.coarse, state.solution.velocity, state.f_cells, B=state._system.B
-    )
+    return element_residuals(state.fine, state.coarse, state._defect)
 
 
-def _log_subiteration(state: EnrichmentState, sweep: int, subiter: int, n_added: int) -> None:
-    erp, eru = state.errors()
-    state.level += 1
-    state.history.append(
-        HistoryRow(
-            level=sweep, subiter=subiter, dim_Wms=state.dim, n_added=n_added,
-            Erp=erp, Eru=eru, total_residual=float(online_residuals(state).sum()),
-        )
-    )
-
-
-def _enrich_class(state: EnrichmentState, elements) -> int:
-    """Append accepted candidate bases for the given elements; returns count."""
-    accepted = 0
-    for i in elements:
-        cand = online_basis(state, int(i))
-        if cand is None:
-            continue
-        cells, values = cand
-        state.rmap.append_column(int(i), cells, values, provenance="online")
-        accepted += 1
-    return accepted
+def _sweeps(state: EnrichmentState, sweeps: int, xi: float | None) -> EnrichmentState:
+    """Colour sweeps over every element, or over the xi-fraction residual
+    prefix selected once per sweep, re-solving and logging after each colour."""
+    classes = list(enumerate(color_classes(state.coarse), 1))
+    start = state.history[-1].level if state.history else 0
+    for sweep in range(start + 1, start + sweeps + 1):
+        todo = classes
+        if xi is not None:
+            selected = select_by_fraction(online_residuals(state), xi)
+            todo = [(c, cls[np.isin(cls, selected)]) for c, cls in classes]
+            todo = [(c, cls) for c, cls in todo if cls.size]   # skip emptied colours
+        for subiter, elements in todo:
+            n_added = 0
+            for i in elements:
+                cand = online_basis(state, int(i))
+                if cand is not None:
+                    state.rmap.append_column(int(i), *cand)
+                    n_added += 1
+            ms_solve(state)
+            erp, eru = state.errors()
+            state.history.append(HistoryRow(
+                level=sweep, subiter=subiter, dim_Wms=state.dim, n_added=n_added,
+                Erp=erp, Eru=eru, total_residual=float(online_residuals(state).sum()),
+            ))
+    return state
 
 
 def enrich_uniform(state: EnrichmentState, sweeps: int) -> EnrichmentState:
     """Enrich every coarse element once per color, re-solving after each color."""
-    classes = color_classes(state.coarse)
-    start = state.history[-1].level if state.history else 0
-    for sweep in range(start + 1, start + sweeps + 1):
-        for c, cls in enumerate(classes):
-            n_added = _enrich_class(state, cls)
-            ms_solve(state)
-            _log_subiteration(state, sweep, c + 1, n_added)
-    return state
+    return _sweeps(state, sweeps, None)
 
 
 def enrich_adaptive(state: EnrichmentState, xi: float, sweeps: int) -> EnrichmentState:
     """Enrich only the xi-fraction residual prefix, selected once per sweep."""
     if not (0 < xi < 1):
         raise ValueError(f"xi must be in (0, 1), got {xi}")
-    classes = color_classes(state.coarse)
-    start = state.history[-1].level if state.history else 0
-    for sweep in range(start + 1, start + sweeps + 1):
-        selected = set(select_by_fraction(online_residuals(state), xi).tolist())
-        for c, cls in enumerate(classes):
-            todo = np.array(sorted(selected.intersection(cls.tolist())), dtype=int)
-            if todo.size == 0:
-                continue
-            n_added = _enrich_class(state, todo)
-            ms_solve(state)
-            _log_subiteration(state, sweep, c + 1, n_added)
-    return state
+    return _sweeps(state, sweeps, xi)
 
 
 def sweep_final_errors(state: EnrichmentState) -> np.ndarray:
@@ -333,15 +307,16 @@ def sweep_final_errors(state: EnrichmentState) -> np.ndarray:
     return np.array([out[k] for k in sorted(out)])
 
 
-def detect_plateau(eru_per_sweep: np.ndarray, rel_change: float = 0.01):
-    """First sweep (1-based) whose Eru changed by less than rel_change; None if it never does.
+def detect_plateau(eru_per_sweep: np.ndarray):
+    """First sweep (1-based) whose Eru changed by less than PLATEAU_CHANGE
+    relative to the sweep before; None if it never does.
 
     The stagnation criterion of the fixed-coefficient variant: enrichment
     keeps lowering the error until the frozen linearization dominates.
     """
     e = np.asarray(eru_per_sweep, dtype=float)
     for k in range(1, len(e)):
-        if abs(e[k] - e[k - 1]) < rel_change * max(abs(e[k - 1]), 1e-300):
+        if abs(e[k] - e[k - 1]) < PLATEAU_CHANGE * max(abs(e[k - 1]), 1e-300):
             return k + 1
     return None
 

@@ -63,9 +63,11 @@ _EPS_NORM = 1e-30
 #: Cholesky, larger ones by SuperLU: the measured crossover of the two.
 _DENSE_LIMIT = 272
 
-#: A dense Cholesky pivot of S at or below this fraction of its largest
-#: diagonal entry marks S as singular: a closed no-flow box factors
-#: with a roundoff-sized last pivot instead of failing.
+#: A dense Cholesky pivot c_ii with c_ii^2 at or below this fraction of S_ii
+#: marks S as singular: row i is then a roundoff-level combination of the
+#: rows before it.  A closed no-flow box factors with such a last pivot
+#: instead of failing.  The test is per row, so a diagonal that spans many
+#: decades (a high-contrast field) does not trip it.
 _PIVOT_FLOOR = 1e-12
 
 
@@ -105,12 +107,12 @@ class FlowSolution:
 def _cholesky_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve with a dense SPD S (overwritten) by Cholesky; raises
     :class:`SingularSystemError` when S is not SPD or a pivot is roundoff-sized."""
-    scale = S.diagonal().max(initial=0.0)
+    diag = S.diagonal().copy()   # cho_factor overwrites S
     try:
         c, low = la.cho_factor(S, overwrite_a=True)
     except la.LinAlgError as exc:
         raise SingularSystemError(f"pressure system is not SPD: {exc}") from exc
-    if not c.diagonal().min(initial=np.inf) ** 2 > _PIVOT_FLOOR * scale:
+    if not np.all(c.diagonal() ** 2 > _PIVOT_FLOOR * diag):
         raise SingularSystemError("pressure system is numerically singular")
     return la.cho_solve((c, low), rhs)
 

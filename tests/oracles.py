@@ -197,6 +197,16 @@ def saddle_oracle(A, B: sp.spmatrix, G: np.ndarray, F: np.ndarray):
     return x[:n_u], x[n_u:]
 
 
+def edge_normals(grid) -> np.ndarray:
+    """(n_edges, 2) global unit normals by the grid's numbering convention:
+    +y for the nx (ny + 1) horizontal edges, then +x for the vertical ones."""
+    n_h = grid.nx * (grid.ny + 1)
+    normals = np.zeros((grid.n_edges, 2))
+    normals[:n_h, 1] = 1.0
+    normals[n_h:, 0] = 1.0
+    return normals
+
+
 def to_sparse(A):
     """The VertexBlockMatrix A as a global sparse matrix."""
     return A._sparse_from_blocks(A.blocks)

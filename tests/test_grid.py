@@ -37,18 +37,20 @@ def test_two_by_one_vertex_degrees():
     g = build_fine_grid(2, 1, domain=(0.0, 2.0, 0.0, 1.0))
     # No interior vertices; the two vertices on the shared vertical edge have
     # three incident edges, the four outer corners two.
-    assert np.all(g.vertex_degree <= 3)
-    assert np.count_nonzero(g.vertex_degree == 3) == 2
-    assert np.count_nonzero(g.vertex_degree == 2) == 4
+    degree = (g.vertex_dofs >= 0).sum(axis=1)
+    assert np.all(degree <= 3)
+    assert np.count_nonzero(degree == 3) == 2
+    assert np.count_nonzero(degree == 2) == 4
     shared = g.vertical_edge(1, 0)
     assert g.edge_side[shared] == -1  # interior
 
 
 def test_vertex_degree_classes():
     g = build_fine_grid(4, 3)
-    interior = np.count_nonzero(g.vertex_degree == 4)
-    boundary = np.count_nonzero(g.vertex_degree == 3)
-    corner = np.count_nonzero(g.vertex_degree == 2)
+    degree = (g.vertex_dofs >= 0).sum(axis=1)
+    interior = np.count_nonzero(degree == 4)
+    boundary = np.count_nonzero(degree == 3)
+    corner = np.count_nonzero(degree == 2)
     assert interior == 3 * 2  # (nx-1)(ny-1)
     assert corner == 4
     assert boundary == g.n_vertices - interior - corner
@@ -60,8 +62,9 @@ def test_dofs_partition_into_vertex_blocks():
     ids = g.vertex_dofs[g.vertex_dofs >= 0]
     assert len(ids) == g.n_dofs
     assert np.array_equal(np.sort(ids), np.arange(g.n_dofs))
-    # block slots match vertex degree
-    assert np.array_equal((g.vertex_dofs >= 0).sum(axis=1), g.vertex_degree)
+    # block slots match vertex degree (incident edges per vertex)
+    degree = np.bincount(g.edge_nodes.ravel(), minlength=g.n_vertices)
+    assert np.array_equal((g.vertex_dofs >= 0).sum(axis=1), degree)
 
 
 def test_interior_edges_have_opposite_signs():
@@ -137,7 +140,8 @@ def test_coarse_partition_100x100():
     all_cells = np.concatenate(coarse.coarse_elements)
     assert len(all_cells) == fine.n_cells
     assert np.array_equal(np.sort(all_cells), np.arange(fine.n_cells))
-    for edges in coarse.boundary_edges:
+    for i in range(coarse.n_elements):
+        edges = rect_boundary_edges(fine, *coarse.element_rect(i))
         assert len(edges) == 40  # 4 * 10 fine edges around a 10x10 block
     area = sum(fine.cell_areas[c].sum() for c in coarse.coarse_elements)
     x0, x1, y0, y1 = fine.domain

@@ -31,6 +31,7 @@ from oracles import (
     SingularCornerError,
     corner_geometry,
     corner_velocity,
+    edge_normals,
     piola,
     reference_basis,
     reference_divergence,
@@ -357,8 +358,9 @@ def test_divergence_of_linear_interpolant():
     B = assemble_divergence(grid)
     # DOF values of v = (x, y): normal component at each edge endpoint
     U = np.empty(grid.n_dofs)
+    normals = edge_normals(grid)
     for e in range(grid.n_edges):
-        n = grid.edge_normals[e]
+        n = normals[e]
         for k, p in enumerate(grid.vertices[grid.edge_nodes[e]]):
             U[2 * e + k] = p @ n
     got = B.T @ U

@@ -6,7 +6,7 @@ import scipy.linalg as la
 
 from msforch.errors import SingularSystemError
 from msforch.fields import ScalarCellField, gen_synthetic
-from msforch.grid import build_coarse_grid, build_fine_grid, subgrid
+from msforch.grid import build_coarse_grid, build_fine_grid, rect_boundary_edges, subgrid
 from msforch.mfmfe import BoundarySpec, assemble_velocity_matrix, left_right_spec
 from msforch.offline import (
     ReductionMap,
@@ -40,9 +40,7 @@ def test_superposition_gives_constant_pressure_zero_velocity():
     space = build_snapshots(fine, coarse, 5, 1.0 / kappa.values)
     assert space.n_snapshots == 8  # one per boundary fine edge of a 2x2 block
     p_sum = space.snapshots_p.sum(axis=1)
-    u_sum = space.snapshots_u.sum(axis=1)
     assert np.allclose(p_sum, 1.0, atol=1e-10)
-    assert np.allclose(u_sum, 0.0, atol=1e-10)
     assert space.null_energy <= 1e-18
 
 
@@ -56,7 +54,7 @@ def test_single_snapshot_matches_independent_local_solve():
     space = build_snapshots(fine, coarse, i, 1.0 / kappa.values)
 
     g2l = {int(e): k for k, e in enumerate(sub.edges)}
-    datum_edge = g2l[int(coarse.boundary_edges[i][j])]
+    datum_edge = g2l[int(rect_boundary_edges(fine, *coarse.element_rect(i))[j])]
     bc = BoundarySpec()
     for le in sub.grid.boundary_edges:
         bc.dirichlet[int(le)] = 1.0 if int(le) == datum_edge else 0.0
@@ -66,7 +64,7 @@ def test_single_snapshot_matches_independent_local_solve():
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     U, P = saddle_oracle(Ahat, Bfree, G2, sys_.F)
     assert np.allclose(P, space.snapshots_p[:, j], atol=1e-12)
-    assert np.allclose(U, space.snapshots_u[:, j], atol=1e-12)
+    assert space.gram_a[j, j] == pytest.approx(A.gram(U[:, None])[0, 0], rel=1e-12)
 
 
 def test_eigensolver_against_cholesky_reduction_oracle():
@@ -80,8 +78,7 @@ def test_eigensolver_against_cholesky_reduction_oracle():
     # deflation must stay out of the way for a generic pencil
     P = rng.standard_normal((12, J))
     space = SpectralSpace(
-        element=0, cells=np.arange(12), dofs=np.arange(2),
-        snapshots_p=P, snapshots_u=np.zeros((2, J)),
+        element=0, cells=np.arange(12), snapshots_p=P,
         gram_a=A, gram_s=S,
     )
     space = spectral_decompose(space, J)
@@ -130,8 +127,7 @@ def test_m_off_bounds():
 
 def test_all_zero_pressure_snapshots_rejected():
     space = SpectralSpace(
-        element=0, cells=np.arange(4), dofs=np.arange(2),
-        snapshots_p=np.zeros((4, 3)), snapshots_u=np.zeros((2, 3)),
+        element=0, cells=np.arange(4), snapshots_p=np.zeros((4, 3)),
         gram_a=np.eye(3), gram_s=np.zeros((3, 3)),
     )
     with pytest.raises(SingularSystemError):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msforch.online
 from msforch.fields import ScalarCellField, forchheimer_coeff, gen_synthetic
 from msforch.grid import build_coarse_grid, build_fine_grid
-from msforch.mfmfe import assemble_divergence, left_right_spec
+from msforch.mfmfe import assemble_divergence, left_right_spec, quadrature_norm_matrix
 from msforch.offline import (
     ReductionMap,
     build_offline_space,
@@ -124,11 +125,11 @@ def test_error_metrics_hand_computed():
 
 
 def test_detect_plateau_rules():
-    assert detect_plateau(np.array([1.0, 0.5, 0.499]), 0.01) == 3
-    assert detect_plateau(np.array([1.0, 0.5, 0.25, 0.125]), 0.01) is None
-    assert detect_plateau(np.array([1.0, 1.0, 0.2]), 0.01) == 2
-    assert detect_plateau(np.array([1.0]), 0.01) is None
-    assert detect_plateau(np.array([0.0, 0.0]), 0.01) == 2
+    assert detect_plateau(np.array([1.0, 0.5, 0.499])) == 3
+    assert detect_plateau(np.array([1.0, 0.5, 0.25, 0.125])) is None
+    assert detect_plateau(np.array([1.0, 1.0, 0.2])) == 2
+    assert detect_plateau(np.array([1.0])) is None
+    assert detect_plateau(np.array([0.0, 0.0])) == 2
 
 
 def test_color_classes_partition():
@@ -198,7 +199,7 @@ def test_appended_target_direction_is_recovered_exactly(problem):
     fine = p["fine"]
     A_frozen = state.velocity_matrix()
     U_star, P_star, _ = state._system.solve(A_frozen, state._system.G0)
-    M = state._norm_M
+    M = quadrature_norm_matrix(fine)
     d0 = np.sqrt((state.solution.velocity - U_star) @ M.matvec(state.solution.velocity - U_star))
     assert d0 > 1e-8
     delta = P_star - state.solution.pressure
@@ -214,13 +215,39 @@ def test_appended_target_direction_is_recovered_exactly(problem):
 def test_fixed_variant_freezes_coefficient(problem):
     p = problem
     state = _fresh_state(p, variant="fixed_offline")
-    frozen = state._fixed_speed.copy()
+    frozen = state._coeff.copy()
     enrich_uniform(state, 1)
-    assert np.array_equal(state._fixed_speed, frozen)
+    assert np.array_equal(state._coeff, frozen)
     # repeated reduced solves with an unchanged space are idempotent
     s1 = ms_solve(state)
     s2 = ms_solve(state)
     assert np.allclose(s1.pressure, s2.pressure, atol=1e-13)
+
+
+def test_fixed_variant_assembles_once_and_reads_no_new_speed(problem, monkeypatch):
+    """Across two sweeps the frozen coefficient's fine velocity matrix is
+    assembled once, and no solve after set-up recomputes corner velocities."""
+    p = problem
+    state = _fresh_state(p, variant="fixed_offline")
+    assemble = msforch.online.assemble_velocity_matrix
+    corner_velocities = msforch.online.corner_velocities
+    fine_assemblies, speeds = [], []
+
+    def assemble_spy(grid, *args, **kwargs):
+        if grid is p["fine"]:
+            fine_assemblies.append(1)
+        return assemble(grid, *args, **kwargs)
+
+    def speed_spy(*args, **kwargs):
+        speeds.append(1)
+        return corner_velocities(*args, **kwargs)
+
+    monkeypatch.setattr(msforch.online, "assemble_velocity_matrix", assemble_spy)
+    monkeypatch.setattr(msforch.online, "corner_velocities", speed_spy)
+    enrich_uniform(state, 2)
+    assert len(state.history) == 8
+    assert len(fine_assemblies) == 1
+    assert speeds == []
 
 
 def test_history_accounting(problem):
@@ -269,9 +296,7 @@ def test_adaptive_near_one_matches_uniform(problem):
     enrich_uniform(uni, 1)
     enrich_adaptive(ada, 0.999999, 1)
     assert ada.dim == uni.dim
-    assert sweep_final_errors(ada)[-1] == pytest.approx(
-        sweep_final_errors(uni)[-1], rel=1e-10
-    )
+    assert ada.history == uni.history
 
 
 def test_adaptive_enriches_fewer_elements(problem):
@@ -294,7 +319,7 @@ def test_online_residuals_consistency(problem):
     direct = conservation_residuals(
         p["fine"], p["coarse"], state.solution.velocity, p["f"]
     )
-    assert np.allclose(online_residuals(state), direct, rtol=1e-12, atol=1e-300)
+    assert np.array_equal(online_residuals(state), direct)
 
 
 

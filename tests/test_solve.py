@@ -608,14 +608,10 @@ def test_high_contrast_regular_system_solves(monkeypatch):
     assert _rel(P, P_d) <= 1e-8 and _rel(U, U_d) <= 1e-8
 
 
-@pytest.mark.xfail(raises=SingularSystemError, strict=True,
-                   reason="the dense path's pivot floor is relative to S's largest diagonal entry")
 def test_regular_high_contrast_system_solves_on_both_paths(monkeypatch):
     """A full 16x16 checkerboard of permeabilities 1e-7 and 1e7 with the
-    left-right preset is regular: the saddle oracle solves it, and so does
-    ND SuperLU, but the dense path's pivot floor (1e-12 of S's largest
-    diagonal entry) calls it numerically singular, so whether it raises
-    depends on the system's size.  Both paths should solve it."""
+    left-right preset is regular: the saddle oracle solves it.  Both paths
+    should solve it."""
     grid = build_fine_grid(16, 16)
     ix, iy = np.arange(grid.n_cells) % 16, np.arange(grid.n_cells) // 16
     kappa = np.where((ix + iy) % 2 == 0, 1e-7, 1e7)

@@ -18,15 +18,14 @@ at one of its corners always belong to edges meeting at that mesh vertex, the
 corner quadrature used by the velocity bilinear form couples DOFs only within
 per-vertex groups; ``vertex_dofs`` records those groups.
 
-The grid's only corner geometry (DF, signs and lengths are not kept) is
-that quadrature's: ``corner_factors[c, k, s] = g_s = t_s DF N_s /
-(2 sqrt(J))`` at corner k of cell c, with N_s the reference normal of DOF
-slot s and t_s = sign * |e|, the determinants ``corner_J``, the DOF of
-each slot ``elem_corner_dof`` and ``corner_index``, the flat position of
-each (c, k, s, l) contribution in the (n_vertices, 4, 4) vertex-block
-array.  The corner contribution (1/4) t_s t_l N_s^T Mhat N_l of a
-coefficient C (Mhat = DF^T C DF / J) is g_s^T C g_l, and the corner
-velocity is w = (2 / sqrt(J)) sum_s U_s g_s.
+Every cell is an axis-aligned rectangle, so its bilinear map is diagonal
+with determinant ``cell_areas`` at every corner.  The corner quadrature then
+needs no per-cell factors: the velocity at corner k of cell c is
+``(U[d0], U[d1])`` with ``(d0, d1) = elem_corner_dof[c, k]``, the DOFs of
+the vertical edge (x component) and of the horizontal edge (y component),
+and the corner weighs ``cell_areas[c] / 4``.  ``corner_index[c, k, s, l]``
+is the flat position of the (s, l) contribution in the (n_vertices, 4, 4)
+vertex-block array.
 """
 
 from __future__ import annotations
@@ -36,20 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateElementError
-
-# Reference square corners, counter-clockwise from the origin.
-REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-
-# Outward unit normals of the two reference edges meeting at each corner.
-# Slot 0 is the vertical edge (x-normal), slot 1 the horizontal edge.
-REF_CORNER_NORMALS = np.array(
-    [
-        [[-1.0, 0.0], [0.0, -1.0]],
-        [[+1.0, 0.0], [0.0, -1.0]],
-        [[+1.0, 0.0], [0.0, +1.0]],
-        [[-1.0, 0.0], [0.0, +1.0]],
-    ]
-)
 
 # Local edge index (bottom=0, right=1, top=2, left=3) of the vertical and
 # horizontal edge at each corner, and which endpoint of that edge the corner
@@ -86,10 +71,8 @@ class FineGrid:
     dof_vslot: np.ndarray         # (n_dofs,) slot of the dof inside its vertex block
     cell_areas: np.ndarray        # (n_cells,)
     cell_centers: np.ndarray      # (n_cells, 2)
-    # Corner geometry, slot 0 = vertical edge, slot 1 = horizontal edge.
+    # Corner DOFs, slot 0 = vertical edge (x), slot 1 = horizontal edge (y).
     elem_corner_dof: np.ndarray   # (n_cells, 4, 2)
-    corner_J: np.ndarray          # (n_cells, 4) Jacobian determinant at each corner
-    corner_factors: np.ndarray    # (n_cells, 4, 2, 2) quadrature factors, slot s then axis
     corner_index: np.ndarray      # (n_cells, 4, 2, 2) vertex-block scatter index
 
     @property
@@ -139,6 +122,10 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
 
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
+    widths, heights = np.diff(xs), np.diff(ys)
+    # Far from the origin linspace can collapse neighbouring vertices.
+    if np.any(widths <= 0) or np.any(heights <= 0):
+        raise DegenerateElementError("grid contains a cell of zero or negative width or height")
     vx, vy = np.meshgrid(xs, ys)
     vertices = np.column_stack([vx.ravel(), vy.ravel()])
 
@@ -204,30 +191,11 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     elem_corner_edge = element_edges[:, CORNER_EDGE_LOCAL]        # (n_c, 4, 2)
     elem_corner_dof = 2 * elem_corner_edge + CORNER_EDGE_END[None, :, :]
 
-    P = vertices[elements]  # (n_c, 4, 2)
-    xi = REF_CORNERS[:, 0][None, :, None]
-    eta = REF_CORNERS[:, 1][None, :, None]
-    dx = (P[:, None, 1] - P[:, None, 0]) * (1 - eta) + (P[:, None, 2] - P[:, None, 3]) * eta
-    dy = (P[:, None, 3] - P[:, None, 0]) * (1 - xi) + (P[:, None, 2] - P[:, None, 1]) * xi
-    DF = np.stack([dx, dy], axis=-1)  # (n_c, 4, 2, 2)
-    corner_J = DF[..., 0, 0] * DF[..., 1, 1] - DF[..., 0, 1] * DF[..., 1, 0]
-    if np.any(corner_J <= 0):
-        raise DegenerateElementError("grid contains an inverted element")
-
-    # DF N_s written out: einsum is several times slower on these shapes.
-    N = REF_CORNER_NORMALS
-    dfn = (DF[:, :, None, :, 0] * N[:, :, 0, None]
-           + DF[:, :, None, :, 1] * N[:, :, 1, None])
-    t = element_edge_signs[:, CORNER_EDGE_LOCAL] * edge_lengths[elem_corner_edge]
-    corner_factors = dfn * (0.5 * t / np.sqrt(corner_J)[..., None])[..., None]
     slot = dof_vslot[elem_corner_dof]
     corner_index = 16 * elements[:, :, None, None] + 4 * slot[..., :, None] + slot[..., None, :]
 
-    # Shoelace area and centroid of the corner quadrilateral.
-    x_c, y_c = P[..., 0], P[..., 1]
-    cross = x_c * np.roll(y_c, -1, axis=1) - np.roll(x_c, -1, axis=1) * y_c
-    cell_areas = 0.5 * np.abs(cross.sum(axis=1))
-    cell_centers = P.mean(axis=1)
+    cell_areas = np.outer(heights, widths).ravel()
+    cell_centers = vertices[elements].mean(axis=1)
 
     return FineGrid(
         nx=nx,
@@ -247,8 +215,6 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
         cell_areas=cell_areas,
         cell_centers=cell_centers,
         elem_corner_dof=elem_corner_dof.astype(index_dtype(2 * edge_nodes.shape[0])),
-        corner_J=corner_J,
-        corner_factors=corner_factors,
         corner_index=corner_index.astype(index_dtype(16 * n_vertices)),
     )
 
@@ -337,8 +303,5 @@ def build_coarse_grid(fine: FineGrid, Nx: int, Ny: int) -> CoarseGrid:
     rects = np.array(
         [(iX * mx, iY * my, mx, my) for iY in range(Ny) for iX in range(Nx)]
     )
-    cells = []
-    for ox, oy, w, h in rects:
-        lix, liy = np.meshgrid(np.arange(w), np.arange(h))
-        cells.append(fine.cell_id(ox + lix.ravel(), oy + liy.ravel()))
+    cells = [block_indices(fine, *rect)[0] for rect in rects]
     return CoarseGrid(fine=fine, Nx=Nx, Ny=Ny, rects=rects, coarse_elements=cells)

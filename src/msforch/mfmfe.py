@@ -3,27 +3,24 @@
 Velocity lives in the lowest-order Brezzi-Douglas-Marini space on each cell
 (P1 vector polynomials plus the two curl bubbles curl(x^2 y) and curl(x y^2)),
 with eight degrees of freedom per reference element: the normal components at
-both endpoints of every edge.  Pressure is cellwise constant.  Physical
-elements are reached through the Piola transform v = (1/J) DF vhat o F^{-1},
-which preserves edge fluxes, so a DOF carries the physical normal component
-with respect to the fixed global edge normal.
+both endpoints of every edge.  Pressure is cellwise constant.  A DOF carries
+the physical normal component with respect to the fixed global edge normal.
 
 The velocity bilinear form (K u, v) is integrated by the corner (trapezoidal)
 quadrature rule
 
-    (K u, v)_Q = sum_t (1/4) sum_{corners} Mhat_t(r_i) uhat(r_i) . vhat(r_i),
-    Mhat_t = (1/J_t) DF_t^T K DF_t,
+    (K u, v)_Q = sum_T (|T| / 4) sum_{corners r} K(r) u(r) . v(r),
 
-which only sees corner values.  Since the corner value of a BDM1 field is
-fixed by the two DOFs at that corner, the assembled matrix decouples into one
-small symmetric positive definite block per mesh vertex
+which only sees corner values.  Every cell is an axis-aligned rectangle, on
+which the Piola map is diagonal: the velocity at a corner is its two DOFs,
+x from the vertical edge and y from the horizontal one.  So the corner
+contribution of DOF slots (s, l) is (|T| / 4) K_sl, and the products of a
+step's matrices with the iterate (:func:`linearize`) are (|T| / 4) K w.
+Since both DOFs of a corner sit at one mesh vertex, the assembled matrix
+decouples into one small symmetric positive definite block per mesh vertex
 (:class:`VertexBlockMatrix`), and its inverse is available blockwise.  The
 coefficient K is 1/kappa for Darcy flow and 1/kappa + beta |u| (plus the
-rank-one Newton tensor) for Forchheimer flow.  Every corner quantity is the
-same Piola push of the corner's two DOFs through the grid's precomputed
-``corner_factors`` g_s: the matrix entries g_s^T K g_l, the corner velocity
-w = (2 / sqrt(J)) sum_s U_s g_s, and the products of a step's matrices with
-the iterate (:func:`linearize`).
+rank-one Newton tensor) for Forchheimer flow.
 
 The divergence matrix has entries B[dof, cell] = -int_cell q div v, which for
 linear normal traces is exactly -sign * |e| / 2 per edge-endpoint DOF.  The
@@ -50,20 +47,9 @@ _GAUSS3 = (
 
 
 def corner_velocities(grid: FineGrid, U: np.ndarray):
-    """Velocity vectors and speeds at all element corners, vectorized.
-
-    The Piola push of a corner's two DOFs, w = (2 / sqrt(J)) sum_s U_s g_s,
-    with g the grid's ``corner_factors``.
-    """
-    g = grid.corner_factors
-    dofs = grid.elem_corner_dof
-    u0, u1 = U[dofs[..., 0]], U[dofs[..., 1]]
-    scale = 2.0 / np.sqrt(grid.corner_J)
-    # Sums written out per component, (n_cells, 4) each: broadcasting over
-    # the trailing length-2 axes, or einsum, is several times slower.
-    w = np.empty(g.shape[:-1])
-    for a in range(2):
-        w[..., a] = (u0 * g[..., 0, a] + u1 * g[..., 1, a]) * scale
+    """Velocity vectors (n_cells, 4, 2) and speeds at all element corners:
+    on a rectangle a corner's velocity is its two DOFs."""
+    w = U[grid.elem_corner_dof]
     speed = np.sqrt(w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1])
     return w, speed
 
@@ -235,35 +221,28 @@ def divergence_blocks(grid: FineGrid, B: sp.spmatrix, cells: np.ndarray) -> np.n
 def assemble_velocity_matrix(grid: FineGrid, coeff) -> VertexBlockMatrix:
     """Assemble (K u, v)_Q into per-vertex blocks.
 
-    Each element corner contributes (1/4) T N^T Mhat N T in global DOF space,
-    where Mhat = (1/J) DF^T K DF at the corner, N stacks the two reference
-    corner normals and T = diag(sign * |e|) converts global DOFs to reference
-    ones.  Both DOFs live at the corner's mesh vertex, so no contribution ever
-    links distinct vertex blocks.  With g the grid's ``corner_factors`` the
-    contribution of slots (s, l) is g_s^T K g_l: K is a per-cell scalar
-    (n_cells,), a per-corner scalar (n_cells, 4) or a full tensor
-    (n_cells, 4, 2, 2).  The contributions are summed into the blocks by one
-    ``bincount`` over the grid's ``corner_index``.
+    Corner k of cell T adds (|T| / 4) K_sl to the entry of its DOF slots
+    (s, l).  Both DOFs live at the corner's mesh vertex, so no contribution
+    ever links distinct vertex blocks.  K is a per-cell scalar (n_cells,), a
+    per-corner scalar (n_cells, 4) or a full tensor (n_cells, 4, 2, 2); a
+    scalar adds only to the two (s, s) entries.  The contributions are
+    summed into the blocks by one ``bincount`` over the grid's
+    ``corner_index``.
     """
-    g = grid.corner_factors
-    n = g.shape[0]
+    n = grid.n_cells
+    quarter = 0.25 * grid.cell_areas
     values = np.asarray(coeff, dtype=float)
-    # Written out per component, as in corner_velocities.
-    products = np.empty(g.shape)
     if values.shape in ((n,), (n, 4)):
-        scalar = values if values.ndim == 2 else values[:, None]
-        for s, l in np.ndindex(2, 2):
-            products[..., s, l] = scalar * (g[..., s, 0] * g[..., l, 0] + g[..., s, 1] * g[..., l, 1])
+        scalar = (values if values.ndim == 2 else values[:, None]) * quarter[:, None]
+        index = grid.corner_index[..., [0, 1], [0, 1]]
+        products = np.broadcast_to(scalar[..., None], index.shape)
     elif values.shape == (n, 4, 2, 2):
-        for s in range(2):
-            gK = [g[..., s, 0] * values[..., 0, a] + g[..., s, 1] * values[..., 1, a] for a in range(2)]
-            for l in range(2):
-                products[..., s, l] = gK[0] * g[..., l, 0] + gK[1] * g[..., l, 1]
+        index = grid.corner_index
+        products = values * quarter[:, None, None, None]
     else:
         raise ValueError(f"coefficient shape {values.shape} not understood for {n} cells")
     n_vertices = grid.n_vertices
-    blocks = np.bincount(grid.corner_index.ravel(), weights=products.ravel(),
-                         minlength=16 * n_vertices)
+    blocks = np.bincount(index.ravel(), weights=products.ravel(), minlength=16 * n_vertices)
     return VertexBlockMatrix(blocks.reshape(n_vertices, 4, 4), grid)
 
 
@@ -276,16 +255,12 @@ def linearize(grid: FineGrid, kappa: np.ndarray, beta: np.ndarray, U: np.ndarray
     Jacobian of A_pic(U) U (``"newton"``; its rank-one part A_t is dropped
     where |w| vanishes), or None (``scheme=None``: products only).
     AU = A_pic(U) U and, for Newton, AtU = A_t U (else 0.0) need no matrix:
-    with h_s = (sqrt(J) / 2) g_s . w, corner slot s adds c h_s and
-    (beta / |w|) |w|^2 h_s to its DOF, summed by one ``bincount`` each.
+    with h = (|T| / 4) w, corner slot s adds c h_s and (beta / |w|) |w|^2 h_s
+    to its DOF, summed by one ``bincount`` each.
     """
     w, speed = corner_velocities(grid, U)
     c = corner_coefficient(kappa, beta, speed)
-    g = grid.corner_factors
-    half = 0.5 * np.sqrt(grid.corner_J)
-    h = np.empty(w.shape)
-    for s in range(2):
-        h[..., s] = (g[..., s, 0] * w[..., 0] + g[..., s, 1] * w[..., 1]) * half
+    h = (0.25 * grid.cell_areas)[:, None, None] * w
     dofs = grid.elem_corner_dof.ravel()
 
     def slot_sums(scale):
@@ -298,7 +273,7 @@ def linearize(grid: FineGrid, kappa: np.ndarray, beta: np.ndarray, U: np.ndarray
     floor = 1e-14 * max(speed.max(), 1.0)
     moving = speed > floor
     scale = np.where(moving, beta[:, None] / np.where(moving, speed, 1.0), 0.0)
-    C = np.empty(g.shape)
+    C = np.empty(w.shape + (2,))
     for a, b in np.ndindex(2, 2):
         C[..., a, b] = scale * w[..., a] * w[..., b] + (c if a == b else 0.0)
     return assemble_velocity_matrix(grid, C), AU, slot_sums(scale * speed**2)

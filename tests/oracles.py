@@ -5,7 +5,8 @@ one element at a time (bilinear element map, corner geometry, nodal
 reference basis, Piola transform, corner velocity), the monolithic dense
 saddle-point solve, and the explicit constraint elimination that the solvers
 do inside their prepared operator.  The corner geometry is derived from the
-grid's vertices, edges and signs, not from its precomputed corner data.
+grid's vertices, edges and signs by the general bilinear map, not by the
+rectangle shortcut the kernels take.
 """
 
 import warnings
@@ -15,8 +16,22 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from msforch.errors import DegenerateElementError, SingularSystemError
-from msforch.grid import CORNER_EDGE_END, CORNER_EDGE_LOCAL, REF_CORNER_NORMALS, REF_CORNERS
+from msforch.grid import CORNER_EDGE_END, CORNER_EDGE_LOCAL
 from msforch.mfmfe import VertexBlockMatrix
+
+# Reference square corners, counter-clockwise from the origin.
+REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+# Outward unit normals of the two reference edges meeting at each corner.
+# Slot 0 is the vertical edge (x-normal), slot 1 the horizontal edge.
+REF_CORNER_NORMALS = np.array(
+    [
+        [[-1.0, 0.0], [0.0, -1.0]],
+        [[+1.0, 0.0], [0.0, -1.0]],
+        [[+1.0, 0.0], [0.0, +1.0]],
+        [[-1.0, 0.0], [0.0, +1.0]],
+    ]
+)
 
 
 def bilinear_map(corners: np.ndarray, xhat: np.ndarray):

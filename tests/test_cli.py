@@ -108,6 +108,17 @@ def test_exit_2_missing_perm_file(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_exit_2_collapsed_cells(tmp_path, capsys):
+    """Far from the origin the grid's vertices can collapse onto each other:
+    a configuration error, not a failed solve."""
+    rc = main(["fine", "--nx", "4", "--ny", "1", "--domain", "1e16,10000000000000002,0,1",
+               "--field", "blobs:2:10", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("msforch: error:")
+    assert "width or height" in err[0]
+
+
 def test_exit_2_config_errors(tmp_path, capsys):
     base = ["--field", FIELD, "--out", str(tmp_path)]
     # coarse grid must divide the fine grid

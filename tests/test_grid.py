@@ -7,7 +7,6 @@ from msforch.errors import DegenerateElementError
 from msforch.grid import (
     CORNER_EDGE_END,
     CORNER_EDGE_LOCAL,
-    REF_CORNERS,
     block_indices,
     build_coarse_grid,
     build_fine_grid,
@@ -15,7 +14,7 @@ from msforch.grid import (
     subgrid,
 )
 
-from oracles import bilinear_map
+from oracles import REF_CORNERS, bilinear_map
 
 
 def test_single_element_counts():
@@ -98,6 +97,22 @@ def test_invalid_grid_arguments():
             build_fine_grid(4, 4, domain=bad)
 
 
+def test_collapsed_cells_rejected():
+    # Spacing 0.5 rounds to nothing at 1e16, so neighbouring vertices coincide.
+    with pytest.raises(DegenerateElementError):
+        build_fine_grid(4, 1, (1e16, 1e16 + 2, 0, 1))
+
+
+def test_cell_areas_far_from_origin():
+    """Each area is the product of the cell's vertex-coordinate differences,
+    which stays exact where a shoelace sum of large cross products cancels."""
+    g = build_fine_grid(4, 4, (1e6, 1e6 + 0.04, 1e6, 1e6 + 0.04))
+    P = g.vertices[g.elements]
+    want = (P[:, 1, 0] - P[:, 0, 0]) * (P[:, 3, 1] - P[:, 0, 1])
+    assert np.all(np.abs(g.cell_areas - want) <= 1e-15 * want)
+    assert g.cell_areas.sum() == pytest.approx(0.04 * 0.04, rel=1e-8)
+
+
 def test_bilinear_map_identity_element():
     x, DF, J = bilinear_map(REF_CORNERS, np.array([0.5, 0.5]))
     assert np.allclose(x, [0.5, 0.5])
@@ -165,6 +180,17 @@ def test_oversample_clipping():
     # T_i is contained in T_i+
     assert set(coarse.coarse_elements[11]).issubset(set(interior))
     assert set(coarse.coarse_elements[0]).issubset(set(corner))
+
+
+@pytest.mark.parametrize("n, N", [((12, 8), (3, 2)), ((7, 5), (7, 1))])
+def test_coarse_element_cells_row_major(n, N):
+    """A coarse element lists its fine cells row-major, bottom row first."""
+    fine = build_fine_grid(*n)
+    coarse = build_coarse_grid(fine, *N)
+    for i, cells in enumerate(coarse.coarse_elements):
+        ox, oy, mx, my = coarse.element_rect(i)
+        want = [fine.cell_id(ox + a, oy + b) for b in range(my) for a in range(mx)]
+        assert cells.dtype == np.int64 and cells.tolist() == want
 
 
 def test_coarse_requires_divisibility():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msforch.errors import AssemblyError, ConfigurationError
-from msforch.grid import REF_CORNER_NORMALS, REF_CORNERS, build_fine_grid
+from msforch.grid import build_fine_grid
 from msforch.mfmfe import (
     VertexBlockMatrix,
     assemble_divergence,
@@ -28,6 +28,8 @@ from msforch.mfmfe import (
 )
 
 from oracles import (
+    REF_CORNER_NORMALS,
+    REF_CORNERS,
     SingularCornerError,
     corner_geometry,
     corner_velocity,
@@ -486,8 +488,8 @@ def _newton_problem(grid, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_prepared_assembly_matches_corner_formula(nx, ny, x0, y0, width, height, form, seed):
-    """The corner-factor + bincount assembly equals the direct formula to
-    roundoff; so do a Newton step's matrix and its products A_pic U and
+    """The rectangle corner rule + bincount assembly equals the direct
+    formula to roundoff; so do a Newton step's matrix and its products A_pic U and
     A_t U."""
     grid = build_fine_grid(nx, ny, (x0, x0 + width, y0, y0 + height))
     rng = np.random.default_rng(seed)

@@ -18,7 +18,8 @@ contribution of DOF slots (s, l) is (|T| / 4) K_sl, and the products of a
 step's matrices with the iterate (:func:`linearize`) are (|T| / 4) K w.
 Since both DOFs of a corner sit at one mesh vertex, the assembled matrix
 decouples into one small symmetric positive definite block per mesh vertex
-(:class:`VertexBlockMatrix`), and its inverse is available blockwise.  The
+(:class:`VertexBlockMatrix`), factored in closed form for all vertices at
+once (:func:`vertex_cholesky`) and inverted blockwise.  The
 coefficient K is 1/kappa for Darcy flow and 1/kappa + beta |u| (plus the
 rank-one Newton tensor) for Forchheimer flow.
 
@@ -59,8 +60,68 @@ def corner_coefficient(kappa: np.ndarray, beta: np.ndarray, speed: np.ndarray) -
     return (1.0 / kappa)[:, None] + beta[:, None] * speed
 
 
-#: Strict upper-triangle positions of a 4x4 vertex block.
-_UPPER = np.triu_indices(4, 1)
+#: Flat positions of the strict upper and lower triangles of a 4x4 vertex
+#: block, entry by entry in matching order.
+_UPPER = np.ravel_multi_index(np.triu_indices(4, 1), (4, 4))
+_LOWER = np.ravel_multi_index(np.triu_indices(4, 1)[::-1], (4, 4))
+
+
+def unit_slots(grid: FineGrid, dofs=()) -> tuple:
+    """(positions, values): the entries of an entry-major (4, 4, n_vertices)
+    block array that give every padding slot, and the slot of every DOF in
+    ``dofs``, the row and column of the identity."""
+    pad_v, pad_s = np.nonzero(grid.vertex_dofs < 0)
+    dofs = np.asarray(dofs, dtype=np.int64)
+    v = np.concatenate([pad_v, grid.dof_vertex[dofs]])[:, None]
+    s = np.concatenate([pad_s, grid.dof_vslot[dofs]])[:, None]
+    n, k = grid.n_vertices, np.arange(4)
+    positions = np.unique(np.concatenate([((4 * s + k) * n + v).ravel(),
+                                          ((4 * k + s) * n + v).ravel()]))
+    return positions, np.isin(positions, 5 * s * n + v).astype(float)
+
+
+def _entry_major(blocks: np.ndarray, unit: tuple) -> np.ndarray:
+    """The blocks (n, 4, 4) copied entry-major, (4, 4, n), with ``unit`` set."""
+    out = blocks.reshape(-1, 16).T.copy()
+    out.reshape(-1)[unit[0]] = unit[1]
+    return out.reshape(4, 4, -1)
+
+
+def vertex_cholesky(blocks: np.ndarray, unit: tuple) -> np.ndarray:
+    """Lower Cholesky factors L (4, 4, n) of the vertex blocks (n, 4, 4),
+    entry-major, after the :func:`unit_slots` ``unit`` replace rows and
+    columns by those of the identity.
+
+    Closed form, one block column at a time over all vertices at once (the
+    left-looking order of LAPACK's ``potf2``).  This is the SPD check of
+    every solver: raises :class:`AssemblyError` on a non-finite, asymmetric
+    or indefinite block; the non-finite and indefinite errors name a vertex
+    (for the latter, the first to fail the earliest failing pivot).
+    """
+    if not np.isfinite(blocks).all():
+        bad = np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2)))
+        raise AssemblyError(
+            f"non-finite vertex block at vertex {bad[0]} ({bad.size} in all)"
+        )
+    L = _entry_major(blocks, unit)
+    flat = L.reshape(16, -1)
+    upper, lower = flat[_UPPER], flat[_LOWER]
+    # np.allclose(b, b.T, atol=1e-12) over the strict upper triangle.
+    if not np.all(np.abs(upper - lower) <= 1e-12 + 1e-5 * np.minimum(abs(upper), abs(lower))):
+        raise AssemblyError("vertex block is not symmetric")
+    for j in range(4):
+        for m in range(j):
+            L[j:, j] -= L[j:, m] * L[j, m]
+        if not L[j, j].min() > 0.0:
+            bad = np.flatnonzero(~(L[j, j] > 0.0))
+            raise AssemblyError(
+                f"vertex block is not positive definite at vertex {bad[0]} "
+                f"({bad.size} in all)"
+            )
+        np.sqrt(L[j, j], out=L[j, j])
+        L[j + 1:, j] /= L[j, j]
+    flat[_UPPER] = 0.0
+    return L
 
 
 class VertexBlockMatrix:
@@ -95,43 +156,13 @@ class VertexBlockMatrix:
         y[vd[mask]] = prod[mask]
         return y
 
-    def _unit_slots(self, dofs=()) -> np.ndarray:
-        """Blocks with a unit row and column at every padding slot and at the
-        slots of ``dofs``: ready for LAPACK batch calls, with ``dofs``
-        eliminated."""
-        pad_v, pad_s = np.nonzero(self.grid.vertex_dofs < 0)
-        dofs = np.asarray(dofs, dtype=np.int64)
-        v = np.concatenate([pad_v, self.grid.dof_vertex[dofs]])
-        s = np.concatenate([pad_s, self.grid.dof_vslot[dofs]])
-        out = self.blocks.copy()
-        out[v, s, :] = 0.0
-        out[v, :, s] = 0.0
-        out[v, s, s] = 1.0
-        return out
-
     def cholesky(self, dofs=()) -> np.ndarray:
-        """Batched lower Cholesky factors (n_vertices, 4, 4) of the blocks,
-        with ``dofs`` eliminated: their rows and columns replaced by those of
-        the identity.
-
-        This is the SPD check of every solver: raises :class:`AssemblyError`
-        on a non-finite, asymmetric or indefinite block.
+        """Lower Cholesky factors (n_vertices, 4, 4) of the blocks, with
+        ``dofs`` eliminated: their rows and columns replaced by those of the
+        identity.  A view of :func:`vertex_cholesky`'s entry-major factors,
+        with its checks.
         """
-        if not np.isfinite(self.blocks).all():
-            bad = np.flatnonzero(~np.isfinite(self.blocks).all(axis=(1, 2)))
-            raise AssemblyError(
-                f"non-finite vertex block at vertex {bad[0]} ({bad.size} in all)"
-            )
-        blocks = self._unit_slots(dofs)
-        upper = blocks[:, _UPPER[0], _UPPER[1]]
-        lower = blocks[:, _UPPER[1], _UPPER[0]]
-        # np.allclose(b, b.T, atol=1e-12) over the strict upper triangle.
-        if not np.all(np.abs(upper - lower) <= 1e-12 + 1e-5 * np.minimum(abs(upper), abs(lower))):
-            raise AssemblyError("vertex block is not symmetric")
-        try:
-            return np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError as exc:
-            raise AssemblyError(f"vertex block is not positive definite: {exc}") from exc
+        return vertex_cholesky(self.blocks, unit_slots(self.grid, dofs)).transpose(2, 0, 1)
 
     def check_positive_definite(self) -> bool:
         """Return True if every vertex block is SPD, else raise :class:`AssemblyError`."""
@@ -140,7 +171,8 @@ class VertexBlockMatrix:
 
     def inverse_blocks(self) -> np.ndarray:
         try:
-            inv = np.linalg.inv(self._unit_slots())
+            unit = _entry_major(self.blocks, unit_slots(self.grid))
+            inv = np.linalg.inv(unit.transpose(2, 0, 1))
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(f"singular vertex block: {exc}") from exc
         return inv

@@ -188,9 +188,7 @@ def spectral_decompose(space: SpectralSpace, m_off: int) -> SpectralSpace:
     # Rayleigh-quotient refinement in the original Gram matrices: the
     # eigensolver's absolute error scales with ||A||, which buries small
     # eigenvalues of high-contrast elements; the quotient restores them.
-    num = np.einsum("jk,jl,lk->k", V, A, V)
-    den = np.einsum("jk,jl,lk->k", V, S, V)
-    w = num / den
+    w = ((A @ V) * V).sum(axis=0) / ((S @ V) * V).sum(axis=0)
     if deflate:
         V = np.column_stack([v0, V])
         w = np.concatenate([[lam0], w])

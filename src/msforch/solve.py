@@ -16,14 +16,16 @@ A_t U^n, without a matrix-vector product.
 Because A is blockwise invertible, each step reduces to the SPD pressure
 system  B^T A^{-1} B P = B^T A^{-1} G - F  (optionally projected onto a
 coarse pressure space R), solved by a direct factorization whose kind
-follows from the system's size alone: dense Cholesky up to
-``_DENSE_LIMIT`` cells, beyond that SuperLU, without its own ordering or
-pivoting, on S numbered in geometric nested-dissection order.
+follows from the system's size alone: S is numbered in geometric
+nested-dissection order and factored by dense (lower) Cholesky up to
+``_DENSE_LIMIT`` cells, beyond that by SuperLU without its own ordering or
+pivoting.
 :class:`PreparedOperator` is the one owner of that elimination: it holds
 everything which depends only on the grid and B, it eliminates the
 constrained (Neumann) velocity DOFs itself, and it is the only place that
 factors S.  A linearization step does numerical work only: assemble, factor
-the vertex blocks, form and factor S, back-substitute.  Convergence is
+the vertex blocks in closed form, solve them against B and G in one
+triangular pass, form and factor S, back-substitute.  Convergence is
 declared on the relative increment max_z ||z^{n+1} - z^n|| / max(||z^n||,
 eps) over both state vectors z = P, U; the velocity must take part because
 on uniform flow a constant linearized coefficient scales out of the pressure
@@ -53,7 +55,9 @@ from .mfmfe import (
     linearize,
     lower_solve,
     lower_transpose_solve,
+    unit_slots,
     vertex_cells,
+    vertex_cholesky,
 )
 
 #: Floor in the denominator of the relative pressure increment.
@@ -106,15 +110,23 @@ class FlowSolution:
 
 def _cholesky_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve with a dense SPD S (overwritten) by Cholesky; raises
-    :class:`SingularSystemError` when S is not SPD or a pivot is roundoff-sized."""
+    :class:`SingularSystemError` when S is not SPD, a pivot is roundoff-sized
+    or the solution is not finite.  SciPy's finiteness scans are skipped: S
+    comes from vertex blocks already checked finite, and a non-finite
+    right-hand side shows in the solution.  The factor is the lower one,
+    which LAPACK computes 15-25% faster than the upper one at n = 100-700
+    (OpenBLAS, one thread)."""
     diag = S.diagonal().copy()   # cho_factor overwrites S
     try:
-        c, low = la.cho_factor(S, overwrite_a=True)
+        c, low = la.cho_factor(S, lower=True, overwrite_a=True, check_finite=False)
     except la.LinAlgError as exc:
         raise SingularSystemError(f"pressure system is not SPD: {exc}") from exc
     if not np.all(c.diagonal() ** 2 > _PIVOT_FLOOR * diag):
         raise SingularSystemError("pressure system is numerically singular")
-    return la.cho_solve((c, low), rhs)
+    out = la.cho_solve((c, low), rhs, check_finite=False)
+    if not np.all(np.isfinite(out)):
+        raise SingularSystemError("pressure solve produced non-finite values")
+    return out
 
 
 def _splu_solve(S: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
@@ -138,15 +150,16 @@ class PreparedOperator:
     Everything that does not depend on the velocity matrix is computed once:
     the rows B_v of B at each vertex's DOFs, restricted to the (up to four)
     cells around the vertex, and the maps between block slots and DOFs or
-    cells.  A solve then factors the vertex blocks A_v = L_v L_v^T by
-    batched Cholesky (the SPD check), forms X_v = L_v^{-1} B_v and
-    y_v = L_v^{-1} G_v, sums S = sum_v X_v^T X_v and the right-hand side
-    sum_v X_v^T y_v - F by bincount, factors S and recovers
-    U_v = L_v^{-T} (y_v - X_v P_v).  S is factored by dense Cholesky up to
-    ``_DENSE_LIMIT`` pressure cells and by SuperLU beyond.  The positions of
-    the X_v^T X_v entries in S are built on first use: flat positions in a
-    dense S, or the fixed 9-point pattern of a sparse S in compressed columns
-    in the cells' nested-dissection order, which SuperLU factors as it is.
+    cells, and the slots whose rows and columns of A act as the identity.
+    A solve then factors the vertex blocks A_v = L_v L_v^T in closed form
+    (:func:`~msforch.mfmfe.vertex_cholesky`, the SPD check), forms
+    [X_v | y_v] = L_v^{-1} [B_v | G_v] in one triangular pass, sums
+    S = sum_v X_v^T X_v and the right-hand side sum_v X_v^T y_v - F by
+    bincount, factors S and recovers U_v = L_v^{-T} (y_v - X_v P_v).  S has
+    one pattern, built on first use: the fixed 9-point pattern in compressed
+    columns, in the cells' nested-dissection order.  Up to ``_DENSE_LIMIT``
+    pressure cells its entries are scattered into a dense S for Cholesky;
+    beyond, SuperLU factors the sparse S as it is.
 
     Per-vertex arrays are stored entry-major, (4, ..., n_vertices), so each
     block entry is one contiguous vector.  Constrained (Neumann) DOFs are
@@ -162,13 +175,14 @@ class PreparedOperator:
     """
 
     def __init__(self, grid: FineGrid, B: sp.spmatrix, fixed_dofs=(), kept_cells=None):
-        fixed = self.fixed_dofs = np.asarray(fixed_dofs, dtype=np.int64)
+        fixed = np.asarray(fixed_dofs, dtype=np.int64)
         kept = np.arange(grid.n_cells) if kept_cells is None else np.asarray(kept_cells)
         n = self.n_pressure = kept.size
         cells = vertex_cells(grid)
         fixed_slot, fixed_vertex = grid.dof_vslot[fixed], grid.dof_vertex[fixed]
         self.Bv = np.ascontiguousarray(divergence_blocks(grid, B, cells).transpose(1, 2, 0))
         self.Bv[fixed_slot, :, fixed_vertex] = 0.0
+        self._unit = unit_slots(grid, fixed)
         # Pressure numbering of the cells around each vertex.  Padding slots
         # and dropped cells point one past the end: at a zero appended to the
         # gathered vector, or at a scatter bin that is dropped.  Fixed DOFs
@@ -187,15 +201,6 @@ class PreparedOperator:
         row_sum = sum(self.Bv[:, j] * on_kept[j] for j in range(4))
         row_abs = sum(np.abs(self.Bv[:, j]) * on_kept[j] for j in range(4))
         self.singular = bool(np.all(np.abs(row_sum) <= 1e-12 * row_abs))
-
-    @functools.cached_property
-    def _dense_index(self) -> np.ndarray:
-        """Flat position of each entry [j, k, v] of X_v^T X_v in a dense S
-        (n_pressure**2, one past the end, for dropped entries)."""
-        n = self.n_pressure
-        rows, cols = self._cells[:, None, :].astype(np.int64), self._cells[None, :, :]
-        index = np.where((rows < n) & (cols < n), rows * n + cols, n * n)
-        return index.ravel().astype(index_dtype(n * n + 1))
 
     @functools.cached_property
     def _order(self) -> np.ndarray:
@@ -220,32 +225,46 @@ class PreparedOperator:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
         return index.ravel(), (keys % n).astype(index.dtype), indptr.astype(index.dtype)
 
+    @functools.cached_property
+    def _dense_positions(self) -> np.ndarray:
+        """Flat position of each entry of :attr:`_sparse_pattern` in a
+        column-major dense S; built only by the dense path."""
+        _, indices, indptr = self._sparse_pattern
+        n = self.n_pressure
+        dtype = index_dtype(n * n)
+        return np.repeat(np.arange(n, dtype=dtype) * n, np.diff(indptr)) + indices.astype(dtype)
+
     def _check_regular(self) -> None:
         if self.singular:
             raise SingularSystemError(
                 "pressure system is singular: no pressure datum fixes the constant")
 
+    def _schur_data(self, X: np.ndarray) -> np.ndarray:
+        """The entries of S = sum_v X_v^T X_v in :attr:`_sparse_pattern`."""
+        index, indices, _ = self._sparse_pattern
+        return np.bincount(index, weights=_gram_entries(X), minlength=indices.size + 1)[:-1]
+
     def schur_matrix(self, X: np.ndarray) -> sp.csc_matrix:
         """S = sum_v X_v^T X_v in compressed columns, numbered in :attr:`_order`."""
-        index, indices, indptr = self._sparse_pattern
-        data = np.bincount(index, weights=_gram_entries(X), minlength=indices.size + 1)[:-1]
+        _, indices, indptr = self._sparse_pattern
         n = self.n_pressure
-        return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+        return sp.csc_matrix((self._schur_data(X), indices, indptr), shape=(n, n))
 
     def _pressure(self, X: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve S P = rhs with S = sum_v X_v^T X_v, for one or several
-        right-hand-side columns: S dense up to ``_DENSE_LIMIT`` cells,
-        by SuperLU in nested-dissection order beyond."""
+        """Solve S P = rhs with S = sum_v X_v^T X_v in nested-dissection
+        order, for one or several right-hand-side columns: S dense up to
+        ``_DENSE_LIMIT`` cells, by SuperLU beyond."""
         n = self.n_pressure
+        P = np.empty(rhs.shape)
         if n > _DENSE_LIMIT:
-            P = np.empty(rhs.shape)
             P[self._order] = _splu_solve(self.schur_matrix(X), rhs[self._order])
             return P
-        S = np.bincount(self._dense_index, weights=_gram_entries(X), minlength=n * n + 1)
-        # S is bitwise symmetric, so its transpose is the same matrix, laid
-        # out in the column order that LAPACK factors in place (over twice
-        # as fast as handing it the row-ordered array).
-        return _cholesky_solve(S[:-1].reshape(n, n).T, rhs)
+        S = np.zeros(n * n)
+        S[self._dense_positions] = self._schur_data(X)
+        # Column-major, the layout LAPACK factors in place (over twice as
+        # fast as handing it a row-ordered array).
+        P[self._order] = _cholesky_solve(S.reshape(n, n).T, rhs[self._order])
+        return P
 
     def _cell_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-vertex entries (4, [k,] n_vertices) summed into their cells: (n, [k])."""
@@ -261,15 +280,20 @@ class PreparedOperator:
 
     def _factor(self, A: VertexBlockMatrix):
         """(L, X): entry-major Cholesky factors of the blocks and X = L^{-1} B_v."""
-        L = np.ascontiguousarray(A.cholesky(self.fixed_dofs).transpose(1, 2, 0))
+        L = vertex_cholesky(A.blocks, self._unit)
         return L, lower_solve(L, self.Bv)
 
     def _eliminate(self, A: VertexBlockMatrix, G: np.ndarray, F):
         """(L, X, y, rhs): the factors of :meth:`_factor`, y = L^{-1} G_v and
-        rhs = sum_v X_v^T y_v - F.  G is one vector (n_dofs,) or one column
-        per right-hand side."""
-        L, X = self._factor(A)
-        y = lower_solve(L, _per_vertex(G, self._dofs))
+        rhs = sum_v X_v^T y_v - F.  G is one vector (n_dofs,), solved for in
+        the same triangular pass as X, or one column per right-hand side."""
+        L = vertex_cholesky(A.blocks, self._unit)
+        Gv = _per_vertex(G, self._dofs)
+        if G.ndim == 1:
+            Xy = lower_solve(L, np.concatenate([self.Bv, Gv[:, None]], axis=1))
+            X, y = Xy[:, :4], Xy[:, 4]
+        else:
+            X, y = lower_solve(L, self.Bv), lower_solve(L, Gv)
         return L, X, y, self._cell_sums(_blocks_times(X, y, transpose=True)) - F
 
     def _velocity(self, L: np.ndarray, X: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -302,7 +326,7 @@ class PreparedOperator:
         """
         L, X, y, rhs = self._eliminate(A, G, F)
         R_nd = R[self._order]
-        S = (R_nd.T @ (self.schur_matrix(X) @ R_nd)).toarray()
+        S = (R_nd.T @ (self.schur_matrix(X) @ R_nd)).toarray(order="F")
         Pr = _cholesky_solve(S, R.T @ rhs)
         return self._velocity(L, X, y, R @ Pr), Pr
 

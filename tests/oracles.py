@@ -3,8 +3,9 @@
 Nothing here is on a solver path: these are the element kernels written out
 one element at a time (bilinear element map, corner geometry, nodal
 reference basis, Piola transform, corner velocity), the monolithic dense
-saddle-point solve, and the explicit constraint elimination that the solvers
-do inside their prepared operator.  The corner geometry is derived from the
+saddle-point solve, the explicit constraint elimination that the solvers
+do inside their prepared operator, and LAPACK's Cholesky factor of each
+vertex block.  The corner geometry is derived from the
 grid's vertices, edges and signs by the general bilinear map, not by the
 rectangle shortcut the kernels take.
 """
@@ -229,13 +230,27 @@ def to_sparse(A):
 
 def with_identity_rows(A, dofs):
     """A copy of the VertexBlockMatrix A with the rows and columns of ``dofs``
-    zeroed and 1 on their diagonal.
+    and of the padding slots zeroed and 1 on their diagonal.
 
     This is the matrix ``A.cholesky(dofs)`` factors; it keeps the
     vertex-block structure and symmetry, for solvers that see the
     constrained (Neumann) DOFs eliminated by hand.
     """
-    return VertexBlockMatrix(A._unit_slots(dofs), A.grid)
+    grid = A.grid
+    dofs = np.asarray(dofs, dtype=np.int64)
+    pad_v, pad_s = np.nonzero(grid.vertex_dofs < 0)
+    v = np.concatenate([pad_v, grid.dof_vertex[dofs]])
+    s = np.concatenate([pad_s, grid.dof_vslot[dofs]])
+    blocks = np.array(A.blocks, dtype=float)
+    blocks[v, s, :] = 0.0
+    blocks[v, :, s] = 0.0
+    blocks[v, s, s] = 1.0
+    return VertexBlockMatrix(blocks, grid)
+
+
+def lapack_cholesky(blocks: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of every (4, 4) block, one LAPACK call per block."""
+    return np.array([np.linalg.cholesky(b) for b in blocks])
 
 
 def eliminate_constraints(sys_, A):

@@ -25,6 +25,8 @@ from msforch.mfmfe import (
     linearize,
     no_flow_spec,
     quadrature_norm_matrix,
+    unit_slots,
+    vertex_cholesky,
 )
 
 from oracles import (
@@ -34,6 +36,7 @@ from oracles import (
     corner_geometry,
     corner_velocity,
     edge_normals,
+    lapack_cholesky,
     piola,
     reference_basis,
     reference_divergence,
@@ -580,3 +583,66 @@ def test_cholesky_factors_blocks_with_eliminated_dofs():
     padded = with_identity_rows(A, dofs).blocks
     assert np.allclose(L @ np.swapaxes(L, 1, 2), padded, atol=1e-14)
     assert np.all(np.triu(L, 1) == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 5),
+    ny=st.integers(1, 5),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_cholesky_matches_lapack(nx, ny, share, seed):
+    """The closed-form factor of random SPD blocks, with padding slots and a
+    random share of the DOFs eliminated, is LAPACK's per-block factor to
+    1e-14 relative, strictly lower, and reproduces the unit-slotted blocks."""
+    grid = build_fine_grid(nx, ny)
+    rng = np.random.default_rng(seed)
+    R = rng.uniform(-1.0, 1.0, (grid.n_vertices, 4, 4))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, grid.n_vertices)[:, None, None]
+    blocks = scale * (R @ np.swapaxes(R, 1, 2) + 4.0 * np.eye(4))
+    A = VertexBlockMatrix(blocks, grid)
+    dofs = np.flatnonzero(rng.random(grid.n_dofs) < share)
+    slotted = with_identity_rows(A, dofs).blocks
+    L_ref = lapack_cholesky(slotted)
+    L = A.cholesky(dofs)
+    size = np.abs(L_ref).max(axis=(1, 2))
+    assert np.all(np.abs(L - L_ref).max(axis=(1, 2)) <= 1e-14 * size)
+    assert np.all(np.triu(L, 1) == 0.0)
+    rebuilt = L @ np.swapaxes(L, 1, 2)
+    assert np.all(np.abs(rebuilt - slotted).max(axis=(1, 2))
+                  <= 1e-14 * np.abs(slotted).max(axis=(1, 2)))
+    # A view of the entry-major factors the solvers read.
+    entry_major = L.transpose(1, 2, 0)
+    assert entry_major.flags.c_contiguous
+    assert np.array_equal(entry_major, vertex_cholesky(blocks, unit_slots(grid, dofs)))
+
+
+def test_diagonal_blocks_factor_as_lapack_bitwise():
+    """Picard's blocks are diagonal: their factor is LAPACK's, bit for bit."""
+    grid = build_fine_grid(4, 3)
+    rng = np.random.default_rng(5)
+    A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-4.0, 4.0, (grid.n_cells, 4)))
+    dofs = np.array([1, 6, 10])
+    assert np.array_equal(A.cholesky(dofs), lapack_cholesky(with_identity_rows(A, dofs).blocks))
+
+
+@pytest.mark.parametrize("pivot", [0, 1, 3])
+def test_indefinite_block_error_names_its_vertex(pivot):
+    """A block that fails at its first, second or last pivot is reported
+    with its vertex, even when later vertices fail too."""
+    grid = build_fine_grid(4, 4)
+    A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
+    vertex, later = np.flatnonzero((grid.vertex_dofs >= 0).all(axis=1))[:2]
+    for v in (vertex, later):
+        b = A.blocks[v]
+        if pivot == 0:
+            b[0, 0] = -1.0
+        else:
+            # Make the leading (pivot + 1) minor singular-or-worse.
+            b[pivot, pivot - 1] = b[pivot - 1, pivot] = 2.0 * np.sqrt(
+                b[pivot, pivot] * b[pivot - 1, pivot - 1])
+    with pytest.raises(AssemblyError, match=f"not positive definite at vertex {vertex} "):
+        A.cholesky()
+    with pytest.raises(AssemblyError, match="not positive definite"):
+        A.check_positive_definite()

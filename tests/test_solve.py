@@ -19,6 +19,8 @@ from msforch.mfmfe import (
     corner_velocities,
     five_spot,
     left_right_spec,
+    linearize,
+    lower_solve,
     no_flow_spec,
     quadrature_norm_matrix,
 )
@@ -30,6 +32,7 @@ from msforch.solve import (
     cell_divergence,
     nonlinear_solve,
     schur_solve,
+    _per_vertex,
     _splu_solve,
     velocity_error_norm,
 )
@@ -382,6 +385,62 @@ def test_numerically_singular_dense_system_raises():
     assert not sys_.operator.singular
     with pytest.raises(SingularSystemError, match="numerically singular"):
         sys_.solve(A, sys_.G0)
+
+
+@pytest.mark.parametrize("limit", [_DENSE_LIMIT, 0])
+def test_non_finite_right_hand_side_raises_singular_system_error(limit, monkeypatch):
+    """A NaN in G reaches the pressure solve, dense or SuperLU, and comes
+    back as a non-finite solution, reported as a singular system."""
+    monkeypatch.setattr("msforch.solve._DENSE_LIMIT", limit)
+    grid = build_fine_grid(4, 4)
+    sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid))
+    A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
+    G = sys_.G0.copy()
+    G[np.flatnonzero(G)[0]] = np.nan
+    with pytest.raises(SingularSystemError, match="non-finite values"):
+        sys_.solve(A, G)
+
+
+def test_dense_and_sparse_schur_share_one_pattern(monkeypatch):
+    """The dense S is the sparse S's data scattered into a column-major
+    array, bitwise; its int32 positions are built only by the dense path."""
+    grid = build_fine_grid(7, 5)
+    sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), left_right_spec(grid))
+    A = assemble_velocity_matrix(grid, np.random.default_rng(2).uniform(0.1, 10.0, grid.n_cells))
+    operator = sys_.operator
+    monkeypatch.setattr("msforch.solve._DENSE_LIMIT", 0)
+    sys_.solve(A, sys_.G0)
+    assert "_dense_positions" not in vars(operator)
+    monkeypatch.undo()
+    captured = []
+
+    def capture(S, rhs):
+        captured.append(S.copy(order="A"))
+        return np.zeros(rhs.shape)
+
+    monkeypatch.setattr("msforch.solve._cholesky_solve", capture)
+    sys_.solve(A, sys_.G0)
+    assert operator._dense_positions.dtype == np.int32
+    X = operator._factor(A)[1]
+    (S,) = captured
+    assert S.flags.f_contiguous
+    assert np.array_equal(S, operator.schur_matrix(X).toarray())
+
+
+@pytest.mark.parametrize("columns", [False, True])
+def test_fused_triangular_pass_matches_separate_solves(columns):
+    """[X | y] from one triangular pass equals X and y solved apart, bitwise."""
+    grid = build_fine_grid(5, 4)
+    sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), left_right_spec(grid))
+    rng = np.random.default_rng(9)
+    A = linearize(grid, 1.0 / rng.uniform(0.1, 10.0, grid.n_cells), np.ones(grid.n_cells),
+                  rng.standard_normal(grid.n_dofs), "newton")[0]
+    operator = sys_.operator
+    G = rng.standard_normal((grid.n_dofs, 2) if columns else grid.n_dofs)
+    L, X, y, rhs = operator._eliminate(A, G, sys_.F[:, None] if columns else sys_.F)
+    L_ref, X_ref = operator._factor(A)
+    y_ref = lower_solve(L_ref, _per_vertex(G, operator._dofs))
+    assert np.array_equal(L, L_ref) and np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
 
 def test_one_pressure_datum_makes_the_box_regular(monkeypatch):

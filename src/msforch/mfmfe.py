@@ -80,13 +80,6 @@ def unit_slots(grid: FineGrid, dofs=()) -> tuple:
     return positions, np.isin(positions, 5 * s * n + v).astype(float)
 
 
-def _entry_major(blocks: np.ndarray, unit: tuple) -> np.ndarray:
-    """The blocks (n, 4, 4) copied entry-major, (4, 4, n), with ``unit`` set."""
-    out = blocks.reshape(-1, 16).T.copy()
-    out.reshape(-1)[unit[0]] = unit[1]
-    return out.reshape(4, 4, -1)
-
-
 def vertex_cholesky(blocks: np.ndarray, unit: tuple) -> np.ndarray:
     """Lower Cholesky factors L (4, 4, n) of the vertex blocks (n, 4, 4),
     entry-major, after the :func:`unit_slots` ``unit`` replace rows and
@@ -96,15 +89,17 @@ def vertex_cholesky(blocks: np.ndarray, unit: tuple) -> np.ndarray:
     left-looking order of LAPACK's ``potf2``).  This is the SPD check of
     every solver: raises :class:`AssemblyError` on a non-finite, asymmetric
     or indefinite block; the non-finite and indefinite errors name a vertex
-    (for the latter, the first to fail the earliest failing pivot).
+    (for the latter, the first to fail the earliest failing pivot, and the
+    count is of the vertices failing that pivot).
     """
     if not np.isfinite(blocks).all():
         bad = np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2)))
         raise AssemblyError(
             f"non-finite vertex block at vertex {bad[0]} ({bad.size} in all)"
         )
-    L = _entry_major(blocks, unit)
-    flat = L.reshape(16, -1)
+    flat = blocks.reshape(-1, 16).T.copy()
+    flat.reshape(-1)[unit[0]] = unit[1]
+    L = flat.reshape(4, 4, -1)
     upper, lower = flat[_UPPER], flat[_LOWER]
     # np.allclose(b, b.T, atol=1e-12) over the strict upper triangle.
     if not np.all(np.abs(upper - lower) <= 1e-12 + 1e-5 * np.minimum(abs(upper), abs(lower))):
@@ -116,7 +111,7 @@ def vertex_cholesky(blocks: np.ndarray, unit: tuple) -> np.ndarray:
             bad = np.flatnonzero(~(L[j, j] > 0.0))
             raise AssemblyError(
                 f"vertex block is not positive definite at vertex {bad[0]} "
-                f"({bad.size} in all)"
+                f"({bad.size} failing pivot {j})"
             )
         np.sqrt(L[j, j], out=L[j, j])
         L[j + 1:, j] /= L[j, j]
@@ -170,9 +165,13 @@ class VertexBlockMatrix:
         return True
 
     def inverse_blocks(self) -> np.ndarray:
+        positions, values = unit_slots(self.grid)
+        # Entry-major position e * n + v is row-major 16 v + e.
+        entry, v = np.divmod(positions, self.grid.n_vertices)
+        blocks = self.blocks.copy()
+        blocks.reshape(-1)[16 * v + entry] = values
         try:
-            unit = _entry_major(self.blocks, unit_slots(self.grid))
-            inv = np.linalg.inv(unit.transpose(2, 0, 1))
+            inv = np.linalg.inv(blocks)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(f"singular vertex block: {exc}") from exc
         return inv

@@ -285,15 +285,12 @@ class PreparedOperator:
 
     def _eliminate(self, A: VertexBlockMatrix, G: np.ndarray, F):
         """(L, X, y, rhs): the factors of :meth:`_factor`, y = L^{-1} G_v and
-        rhs = sum_v X_v^T y_v - F.  G is one vector (n_dofs,), solved for in
-        the same triangular pass as X, or one column per right-hand side."""
+        rhs = sum_v X_v^T y_v - F, with X and y from one triangular pass.  G
+        is one vector (n_dofs,) or holds one right-hand side per column."""
         L = vertex_cholesky(A.blocks, self._unit)
         Gv = _per_vertex(G, self._dofs)
-        if G.ndim == 1:
-            Xy = lower_solve(L, np.concatenate([self.Bv, Gv[:, None]], axis=1))
-            X, y = Xy[:, :4], Xy[:, 4]
-        else:
-            X, y = lower_solve(L, self.Bv), lower_solve(L, Gv)
+        Xy = lower_solve(L, np.concatenate([self.Bv, Gv.reshape(4, -1, Gv.shape[-1])], axis=1))
+        X, y = Xy[:, :4], Xy[:, 4:].reshape(Gv.shape)
         return L, X, y, self._cell_sums(_blocks_times(X, y, transpose=True)) - F
 
     def _velocity(self, L: np.ndarray, X: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:

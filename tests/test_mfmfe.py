@@ -642,7 +642,8 @@ def test_indefinite_block_error_names_its_vertex(pivot):
             # Make the leading (pivot + 1) minor singular-or-worse.
             b[pivot, pivot - 1] = b[pivot - 1, pivot] = 2.0 * np.sqrt(
                 b[pivot, pivot] * b[pivot - 1, pivot - 1])
-    with pytest.raises(AssemblyError, match=f"not positive definite at vertex {vertex} "):
+    message = rf"not positive definite at vertex {vertex} \(2 failing pivot {pivot}\)"
+    with pytest.raises(AssemblyError, match=message):
         A.cholesky()
     with pytest.raises(AssemblyError, match="not positive definite"):
         A.check_positive_definite()

@@ -19,7 +19,9 @@ step's matrices with the iterate (:func:`linearize`) are (|T| / 4) K w.
 Since both DOFs of a corner sit at one mesh vertex, the assembled matrix
 decouples into one small symmetric positive definite block per mesh vertex
 (:class:`VertexBlockMatrix`), factored in closed form for all vertices at
-once (:func:`vertex_cholesky`) and inverted blockwise.  The
+once (:func:`vertex_cholesky`) and inverted blockwise.  A scalar
+coefficient touches only the (s, s) entries, so it makes A diagonal, and
+the solvers divide by that diagonal instead of factoring.  The
 coefficient K is 1/kappa for Darcy flow and 1/kappa + beta |u| (plus the
 rank-one Newton tensor) for Forchheimer flow.
 
@@ -125,12 +127,15 @@ class VertexBlockMatrix:
     Blocks are padded to 4x4; ``vertex_dofs`` maps block slots to global DOF
     ids (-1 for padding).  Each DOF belongs to exactly one block, so matvec,
     inversion and Cholesky checks all act blockwise.  Padding slots hold zeros,
-    or a unit diagonal once DOFs are eliminated.
+    or a unit diagonal once DOFs are eliminated.  ``diagonal`` is set when the
+    whole matrix is diagonal (a scalar coefficient): it is that diagonal, per
+    DOF, and solvers then eliminate the velocity by division.
     """
 
-    def __init__(self, blocks: np.ndarray, grid: FineGrid):
+    def __init__(self, blocks: np.ndarray, grid: FineGrid, diagonal: np.ndarray | None = None):
         self.blocks = blocks
         self.grid = grid
+        self.diagonal = diagonal
 
     @property
     def n_dofs(self) -> int:
@@ -198,9 +203,16 @@ class VertexBlockMatrix:
         return self._sparse_from_blocks(self.inverse_blocks())
 
 
+def _diagonal_solve(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b / d slot by slot: d (4, n), b (4, ..., n)."""
+    return b / d.reshape(d.shape[:1] + (1,) * (b.ndim - 2) + d.shape[1:])
+
+
 def lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L x = b in every vertex block, entry-major: L (4, 4, n) lower
-    triangular, b (4, ..., n)."""
+    triangular, or (4, n) the diagonal of a diagonal L; b (4, ..., n)."""
+    if L.ndim == 2:
+        return _diagonal_solve(L, b)
     x = np.array(b, dtype=float)
     for i in range(4):
         for m in range(i):
@@ -211,6 +223,8 @@ def lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def lower_transpose_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L^T x = b in every vertex block (layout as :func:`lower_solve`)."""
+    if L.ndim == 2:
+        return _diagonal_solve(L, b)
     x = np.array(b, dtype=float)
     for i in range(3, -1, -1):
         for m in range(i + 1, 4):
@@ -255,25 +269,30 @@ def assemble_velocity_matrix(grid: FineGrid, coeff) -> VertexBlockMatrix:
     Corner k of cell T adds (|T| / 4) K_sl to the entry of its DOF slots
     (s, l).  Both DOFs live at the corner's mesh vertex, so no contribution
     ever links distinct vertex blocks.  K is a per-cell scalar (n_cells,), a
-    per-corner scalar (n_cells, 4) or a full tensor (n_cells, 4, 2, 2); a
-    scalar adds only to the two (s, s) entries.  The contributions are
-    summed into the blocks by one ``bincount`` over the grid's
-    ``corner_index``.
+    per-corner scalar (n_cells, 4) or a full tensor (n_cells, 4, 2, 2).  A
+    scalar adds only to the two (s, s) entries, so the matrix is diagonal:
+    its diagonal is summed per DOF by one ``bincount`` over the grid's
+    ``elem_corner_dof`` and kept as the matrix's ``diagonal``.  A tensor's
+    contributions are summed into the blocks by one ``bincount`` over the
+    grid's ``corner_index``.
     """
     n = grid.n_cells
     quarter = 0.25 * grid.cell_areas
     values = np.asarray(coeff, dtype=float)
+    n_vertices = grid.n_vertices
     if values.shape in ((n,), (n, 4)):
         scalar = (values if values.ndim == 2 else values[:, None]) * quarter[:, None]
-        index = grid.corner_index[..., [0, 1], [0, 1]]
-        products = np.broadcast_to(scalar[..., None], index.shape)
-    elif values.shape == (n, 4, 2, 2):
-        index = grid.corner_index
-        products = values * quarter[:, None, None, None]
-    else:
+        # Eight corner DOF slots per cell, two per corner.
+        weights = np.repeat(scalar.ravel(), 8 // scalar.shape[1])
+        diagonal = np.bincount(grid.elem_corner_dof.ravel(), weights=weights, minlength=grid.n_dofs)
+        blocks = np.zeros((n_vertices, 16))
+        blocks[:, ::5] = np.append(diagonal, 0.0)[grid.vertex_dofs]
+        return VertexBlockMatrix(blocks.reshape(n_vertices, 4, 4), grid, diagonal)
+    if values.shape != (n, 4, 2, 2):
         raise ValueError(f"coefficient shape {values.shape} not understood for {n} cells")
-    n_vertices = grid.n_vertices
-    blocks = np.bincount(index.ravel(), weights=products.ravel(), minlength=16 * n_vertices)
+    products = values * quarter[:, None, None, None]
+    blocks = np.bincount(grid.corner_index.ravel(), weights=products.ravel(),
+                         minlength=16 * n_vertices)
     return VertexBlockMatrix(blocks.reshape(n_vertices, 4, 4), grid)
 
 

@@ -25,9 +25,14 @@ everything which depends only on the grid and B, it eliminates the
 constrained (Neumann) velocity DOFs itself, and it is the only place that
 factors S.  A linearization step does numerical work only: assemble, factor
 the vertex blocks in closed form, solve them against B and G in one
-triangular pass, form and factor S, back-substitute.  Convergence is
-declared on the relative increment max_z ||z^{n+1} - z^n|| / max(||z^n||,
-eps) over both state vectors z = P, U; the velocity must take part because
+triangular pass, form and factor S, back-substitute.  A scalar coefficient
+(Picard, the Darcy start, the local problems) makes A diagonal: the
+velocities are then eliminated by division, S is five-point (S couples
+two cells only through a shared velocity DOF, and cells meeting only at a
+vertex share none) and its dense solve eliminates the red cells by
+division too, factoring only the black half.  Convergence is declared on
+the relative increment max_z ||z^{n+1} - z^n|| / max(||z^n||, eps) over
+both state vectors z = P, U; the velocity must take part because
 on uniform flow a constant linearized coefficient scales out of the pressure
 system entirely, leaving P exact while U is still moving.
 """
@@ -161,6 +166,16 @@ class PreparedOperator:
     pressure cells its entries are scattered into a dense S for Cholesky;
     beyond, SuperLU factors the sparse S as it is.
 
+    A diagonal A (``A.diagonal``, a scalar coefficient) is the diagonal
+    path: L_v is diag(sqrt(d)) with the unit slots set to 1, so every
+    triangular solve is a division, and the finite and positive check of
+    d falls back to the vertex Cholesky to name a bad vertex.  Its S is
+    five-point, the diagonal-neighbour entries of the pattern being exact
+    zeros; up to ``_DENSE_LIMIT`` cells it is solved by
+    :meth:`_red_black_solve`: with the cells coloured red and black by the
+    parity of ix + iy, red cells couple only to black ones, so they are
+    eliminated by division and dense Cholesky factors the black half.
+
     Per-vertex arrays are stored entry-major, (4, ..., n_vertices), so each
     block entry is one contiguous vector.  Constrained (Neumann) DOFs are
     eliminated here: the rows of A at ``fixed_dofs`` act as the identity,
@@ -250,15 +265,99 @@ class PreparedOperator:
         n = self.n_pressure
         return sp.csc_matrix((self._schur_data(X), indices, indptr), shape=(n, n))
 
-    def _pressure(self, X: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def _red_black(self) -> tuple:
+        """Index maps of :meth:`_red_black_solve`, the cells coloured by the
+        parity of ix + iy: (red, black, red diagonal, black diagonal, red
+        coupling, red neighbours, black coupling, black neighbours, pairs).
+        red and black are pressure numbers, each colour in nested-dissection
+        order, and the diagonals are positions in :attr:`_sparse_pattern`'s
+        data.  Row i of a colour's coupling holds the positions of S's
+        entries between its cell i and the (up to four) cells of the other
+        colour next to it, whose ranks in that colour are the same row of
+        its neighbours; padding points at a zero appended to the data and at
+        rank n_other.  pairs holds where each product [r, a, c] of a red
+        cell's couplings lands in the dense black system, past its end if
+        padding."""
+        _, rows, indptr = self._sparse_pattern
+        n = self.n_pressure
+        cols = np.repeat(np.arange(n), np.diff(indptr))
+        # Red is the first kept cell's colour, so it is never empty.
+        parity = np.add(*self._kept_yx) % 2
+        is_red = (parity == parity[0])[self._order]
+        red, black = np.flatnonzero(is_red), np.flatnonzero(~is_red)
+        rank = np.empty(n, dtype=np.int64)
+        rank[red], rank[black] = np.arange(red.size), np.arange(black.size)
+
+        def coupling(own):
+            # Entries in a column of this colour and a row of the other, by column.
+            entry = np.flatnonzero(own[cols] & ~own[rows])
+            column = rank[cols[entry]]
+            slot = np.arange(entry.size) - np.searchsorted(column, column)
+            positions = np.full((own.sum(), 4), rows.size)
+            neighbours = np.full((own.sum(), 4), n - own.sum())
+            positions[column, slot], neighbours[column, slot] = entry, rank[rows[entry]]
+            return positions, neighbours
+
+        red_coupling, red_neighbours = coupling(is_red)
+        n_black = black.size
+        pad = red_neighbours == n_black
+        pairs = red_neighbours[:, :, None] * n_black + red_neighbours[:, None, :]
+        pairs[pad[:, :, None] | pad[:, None, :]] = n_black * n_black
+        diagonal = np.flatnonzero(rows == cols)
+        return (self._order[red], self._order[black], diagonal[red], diagonal[black],
+                red_coupling, red_neighbours, *coupling(~is_red), pairs.ravel())
+
+    def _red_black_solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve S P = rhs for a five-point S, given as :attr:`_sparse_pattern`
+        data, for one or several right-hand-side columns.
+
+        Red cells share no edge, so S's red block is its diagonal D and they
+        are eliminated by division, as the velocities are: with
+        V = D^{-1/2} S_rb and z = D^{-1/2} rhs_r, the black pressures solve
+        (diag(S_bb) - V^T V) P_b = rhs_b - V^T z, a dense system of half
+        the cells factored by :func:`_cholesky_solve`, and
+        P_r = D^{-1/2} (z - V P_b).  Each coupling sums a cell's four
+        neighbour slots in a fixed order, so a column's result does not
+        depend on the others.
+        """
+        red, black, red_diagonal, black_diagonal, red_coupling, red_neighbours, \
+            black_coupling, black_neighbours, pairs = self._red_black
+        data = np.append(data, 0.0)
+        d = data[red_diagonal]
+        if not np.all(d > 0.0):
+            raise SingularSystemError("pressure system is not SPD: a nonpositive diagonal")
+        root = np.sqrt(d)
+        V = data[red_coupling] / root[:, None]
+        Vt = data[black_coupling] / np.append(root, 1.0)[black_neighbours]
+        n_black = black.size
+        S_black = np.bincount(pairs, weights=(V[:, :, None] * -V[:, None, :]).ravel(),
+                              minlength=n_black * n_black + 1)[:-1]
+        S_black[::n_black + 1] += data[black_diagonal]
+        # Cells first, columns (if any) broadcast; a zero past each colour's end.
+        k = (...,) + (None,) * (rhs.ndim - 1)
+        z = np.zeros((red.size + 1,) + rhs.shape[1:])
+        np.divide(rhs[red], root[k], out=z[:-1])
+        Pb = np.zeros((n_black + 1,) + rhs.shape[1:])
+        Pb[:-1] = _cholesky_solve(S_black.reshape(n_black, n_black).T,
+                                  rhs[black] - _slot_sum(Vt[k] * z[black_neighbours]))
+        P = np.empty(rhs.shape)
+        P[red] = (z[:-1] - _slot_sum(V[k] * Pb[red_neighbours])) / root[k]
+        P[black] = Pb[:-1]
+        return P
+
+    def _pressure(self, X: np.ndarray, rhs: np.ndarray, five_point: bool) -> np.ndarray:
         """Solve S P = rhs with S = sum_v X_v^T X_v in nested-dissection
         order, for one or several right-hand-side columns: S dense up to
-        ``_DENSE_LIMIT`` cells, by SuperLU beyond."""
+        ``_DENSE_LIMIT`` cells, by SuperLU beyond.  A ``five_point`` S (from
+        diagonal vertex blocks) is solved dense by red-black elimination."""
         n = self.n_pressure
         P = np.empty(rhs.shape)
         if n > _DENSE_LIMIT:
             P[self._order] = _splu_solve(self.schur_matrix(X), rhs[self._order])
             return P
+        if five_point:
+            return self._red_black_solve(self._schur_data(X), rhs)
         S = np.zeros(n * n)
         S[self._dense_positions] = self._schur_data(X)
         # Column-major, the layout LAPACK factors in place (over twice as
@@ -278,16 +377,30 @@ class PreparedOperator:
             sums[self._cells[j]] += values[j].T
         return sums[:n]
 
+    def _cholesky(self, A: VertexBlockMatrix) -> np.ndarray:
+        """Entry-major factors of the vertex blocks: L (4, 4, n) by
+        :func:`~msforch.mfmfe.vertex_cholesky`, or, for a diagonal A, the
+        square roots (4, n) of its diagonal with the unit slots set to 1.  A
+        diagonal that is not finite and positive takes the general path,
+        whose check names the vertex."""
+        d = A.diagonal
+        if d is not None and np.isfinite(d).all():
+            # Padding and fixed DOFs read the 1 appended past the last DOF.
+            d = np.append(d, 1.0)[self._dofs]
+            if d.min() > 0.0:
+                return np.sqrt(d, out=d)
+        return vertex_cholesky(A.blocks, self._unit)
+
     def _factor(self, A: VertexBlockMatrix):
-        """(L, X): entry-major Cholesky factors of the blocks and X = L^{-1} B_v."""
-        L = vertex_cholesky(A.blocks, self._unit)
+        """(L, X): the factors of :meth:`_cholesky` and X = L^{-1} B_v."""
+        L = self._cholesky(A)
         return L, lower_solve(L, self.Bv)
 
     def _eliminate(self, A: VertexBlockMatrix, G: np.ndarray, F):
         """(L, X, y, rhs): the factors of :meth:`_factor`, y = L^{-1} G_v and
         rhs = sum_v X_v^T y_v - F, with X and y from one triangular pass.  G
         is one vector (n_dofs,) or holds one right-hand side per column."""
-        L = vertex_cholesky(A.blocks, self._unit)
+        L = self._cholesky(A)
         Gv = _per_vertex(G, self._dofs)
         Xy = lower_solve(L, np.concatenate([self.Bv, Gv.reshape(4, -1, Gv.shape[-1])], axis=1))
         X, y = Xy[:, :4], Xy[:, 4:].reshape(Gv.shape)
@@ -307,13 +420,14 @@ class PreparedOperator:
         """
         self._check_regular()
         L, X, y, rhs = self._eliminate(A, G, F)
-        P = self._pressure(X, rhs)
+        P = self._pressure(X, rhs, L.ndim == 2)
         return self._velocity(L, X, y, P), P
 
     def pressure(self, A: VertexBlockMatrix, F: np.ndarray) -> np.ndarray:
         """P alone for zero velocity data (G = 0): S P = -F."""
         self._check_regular()
-        return self._pressure(self._factor(A)[1], -F)
+        L, X = self._factor(A)
+        return self._pressure(X, -F, L.ndim == 2)
 
     def solve_reduced(self, A: VertexBlockMatrix, R: sp.spmatrix, G: np.ndarray, F: np.ndarray):
         """(U, P_r) with the pressure constrained to the column space of R.
@@ -340,6 +454,11 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
         return order(b[:, :m]) + order(b[:, m + 1:]) + [b[:, m]]
 
     return np.concatenate(order(np.arange(nx * ny).reshape(ny, nx)))
+
+
+def _slot_sum(g: np.ndarray) -> np.ndarray:
+    """g[:, 0] + g[:, 1] + g[:, 2] + g[:, 3], in that order."""
+    return g[:, 0] + g[:, 1] + g[:, 2] + g[:, 3]
 
 
 def _blocks_times(X: np.ndarray, y: np.ndarray, transpose: bool = False) -> np.ndarray:

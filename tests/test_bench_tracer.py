@@ -51,3 +51,24 @@ def test_sparse_factorization_is_traced(monkeypatch):
     factors = [span for span in tracer.spans if span[0] == "solve.factor"]
     assert len(factors) == sol.iterations + 1   # the Darcy start, then each step
     assert all(span[4] == tracer.spans[0][4] for span in factors)
+
+
+def test_red_black_factorization_is_traced(monkeypatch):
+    """On the dense path a Picard solve (every step's S five-point, solved
+    red-black) factors one black system per step: one ``solve.factor`` span
+    for the Darcy start and one per step."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    grid = msforch.build_fine_grid(16, 16)
+    assert grid.n_cells <= msforch.solve._DENSE_LIMIT
+    rng = np.random.default_rng(3)
+    kappa = msforch.ScalarCellField(16, 16, 10.0 ** rng.uniform(-1.0, 1.0, grid.n_cells))
+    beta = msforch.ScalarCellField(16, 16, np.full(grid.n_cells, 1.0))
+    cfg = msforch.NonlinearConfig(scheme="picard")
+    tracer = spans.Tracer()
+    with tracer.installed():
+        sol = msforch.nonlinear_solve(grid, kappa, beta, msforch.left_right_spec(grid),
+                                      np.zeros(grid.n_cells), cfg)
+    factors = [span for span in tracer.spans if span[0] == "solve.factor"]
+    assert sol.converged and sol.iterations > 1
+    assert len(factors) == sol.iterations + 1

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msforch.solve
 from msforch.errors import AssemblyError, SingularSystemError
 from msforch.fields import ScalarCellField, forchheimer_coeff, gen_synthetic
 from msforch.grid import build_coarse_grid, build_fine_grid
@@ -20,6 +22,7 @@ from msforch.mfmfe import (
     five_spot,
     left_right_spec,
     linearize,
+    VertexBlockMatrix,
     lower_solve,
     no_flow_spec,
     quadrature_norm_matrix,
@@ -403,10 +406,14 @@ def test_non_finite_right_hand_side_raises_singular_system_error(limit, monkeypa
 
 def test_dense_and_sparse_schur_share_one_pattern(monkeypatch):
     """The dense S is the sparse S's data scattered into a column-major
-    array, bitwise; its int32 positions are built only by the dense path."""
+    array, bitwise; its int32 positions are built only by the dense path.
+    A Newton matrix, whose tensor blocks make S nine-point: only those reach
+    the plain dense path."""
     grid = build_fine_grid(7, 5)
     sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), left_right_spec(grid))
-    A = assemble_velocity_matrix(grid, np.random.default_rng(2).uniform(0.1, 10.0, grid.n_cells))
+    rng = np.random.default_rng(2)
+    A = linearize(grid, rng.uniform(0.1, 10.0, grid.n_cells), np.ones(grid.n_cells),
+                  rng.standard_normal(grid.n_dofs), "newton")[0]
     operator = sys_.operator
     monkeypatch.setattr("msforch.solve._DENSE_LIMIT", 0)
     sys_.solve(A, sys_.G0)
@@ -683,3 +690,169 @@ def test_regular_high_contrast_system_solves_on_both_paths(monkeypatch):
         monkeypatch.setattr("msforch.solve._DENSE_LIMIT", limit)
         _, P, _ = sys_.solve(A, sys_.G0)
         assert np.all(np.isfinite(P)) and _rel(P, P_ref) <= 1e-10
+
+
+
+def _general(A):
+    """A without its diagonal: solved by vertex Cholesky, triangular solves
+    and, on the dense path, the nine-point S."""
+    return VertexBlockMatrix(A.blocks, A.grid)
+
+
+def _columns_close(a, b, rtol):
+    """Every column of a within rtol of b's, relative to b's norm."""
+    a, b = a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)
+    return bool(np.all(np.linalg.norm(a - b, axis=0) <= rtol * np.linalg.norm(b, axis=0)))
+
+
+def _scalar_problem(rng, nx, ny, problem, columns):
+    """(grid, operator, G, F) of a fine left-right or five-spot system
+    (Neumann DOFs fixed), an online T+ problem (pressure kept on the
+    element's cells, boundary DOFs fixed) or a snapshot block (its
+    boundary-data columns)."""
+    if problem in ("left_right", "five_spot"):
+        grid = build_fine_grid(nx, ny)
+        if problem == "left_right":
+            bc, f = left_right_spec(grid), rng.standard_normal(grid.n_cells)
+        else:
+            bc, f = five_spot(grid)
+        sys_ = LinearizedSystem(grid, f, bc)
+        if columns == 1:
+            return grid, sys_.operator, sys_.G0, sys_.F
+        G = rng.standard_normal((grid.n_dofs, columns))
+        return grid, sys_.operator, G, np.outer(sys_.F, np.ones(columns))
+    coarse = build_coarse_grid(build_fine_grid(3 * nx, 3 * ny), 3, 3)
+    element = int(rng.integers(9))
+    if problem == "online":
+        shape = LocalShapes(coarse).online(element)[0]
+        F = rng.standard_normal((shape.element_cells.size, columns))
+        G = rng.standard_normal((shape.grid.n_dofs, columns))
+        if columns == 1:
+            F, G = F[:, 0], G[:, 0]
+        return shape.grid, shape.operator, G, F
+    shape = LocalShapes(coarse).snapshot(element, 1)[0]
+    return shape.grid, shape.operator, shape.data, 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 9), ny=st.integers(1, 9),
+    problem=st.sampled_from(["left_right", "five_spot", "online", "snapshot"]),
+    columns=st.sampled_from([1, 3]),
+    per_corner=st.booleans(),
+    superlu=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonal_path_matches_general_path(nx, ny, problem, columns, per_corner, superlu, seed):
+    """A scalar coefficient's diagonal matrix (velocities eliminated by
+    division, S solved red-black on the dense path) gives the eliminated
+    system of the general path (vertex Cholesky, triangular solves) bitwise,
+    and its velocity and pressure (nine-point S) to 1e-13 relative, for one
+    or several right-hand sides, with fixed Neumann DOFs or kept cells,
+    dense or by SuperLU."""
+    rng = np.random.default_rng(seed)
+    grid, operator, G, F = _scalar_problem(rng, nx, ny, problem, columns)
+    shape = (grid.n_cells, 4) if per_corner else grid.n_cells
+    A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-1.0, 1.0, shape))
+    assert A.diagonal is not None
+    # Division by sqrt(d) is what the triangular solves do on diagonal
+    # blocks: the eliminated system is bitwise the same.
+    _, X, y, rhs = operator._eliminate(A, G, F)
+    _, X_ref, y_ref, rhs_ref = operator._eliminate(_general(A), G, F)
+    assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref) and np.array_equal(rhs, rhs_ref)
+    with pytest.MonkeyPatch.context() as mp:
+        if superlu:
+            mp.setattr("msforch.solve._DENSE_LIMIT", 0)
+        U, P = operator.solve(A, G, F)
+        U_ref, P_ref = operator.solve(_general(A), G, F)
+        assert _columns_close(U, U_ref, 1e-13) and _columns_close(P, P_ref, 1e-13)
+        if problem == "online":
+            assert _columns_close(operator.pressure(A, F), operator.pressure(_general(A), F), 1e-13)
+        if problem == "left_right" and columns == 1:
+            R = sp.identity(grid.n_cells, format="csr")
+            U_r, P_r = operator.solve_reduced(A, R, G, F)
+            U_rr, P_rr = operator.solve_reduced(_general(A), R, G, F)
+            assert _columns_close(U_r, U_rr, 1e-13) and _columns_close(P_r, P_rr, 1e-13)
+
+
+def test_diagonal_path_is_taken_below_and_beyond_the_dense_limit(monkeypatch):
+    """A scalar coefficient's blocks are never factored by vertex Cholesky;
+    its S goes red-black up to ``_DENSE_LIMIT`` cells and to SuperLU beyond,
+    where the velocities still come by division."""
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or original(*a))
+
+    spy(msforch.solve, "vertex_cholesky")
+    spy(msforch.solve, "_splu_solve")
+    spy(PreparedOperator, "_red_black_solve")
+    for nx in (17, 18):   # 272 and 288 cells
+        grid = build_fine_grid(nx, 16)
+        sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), left_right_spec(grid))
+        sys_.solve(assemble_velocity_matrix(grid, np.ones(grid.n_cells)), sys_.G0)
+    assert calls == ["_red_black_solve", "_splu_solve"]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "non-finite vertex block at vertex"),
+    (np.inf, "non-finite vertex block at vertex"),
+    (-1.0, "not positive definite at vertex"),
+    (0.0, "not positive definite at vertex"),
+])
+def test_bad_diagonal_raises_the_vertex_naming_error(bad, message):
+    """A diagonal that is not finite and positive falls back to the vertex
+    Cholesky, which names the vertex: the same error as the general path."""
+    grid = build_fine_grid(4, 3)
+    sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), all_dirichlet_spec(grid, 0.0))
+    coeff = np.ones(grid.n_cells)
+    coeff[0] = bad   # a corner cell: its boundary DOFs see this cell alone
+    A = assemble_velocity_matrix(grid, coeff)
+    assert A.diagonal is not None
+    with pytest.raises(AssemblyError, match=message) as diagonal:
+        sys_.solve(A, sys_.G0)
+    with pytest.raises(AssemblyError) as general:
+        sys_.solve(_general(A), sys_.G0)
+    assert str(diagonal.value) == str(general.value)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (2, 2), (7, 5), (16, 16), (17, 16)])
+def test_red_black_solve_matches_dense_cholesky_of_s(nx, ny):
+    """The red-black solve of a scalar coefficient's S equals a plain dense
+    Cholesky solve of ``schur_matrix(X)`` to 1e-13, for one and several
+    columns; S couples no two cells of one colour."""
+    rng = np.random.default_rng(nx * ny)
+    grid = build_fine_grid(nx, ny)
+    operator = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid)).operator
+    A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-2.0, 2.0, grid.n_cells))
+    L, X = operator._factor(A)
+    assert L.shape == (4, grid.n_vertices)
+    order = operator._order
+    S = operator.schur_matrix(X).toarray()
+    ix, iy = order % nx, order // nx
+    same_colour = (ix + iy)[:, None] % 2 == (ix + iy)[None, :] % 2
+    assert np.all(S[same_colour & ~np.eye(grid.n_cells, dtype=bool)] == 0.0)
+    factor = la.cho_factor(S)
+    for rhs in (rng.standard_normal(grid.n_cells), rng.standard_normal((grid.n_cells, 4))):
+        P = operator._pressure(X, rhs, five_point=True)
+        P_ref = np.empty(rhs.shape)
+        P_ref[order] = la.cho_solve(factor, rhs[order])
+        assert _columns_close(P, P_ref, 1e-13)
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 1), (3, 3), (7, 4), (16, 16)])
+def test_red_black_solve_reports_a_closed_box(nx, ny):
+    """A closed no-flow box raises, up front by the operator's datum check,
+    and in the red-black solve itself by the pivot test of the black
+    system, whose last pivot is roundoff."""
+    grid = build_fine_grid(nx, ny)
+    sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), no_flow_spec(grid))
+    A = assemble_velocity_matrix(grid, 10.0 ** np.random.default_rng(nx).uniform(-1.0, 1.0, grid.n_cells))
+    with pytest.raises(SingularSystemError, match="no pressure datum"):
+        sys_.solve(A, sys_.G0)
+    operator = sys_.operator
+    X = operator._factor(A)[1]
+    with pytest.raises(SingularSystemError, match="singular|not SPD"):
+        operator._red_black_solve(operator._schur_data(X), np.ones(grid.n_cells))
+

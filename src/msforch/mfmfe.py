@@ -20,8 +20,8 @@ Since both DOFs of a corner sit at one mesh vertex, the assembled matrix
 decouples into one small symmetric positive definite block per mesh vertex
 (:class:`VertexBlockMatrix`), factored in closed form for all vertices at
 once (:func:`vertex_cholesky`) and inverted blockwise.  A scalar
-coefficient touches only the (s, s) entries, so it makes A diagonal, and
-the solvers divide by that diagonal instead of factoring.  The
+coefficient touches only the (s, s) entries: A is diagonal, kept per DOF
+(blocks built only when read), and the solvers eliminate it per edge.  The
 coefficient K is 1/kappa for Darcy flow and 1/kappa + beta |u| (plus the
 rank-one Newton tensor) for Forchheimer flow.
 
@@ -129,13 +129,21 @@ class VertexBlockMatrix:
     inversion and Cholesky checks all act blockwise.  Padding slots hold zeros,
     or a unit diagonal once DOFs are eliminated.  ``diagonal`` is set when the
     whole matrix is diagonal (a scalar coefficient): it is that diagonal, per
-    DOF, and solvers then eliminate the velocity by division.
+    DOF, read by products and solvers; its blocks are built on first read.
     """
 
-    def __init__(self, blocks: np.ndarray, grid: FineGrid, diagonal: np.ndarray | None = None):
-        self.blocks = blocks
+    def __init__(self, blocks, grid: FineGrid, diagonal: np.ndarray | None = None):
+        self._blocks = blocks
         self.grid = grid
         self.diagonal = diagonal
+
+    @property
+    def blocks(self) -> np.ndarray:
+        if self._blocks is None:
+            blocks = np.zeros((self.grid.n_vertices, 16))
+            blocks[:, ::5] = np.append(self.diagonal, 0.0)[self.grid.vertex_dofs]
+            self._blocks = blocks.reshape(-1, 4, 4)
+        return self._blocks
 
     @property
     def n_dofs(self) -> int:
@@ -149,6 +157,8 @@ class VertexBlockMatrix:
         return vals
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self.diagonal is not None:
+            return self.diagonal * x
         vd = self.grid.vertex_dofs
         y = np.zeros(self.n_dofs)
         prod = np.einsum("vij,vj->vi", self.blocks, self._gathered(x))
@@ -195,6 +205,8 @@ class VertexBlockMatrix:
 
     def gram(self, U: np.ndarray) -> np.ndarray:
         """U^T A U for the columns of a (n_dofs, k) U, formed blockwise."""
+        if self.diagonal is not None:
+            return (U * self.diagonal[:, None]).T @ U
         Uv = self._gathered(U)
         return np.tensordot(Uv, self.blocks @ Uv, axes=([0, 1], [0, 1]))
 
@@ -203,16 +215,9 @@ class VertexBlockMatrix:
         return self._sparse_from_blocks(self.inverse_blocks())
 
 
-def _diagonal_solve(d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b / d slot by slot: d (4, n), b (4, ..., n)."""
-    return b / d.reshape(d.shape[:1] + (1,) * (b.ndim - 2) + d.shape[1:])
-
-
 def lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L x = b in every vertex block, entry-major: L (4, 4, n) lower
-    triangular, or (4, n) the diagonal of a diagonal L; b (4, ..., n)."""
-    if L.ndim == 2:
-        return _diagonal_solve(L, b)
+    triangular, b (4, ..., n)."""
     x = np.array(b, dtype=float)
     for i in range(4):
         for m in range(i):
@@ -223,8 +228,6 @@ def lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def lower_transpose_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L^T x = b in every vertex block (layout as :func:`lower_solve`)."""
-    if L.ndim == 2:
-        return _diagonal_solve(L, b)
     x = np.array(b, dtype=float)
     for i in range(3, -1, -1):
         for m in range(i + 1, 4):
@@ -272,9 +275,9 @@ def assemble_velocity_matrix(grid: FineGrid, coeff) -> VertexBlockMatrix:
     per-corner scalar (n_cells, 4) or a full tensor (n_cells, 4, 2, 2).  A
     scalar adds only to the two (s, s) entries, so the matrix is diagonal:
     its diagonal is summed per DOF by one ``bincount`` over the grid's
-    ``elem_corner_dof`` and kept as the matrix's ``diagonal``.  A tensor's
-    contributions are summed into the blocks by one ``bincount`` over the
-    grid's ``corner_index``.
+    ``elem_corner_dof`` and kept as the matrix's ``diagonal`` (blocks are
+    built only if read).  A tensor's contributions are summed into the
+    blocks by one ``bincount`` over the grid's ``corner_index``.
     """
     n = grid.n_cells
     quarter = 0.25 * grid.cell_areas
@@ -285,9 +288,7 @@ def assemble_velocity_matrix(grid: FineGrid, coeff) -> VertexBlockMatrix:
         # Eight corner DOF slots per cell, two per corner.
         weights = np.repeat(scalar.ravel(), 8 // scalar.shape[1])
         diagonal = np.bincount(grid.elem_corner_dof.ravel(), weights=weights, minlength=grid.n_dofs)
-        blocks = np.zeros((n_vertices, 16))
-        blocks[:, ::5] = np.append(diagonal, 0.0)[grid.vertex_dofs]
-        return VertexBlockMatrix(blocks.reshape(n_vertices, 4, 4), grid, diagonal)
+        return VertexBlockMatrix(None, grid, diagonal)
     if values.shape != (n, 4, 2, 2):
         raise ValueError(f"coefficient shape {values.shape} not understood for {n} cells")
     products = values * quarter[:, None, None, None]
@@ -306,10 +307,13 @@ def linearize(grid: FineGrid, kappa: np.ndarray, beta: np.ndarray, U: np.ndarray
     where |w| vanishes), or None (``scheme=None``: products only).
     AU = A_pic(U) U and, for Newton, AtU = A_t U (else 0.0) need no matrix:
     with h = (|T| / 4) w, corner slot s adds c h_s and (beta / |w|) |w|^2 h_s
-    to its DOF, summed by one ``bincount`` each.
+    to its DOF, summed by one ``bincount`` each; Picard's AU is A's diagonal times U.
     """
     w, speed = corner_velocities(grid, U)
     c = corner_coefficient(kappa, beta, speed)
+    if scheme == "picard":
+        A = assemble_velocity_matrix(grid, c)
+        return A, A.diagonal * U, 0.0
     h = (0.25 * grid.cell_areas)[:, None, None] * w
     dofs = grid.elem_corner_dof.ravel()
 
@@ -317,8 +321,8 @@ def linearize(grid: FineGrid, kappa: np.ndarray, beta: np.ndarray, U: np.ndarray
         return np.bincount(dofs, weights=(scale[..., None] * h).ravel(), minlength=grid.n_dofs)
 
     AU = slot_sums(c)
-    if scheme != "newton":
-        return (None if scheme is None else assemble_velocity_matrix(grid, c)), AU, 0.0
+    if scheme is None:
+        return None, AU, 0.0
     # beta / |w| per corner, zero below the velocity floor.
     floor = 1e-14 * max(speed.max(), 1.0)
     moving = speed > floor

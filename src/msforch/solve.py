@@ -23,14 +23,13 @@ pivoting.
 :class:`PreparedOperator` is the one owner of that elimination: it holds
 everything which depends only on the grid and B, it eliminates the
 constrained (Neumann) velocity DOFs itself, and it is the only place that
-factors S.  A linearization step does numerical work only: assemble, factor
-the vertex blocks in closed form, solve them against B and G in one
-triangular pass, form and factor S, back-substitute.  A scalar coefficient
-(Picard, the Darcy start, the local problems) makes A diagonal: the
-velocities are then eliminated by division, S is five-point (S couples
-two cells only through a shared velocity DOF, and cells meeting only at a
-vertex share none) and its dense solve eliminates the red cells by
-division too, factoring only the black half.  Convergence is declared on
+factors S.  A linearization step does numerical work only.  A tensor
+(Newton) step factors the vertex blocks in closed form, solves them against
+B and G in one triangular pass, forms and factors S, back-substitutes.  A
+scalar coefficient (Picard, the Darcy start, the local problems) makes A
+diagonal and S the two-point (five-point) scheme, eliminated per edge with
+no vertex block; its dense solve eliminates the red cells by division,
+factoring only the black half.  Convergence is declared on
 the relative increment max_z ||z^{n+1} - z^n|| / max(||z^n||, eps) over
 both state vectors z = P, U; the velocity must take part because
 on uniform flow a constant linearized coefficient scales out of the pressure
@@ -150,14 +149,14 @@ def _splu_solve(S: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
 
 
 class PreparedOperator:
-    """Blockwise velocity elimination for one grid and divergence matrix B.
+    """Velocity elimination for one grid and its divergence matrix B.
 
     Everything that does not depend on the velocity matrix is computed once:
     the rows B_v of B at each vertex's DOFs, restricted to the (up to four)
     cells around the vertex, and the maps between block slots and DOFs or
     cells, and the slots whose rows and columns of A act as the identity.
-    A solve then factors the vertex blocks A_v = L_v L_v^T in closed form
-    (:func:`~msforch.mfmfe.vertex_cholesky`, the SPD check), forms
+    A tensor A (Newton) then factors the vertex blocks A_v = L_v L_v^T in
+    closed form (:func:`~msforch.mfmfe.vertex_cholesky`, the SPD check), forms
     [X_v | y_v] = L_v^{-1} [B_v | G_v] in one triangular pass, sums
     S = sum_v X_v^T X_v and the right-hand side sum_v X_v^T y_v - F by
     bincount, factors S and recovers U_v = L_v^{-T} (y_v - X_v P_v).  S has
@@ -166,15 +165,13 @@ class PreparedOperator:
     pressure cells its entries are scattered into a dense S for Cholesky;
     beyond, SuperLU factors the sparse S as it is.
 
-    A diagonal A (``A.diagonal``, a scalar coefficient) is the diagonal
-    path: L_v is diag(sqrt(d)) with the unit slots set to 1, so every
-    triangular solve is a division, and the finite and positive check of
-    d falls back to the vertex Cholesky to name a bad vertex.  Its S is
-    five-point, the diagonal-neighbour entries of the pattern being exact
-    zeros; up to ``_DENSE_LIMIT`` cells it is solved by
-    :meth:`_red_black_solve`: with the cells coloured red and black by the
-    parity of ix + iy, red cells couple only to black ones, so they are
-    eliminated by division and dense Cholesky factors the black half.
+    A diagonal A (``A.diagonal``, a scalar coefficient) makes S the
+    two-point scheme, eliminated per edge without X or y (:meth:`_system`):
+    edge e adds t = (|e|/2)^2 (1/d_2e + 1/d_2e+1) to its cells' diagonal
+    entries and -t to their coupling.  Up to ``_DENSE_LIMIT`` cells this S
+    is solved by :meth:`_red_black_solve`: with the cells coloured red and
+    black by the parity of ix + iy, red cells couple only to black ones, so
+    they are eliminated by division and dense Cholesky factors the black half.
 
     Per-vertex arrays are stored entry-major, (4, ..., n_vertices), so each
     block entry is one contiguous vector.  Constrained (Neumann) DOFs are
@@ -205,6 +202,9 @@ class PreparedOperator:
         number = np.full(grid.n_cells + 1, n, dtype=np.int64)
         number[kept] = np.arange(n)
         self._kept_yx = np.divmod(kept, grid.nx)
+        self.grid, self._kept = grid, slice(None) if kept_cells is None else kept
+        self._free = np.ones(grid.n_dofs, dtype=bool)
+        self._free[fixed] = False
         dtype = index_dtype(4 * grid.n_vertices + grid.n_dofs)
         self._cells = number[cells].T.astype(dtype)
         dofs = np.where(grid.vertex_dofs >= 0, grid.vertex_dofs, grid.n_dofs)
@@ -216,6 +216,8 @@ class PreparedOperator:
         row_sum = sum(self.Bv[:, j] * on_kept[j] for j in range(4))
         row_abs = sum(np.abs(self.Bv[:, j]) * on_kept[j] for j in range(4))
         self.singular = bool(np.all(np.abs(row_sum) <= 1e-12 * row_abs))
+        # The per-edge path needs B to be the grid's but at fixed DOFs.
+        self._grid_divergence = np.isin((B - assemble_divergence(grid)).tocoo().row, fixed).all()
 
     @functools.cached_property
     def _order(self) -> np.ndarray:
@@ -259,11 +261,14 @@ class PreparedOperator:
         index, indices, _ = self._sparse_pattern
         return np.bincount(index, weights=_gram_entries(X), minlength=indices.size + 1)[:-1]
 
+    def _csc(self, data: np.ndarray) -> sp.csc_matrix:
+        """S in compressed columns, numbered in :attr:`_order`, from its data."""
+        _, indices, indptr = self._sparse_pattern
+        return sp.csc_matrix((data, indices, indptr), shape=(self.n_pressure,) * 2)
+
     def schur_matrix(self, X: np.ndarray) -> sp.csc_matrix:
         """S = sum_v X_v^T X_v in compressed columns, numbered in :attr:`_order`."""
-        _, indices, indptr = self._sparse_pattern
-        n = self.n_pressure
-        return sp.csc_matrix((self._schur_data(X), indices, indptr), shape=(n, n))
+        return self._csc(self._schur_data(X))
 
     @functools.cached_property
     def _red_black(self) -> tuple:
@@ -346,23 +351,24 @@ class PreparedOperator:
         P[black] = Pb[:-1]
         return P
 
-    def _pressure(self, X: np.ndarray, rhs: np.ndarray, five_point: bool) -> np.ndarray:
-        """Solve S P = rhs with S = sum_v X_v^T X_v in nested-dissection
-        order, for one or several right-hand-side columns: S dense up to
-        ``_DENSE_LIMIT`` cells, by SuperLU beyond.  A ``five_point`` S (from
-        diagonal vertex blocks) is solved dense by red-black elimination."""
+    def _dense_solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve S P = rhs by dense Cholesky, S given as :attr:`_sparse_pattern` data."""
         n = self.n_pressure
-        P = np.empty(rhs.shape)
-        if n > _DENSE_LIMIT:
-            P[self._order] = _splu_solve(self.schur_matrix(X), rhs[self._order])
-            return P
-        if five_point:
-            return self._red_black_solve(self._schur_data(X), rhs)
         S = np.zeros(n * n)
-        S[self._dense_positions] = self._schur_data(X)
-        # Column-major, the layout LAPACK factors in place (over twice as
-        # fast as handing it a row-ordered array).
+        S[self._dense_positions] = data
+        # Column-major, which LAPACK factors in place over twice as fast.
+        P = np.empty(rhs.shape)
         P[self._order] = _cholesky_solve(S.reshape(n, n).T, rhs[self._order])
+        return P
+
+    def _pressure(self, data: np.ndarray, rhs: np.ndarray, dense) -> np.ndarray:
+        """Solve S P = rhs, S given as :attr:`_sparse_pattern` data, for one
+        or several right-hand-side columns: by ``dense`` (a method taking
+        (data, rhs)) up to ``_DENSE_LIMIT`` cells, by SuperLU beyond."""
+        if self.n_pressure <= _DENSE_LIMIT:
+            return dense(data, rhs)
+        P = np.empty(rhs.shape)
+        P[self._order] = _splu_solve(self._csc(data), rhs[self._order])
         return P
 
     def _cell_sums(self, values: np.ndarray) -> np.ndarray:
@@ -377,30 +383,12 @@ class PreparedOperator:
             sums[self._cells[j]] += values[j].T
         return sums[:n]
 
-    def _cholesky(self, A: VertexBlockMatrix) -> np.ndarray:
-        """Entry-major factors of the vertex blocks: L (4, 4, n) by
-        :func:`~msforch.mfmfe.vertex_cholesky`, or, for a diagonal A, the
-        square roots (4, n) of its diagonal with the unit slots set to 1.  A
-        diagonal that is not finite and positive takes the general path,
-        whose check names the vertex."""
-        d = A.diagonal
-        if d is not None and np.isfinite(d).all():
-            # Padding and fixed DOFs read the 1 appended past the last DOF.
-            d = np.append(d, 1.0)[self._dofs]
-            if d.min() > 0.0:
-                return np.sqrt(d, out=d)
-        return vertex_cholesky(A.blocks, self._unit)
-
-    def _factor(self, A: VertexBlockMatrix):
-        """(L, X): the factors of :meth:`_cholesky` and X = L^{-1} B_v."""
-        L = self._cholesky(A)
-        return L, lower_solve(L, self.Bv)
-
     def _eliminate(self, A: VertexBlockMatrix, G: np.ndarray, F):
-        """(L, X, y, rhs): the factors of :meth:`_factor`, y = L^{-1} G_v and
-        rhs = sum_v X_v^T y_v - F, with X and y from one triangular pass.  G
-        is one vector (n_dofs,) or holds one right-hand side per column."""
-        L = self._cholesky(A)
+        """(L, X, y, rhs): the vertex Cholesky factors of A, X = L^{-1} B_v,
+        y = L^{-1} G_v and rhs = sum_v X_v^T y_v - F, with X and y from one
+        triangular pass.  G is one vector (n_dofs,) or holds one right-hand
+        side per column."""
+        L = vertex_cholesky(A.blocks, self._unit)
         Gv = _per_vertex(G, self._dofs)
         Xy = lower_solve(L, np.concatenate([self.Bv, Gv.reshape(4, -1, Gv.shape[-1])], axis=1))
         X, y = Xy[:, :4], Xy[:, 4:].reshape(Gv.shape)
@@ -412,6 +400,49 @@ class PreparedOperator:
         U = U.ravel() if U.ndim == 2 else U.transpose(0, 2, 1).reshape(-1, U.shape[1])
         return U[self._slot_of_dof]
 
+    @functools.cached_property
+    def _edges(self) -> tuple:
+        """(cells, positions): the pressure numbers (2, n_edges) of the cells
+        m below (left of) and p above (right of) each edge, n if missing or
+        dropped, and where S's entries (m, m), (p, p), (m, p), (p, m) lie in
+        :attr:`_sparse_pattern` (4, n_edges), past its end if dropped; read
+        at the edge's first vertex, corner 3 (1) of m and corner 0 of p."""
+        grid = self.grid
+        vertex = grid.edge_nodes[:, 0]
+        m = np.where(np.arange(grid.n_edges) < grid.nx * (grid.ny + 1), 3, 1)
+        cells = np.stack([self._cells[m, vertex], self._cells[0, vertex]])
+        slots = np.stack([5 * m, np.zeros_like(m), 4 * m, m])
+        return cells, self._sparse_pattern[0][slots * grid.n_vertices + vertex]
+
+    def _system(self, A: VertexBlockMatrix, G: np.ndarray, F):
+        """(data, rhs, velocity, dense): S's :attr:`_sparse_pattern` data,
+        rhs = B^T A^{-1} G - F, velocity(P) = A^{-1} (G - B P) in DOF order
+        and S's dense solver.  Per vertex, unless A is diagonal with d finite
+        and positive and B is the grid's: then per edge, with w = 1/d (0 at
+        fixed DOFs), (B P)_e = (|e|/2) (P_p - P_m) and B^T's entries
+        -sign |e|/2, signs -1, 1, 1, -1 on bottom, right, top, left."""
+        d = A.diagonal
+        if d is None or not (self._grid_divergence and d.min() > 0.0 and d.max() < np.inf):
+            L, X, y, rhs = self._eliminate(A, G, F)
+            return self._schur_data(X), rhs, lambda P: self._velocity(L, X, y, P), self._dense_solve
+        w = self._free / d
+        cells, positions = self._edges
+        half = 0.5 * self.grid.edge_lengths
+        t = half * half * (w[0::2] + w[1::2])
+        data = np.bincount(positions.ravel(), weights=np.concatenate([t, t, -t, -t]),
+                           minlength=self._sparse_pattern[1].size + 1)[:-1]
+        k = (slice(None),) + (None,) * (G.ndim - 1)
+        wG = w[k] * G
+        g = (wG[0::2] + wG[1::2]) * half[k]
+        edges = self.grid.element_edges.T
+        rhs = (g[edges[0]] + g[edges[3]] - g[edges[1]] - g[edges[2]])[self._kept] - F
+
+        def velocity(P):
+            P = np.concatenate([P, np.zeros((1,) + P.shape[1:])])
+            return w[k] * (G - np.repeat((P[cells[1]] - P[cells[0]]) * half[k], 2, axis=0))
+
+        return data, rhs, velocity, self._red_black_solve
+
     def solve(self, A: VertexBlockMatrix, G: np.ndarray, F):
         """(U, P) of the saddle system on the full pressure space.
 
@@ -419,15 +450,15 @@ class PreparedOperator:
         U and P then carry the same columns.
         """
         self._check_regular()
-        L, X, y, rhs = self._eliminate(A, G, F)
-        P = self._pressure(X, rhs, L.ndim == 2)
-        return self._velocity(L, X, y, P), P
+        data, rhs, velocity, dense = self._system(A, G, F)
+        P = self._pressure(data, rhs, dense)
+        return velocity(P), P
 
     def pressure(self, A: VertexBlockMatrix, F: np.ndarray) -> np.ndarray:
         """P alone for zero velocity data (G = 0): S P = -F."""
         self._check_regular()
-        L, X = self._factor(A)
-        return self._pressure(X, -F, L.ndim == 2)
+        data, rhs, _, dense = self._system(A, np.zeros((self.grid.n_dofs,) + F.shape[1:]), F)
+        return self._pressure(data, rhs, dense)
 
     def solve_reduced(self, A: VertexBlockMatrix, R: sp.spmatrix, G: np.ndarray, F: np.ndarray):
         """(U, P_r) with the pressure constrained to the column space of R.
@@ -435,11 +466,11 @@ class PreparedOperator:
         The reduced system R^T S R P_r = R^T (B^T A^{-1} G - F) is dense of
         coarse dimension; the velocity follows from the fine pressure R P_r.
         """
-        L, X, y, rhs = self._eliminate(A, G, F)
+        data, rhs, velocity, _ = self._system(A, G, F)
         R_nd = R[self._order]
-        S = (R_nd.T @ (self.schur_matrix(X) @ R_nd)).toarray(order="F")
+        S = (R_nd.T @ (self._csc(data) @ R_nd)).toarray(order="F")
         Pr = _cholesky_solve(S, R.T @ rhs)
-        return self._velocity(L, X, y, R @ Pr), Pr
+        return velocity(R @ Pr), Pr
 
 
 def _nested_dissection(nx: int, ny: int) -> np.ndarray:

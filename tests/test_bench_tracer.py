@@ -72,3 +72,28 @@ def test_red_black_factorization_is_traced(monkeypatch):
     factors = [span for span in tracer.spans if span[0] == "solve.factor"]
     assert sol.converged and sol.iterations > 1
     assert len(factors) == sol.iterations + 1
+
+
+def test_picard_solve_forms_no_vertex_blocks(monkeypatch):
+    """A 16x16 Picard solve eliminates every step per edge: no matrix ever
+    materialises its vertex blocks, ``vertex_cholesky`` is never called, and
+    each step still makes one ``solve.factor`` span."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    reads = []
+    blocks = msforch.VertexBlockMatrix.blocks
+    monkeypatch.setattr(msforch.VertexBlockMatrix, "blocks",
+                        property(lambda self: reads.append("blocks") or blocks.fget(self)))
+    monkeypatch.setattr(msforch.solve, "vertex_cholesky",
+                        lambda *a: reads.append("vertex_cholesky"))
+    grid = msforch.build_fine_grid(16, 16)
+    rng = np.random.default_rng(5)
+    kappa = msforch.ScalarCellField(16, 16, 10.0 ** rng.uniform(-1.0, 1.0, grid.n_cells))
+    beta = msforch.ScalarCellField(16, 16, np.full(grid.n_cells, 1.0))
+    tracer = spans.Tracer()
+    with tracer.installed():
+        sol = msforch.nonlinear_solve(grid, kappa, beta, msforch.left_right_spec(grid),
+                                      np.zeros(grid.n_cells), msforch.NonlinearConfig("picard"))
+    factors = [span for span in tracer.spans if span[0] == "solve.factor"]
+    assert sol.converged and sol.iterations > 1 and reads == []
+    assert len(factors) == sol.iterations + 1

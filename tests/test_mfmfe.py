@@ -647,3 +647,33 @@ def test_indefinite_block_error_names_its_vertex(pivot):
         A.cholesky()
     with pytest.raises(AssemblyError, match="not positive definite"):
         A.check_positive_definite()
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (4, 3), (9, 7)])
+def test_picard_product_is_the_diagonal_times_u(nx, ny):
+    """Picard's product A_pic(U) U comes as A's diagonal times U, without h or
+    slot sums, and agrees with the corner slot sums of ``linearize(..., None)``
+    to 1e-14 relative, entry by entry; the step builds no vertex blocks."""
+    grid = build_fine_grid(nx, ny)
+    rng = np.random.default_rng(nx + ny)
+    kappa, beta, U = _newton_problem(grid, rng)
+    A, AU, AtU = linearize(grid, kappa, beta, U, "picard")
+    AU_ref = linearize(grid, kappa, beta, U, None)[1]
+    assert AtU == 0.0 and A._blocks is None
+    assert np.all(np.abs(AU - AU_ref) <= 1e-14 * np.abs(AU_ref))
+
+
+@pytest.mark.parametrize("per_corner", [False, True])
+def test_diagonal_products_match_the_blocks(per_corner):
+    """matvec and gram of a diagonal matrix read its diagonal and agree with
+    the products of its (lazily built) blocks to 1e-14 relative."""
+    grid = build_fine_grid(10, 10)
+    rng = np.random.default_rng(4)
+    shape = (grid.n_cells, 4) if per_corner else grid.n_cells
+    A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-1.0, 1.0, shape))
+    U = rng.standard_normal((grid.n_dofs, 40))
+    gram, Ax = A.gram(U), A.matvec(U[:, 0])
+    assert A._blocks is None
+    blocks = VertexBlockMatrix(A.blocks, grid)
+    assert np.abs(gram - blocks.gram(U)).max() <= 1e-14 * np.abs(gram).max()
+    assert np.abs(Ax - blocks.matvec(U[:, 0])).max() <= 1e-14 * np.abs(Ax).max()

@@ -26,6 +26,7 @@ from msforch.mfmfe import (
     lower_solve,
     no_flow_spec,
     quadrature_norm_matrix,
+    vertex_cholesky,
 )
 from msforch.solve import (
     _DENSE_LIMIT,
@@ -58,6 +59,13 @@ def _random_reduced_system(rng, nx, ny):
     A = assemble_velocity_matrix(grid, rng.uniform(0.1, 10.0, grid.n_cells))
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     return Ahat, Bfree, G2, sys_.F
+
+
+def _vertex_factor(operator, A):
+    """(L, X): the vertex Cholesky factors of A and X = L^{-1} B_v, apart
+    from the operator's fused triangular pass."""
+    L = vertex_cholesky(A.blocks, operator._unit)
+    return L, lower_solve(L, operator.Bv)
 
 
 def _rel(a, b):
@@ -428,7 +436,7 @@ def test_dense_and_sparse_schur_share_one_pattern(monkeypatch):
     monkeypatch.setattr("msforch.solve._cholesky_solve", capture)
     sys_.solve(A, sys_.G0)
     assert operator._dense_positions.dtype == np.int32
-    X = operator._factor(A)[1]
+    X = _vertex_factor(operator, A)[1]
     (S,) = captured
     assert S.flags.f_contiguous
     assert np.array_equal(S, operator.schur_matrix(X).toarray())
@@ -445,7 +453,7 @@ def test_fused_triangular_pass_matches_separate_solves(columns):
     operator = sys_.operator
     G = rng.standard_normal((grid.n_dofs, 2) if columns else grid.n_dofs)
     L, X, y, rhs = operator._eliminate(A, G, sys_.F[:, None] if columns else sys_.F)
-    L_ref, X_ref = operator._factor(A)
+    L_ref, X_ref = _vertex_factor(operator, A)
     y_ref = lower_solve(L_ref, _per_vertex(G, operator._dofs))
     assert np.array_equal(L, L_ref) and np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
@@ -590,7 +598,7 @@ def test_nested_dissection_orders_every_cell_once(nx, ny):
     order = operator._order
     assert np.array_equal(np.sort(order), np.arange(grid.n_cells))
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
-    S = operator.schur_matrix(operator._factor(A)[1]).toarray()
+    S = operator.schur_matrix(_vertex_factor(operator, A)[1]).toarray()
     ix, iy = order % nx, order // nx
     coupled = (np.abs(ix[:, None] - ix) <= 1) & (np.abs(iy[:, None] - iy) <= 1)
     assert np.all(S[~coupled] == 0.0) and np.array_equal(S, S.T)
@@ -628,7 +636,7 @@ def test_nested_dissection_needs_less_fill_than_superlu_defaults(monkeypatch):
     assert np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)
     operator = sys_.operator
     rank = np.argsort(operator._order)
-    natural = operator.schur_matrix(operator._factor(A)[1])[rank][:, rank].tocsc()
+    natural = operator.schur_matrix(_vertex_factor(operator, A)[1])[rank][:, rank].tocsc()
     defaults = splu(natural)
     assert lu.L.nnz + lu.U.nnz < defaults.L.nnz + defaults.U.nnz
 
@@ -744,22 +752,28 @@ def _scalar_problem(rng, nx, ny, problem, columns):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_diagonal_path_matches_general_path(nx, ny, problem, columns, per_corner, superlu, seed):
-    """A scalar coefficient's diagonal matrix (velocities eliminated by
-    division, S solved red-black on the dense path) gives the eliminated
-    system of the general path (vertex Cholesky, triangular solves) bitwise,
-    and its velocity and pressure (nine-point S) to 1e-13 relative, for one
-    or several right-hand sides, with fixed Neumann DOFs or kept cells,
-    dense or by SuperLU."""
+    """A scalar coefficient's diagonal matrix (velocities eliminated per
+    edge, the two-point S solved red-black on the dense path) gives the
+    pressure system of the general path (vertex Cholesky, triangular solves,
+    ``schur_matrix(X)``) to 1e-14 relative, S and right-hand side, and its
+    velocity and pressure (nine-point S) to 1e-13 relative, for one or
+    several right-hand sides, with fixed Neumann DOFs or kept cells, dense
+    or by SuperLU.  The per-edge path forms no X and y, so there is no
+    eliminated system to compare bitwise."""
     rng = np.random.default_rng(seed)
     grid, operator, G, F = _scalar_problem(rng, nx, ny, problem, columns)
     shape = (grid.n_cells, 4) if per_corner else grid.n_cells
     A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-1.0, 1.0, shape))
     assert A.diagonal is not None
-    # Division by sqrt(d) is what the triangular solves do on diagonal
-    # blocks: the eliminated system is bitwise the same.
-    _, X, y, rhs = operator._eliminate(A, G, F)
-    _, X_ref, y_ref, rhs_ref = operator._eliminate(_general(A), G, F)
-    assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref) and np.array_equal(rhs, rhs_ref)
+    data, rhs, _, dense = operator._system(A, G, F)
+    assert dense == operator._red_black_solve
+    _, X, _, rhs_ref = operator._eliminate(_general(A), G, F)
+    S_ref = operator._schur_data(X)
+    assert np.abs(data - S_ref).max() <= 1e-14 * np.abs(S_ref).max()
+    # Relative to the two terms of rhs = B^T A^{-1} G - F, which may cancel.
+    F_full = np.broadcast_to(F, rhs.shape)
+    scale = np.linalg.norm(rhs_ref + F_full, axis=0) + np.linalg.norm(F_full, axis=0)
+    assert np.all(np.linalg.norm(rhs - rhs_ref, axis=0) <= 1e-14 * scale)
     with pytest.MonkeyPatch.context() as mp:
         if superlu:
             mp.setattr("msforch.solve._DENSE_LIMIT", 0)
@@ -819,23 +833,26 @@ def test_bad_diagonal_raises_the_vertex_naming_error(bad, message):
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (2, 2), (7, 5), (16, 16), (17, 16)])
 def test_red_black_solve_matches_dense_cholesky_of_s(nx, ny):
-    """The red-black solve of a scalar coefficient's S equals a plain dense
-    Cholesky solve of ``schur_matrix(X)`` to 1e-13, for one and several
-    columns; S couples no two cells of one colour."""
+    """The red-black solve of a scalar coefficient's two-point S (formed
+    per edge) equals a plain dense Cholesky solve of the general path's
+    ``schur_matrix(X)`` to 1e-13, for one and several columns; S couples no
+    two cells of one colour."""
     rng = np.random.default_rng(nx * ny)
     grid = build_fine_grid(nx, ny)
     operator = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid)).operator
     A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-2.0, 2.0, grid.n_cells))
-    L, X = operator._factor(A)
-    assert L.shape == (4, grid.n_vertices)
+    data, _, _, dense = operator._system(A, np.zeros(grid.n_dofs), 0.0)
+    assert dense == operator._red_black_solve
     order = operator._order
-    S = operator.schur_matrix(X).toarray()
+    S = operator._csc(data).toarray()
+    S_ref = operator.schur_matrix(_vertex_factor(operator, A)[1]).toarray()
+    assert np.abs(S - S_ref).max() <= 1e-14 * np.abs(S_ref).max()
     ix, iy = order % nx, order // nx
     same_colour = (ix + iy)[:, None] % 2 == (ix + iy)[None, :] % 2
     assert np.all(S[same_colour & ~np.eye(grid.n_cells, dtype=bool)] == 0.0)
-    factor = la.cho_factor(S)
+    factor = la.cho_factor(S_ref)
     for rhs in (rng.standard_normal(grid.n_cells), rng.standard_normal((grid.n_cells, 4))):
-        P = operator._pressure(X, rhs, five_point=True)
+        P = operator._red_black_solve(data, rhs)
         P_ref = np.empty(rhs.shape)
         P_ref[order] = la.cho_solve(factor, rhs[order])
         assert _columns_close(P, P_ref, 1e-13)
@@ -852,7 +869,36 @@ def test_red_black_solve_reports_a_closed_box(nx, ny):
     with pytest.raises(SingularSystemError, match="no pressure datum"):
         sys_.solve(A, sys_.G0)
     operator = sys_.operator
-    X = operator._factor(A)[1]
+    data = operator._system(A, np.zeros(grid.n_dofs), 0.0)[0]
     with pytest.raises(SingularSystemError, match="singular|not SPD"):
-        operator._red_black_solve(operator._schur_data(X), np.ones(grid.n_cells))
+        operator._red_black_solve(data, np.ones(grid.n_cells))
 
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (7, 5), (24, 24)])
+def test_edge_maps_are_lean(nx, ny):
+    """The per-edge maps, built on a scalar solve, are int32 and hold at
+    most six entries per edge: two pressure numbers and four positions."""
+    grid = build_fine_grid(nx, ny)
+    sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), left_right_spec(grid))
+    sys_.solve(assemble_velocity_matrix(grid, np.ones(grid.n_cells)), sys_.G0)
+    cells, positions = sys_.operator._edges
+    assert cells.dtype == positions.dtype == np.int32
+    assert cells.size + positions.size <= 6 * grid.n_edges
+
+
+def test_foreign_divergence_takes_the_vertex_path(monkeypatch):
+    """The per-edge path reads B off the grid's edges, so a B that is not the
+    grid's divergence matrix sends even a diagonal A through the vertex
+    path, which matches the saddle oracle."""
+    grid = build_fine_grid(5, 4)
+    rng = np.random.default_rng(12)
+    B = assemble_divergence(grid).multiply(rng.uniform(0.5, 2.0, (grid.n_dofs, 1))).tocsr()
+    A = assemble_velocity_matrix(grid, rng.uniform(0.1, 10.0, grid.n_cells))
+    G, F = rng.standard_normal(grid.n_dofs), rng.standard_normal(grid.n_cells)
+    calls = []
+    monkeypatch.setattr(msforch.solve, "vertex_cholesky",
+                        lambda *a: calls.append(1) or vertex_cholesky(*a))
+    U, P = schur_solve(A, B, G, F)
+    U_ref, P_ref = saddle_oracle(A, B, G, F)
+    assert calls == [1]
+    assert _rel(U, U_ref) <= 1e-12 and _rel(P, P_ref) <= 1e-12

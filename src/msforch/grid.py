@@ -30,6 +30,7 @@ vertex-block array.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,13 @@ class FineGrid:
 
     def cell_id(self, ix, iy):
         return iy * self.nx + ix
+
+    @functools.cached_property
+    def memo(self) -> dict:
+        """Data other modules derive from this grid object on first use and
+        reuse for its lifetime (its divergence matrix, its prepared
+        operators); filled by :mod:`msforch.solve`."""
+        return {}
 
 
 def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# subgrid and assemble_divergence are looked up on their modules at call
-# time, so that code rebinding them there (a tracer, a test counting calls)
-# sees these calls.
+# subgrid is looked up on its module at call time, so that code rebinding
+# it there (a tracer, a test counting calls) sees these calls.
 from . import grid as _grid
-from . import mfmfe as _mfmfe
 from .grid import CoarseGrid, FineGrid, block_indices, rect_boundary_edges
-from .solve import PreparedOperator
+from .solve import PreparedOperator, grid_divergence, grid_operator
 
 
 @dataclass(frozen=True)
@@ -47,15 +45,14 @@ def _snapshot_shape(grid: FineGrid, element_cells: np.ndarray) -> tuple:
     columns = np.arange(edges.size)
     data[2 * edges, columns] = half
     data[2 * edges + 1, columns] = half
-    return PreparedOperator(grid, _mfmfe.assemble_divergence(grid)), data
+    return grid_operator(grid), data
 
 
 def _online_shape(grid: FineGrid, element_cells: np.ndarray) -> tuple:
     """Operator of the online problem on T+: zero normal flux on the whole
     boundary, pressure pinned to zero outside the element."""
     bdofs = (2 * grid.boundary_edges[:, None] + np.array([0, 1])).ravel()
-    B = _mfmfe.assemble_divergence(grid)
-    return PreparedOperator(grid, B, bdofs, kept_cells=element_cells), None
+    return PreparedOperator(grid, grid_divergence(grid), bdofs, kept_cells=element_cells), None
 
 
 class LocalShapes:

@@ -32,7 +32,8 @@ total is re-snapshotted with the solution-dependent coefficient
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -40,16 +41,15 @@ import scipy.sparse as sp
 
 from .errors import SingularSystemError
 from .fields import ScalarCellField
-from .grid import CoarseGrid, FineGrid
+from .grid import CoarseGrid, FineGrid, index_dtype
 from .local import LocalShapes
 from .mfmfe import (
     BoundarySpec,
-    assemble_divergence,
     assemble_velocity_matrix,
     corner_coefficient,
     corner_velocities,
 )
-from .solve import FlowSolution, NonlinearConfig, cell_divergence, nonlinear_solve
+from .solve import FlowSolution, NonlinearConfig, cell_divergence, grid_divergence, nonlinear_solve
 
 
 @dataclass
@@ -202,41 +202,46 @@ def spectral_decompose(space: SpectralSpace, m_off: int) -> SpectralSpace:
     return space
 
 
-@dataclass
 class ReductionMap:
     """Sparse map from coarse pressure coefficients to fine cell pressures.
 
     Columns are grouped per coarse element (element-major, eigenvalue-minor
-    for offline columns; online columns append at the end).  ``provenance``
-    tracks the origin of each column: 'offline', 'updated' or 'online'.
-    Change columns through the methods, which keep the cached matrix and the
-    per-element column index current.
+    for offline columns; online columns append at the end).  ``columns``
+    lists each column as (element id, cells, values) and ``provenance`` its
+    origin: 'offline', 'updated' or 'online'.  The same columns are kept in
+    compressed-column arrays, which :meth:`append_column` extends and
+    :meth:`replace_element_columns` overwrites in place, so :attr:`matrix`
+    reads no column list.  Change columns through the methods, which keep
+    those arrays and the per-element column index current.
     """
 
-    n_cells: int
-    columns: list              # per column: (element id, cells, values)
-    provenance: list
-    _matrix: sp.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
-    _by_element: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for j, c in enumerate(self.columns):
-            self._by_element.setdefault(c[0], []).append(j)
+    def __init__(self, n_cells: int, columns=(), provenance=()):
+        self.n_cells = n_cells
+        self.columns, self.provenance = [], []
+        self._by_element = {}
+        # Compressed columns with spare capacity: column j holds the entries
+        # _indptr[j]:_indptr[j + 1] of _indices (its cells) and _data.  The
+        # index type is the matrix's, so that building it copies no wider one.
+        dtype = index_dtype(n_cells)
+        self._indptr, self._indices = np.zeros(1, dtype), np.empty(0, dtype)
+        self._data = np.empty(0)
+        self._matrix = None
+        for (element, cells, values), origin in zip(columns, provenance, strict=True):
+            self.append_column(element, cells, values, origin)
 
     @property
     def n_columns(self) -> int:
         return len(self.columns)
 
     @property
-    def matrix(self) -> sp.csr_matrix:
-        if self._matrix is None or self._matrix.shape[1] != self.n_columns:
-            rows = np.concatenate([c[1] for c in self.columns])
-            cols = np.concatenate(
-                [np.full(len(c[1]), j) for j, c in enumerate(self.columns)]
-            )
-            data = np.concatenate([c[2] for c in self.columns])
-            self._matrix = sp.csr_matrix((data, (rows, cols)),
-                                         shape=(self.n_cells, self.n_columns))
+    def matrix(self) -> sp.csc_matrix:
+        """The map as an (n_cells, n_columns) compressed-column matrix, which
+        owns its arrays: a later edit of the map leaves it unchanged."""
+        if self._matrix is None:
+            n = self.n_columns
+            nnz = self._indptr[n]
+            arrays = self._data[:nnz], self._indices[:nnz], self._indptr[:n + 1]
+            self._matrix = sp.csc_matrix(arrays, shape=(self.n_cells, n), copy=True)
         return self._matrix
 
     def columns_of(self, element: int) -> np.ndarray:
@@ -244,25 +249,57 @@ class ReductionMap:
 
     def append_column(self, element: int, cells: np.ndarray, values: np.ndarray,
                       provenance: str = "online") -> None:
-        self._by_element.setdefault(element, []).append(len(self.columns))
-        self.columns.append((element, np.asarray(cells, dtype=int), np.asarray(values, dtype=float)))
+        cells = np.asarray(cells, dtype=int)
+        values = np.asarray(values, dtype=float)
+        j = self.n_columns
+        start = int(self._indptr[j])
+        end = start + cells.size
+        # Capacity doubles, so that k appends copy O(k) columns.
+        if end > self._data.size:
+            self._indices = np.resize(self._indices, 2 * end)
+            self._data = np.resize(self._data, 2 * end)
+        if j + 2 > self._indptr.size:
+            self._indptr = np.resize(self._indptr, 2 * (j + 2))
+        self._indices[start:end] = cells
+        self._data[start:end] = values
+        self._indptr[j + 1] = end
+        self._by_element.setdefault(element, []).append(j)
+        self.columns.append((element, cells, values))
         self.provenance.append(provenance)
         self._matrix = None
 
     def replace_element_columns(self, element: int, basis: np.ndarray,
                                 cells: np.ndarray, provenance: str = "updated") -> None:
+        """Overwrite element's columns, in order, by those of ``basis`` on ``cells``,
+        which must be as many as the columns' cells."""
         ids = self.columns_of(element)
         if len(ids) != basis.shape[1]:
             raise ValueError(
                 f"element {element} holds {len(ids)} columns, replacement has {basis.shape[1]}"
             )
+        cells = np.asarray(cells, dtype=int)
+        lengths = self._indptr[ids + 1] - self._indptr[ids]
+        if np.any(lengths != cells.size):
+            raise ValueError(
+                f"element {element}'s columns hold {lengths.tolist()} cells, "
+                f"replacement has {cells.size}"
+            )
         for k, j in enumerate(ids):
-            self.columns[j] = (element, np.asarray(cells, dtype=int), basis[:, k].copy())
+            start, end = self._indptr[j], self._indptr[j + 1]
+            self._indices[start:end] = cells
+            self._data[start:end] = basis[:, k]
+            self.columns[j] = (element, cells, basis[:, k].copy())
             self.provenance[j] = provenance
         self._matrix = None
 
     def copy(self) -> "ReductionMap":
-        return ReductionMap(self.n_cells, list(self.columns), list(self.provenance))
+        """An independent map: an edit of either leaves the other unchanged."""
+        new = copy.copy(self)
+        new.columns, new.provenance = list(self.columns), list(self.provenance)
+        new._by_element = {e: list(ids) for e, ids in self._by_element.items()}
+        new._indptr, new._indices, new._data = (
+            self._indptr.copy(), self._indices.copy(), self._data.copy())
+        return new
 
 
 def assemble_reduction(fine: FineGrid, spaces: list, m_off) -> ReductionMap:
@@ -306,7 +343,7 @@ def solve_offline(
     cfg: NonlinearConfig,
 ) -> FlowSolution:
     """Nonlinear solve with pressure constrained to the offline space."""
-    return nonlinear_solve(fine, kappa, beta, bc, f_cells, cfg, R=rmap.matrix.tocsr())
+    return nonlinear_solve(fine, kappa, beta, bc, f_cells, cfg, R=rmap.matrix)
 
 
 def conservation_residuals(
@@ -316,7 +353,7 @@ def conservation_residuals(
     f_cells: np.ndarray,
 ) -> np.ndarray:
     """Per coarse element: int_{T_i} |f - div u|^2 dx (cellwise exact)."""
-    defect = np.asarray(f_cells) - cell_divergence(fine, assemble_divergence(fine), velocity)
+    defect = np.asarray(f_cells) - cell_divergence(fine, grid_divergence(fine), velocity)
     return element_residuals(fine, coarse, defect)
 
 

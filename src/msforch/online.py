@@ -246,7 +246,7 @@ def ms_solve(state: EnrichmentState) -> FlowSolution:
     """One linearized solve in the current reduced space (no nonlinear loop)."""
     A = state.velocity_matrix()
     sys_ = state._system
-    U, P_fine, Pr = sys_.solve(A, sys_.G0, state.rmap.matrix.tocsr())
+    U, P_fine, Pr = sys_.solve(A, sys_.G0, state.rmap.matrix)
     sol = FlowSolution(
         pressure=P_fine, velocity=U, iterations=1, converged=True,
         history=np.zeros((0, 2)), coefficients=Pr,

@@ -14,16 +14,20 @@ gives a step its one assembled matrix, A(|u^n|) U^n for the residual and
 A_t U^n, without a matrix-vector product.
 
 Because A is blockwise invertible, each step reduces to the SPD pressure
-system  B^T A^{-1} B P = B^T A^{-1} G - F  (optionally projected onto a
-coarse pressure space R), solved by a direct factorization whose kind
-follows from the system's size alone: S is numbered in geometric
+system  B^T A^{-1} B P = B^T A^{-1} G - F, solved by a direct factorization
+whose kind follows from the system's size alone: S is numbered in geometric
 nested-dissection order and factored by dense (lower) Cholesky up to
 ``_DENSE_LIMIT`` cells, beyond that by SuperLU without its own ordering or
-pivoting.
+pivoting.  Projected onto a coarse pressure space R, the system
+R^T S R P_r = R^T (B^T A^{-1} G - F) is sparse as well (a column of R lives
+on one coarse element) and SuperLU factors it with its unknowns grouped by
+element in the fine nested-dissection order.
 :class:`PreparedOperator` is the one owner of that elimination: it holds
 everything which depends only on the grid and B, it eliminates the
 constrained (Neumann) velocity DOFs itself, and it is the only place that
-factors S.  A linearization step does numerical work only.  A tensor
+factors S.  A grid's own B and its operator for one set of constrained DOFs
+are built once per grid object (:func:`grid_operator`) and shared by every
+solve on it.  A linearization step does numerical work only.  A tensor
 (Newton) step factors the vertex blocks in closed form, solves them against
 B and G in one triangular pass, forms and factors S, back-substitutes.  A
 scalar coefficient (Picard, the Darcy start, the local problems) makes A
@@ -133,15 +137,21 @@ def _cholesky_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _splu_solve(S: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+def _splu_solve(S: sp.csc_matrix, rhs: np.ndarray, pivot_test: bool = False) -> np.ndarray:
     """Solve with a sparse SPD S by SuperLU, for one or several right-hand-side
-    columns; raises :class:`SingularSystemError` when S is singular.  S comes
-    in a fill-reducing order and, being SPD, needs no pivoting."""
+    columns; raises :class:`SingularSystemError` when S is singular, and with
+    ``pivot_test`` also when it is singular to roundoff, by
+    :func:`_cholesky_solve`'s per-row test (without pivoting, U's diagonal
+    holds the squared Cholesky pivots).  The test copies U out of SuperLU,
+    some 10 MB on a 160x160 grid, so fine systems skip it.  S comes in a
+    fill-reducing order and, being SPD, needs no pivoting."""
     try:
         lu = spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystemError(f"pressure system is singular: {exc}") from exc
+    if pivot_test and not np.all(lu.U.diagonal() > _PIVOT_FLOOR * S.diagonal()[lu.perm_c]):
+        raise SingularSystemError("pressure system is numerically singular")
     out = lu.solve(rhs)
     if not np.all(np.isfinite(out)):
         raise SingularSystemError("pressure solve produced non-finite values")
@@ -202,7 +212,12 @@ class PreparedOperator:
         number = np.full(grid.n_cells + 1, n, dtype=np.int64)
         number[kept] = np.arange(n)
         self._kept_yx = np.divmod(kept, grid.nx)
-        self.grid, self._kept = grid, slice(None) if kept_cells is None else kept
+        self._kept = slice(None) if kept_cells is None else kept
+        # What the per-edge path reads of the grid.  The operator keeps no
+        # reference to the grid, whose memo may hold it (no reference cycle).
+        self._edge_nodes, self._element_edges = grid.edge_nodes, grid.element_edges.T
+        self._half = 0.5 * grid.edge_lengths
+        self._horizontal = grid.nx * (grid.ny + 1)
         self._free = np.ones(grid.n_dofs, dtype=bool)
         self._free[fixed] = False
         dtype = index_dtype(4 * grid.n_vertices + grid.n_dofs)
@@ -217,7 +232,8 @@ class PreparedOperator:
         row_abs = sum(np.abs(self.Bv[:, j]) * on_kept[j] for j in range(4))
         self.singular = bool(np.all(np.abs(row_sum) <= 1e-12 * row_abs))
         # The per-edge path needs B to be the grid's but at fixed DOFs.
-        self._grid_divergence = np.isin((B - assemble_divergence(grid)).tocoo().row, fixed).all()
+        own = grid_divergence(grid)
+        self._own_divergence = B is own or np.isin((B - own).tocoo().row, fixed).all()
 
     @functools.cached_property
     def _order(self) -> np.ndarray:
@@ -228,12 +244,19 @@ class PreparedOperator:
         return np.argsort(iy * width + ix)[_nested_dissection(width, iy.max() + 1)]
 
     @functools.cached_property
+    def _rank(self) -> np.ndarray:
+        """Each pressure number's position in :attr:`_order`, and n at the
+        padding number n."""
+        n = self.n_pressure
+        return np.append(np.argsort(self._order), n).astype(index_dtype(n + 1))
+
+    @functools.cached_property
     def _sparse_pattern(self) -> tuple:
         """(index, row indices, column pointers): where each entry [j, k, v]
         of X_v^T X_v lands in the data of a compressed-column S in
         :attr:`_order` (past the end if dropped), and S's fixed pattern."""
         n = self.n_pressure
-        cells = np.append(np.argsort(self._order), n)[self._cells]
+        cells = self._rank[self._cells]
         rows, cols = cells[:, None, :], cells[None, :, :]
         valid = (rows < n) & (cols < n)
         keys, inverse = np.unique((cols.astype(np.int64) * n + rows)[valid], return_inverse=True)
@@ -407,12 +430,11 @@ class PreparedOperator:
         dropped, and where S's entries (m, m), (p, p), (m, p), (p, m) lie in
         :attr:`_sparse_pattern` (4, n_edges), past its end if dropped; read
         at the edge's first vertex, corner 3 (1) of m and corner 0 of p."""
-        grid = self.grid
-        vertex = grid.edge_nodes[:, 0]
-        m = np.where(np.arange(grid.n_edges) < grid.nx * (grid.ny + 1), 3, 1)
+        vertex = self._edge_nodes[:, 0]
+        m = np.where(np.arange(vertex.size) < self._horizontal, 3, 1)
         cells = np.stack([self._cells[m, vertex], self._cells[0, vertex]])
         slots = np.stack([5 * m, np.zeros_like(m), 4 * m, m])
-        return cells, self._sparse_pattern[0][slots * grid.n_vertices + vertex]
+        return cells, self._sparse_pattern[0][slots * self._cells.shape[1] + vertex]
 
     def _system(self, A: VertexBlockMatrix, G: np.ndarray, F):
         """(data, rhs, velocity, dense): S's :attr:`_sparse_pattern` data,
@@ -422,19 +444,19 @@ class PreparedOperator:
         fixed DOFs), (B P)_e = (|e|/2) (P_p - P_m) and B^T's entries
         -sign |e|/2, signs -1, 1, 1, -1 on bottom, right, top, left."""
         d = A.diagonal
-        if d is None or not (self._grid_divergence and d.min() > 0.0 and d.max() < np.inf):
+        if d is None or not (self._own_divergence and d.min() > 0.0 and d.max() < np.inf):
             L, X, y, rhs = self._eliminate(A, G, F)
             return self._schur_data(X), rhs, lambda P: self._velocity(L, X, y, P), self._dense_solve
         w = self._free / d
         cells, positions = self._edges
-        half = 0.5 * self.grid.edge_lengths
+        half = self._half
         t = half * half * (w[0::2] + w[1::2])
         data = np.bincount(positions.ravel(), weights=np.concatenate([t, t, -t, -t]),
                            minlength=self._sparse_pattern[1].size + 1)[:-1]
         k = (slice(None),) + (None,) * (G.ndim - 1)
         wG = w[k] * G
         g = (wG[0::2] + wG[1::2]) * half[k]
-        edges = self.grid.element_edges.T
+        edges = self._element_edges
         rhs = (g[edges[0]] + g[edges[3]] - g[edges[1]] - g[edges[2]])[self._kept] - F
 
         def velocity(P):
@@ -457,19 +479,29 @@ class PreparedOperator:
     def pressure(self, A: VertexBlockMatrix, F: np.ndarray) -> np.ndarray:
         """P alone for zero velocity data (G = 0): S P = -F."""
         self._check_regular()
-        data, rhs, _, dense = self._system(A, np.zeros((self.grid.n_dofs,) + F.shape[1:]), F)
+        data, rhs, _, dense = self._system(A, np.zeros((self._free.size,) + F.shape[1:]), F)
         return self._pressure(data, rhs, dense)
 
     def solve_reduced(self, A: VertexBlockMatrix, R: sp.spmatrix, G: np.ndarray, F: np.ndarray):
         """(U, P_r) with the pressure constrained to the column space of R.
 
-        The reduced system R^T S R P_r = R^T (B^T A^{-1} G - F) is dense of
-        coarse dimension; the velocity follows from the fine pressure R P_r.
+        The reduced system R^T S R P_r = R^T (B^T A^{-1} G - F) is sparse of
+        coarse dimension: a column of a reduction map lives on one coarse
+        element, which S couples only to its neighbours.  SuperLU factors it
+        with the columns ordered by the nested-dissection rank of their first
+        cell, so that each element's columns stay together and the elements
+        follow the fine order.  The velocity follows from the fine pressure
+        R P_r.
         """
         data, rhs, velocity, _ = self._system(A, G, F)
-        R_nd = R[self._order]
-        S = (R_nd.T @ (self._csc(data) @ R_nd)).toarray(order="F")
-        Pr = _cholesky_solve(S, R.T @ rhs)
+        R = sp.csc_matrix(R)
+        # R's rows relabelled into nested-dissection numbering by one gather.
+        rows = self._rank[R.indices]
+        perm = np.argsort(np.append(rows, self.n_pressure)[R.indptr[:-1]], kind="stable")
+        R_nd = sp.csc_matrix((R.data, rows, R.indptr), shape=R.shape)[:, perm]
+        Pr = np.empty(R.shape[1])
+        Pr[perm] = _splu_solve((R_nd.T @ (self._csc(data) @ R_nd)).tocsc(),
+                               R_nd.T @ rhs[self._order], pivot_test=True)
         return velocity(R @ Pr), Pr
 
 
@@ -542,31 +574,54 @@ def reduced_schur_solve(
     """Schur solve with pressure constrained to the column space of R.
 
     The reduced SPD system (BR)^T A^{-1} (BR) P_r = (BR)^T A^{-1} G - R^T F is
-    dense of coarse dimension; the returned velocity lives on the fine grid.
+    sparse of coarse dimension; the returned velocity lives on the fine grid.
     """
     return PreparedOperator(A.grid, B).solve_reduced(A, R, G, F)
 
 
+def grid_divergence(grid: FineGrid) -> sp.csr_matrix:
+    """The grid's divergence matrix B, assembled once per grid object and
+    shared (read-only) by every user."""
+    B = grid.memo.get("divergence")
+    if B is None:
+        B = grid.memo["divergence"] = assemble_divergence(grid)
+    return B
+
+
+def grid_operator(grid: FineGrid, fixed_dofs=()) -> PreparedOperator:
+    """The :class:`PreparedOperator` of the grid's own B with ``fixed_dofs``
+    constrained, built once per grid object and DOF set and shared by every
+    solve on them (an operator changes only by filling its lazy caches)."""
+    fixed = np.asarray(fixed_dofs, dtype=np.int64)
+    key = ("operator", fixed.tobytes())
+    operator = grid.memo.get(key)
+    if operator is None:
+        operator = grid.memo[key] = PreparedOperator(grid, grid_divergence(grid), fixed)
+    return operator
+
+
 class LinearizedSystem:
-    """Static parts of the fine saddle problem: B, right-hand sides, constraints.
+    """The per-problem parts of the fine saddle problem: right-hand sides and
+    constraints, with the grid's shared B and prepared operator.
 
     Neumann DOFs are eliminated by the lifting U = U_free + lift: the lift
     term in G depends on the current matrix and is applied per linearization
-    step, and ``operator`` (the prepared elimination, built with the
-    constrained DOFs fixed) does the rest; it is built once here and reused
-    by every step.
+    step, and ``operator`` (the grid's prepared elimination with the
+    constrained DOFs fixed, :func:`grid_operator`) does the rest.  Building
+    a system assembles G0, F and the lift only; the operator comes from the
+    grid, so every system on one grid and boundary partition shares it.
     """
 
     def __init__(self, grid: FineGrid, f_cells: np.ndarray, bc: BoundarySpec):
         self.grid = grid
-        self.B = assemble_divergence(grid)
         G, F, cdofs, cvals = assemble_rhs(grid, f_cells, bc)
         self.G0 = G
         self.cdofs = cdofs
         self.lift = np.zeros(grid.n_dofs)
         self.lift[cdofs] = cvals
+        self.operator = grid_operator(grid, cdofs)
+        self.B = grid_divergence(grid)
         self.F = F - self.B.T @ self.lift
-        self.operator = PreparedOperator(grid, self.B, cdofs)
 
     def solve(self, A: VertexBlockMatrix, G: np.ndarray, R: sp.spmatrix | None = None):
         """(U, fine pressure, pressure coefficients) of one linearized step."""

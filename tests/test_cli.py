@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import msforch.solve
 from msforch.cli import main
 from msforch.fields import ScalarCellField, gen_synthetic, load_raster, save_raster
 from msforch.offline import load_triplets
@@ -349,3 +350,24 @@ def test_import_loads_no_scipy_ndimage():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fine", "--beta0", "0,100"],   # two (beta0, scheme) pairs
+    ["offline", "--coarse-nx", "2", "--coarse-ny", "2", "--dof-per-t", "2", "--beta0", "0,100"],
+    ["online", "--coarse-nx", "2", "--coarse-ny", "2", "--dof-per-t", "2", "--sweeps", "1"],
+])
+def test_one_fine_operator_per_run(tmp_path, monkeypatch, argv):
+    """Every fine solve of a run (reference, offline, updated, enrichment)
+    shares one prepared operator of the fine grid."""
+    built = []
+    init = msforch.solve.PreparedOperator.__init__
+
+    def counting(self, grid, *args, **kwargs):
+        built.append(grid.n_cells)
+        init(self, grid, *args, **kwargs)
+
+    monkeypatch.setattr(msforch.solve.PreparedOperator, "__init__", counting)
+    assert main(argv[:1] + ["--nx", "16", "--ny", "16", "--field", FIELD,
+                            "--out", str(tmp_path)] + argv[1:]) == 0
+    assert built.count(16 * 16) == 1

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msforch.errors import SingularSystemError
 from msforch.fields import ScalarCellField, gen_synthetic
@@ -358,3 +361,57 @@ def test_oversampled_snapshots():
     spaces, rmap = build_offline_space(fine, coarse, kappa, 3, oversample_layers=1)
     assert rmap.n_columns == 27
     assert abs(spaces[4].eigenvalues[0]) <= 1e-10
+
+
+def _coo_built(rmap):
+    """The map's matrix as built from every column through COO triplets."""
+    if not rmap.columns:
+        return sp.csr_matrix((rmap.n_cells, 0))
+    rows = np.concatenate([c[1] for c in rmap.columns])
+    cols = np.concatenate([np.full(len(c[1]), j) for j, c in enumerate(rmap.columns)])
+    data = np.concatenate([c[2] for c in rmap.columns])
+    return sp.csr_matrix((data, (rows, cols)), shape=(rmap.n_cells, rmap.n_columns))
+
+
+def _same_matrix(a, b):
+    return a.shape == b.shape and np.array_equal(a.toarray(), b.toarray())
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["append", "replace", "copy"]),
+                                st.integers(0, 3), st.integers(0, 2**32 - 1)), max_size=30))
+def test_map_edits_match_coo_build_and_copies_are_independent(edits):
+    """After any sequence of appends, element replacements and copies, the
+    compressed-column matrix equals the one built from all columns through
+    COO triplets, a matrix handed out before an edit keeps its entries, and
+    edits of a copy leave the original (and its matrix) unchanged."""
+    elements = [np.array([2, 0, 1]), np.array([3, 4, 5, 6]), np.array([9, 7]), np.array([8])]
+    rmap = ReductionMap(10)
+    kept = []   # (map, its matrix as a dense array) of every map copied from
+    for action, element, seed in edits:
+        rng = np.random.default_rng(seed)
+        cells = elements[element]
+        before = rmap.matrix
+        dense_before = before.toarray()
+        if action == "append":
+            rmap.append_column(element, cells, rng.standard_normal(cells.size))
+        elif action == "replace":
+            m = len(rmap.columns_of(element))
+            rmap.replace_element_columns(element, rng.standard_normal((cells.size, m)), cells)
+            assert all(rmap.provenance[j] == "updated" for j in rmap.columns_of(element))
+        else:
+            kept.append((rmap, dense_before))
+            rmap = rmap.copy()
+        assert np.array_equal(before.toarray(), dense_before)
+        assert _same_matrix(rmap.matrix, _coo_built(rmap))
+    for original, dense in kept:
+        assert np.array_equal(original.matrix.toarray(), dense)
+        assert _same_matrix(original.matrix, _coo_built(original))
+
+
+def test_replacement_on_other_cells_is_rejected():
+    rmap = ReductionMap(4, [], [])
+    rmap.append_column(0, np.array([0, 1]), np.array([1.0, 2.0]), provenance="offline")
+    with pytest.raises(ValueError, match="cells"):
+        rmap.replace_element_columns(0, np.ones((3, 1)), np.array([0, 1, 2]))
+    assert _same_matrix(rmap.matrix, _coo_built(rmap))

@@ -1,5 +1,8 @@
 """Linear saddle solvers and the nonlinear Picard/Newton loop."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -13,6 +16,7 @@ from msforch.errors import AssemblyError, SingularSystemError
 from msforch.fields import ScalarCellField, forchheimer_coeff, gen_synthetic
 from msforch.grid import build_coarse_grid, build_fine_grid
 from msforch.local import LocalShapes
+from msforch.offline import ReductionMap, build_offline_space
 from msforch.mfmfe import (
     all_dirichlet_spec,
     assemble_divergence,
@@ -34,6 +38,7 @@ from msforch.solve import (
     NonlinearConfig,
     PreparedOperator,
     cell_divergence,
+    grid_operator,
     nonlinear_solve,
     schur_solve,
     _per_vertex,
@@ -902,3 +907,101 @@ def test_foreign_divergence_takes_the_vertex_path(monkeypatch):
     U_ref, P_ref = saddle_oracle(A, B, G, F)
     assert calls == [1]
     assert _rel(U, U_ref) <= 1e-12 and _rel(P, P_ref) <= 1e-12
+
+
+def _shuffled_map(rng, fine, coarse, kappa, m):
+    """An offline map with the elements' columns in a random element order,
+    then one more column on each of three random elements."""
+    spaces, _ = build_offline_space(fine, coarse, kappa, m)
+    rmap = ReductionMap(fine.n_cells)
+    for i in rng.permutation(coarse.n_elements):
+        basis = spaces[i].basis(m)
+        for k in range(m):
+            rmap.append_column(int(i), spaces[i].cells, basis[:, k], "offline")
+    for i in rng.choice(coarse.n_elements, 3, replace=False):
+        cells = coarse.coarse_elements[i]
+        rmap.append_column(int(i), cells, rng.standard_normal(cells.size))
+    return rmap
+
+
+@pytest.mark.parametrize("tensor", [False, True])
+def test_reduced_solve_matches_dense_oracle(tensor):
+    """The sparse reduced solve gives the velocity and coarse pressure of a
+    dense solve of the saddle system with pressure space R to 1e-12, for a
+    scalar A (per-edge elimination) and a Newton one (vertex blocks), with
+    R's columns in shuffled element order."""
+    rng = np.random.default_rng(3 + tensor)
+    fine = build_fine_grid(12, 12)
+    coarse = build_coarse_grid(fine, 3, 3)
+    kappa = gen_synthetic("blobs", 2, 100.0, 12, 12)
+    R = _shuffled_map(rng, fine, coarse, kappa, 2).matrix
+    sys_ = LinearizedSystem(fine, rng.standard_normal(fine.n_cells), left_right_spec(fine))
+    if tensor:
+        A = linearize(fine, kappa.values, np.full(fine.n_cells, 10.0),
+                      rng.standard_normal(fine.n_dofs), "newton")[0]
+    else:
+        A = assemble_velocity_matrix(fine, 1.0 / kappa.values)
+    assert (A.diagonal is None) == tensor
+    U, P, Pr = sys_.solve(A, sys_.G0, R)
+    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
+    U_ref, Pr_ref = saddle_oracle(Ahat, (Bfree @ R).tocsr(), G2, R.T @ sys_.F)
+    assert _rel(U, U_ref + sys_.lift) <= 1e-12
+    assert _rel(Pr, Pr_ref) <= 1e-12
+    assert np.array_equal(P, R @ Pr)
+
+
+def test_reduced_system_singular_to_roundoff_raises():
+    """A second column equal to another to roundoff makes R^T S R singular
+    to roundoff: the pivot test of the SuperLU reduced factor reports it."""
+    fine = build_fine_grid(8, 8)
+    coarse = build_coarse_grid(fine, 2, 2)
+    sys_ = LinearizedSystem(fine, np.zeros(fine.n_cells), left_right_spec(fine))
+    A = assemble_velocity_matrix(fine, np.ones(fine.n_cells))
+    rng = np.random.default_rng(8)
+    rmap = ReductionMap(fine.n_cells)
+    for i, cells in enumerate(coarse.coarse_elements):
+        rmap.append_column(i, cells, rng.standard_normal(cells.size))
+    cells, values = rmap.columns[1][1:]
+    sys_.solve(A, sys_.G0, rmap.matrix)
+    rmap.append_column(1, cells, values * (1.0 + 1e-15 * rng.standard_normal(cells.size)))
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        sys_.solve(A, sys_.G0, rmap.matrix)
+
+
+def test_systems_on_one_grid_share_its_operator():
+    """Systems on one grid object and set of constrained DOFs share the
+    grid's B and prepared operator, which solves bitwise as a fresh one;
+    another boundary partition or grid object gets an operator of its own."""
+    grid = build_fine_grid(6, 5)
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(grid.n_cells)
+    a = LinearizedSystem(grid, f, left_right_spec(grid))
+    b = LinearizedSystem(grid, 2.0 * f, left_right_spec(grid, 3.0, 1.0))
+    c = LinearizedSystem(grid, f, all_dirichlet_spec(grid, 0.0))
+    assert a.operator is b.operator and a.B is b.B is c.B
+    assert c.operator is not a.operator and c.operator is grid_operator(grid)
+    other = build_fine_grid(6, 5)
+    assert LinearizedSystem(other, f, left_right_spec(other)).operator is not a.operator
+    fresh = PreparedOperator(grid, assemble_divergence(grid), a.cdofs)
+    coeff = rng.uniform(0.1, 10.0, grid.n_cells)
+    for A in (assemble_velocity_matrix(grid, coeff),
+              linearize(grid, coeff, np.ones(grid.n_cells), rng.standard_normal(grid.n_dofs),
+                        "newton")[0]):
+        G = a.G0 - A.matvec(a.lift)
+        for got, want in zip(a.operator.solve(A, G, a.F), fresh.solve(A, G, a.F)):
+            assert np.array_equal(got, want)
+
+
+def test_grid_memo_dies_with_the_grid():
+    """The operator in a grid's memo holds no reference back to the grid:
+    dropping the grid frees both at once, without the cycle collector."""
+    gc.disable()
+    try:
+        grid = build_fine_grid(5, 4)
+        sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid))
+        sys_.solve(assemble_velocity_matrix(grid, np.ones(grid.n_cells)), sys_.G0)
+        grid_ref, operator_ref = weakref.ref(grid), weakref.ref(sys_.operator)
+        del grid, sys_
+        assert grid_ref() is None and operator_ref() is None
+    finally:
+        gc.enable()

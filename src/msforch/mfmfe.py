@@ -426,18 +426,23 @@ def five_spot(grid: FineGrid):
     return spec, f
 
 
-def _edge_integrals(grid: FineGrid, edge: int, data) -> np.ndarray:
-    """Integrals of g_D times the two linear endpoint hats along an edge."""
+def _split_constant(data: dict):
+    """(edges, values, varying): the edges of ``data`` whose value is a
+    constant, as arrays, and the (edge, callable) pairs of the others."""
+    constant = [(e, v) for e, v in data.items() if not callable(v)]
+    edges = np.array([e for e, _ in constant], dtype=np.int64)
+    values = np.array([v for _, v in constant], dtype=float)
+    return edges, values, [(e, v) for e, v in data.items() if callable(v)]
+
+
+def _edge_integrals(grid: FineGrid, edge: int, g) -> np.ndarray:
+    """Integrals of a callable g_D times the two linear endpoint hats along an edge."""
     length = grid.edge_lengths[edge]
-    if callable(data):
-        a, b = grid.vertices[grid.edge_nodes[edge]]
-        s, w = _GAUSS3
-        pts = a[None, :] + s[:, None] * (b - a)[None, :]
-        g = np.array([data(p[0], p[1]) for p in pts])
-        return np.array(
-            [length * np.sum(w * g * (1 - s)), length * np.sum(w * g * s)]
-        )
-    return np.array([0.5 * length * data, 0.5 * length * data])
+    a, b = grid.vertices[grid.edge_nodes[edge]]
+    s, w = _GAUSS3
+    pts = a[None, :] + s[:, None] * (b - a)[None, :]
+    values = np.array([g(p[0], p[1]) for p in pts])
+    return np.array([length * np.sum(w * values * (1 - s)), length * np.sum(w * values * s)])
 
 
 def assemble_rhs(grid: FineGrid, f_cells: np.ndarray, bc: BoundarySpec):
@@ -446,7 +451,9 @@ def assemble_rhs(grid: FineGrid, f_cells: np.ndarray, bc: BoundarySpec):
     Returns ``(G, F, constrained_dofs, constrained_vals)``: F_j = -(f, q_j);
     Dirichlet data enters G as -sign * int_e g_D l_dof ds; Neumann DOFs are
     constrained to sign * g_N at their endpoint (global-normal component) and
-    must be eliminated by the solver.
+    must be eliminated by the solver.  Edges with constant data are handled
+    all at once (a constant's integral against each hat is |e|/2 times it),
+    callable data edge by edge.
     """
     bc.validate(grid)
     f_cells = np.asarray(f_cells, dtype=float)
@@ -454,24 +461,22 @@ def assemble_rhs(grid: FineGrid, f_cells: np.ndarray, bc: BoundarySpec):
         raise ValueError(f"source needs {grid.n_cells} cell values, got {f_cells.shape}")
     F = -f_cells * grid.cell_areas
     G = np.zeros(grid.n_dofs)
-    for e, data in bc.dirichlet.items():
-        sign = grid.edge_boundary_sign[e]
-        vals = _edge_integrals(grid, e, data)
-        G[2 * e] -= sign * vals[0]
-        G[2 * e + 1] -= sign * vals[1]
-    dofs = []
-    vals = []
-    for e, data in bc.neumann.items():
-        sign = grid.edge_boundary_sign[e]
+    edges, values, varying = _split_constant(bc.dirichlet)
+    integral = grid.edge_boundary_sign[edges] * (0.5 * grid.edge_lengths[edges] * values)
+    G[2 * edges] -= integral
+    G[2 * edges + 1] -= integral
+    for e, g in varying:
+        G[2 * e:2 * e + 2] -= grid.edge_boundary_sign[e] * _edge_integrals(grid, e, g)
+    edges, values, varying = _split_constant(bc.neumann)
+    flux = grid.edge_boundary_sign[edges] * values
+    dofs, vals = [2 * edges, 2 * edges + 1], [flux, flux]
+    for e, g in varying:
         ends = grid.vertices[grid.edge_nodes[e]]
-        for k in range(2):
-            g = data(ends[k][0], ends[k][1]) if callable(data) else data
-            dofs.append(2 * e + k)
-            vals.append(sign * g)
-    order = np.argsort(dofs) if dofs else []
-    constrained = np.array(dofs, dtype=int)[order] if dofs else np.empty(0, dtype=int)
-    values = np.array(vals, dtype=float)[order] if dofs else np.empty(0)
-    return G, F, constrained, values
+        dofs.append(np.array([2 * e, 2 * e + 1], dtype=np.int64))
+        vals.append(np.array([grid.edge_boundary_sign[e] * g(*end) for end in ends], dtype=float))
+    dofs, vals = np.concatenate(dofs), np.concatenate(vals)
+    order = np.argsort(dofs)
+    return G, F, dofs[order], vals[order]
 
 
 def quadrature_norm_matrix(grid: FineGrid) -> VertexBlockMatrix:

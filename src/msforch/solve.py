@@ -15,13 +15,16 @@ A_t U^n, without a matrix-vector product.
 
 Because A is blockwise invertible, each step reduces to the SPD pressure
 system  B^T A^{-1} B P = B^T A^{-1} G - F, solved by a direct factorization
-whose kind follows from the system's size alone: S is numbered in geometric
-nested-dissection order and factored by dense (lower) Cholesky up to
-``_DENSE_LIMIT`` cells, beyond that by SuperLU without its own ordering or
-pivoting.  Projected onto a coarse pressure space R, the system
-R^T S R P_r = R^T (B^T A^{-1} G - F) is sparse as well (a column of R lives
-on one coarse element) and SuperLU factors it with its unknowns grouped by
-element in the fine nested-dissection order.
+chosen by one rule: a five-point S (a scalar coefficient) of at most
+``_DENSE_LIMIT`` cells is solved red-black (below); any other S whose
+half-bandwidth kd is at most ``_BAND_LIMIT`` is factored by banded Cholesky,
+its cells numbered along the shorter side of their rectangle (kd = that side
++ 1); only a wider S goes to SuperLU, numbered in geometric nested-dissection
+order, without SuperLU's own ordering or pivoting.  Projected onto a coarse
+pressure space R, the system R^T S R P_r = R^T (B^T A^{-1} G - F) is sparse
+as well (a column of R lives on one coarse element): its unknowns are
+grouped by element in the fine band order, and the same bandwidth limit
+picks banded Cholesky or SuperLU.
 :class:`PreparedOperator` is the one owner of that elimination: it holds
 everything which depends only on the grid and B, it eliminates the
 constrained (Neumann) velocity DOFs itself, and it is the only place that
@@ -32,7 +35,7 @@ solve on it.  A linearization step does numerical work only.  A tensor
 B and G in one triangular pass, forms and factors S, back-substitutes.  A
 scalar coefficient (Picard, the Darcy start, the local problems) makes A
 diagonal and S the two-point (five-point) scheme, eliminated per edge with
-no vertex block; its dense solve eliminates the red cells by division,
+no vertex block; its red-black solve eliminates the red cells by division,
 factoring only the black half.  Convergence is declared on
 the relative increment max_z ||z^{n+1} - z^n|| / max(||z^n||, eps) over
 both state vectors z = P, U; the velocity must take part because
@@ -71,13 +74,18 @@ from .mfmfe import (
 #: Floor in the denominator of the relative pressure increment.
 _EPS_NORM = 1e-30
 
-#: Pressure systems of up to this many cells are factored by dense
-#: Cholesky, larger ones by SuperLU: the measured crossover of the two.
+#: Five-point pressure systems of up to this many cells are solved red-black.
 _DENSE_LIMIT = 272
 
-#: A dense Cholesky pivot c_ii with c_ii^2 at or below this fraction of S_ii
-#: marks S as singular: row i is then a roundoff-level combination of the
-#: rows before it.  A closed no-flow box factors with such a last pivot
+#: Pressure systems of at most this half-bandwidth (in band order) are
+#: factored by banded Cholesky, wider ones by SuperLU.  The band is the
+#: faster of the two up to kd 161 at least, but its 8 n (kd + 1) bytes pass
+#: SuperLU's L + U near kd 100 on squares: the memory crossover.
+_BAND_LIMIT = 100
+
+#: A Cholesky pivot c_ii (dense or banded) with c_ii^2 at or below this
+#: fraction of S_ii marks S as singular: row i is then a roundoff-level
+#: combination of the rows before it.  A closed no-flow box factors with such a last pivot
 #: instead of failing.  The test is per row, so a diagonal that spans many
 #: decades (a high-contrast field) does not trip it.
 _PIVOT_FLOOR = 1e-12
@@ -117,10 +125,11 @@ class FlowSolution:
 
 
 def _cholesky_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a dense SPD S (overwritten) by Cholesky; raises
+    """Solve with a dense SPD S (overwritten) by Cholesky, the black system
+    of :meth:`PreparedOperator._red_black_solve`; raises
     :class:`SingularSystemError` when S is not SPD, a pivot is roundoff-sized
     or the solution is not finite.  SciPy's finiteness scans are skipped: S
-    comes from vertex blocks already checked finite, and a non-finite
+    comes from a diagonal already checked finite, and a non-finite
     right-hand side shows in the solution.  The factor is the lower one,
     which LAPACK computes 15-25% faster than the upper one at n = 100-700
     (OpenBLAS, one thread)."""
@@ -132,6 +141,24 @@ def _cholesky_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not np.all(c.diagonal() ** 2 > _PIVOT_FLOOR * diag):
         raise SingularSystemError("pressure system is numerically singular")
     out = la.cho_solve((c, low), rhs, check_finite=False)
+    if not np.all(np.isfinite(out)):
+        raise SingularSystemError("pressure solve produced non-finite values")
+    return out
+
+
+def _band_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with an SPD S given as its lower band ab (kd + 1, n), column-major
+    and overwritten, by banded Cholesky, for one or several right-hand-side
+    columns; raises :class:`SingularSystemError` as :func:`_cholesky_solve`
+    does, with the per-row pivot test on the band factor's diagonal ab[0]."""
+    diag = ab[0].copy()
+    try:
+        c = la.cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
+    except la.LinAlgError as exc:
+        raise SingularSystemError(f"pressure system is not SPD: {exc}") from exc
+    if not np.all(c[0] ** 2 > _PIVOT_FLOOR * diag):
+        raise SingularSystemError("pressure system is numerically singular")
+    out = la.cho_solve_banded((c, True), rhs, check_finite=False)
     if not np.all(np.isfinite(out)):
         raise SingularSystemError("pressure solve produced non-finite values")
     return out
@@ -171,17 +198,22 @@ class PreparedOperator:
     S = sum_v X_v^T X_v and the right-hand side sum_v X_v^T y_v - F by
     bincount, factors S and recovers U_v = L_v^{-T} (y_v - X_v P_v).  S has
     one pattern, built on first use: the fixed 9-point pattern in compressed
-    columns, in the cells' nested-dissection order.  Up to ``_DENSE_LIMIT``
-    pressure cells its entries are scattered into a dense S for Cholesky;
-    beyond, SuperLU factors the sparse S as it is.
+    columns, in the cells' nested-dissection order.
 
     A diagonal A (``A.diagonal``, a scalar coefficient) makes S the
     two-point scheme, eliminated per edge without X or y (:meth:`_system`):
     edge e adds t = (|e|/2)^2 (1/d_2e + 1/d_2e+1) to its cells' diagonal
-    entries and -t to their coupling.  Up to ``_DENSE_LIMIT`` cells this S
-    is solved by :meth:`_red_black_solve`: with the cells coloured red and
-    black by the parity of ix + iy, red cells couple only to black ones, so
-    they are eliminated by division and dense Cholesky factors the black half.
+    entries and -t to their coupling.
+
+    S is factored by one rule (:meth:`_pressure`).  A five-point S of up to
+    ``_DENSE_LIMIT`` cells is solved by :meth:`_red_black_solve`: with the
+    cells coloured red and black by the parity of ix + iy, red cells couple
+    only to black ones, so they are eliminated by division and dense
+    Cholesky factors the black half.  Any other S whose half-bandwidth kd in
+    band order (the cells numbered along the shorter side, kd = that side +
+    1) is at most ``_BAND_LIMIT`` has its entries scattered into the lower
+    band and is factored by banded Cholesky.  SuperLU factors a wider S as
+    it is, in nested-dissection order.
 
     Per-vertex arrays are stored entry-major, (4, ..., n_vertices), so each
     block entry is one contiguous vector.  Constrained (Neumann) DOFs are
@@ -266,13 +298,33 @@ class PreparedOperator:
         return index.ravel(), (keys % n).astype(index.dtype), indptr.astype(index.dtype)
 
     @functools.cached_property
-    def _dense_positions(self) -> np.ndarray:
-        """Flat position of each entry of :attr:`_sparse_pattern` in a
-        column-major dense S; built only by the dense path."""
-        _, indices, indptr = self._sparse_pattern
-        n = self.n_pressure
-        dtype = index_dtype(n * n)
-        return np.repeat(np.arange(n, dtype=dtype) * n, np.diff(indptr)) + indices.astype(dtype)
+    def _band_width(self) -> int:
+        """The half-bandwidth kd of a 9-point S in :attr:`_band` order: the
+        shorter side of the rectangle + 1."""
+        iy, ix = self._kept_yx
+        return int(min(ix.max() - ix.min(), iy.max() - iy.min())) + 2
+
+    @functools.cached_property
+    def _band(self) -> tuple:
+        """(order, rank): the pressure numbers in band order, their cells
+        numbered along the shorter side of the rectangle, and each pressure
+        number's position in it."""
+        iy, ix = (v - v.min() for v in self._kept_yx)
+        width, height = ix.max() + 1, iy.max() + 1
+        rank = ix * height + iy if width >= height else iy * width + ix
+        return np.argsort(rank), rank.astype(index_dtype(rank.size))
+
+    @functools.cached_property
+    def _band_positions(self) -> np.ndarray:
+        """Where each entry of :attr:`_sparse_pattern`'s data lands in S's
+        lower band (kd + 1, n) in band order, stored column-major; past its
+        end if above the diagonal.  Built only by the band path."""
+        _, rows, indptr = self._sparse_pattern
+        kd, n = self._band_width, self.n_pressure
+        rank = self._band[1][self._order].astype(np.int64)   # of each pattern row and column
+        r, c = rank[rows], np.repeat(rank, np.diff(indptr))
+        size = (kd + 1) * n
+        return np.where(r >= c, c * (kd + 1) + r - c, size).astype(index_dtype(size + 1))
 
     def _check_regular(self) -> None:
         if self.singular:
@@ -374,24 +426,23 @@ class PreparedOperator:
         P[black] = Pb[:-1]
         return P
 
-    def _dense_solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve S P = rhs by dense Cholesky, S given as :attr:`_sparse_pattern` data."""
-        n = self.n_pressure
-        S = np.zeros(n * n)
-        S[self._dense_positions] = data
-        # Column-major, which LAPACK factors in place over twice as fast.
-        P = np.empty(rhs.shape)
-        P[self._order] = _cholesky_solve(S.reshape(n, n).T, rhs[self._order])
-        return P
-
-    def _pressure(self, data: np.ndarray, rhs: np.ndarray, dense) -> np.ndarray:
+    def _pressure(self, data: np.ndarray, rhs: np.ndarray, five_point: bool) -> np.ndarray:
         """Solve S P = rhs, S given as :attr:`_sparse_pattern` data, for one
-        or several right-hand-side columns: by ``dense`` (a method taking
-        (data, rhs)) up to ``_DENSE_LIMIT`` cells, by SuperLU beyond."""
-        if self.n_pressure <= _DENSE_LIMIT:
-            return dense(data, rhs)
+        or several right-hand-side columns: red-black if S is ``five_point``
+        and of at most ``_DENSE_LIMIT`` cells, else by banded Cholesky while
+        its half-bandwidth is at most ``_BAND_LIMIT``, else by SuperLU."""
+        n = self.n_pressure
+        if five_point and n <= _DENSE_LIMIT:
+            return self._red_black_solve(data, rhs)
         P = np.empty(rhs.shape)
-        P[self._order] = _splu_solve(self._csc(data), rhs[self._order])
+        kd = self._band_width
+        if kd <= _BAND_LIMIT:
+            order = self._band[0]
+            ab = np.zeros((kd + 1) * n + 1)
+            ab[self._band_positions] = data
+            P[order] = _band_solve(ab[:-1].reshape(n, kd + 1).T, rhs[order])
+        else:
+            P[self._order] = _splu_solve(self._csc(data), rhs[self._order])
         return P
 
     def _cell_sums(self, values: np.ndarray) -> np.ndarray:
@@ -437,16 +488,17 @@ class PreparedOperator:
         return cells, self._sparse_pattern[0][slots * self._cells.shape[1] + vertex]
 
     def _system(self, A: VertexBlockMatrix, G: np.ndarray, F):
-        """(data, rhs, velocity, dense): S's :attr:`_sparse_pattern` data,
-        rhs = B^T A^{-1} G - F, velocity(P) = A^{-1} (G - B P) in DOF order
-        and S's dense solver.  Per vertex, unless A is diagonal with d finite
-        and positive and B is the grid's: then per edge, with w = 1/d (0 at
-        fixed DOFs), (B P)_e = (|e|/2) (P_p - P_m) and B^T's entries
-        -sign |e|/2, signs -1, 1, 1, -1 on bottom, right, top, left."""
+        """(data, rhs, velocity, five_point): S's :attr:`_sparse_pattern`
+        data, rhs = B^T A^{-1} G - F, velocity(P) = A^{-1} (G - B P) in DOF
+        order and whether S is the two-point scheme.  Per vertex, unless A is
+        diagonal with d finite and positive and B is the grid's: then per
+        edge, with w = 1/d (0 at fixed DOFs), (B P)_e = (|e|/2) (P_p - P_m)
+        and B^T's entries -sign |e|/2, signs -1, 1, 1, -1 on bottom, right,
+        top, left."""
         d = A.diagonal
         if d is None or not (self._own_divergence and d.min() > 0.0 and d.max() < np.inf):
             L, X, y, rhs = self._eliminate(A, G, F)
-            return self._schur_data(X), rhs, lambda P: self._velocity(L, X, y, P), self._dense_solve
+            return self._schur_data(X), rhs, lambda P: self._velocity(L, X, y, P), False
         w = self._free / d
         cells, positions = self._edges
         half = self._half
@@ -463,7 +515,7 @@ class PreparedOperator:
             P = np.concatenate([P, np.zeros((1,) + P.shape[1:])])
             return w[k] * (G - np.repeat((P[cells[1]] - P[cells[0]]) * half[k], 2, axis=0))
 
-        return data, rhs, velocity, self._red_black_solve
+        return data, rhs, velocity, True
 
     def solve(self, A: VertexBlockMatrix, G: np.ndarray, F):
         """(U, P) of the saddle system on the full pressure space.
@@ -472,36 +524,47 @@ class PreparedOperator:
         U and P then carry the same columns.
         """
         self._check_regular()
-        data, rhs, velocity, dense = self._system(A, G, F)
-        P = self._pressure(data, rhs, dense)
+        data, rhs, velocity, five_point = self._system(A, G, F)
+        P = self._pressure(data, rhs, five_point)
         return velocity(P), P
 
     def pressure(self, A: VertexBlockMatrix, F: np.ndarray) -> np.ndarray:
         """P alone for zero velocity data (G = 0): S P = -F."""
         self._check_regular()
-        data, rhs, _, dense = self._system(A, np.zeros((self._free.size,) + F.shape[1:]), F)
-        return self._pressure(data, rhs, dense)
+        data, rhs, _, five_point = self._system(A, np.zeros((self._free.size,) + F.shape[1:]), F)
+        return self._pressure(data, rhs, five_point)
 
     def solve_reduced(self, A: VertexBlockMatrix, R: sp.spmatrix, G: np.ndarray, F: np.ndarray):
         """(U, P_r) with the pressure constrained to the column space of R.
 
         The reduced system R^T S R P_r = R^T (B^T A^{-1} G - F) is sparse of
         coarse dimension: a column of a reduction map lives on one coarse
-        element, which S couples only to its neighbours.  SuperLU factors it
-        with the columns ordered by the nested-dissection rank of their first
-        cell, so that each element's columns stay together and the elements
-        follow the fine order.  The velocity follows from the fine pressure
-        R P_r.
+        element, which S couples only to its neighbours.  Its columns are
+        ordered by the band rank of their first cell, so that each element's
+        columns stay together and the elements follow the fine band order,
+        element by element along the coarse grid's shorter side.  Banded
+        Cholesky factors it if its half-bandwidth, read from its pattern, is
+        at most ``_BAND_LIMIT``, SuperLU (with the per-row pivot test) if
+        not.  The velocity follows from the fine pressure R P_r.
         """
         data, rhs, velocity, _ = self._system(A, G, F)
         R = sp.csc_matrix(R)
-        # R's rows relabelled into nested-dissection numbering by one gather.
-        rows = self._rank[R.indices]
-        perm = np.argsort(np.append(rows, self.n_pressure)[R.indptr[:-1]], kind="stable")
-        R_nd = sp.csc_matrix((R.data, rows, R.indptr), shape=R.shape)[:, perm]
+        first = np.append(self._band[1][R.indices], self.n_pressure)[R.indptr[:-1]]
+        perm = np.argsort(first, kind="stable")
+        # R's rows relabelled into S's nested-dissection numbering by one gather.
+        R_nd = sp.csc_matrix((R.data, self._rank[R.indices], R.indptr), shape=R.shape)[:, perm]
+        S = (R_nd.T @ (self._csc(data) @ R_nd)).tocoo()
+        rhs = R_nd.T @ rhs[self._order]
+        below = S.row - S.col
+        kd = below.max(initial=0)
         Pr = np.empty(R.shape[1])
-        Pr[perm] = _splu_solve((R_nd.T @ (self._csc(data) @ R_nd)).tocsc(),
-                               R_nd.T @ rhs[self._order], pivot_test=True)
+        if kd <= _BAND_LIMIT:
+            lower = below >= 0
+            ab = np.zeros((kd + 1, S.shape[0]), order="F")
+            ab[below[lower], S.col[lower]] = S.data[lower]
+            Pr[perm] = _band_solve(ab, rhs)
+        else:
+            Pr[perm] = _splu_solve(S.tocsc(), rhs, pivot_test=True)
         return velocity(R @ Pr), Pr
 
 

@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from msforch.errors import AssemblyError, ConfigurationError
 from msforch.grid import build_fine_grid
 from msforch.mfmfe import (
+    _GAUSS3 as GAUSS3,
+    BoundarySpec,
     VertexBlockMatrix,
+    all_dirichlet_spec,
     assemble_divergence,
     assemble_rhs,
     assemble_velocity_matrix,
@@ -403,6 +406,68 @@ def test_rhs_no_flow_constrains_all_boundary():
     want = np.sort(np.concatenate([[2 * e, 2 * e + 1] for e in grid.boundary_edges]))
     assert np.array_equal(constrained, want)
     assert np.all(values == 0.0)
+
+
+def _loop_rhs(grid, f_cells, bc):
+    """assemble_rhs's boundary terms edge by edge, as a plain loop:
+    (G, F, constrained DOFs, their values)."""
+    G = np.zeros(grid.n_dofs)
+    s, w = GAUSS3
+    for e, data in bc.dirichlet.items():
+        length, sign = grid.edge_lengths[e], grid.edge_boundary_sign[e]
+        if callable(data):
+            a, b = grid.vertices[grid.edge_nodes[e]]
+            g = np.array([data(*p) for p in a[None, :] + s[:, None] * (b - a)[None, :]])
+            vals = [length * np.sum(w * g * (1 - s)), length * np.sum(w * g * s)]
+        else:
+            vals = [0.5 * length * data, 0.5 * length * data]
+        G[2 * e] -= sign * vals[0]
+        G[2 * e + 1] -= sign * vals[1]
+    dofs, vals = [], []
+    for e, data in bc.neumann.items():
+        for k, end in enumerate(grid.vertices[grid.edge_nodes[e]]):
+            dofs.append(2 * e + k)
+            vals.append(grid.edge_boundary_sign[e] * (data(*end) if callable(data) else data))
+    order = np.argsort(dofs)
+    return G, -f_cells * grid.cell_areas, np.array(dofs, dtype=int)[order], np.array(vals)[order]
+
+
+def _mixed_spec(grid):
+    """Callable Dirichlet data on the left and bottom, callable Neumann data
+    on the right, a constant Neumann flux on the top."""
+    spec = BoundarySpec()
+    for e in grid.boundary_edges:
+        side = int(grid.edge_side[e])
+        if side in (0, 3):
+            spec.dirichlet[int(e)] = lambda x, y: 1.0 + x * x - 0.5 * y
+        elif side == 1:
+            spec.neumann[int(e)] = lambda x, y: np.sin(3.0 * y) + x
+        else:
+            spec.neumann[int(e)] = 0.25
+    return spec
+
+
+@pytest.mark.parametrize("preset", ["left_right", "dirichlet", "dirichlet_callable", "no_flow",
+                                    "five_spot", "mixed"])
+@pytest.mark.parametrize("nx, ny, domain", [(1, 1, None), (5, 3, None),
+                                            (7, 4, (1e3, 1e3 + 0.7, -2.0, 0.3))])
+def test_rhs_matches_the_edge_loop(preset, nx, ny, domain):
+    """G, the constrained DOFs and their values equal those of a plain loop
+    over the boundary edges, bitwise, on every boundary preset, with
+    constant and callable data."""
+    grid = build_fine_grid(nx, ny) if domain is None else build_fine_grid(nx, ny, domain=domain)
+    f = np.random.default_rng(nx).standard_normal(grid.n_cells)
+    bc = {
+        "left_right": lambda: left_right_spec(grid, 1.3, -0.2),
+        "dirichlet": lambda: all_dirichlet_spec(grid, 0.7),
+        "dirichlet_callable": lambda: all_dirichlet_spec(grid, lambda x, y: x - 2.0 * y * y),
+        "no_flow": lambda: no_flow_spec(grid),
+        "five_spot": lambda: five_spot(grid)[0],
+        "mixed": lambda: _mixed_spec(grid),
+    }[preset]()
+    got, want = assemble_rhs(grid, f, bc), _loop_rhs(grid, f, bc)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_rhs_unlabeled_edge_rejected():

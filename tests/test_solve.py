@@ -33,6 +33,7 @@ from msforch.mfmfe import (
     vertex_cholesky,
 )
 from msforch.solve import (
+    _BAND_LIMIT,
     _DENSE_LIMIT,
     LinearizedSystem,
     NonlinearConfig,
@@ -42,7 +43,6 @@ from msforch.solve import (
     nonlinear_solve,
     schur_solve,
     _per_vertex,
-    _splu_solve,
     velocity_error_norm,
 )
 
@@ -77,6 +77,38 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
+#: The size limits that send a pressure system down each factorization:
+#: red-black (a five-point S within the dense limit, by default), banded
+#: Cholesky (every other S within the band limit), SuperLU (both limits 0).
+PATHS = {
+    "red_black": {},
+    "band": {"_DENSE_LIMIT": 0},
+    "splu": {"_DENSE_LIMIT": 0, "_BAND_LIMIT": 0},
+}
+
+
+def _take(mp, path):
+    """Lower the limits on ``mp`` so that S goes down ``path``."""
+    for name, value in PATHS[path].items():
+        mp.setattr(f"msforch.solve.{name}", value)
+
+
+def _spy_factorizations(mp) -> list:
+    """The names of the pressure factorizations called from now on, in order."""
+    calls = []
+    for owner, name in ((msforch.solve, "_splu_solve"), (msforch.solve, "_band_solve"),
+                        (PreparedOperator, "_red_black_solve")):
+        original = getattr(owner, name)
+        mp.setattr(owner, name, lambda *a, _f=original, _n=name, **k:
+                   calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    return _spy_factorizations(monkeypatch)
+
+
 def test_schur_matches_saddle_oracle():
     rng = np.random.default_rng(42)
     for _ in range(6):
@@ -88,14 +120,15 @@ def test_schur_matches_saddle_oracle():
         assert _rel(P1, P2) <= 1e-12
 
 
-def test_schur_backends_agree(monkeypatch):
+def test_schur_backends_agree(monkeypatch, factorizations):
     rng = np.random.default_rng(3)
     Ahat, B, G, F = _random_reduced_system(rng, 6, 5)
-    U_d, P_d = schur_solve(Ahat, B, G, F)
-    monkeypatch.setattr("msforch.solve._DENSE_LIMIT", 0)   # SuperLU from here on
+    U_b, P_b = schur_solve(Ahat, B, G, F)
+    _take(monkeypatch, "splu")
     U_s, P_s = schur_solve(Ahat, B, G, F)
-    assert _rel(P_s, P_d) <= 1e-10
-    assert _rel(U_s, U_d) <= 1e-10
+    assert factorizations == ["_band_solve", "_splu_solve"]
+    assert _rel(P_s, P_b) <= 1e-10
+    assert _rel(U_s, U_b) <= 1e-10
 
 
 def test_closed_box_is_singular():
@@ -300,20 +333,19 @@ def _preset_problem(rng, nx, ny, preset, tensor):
     nx=st.integers(1, 8), ny=st.integers(1, 8),
     preset=st.sampled_from(["left_right", "dirichlet", "five_spot"]),
     tensor=st.booleans(),
-    superlu=st.booleans(),
+    path=st.sampled_from(sorted(PATHS)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_prepared_solve_matches_saddle_oracle(nx, ny, preset, tensor, superlu, seed):
-    """The prepared operator (with S factored dense, or by SuperLU under a
-    lowered size limit) and its reduced path with R = I agree with the
-    dense saddle oracle to 1e-12."""
+def test_prepared_solve_matches_saddle_oracle(nx, ny, preset, tensor, path, seed):
+    """The prepared operator (with S solved red-black, or banded, or by
+    SuperLU under lowered size limits) and its reduced path with R = I agree
+    with the dense saddle oracle to 1e-12."""
     sys_, A = _preset_problem(np.random.default_rng(seed), nx, ny, preset, tensor)
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     U_ref, P_ref = saddle_oracle(Ahat, Bfree, G2, sys_.F)
     U_ref = U_ref + sys_.lift
     with pytest.MonkeyPatch.context() as mp:
-        if superlu:
-            mp.setattr("msforch.solve._DENSE_LIMIT", 0)
+        _take(mp, path)
         U, P, _ = sys_.solve(A, sys_.G0)
     assert _rel(U, U_ref) <= 1e-12
     assert _rel(P, P_ref) <= 1e-12
@@ -322,6 +354,84 @@ def test_prepared_solve_matches_saddle_oracle(nx, ny, preset, tensor, superlu, s
     assert _rel(U_r, U_ref) <= 1e-12
     assert _rel(P_r, P_ref) <= 1e-12
     assert np.array_equal(coeffs, P_r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 12), ny=st.integers(1, 12),
+    preset=st.sampled_from(["left_right", "dirichlet", "five_spot"]),
+    tensor=st.booleans(),
+    columns=st.sampled_from([1, 3]),
+    dense_limit=st.sampled_from([0, _DENSE_LIMIT]),
+    band_limit=st.integers(0, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_three_factorizations_match_saddle_oracle(
+        nx, ny, preset, tensor, columns, dense_limit, band_limit, seed):
+    """With both size limits lowered at random, a fine system takes the
+    factorization the rule names (red-black for a five-point S within the
+    dense limit, else banded while kd = min(nx, ny) + 1 is within the band
+    limit, else SuperLU), and its velocity and pressure agree with the
+    dense saddle oracle to 1e-12, for a scalar or tensor A and one or
+    several right-hand-side columns."""
+    rng = np.random.default_rng(seed)
+    sys_, A = _preset_problem(rng, nx, ny, preset, tensor)
+    n, fixed = sys_.grid.n_cells, sys_.cdofs
+    G = rng.standard_normal((sys_.grid.n_dofs, columns))
+    F = rng.standard_normal((n, columns))
+    if columns == 1:
+        G, F = G[:, 0], F[:, 0]
+    G_free = G.copy()
+    G_free[fixed] = 0.0
+    Ahat, Bfree, _ = eliminate_constraints(sys_, A)
+    U_ref, P_ref = saddle_oracle(Ahat, Bfree, G_free, F)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("msforch.solve._DENSE_LIMIT", dense_limit)
+        mp.setattr("msforch.solve._BAND_LIMIT", band_limit)
+        calls = _spy_factorizations(mp)
+        U, P = sys_.operator.solve(A, G, F)
+    if not tensor and n <= dense_limit:
+        expected = "_red_black_solve"
+    else:
+        expected = "_band_solve" if min(nx, ny) + 1 <= band_limit else "_splu_solve"
+    assert calls == [expected]
+    assert _columns_close(U, U_ref, 1e-12) and _columns_close(P, P_ref, 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    Nx=st.integers(1, 4), Ny=st.integers(1, 4), mx=st.integers(1, 4), my=st.integers(1, 4),
+    tensor=st.booleans(),
+    band_limit=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reduced_factorizations_match_saddle_oracle(Nx, Ny, mx, my, tensor, band_limit, seed):
+    """A reduced system, with one to three random orthonormal columns per
+    coarse element (at most its cell count) appended in shuffled element
+    order, is factored banded when the band limit is at least its dimension
+    - 1 and banded or by SuperLU below, and its velocity and coarse pressure
+    agree with a dense solve of the saddle system with pressure space R to
+    1e-12."""
+    rng = np.random.default_rng(seed)
+    sys_, A = _preset_problem(rng, Nx * mx, Ny * my, "left_right", tensor)
+    coarse = build_coarse_grid(sys_.grid, Nx, Ny)
+    rmap = ReductionMap(sys_.grid.n_cells)
+    for i in rng.permutation(coarse.n_elements):
+        cells = coarse.coarse_elements[i]
+        m = rng.integers(1, min(3, cells.size) + 1)
+        for column in np.linalg.qr(rng.standard_normal((cells.size, m)))[0].T:
+            rmap.append_column(int(i), cells, column)
+    R = rmap.matrix
+    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
+    U_ref, Pr_ref = saddle_oracle(Ahat, (Bfree @ R).tocsr(), G2, R.T @ sys_.F)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("msforch.solve._BAND_LIMIT", band_limit)
+        calls = _spy_factorizations(mp)
+        U, _, Pr = sys_.solve(A, sys_.G0, R)
+    assert calls in (["_band_solve"], ["_splu_solve"])
+    if band_limit >= R.shape[1] - 1:
+        assert calls == ["_band_solve"]
+    assert _rel(U, U_ref + sys_.lift) <= 1e-12 and _rel(Pr, Pr_ref) <= 1e-12
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (3, 3), (7, 4), (12, 12), (30, 6)])
@@ -339,12 +449,14 @@ def test_closed_box_is_singular_in_auto_mode(nx, ny):
         schur_solve(Ahat, Bfree, G2, sys_.F)
 
 
-@pytest.mark.parametrize("n", [3, 8, 20], ids=lambda n: f"{n}-splu")
-def test_closed_box_is_singular_on_sparse_backends(n, monkeypatch):
-    """SuperLU, forced on small systems by a lowered size limit, reports a
-    closed no-flow box as singular instead of returning a finite,
+@pytest.mark.parametrize("n, path", [(3, "splu"), (8, "splu"), (20, "splu"),
+                                     (3, "band"), (8, "band"), (20, "band")],
+                         ids=lambda v: str(v))
+def test_closed_box_is_singular_on_sparse_backends(n, path, monkeypatch):
+    """The band and SuperLU, forced on small systems by lowered size limits,
+    report a closed no-flow box as singular instead of returning a finite,
     roundoff-driven pressure."""
-    monkeypatch.setattr("msforch.solve._DENSE_LIMIT", 0)
+    _take(monkeypatch, path)
     grid = build_fine_grid(n, n)
     sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), no_flow_spec(grid))
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
@@ -363,88 +475,102 @@ def test_closed_box_beyond_dense_limit_is_singular_in_auto_mode():
         sys_.solve(A, sys_.G0)
 
 
-@pytest.fixture
-def superlu_calls(monkeypatch):
-    """Shapes of the right-hand sides that reach the SuperLU solve."""
-    calls = []
-
-    def counting(S, rhs):
-        calls.append(rhs.shape)
-        return _splu_solve(S, rhs)
-
-    monkeypatch.setattr("msforch.solve._splu_solve", counting)
-    return calls
-
-
 @pytest.mark.parametrize("nx, superlu", [(17, False), (18, True)])
-def test_system_size_picks_the_factorization(nx, superlu, superlu_calls):
-    """A 17x16 system (272 cells) factors S dense, an 18x16 one (288 cells)
-    by SuperLU; both match the saddle oracle to 1e-12."""
+def test_system_size_picks_the_factorization(nx, superlu, factorizations, monkeypatch):
+    """A five-point S of 17x16 cells (272) is solved red-black at any band
+    limit; one of 18x16 cells (288, kd 17) is banded, and goes to SuperLU
+    once the band limit is lowered to 16.  All match the saddle oracle to
+    1e-12."""
     assert 17 * 16 == _DENSE_LIMIT
     sys_, A = _preset_problem(np.random.default_rng(nx), nx, 16, "left_right", False)
-    U, P, _ = sys_.solve(A, sys_.G0)
-    assert superlu_calls == ([(sys_.grid.n_cells,)] if superlu else [])
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     U_ref, P_ref = saddle_oracle(Ahat, Bfree, G2, sys_.F)
-    assert _rel(U, U_ref + sys_.lift) <= 1e-12
-    assert _rel(P, P_ref) <= 1e-12
+    for limit in (_BAND_LIMIT, 16):
+        monkeypatch.setattr("msforch.solve._BAND_LIMIT", limit)
+        U, P, _ = sys_.solve(A, sys_.G0)
+        assert _rel(U, U_ref + sys_.lift) <= 1e-12
+        assert _rel(P, P_ref) <= 1e-12
+    assert factorizations == (["_band_solve", "_splu_solve"] if superlu
+                              else ["_red_black_solve"] * 2)
 
 
-def test_numerically_singular_dense_system_raises():
+def test_numerically_singular_dense_system_raises(factorizations):
     """With a pressure datum the flow can barely reach, S is regular in
-    structure but singular to roundoff: the dense pivot test reports it."""
+    structure but singular to roundoff: the pivot test of the red-black
+    solve's dense factor, and that of the band factor, report it."""
     grid = build_fine_grid(4, 4)
     sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid))
     coeff = np.ones(grid.n_cells)
     coeff[grid.cell_id(np.array([0, 3]), np.arange(4)[:, None]).ravel()] = 1e14
     A = assemble_velocity_matrix(grid, coeff)
     assert not sys_.operator.singular
-    with pytest.raises(SingularSystemError, match="numerically singular"):
-        sys_.solve(A, sys_.G0)
+    for path in ("red_black", "band"):
+        with pytest.MonkeyPatch.context() as mp:
+            _take(mp, path)
+            with pytest.raises(SingularSystemError, match="numerically singular"):
+                sys_.solve(A, sys_.G0)
+    assert factorizations == ["_red_black_solve", "_band_solve"]
 
 
 @pytest.mark.parametrize("limit", [_DENSE_LIMIT, 0])
 def test_non_finite_right_hand_side_raises_singular_system_error(limit, monkeypatch):
-    """A NaN in G reaches the pressure solve, dense or SuperLU, and comes
-    back as a non-finite solution, reported as a singular system."""
+    """A NaN in G reaches the pressure solve, red-black within the dense
+    limit, beyond it banded or by SuperLU under a lowered band limit, and
+    comes back as a non-finite solution, reported as a singular system."""
     monkeypatch.setattr("msforch.solve._DENSE_LIMIT", limit)
     grid = build_fine_grid(4, 4)
     sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid))
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
     G = sys_.G0.copy()
     G[np.flatnonzero(G)[0]] = np.nan
-    with pytest.raises(SingularSystemError, match="non-finite values"):
-        sys_.solve(A, G)
+    for band_limit in (_BAND_LIMIT, 0):
+        monkeypatch.setattr("msforch.solve._BAND_LIMIT", band_limit)
+        with pytest.raises(SingularSystemError, match="non-finite values"):
+            sys_.solve(A, G)
 
 
-def test_dense_and_sparse_schur_share_one_pattern(monkeypatch):
-    """The dense S is the sparse S's data scattered into a column-major
-    array, bitwise; its int32 positions are built only by the dense path.
-    A Newton matrix, whose tensor blocks make S nine-point: only those reach
-    the plain dense path."""
-    grid = build_fine_grid(7, 5)
-    sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), left_right_spec(grid))
-    rng = np.random.default_rng(2)
-    A = linearize(grid, rng.uniform(0.1, 10.0, grid.n_cells), np.ones(grid.n_cells),
-                  rng.standard_normal(grid.n_dofs), "newton")[0]
-    operator = sys_.operator
-    monkeypatch.setattr("msforch.solve._DENSE_LIMIT", 0)
-    sys_.solve(A, sys_.G0)
-    assert "_dense_positions" not in vars(operator)
-    monkeypatch.undo()
+def test_band_and_sparse_schur_share_one_pattern():
+    """The band is the sparse S's data scattered into the lower band of S in
+    band order (the cells numbered along the shorter side), column-major,
+    bitwise; its int32 positions are built only by the band path, and the
+    band is kd = shorter side + 1 wide.  A Newton matrix, whose tensor
+    blocks make S nine-point, on squares, strips and both orientations."""
     captured = []
 
-    def capture(S, rhs):
-        captured.append(S.copy(order="A"))
+    def capture(ab, rhs):
+        captured.append(ab.copy(order="A"))
         return np.zeros(rhs.shape)
 
-    monkeypatch.setattr("msforch.solve._cholesky_solve", capture)
-    sys_.solve(A, sys_.G0)
-    assert operator._dense_positions.dtype == np.int32
-    X = _vertex_factor(operator, A)[1]
-    (S,) = captured
-    assert S.flags.f_contiguous
-    assert np.array_equal(S, operator.schur_matrix(X).toarray())
+    for nx, ny in ((1, 1), (1, 6), (7, 5), (5, 7), (16, 16)):
+        grid = build_fine_grid(nx, ny)
+        sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), left_right_spec(grid))
+        rng = np.random.default_rng(2)
+        A = linearize(grid, rng.uniform(0.1, 10.0, grid.n_cells), np.ones(grid.n_cells),
+                      rng.standard_normal(grid.n_dofs), "newton")[0]
+        operator = sys_.operator
+        with pytest.MonkeyPatch.context() as mp:
+            _take(mp, "splu")
+            sys_.solve(A, sys_.G0)
+        assert "_band_positions" not in vars(operator) and "_band" not in vars(operator)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("msforch.solve._band_solve", capture)
+            sys_.solve(A, sys_.G0)
+        assert operator._band_positions.dtype == np.int32
+        ab = captured.pop()
+        (order, rank), kd = operator._band, operator._band_width
+        assert kd == min(nx, ny) + 1 and ab.shape == (kd + 1, grid.n_cells)
+        assert ab.flags.f_contiguous
+        ix, iy = order % nx, order // nx
+        assert np.array_equal(rank[order], np.arange(grid.n_cells))
+        assert np.array_equal(ix * ny + iy if nx >= ny else iy * nx + ix, np.arange(grid.n_cells))
+        X = _vertex_factor(operator, A)[1]
+        nd = operator._rank[order]   # nested-dissection position of each band position
+        S = operator.schur_matrix(X).toarray()[nd][:, nd]
+        assert not np.tril(S, -kd - 1).any() and np.array_equal(S, S.T)
+        expected = np.zeros_like(ab)
+        for i in range(kd + 1):
+            expected[i, :grid.n_cells - i] = S.diagonal(-i)
+        assert np.array_equal(ab, expected)
 
 
 @pytest.mark.parametrize("columns", [False, True])
@@ -463,17 +589,19 @@ def test_fused_triangular_pass_matches_separate_solves(columns):
     assert np.array_equal(L, L_ref) and np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
 
-def test_one_pressure_datum_makes_the_box_regular(monkeypatch):
+def test_one_pressure_datum_makes_the_box_regular():
     """The five-spot producer's two Dirichlet edges fix the constant (S
-    factored by SuperLU under a lowered size limit)."""
-    monkeypatch.setattr("msforch.solve._DENSE_LIMIT", 0)
+    factored banded, then by SuperLU, under lowered size limits)."""
     grid = build_fine_grid(20, 20)
     bc, f = five_spot(grid)
     sys_ = LinearizedSystem(grid, f, bc)
     assert not sys_.operator.singular
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
-    U, P, _ = sys_.solve(A, sys_.G0)
-    assert np.all(np.isfinite(P))
+    for path in ("band", "splu"):
+        with pytest.MonkeyPatch.context() as mp:
+            _take(mp, path)
+            U, P, _ = sys_.solve(A, sys_.G0)
+        assert np.all(np.isfinite(P))
 
 
 def test_indefinite_block_raises_assembly_error():
@@ -520,7 +648,7 @@ def test_non_finite_coefficient_fails_on_first_iteration(monkeypatch):
 
 
 @pytest.mark.parametrize("problem", ["left_right", "online"])
-def test_operator_eliminates_fixed_dofs(problem, monkeypatch):
+def test_operator_eliminates_fixed_dofs(problem):
     """Given the full B and a G that is nonzero at the fixed DOFs, the prepared
     operator solves exactly as with those rows of B and entries of G zeroed
     by hand: on a fine left-right system and on an online T+ problem with
@@ -545,17 +673,18 @@ def test_operator_eliminates_fixed_dofs(problem, monkeypatch):
     G_free[fixed] = 0.0
     operator = PreparedOperator(grid, B, fixed, kept_cells=kept)
     by_hand = PreparedOperator(grid, (sp.diags(free) @ B).tocsr(), fixed, kept_cells=kept)
-    for limit in (_DENSE_LIMIT, 0):   # S dense, then by SuperLU
-        monkeypatch.setattr("msforch.solve._DENSE_LIMIT", limit)
-        U, P = operator.solve(A, G, F)
-        U_ref, P_ref = by_hand.solve(A, G_free, F)
-        assert np.array_equal(U, U_ref) and np.array_equal(P, P_ref)
-        assert np.array_equal(operator.pressure(A, F), by_hand.pressure(A, F))
-    if kept is None:
-        R = sp.identity(grid.n_cells, format="csr")
-        U, P = operator.solve_reduced(A, R, G, F)
-        U_ref, P_ref = by_hand.solve_reduced(A, R, G_free, F)
-        assert np.array_equal(U, U_ref) and np.array_equal(P, P_ref)
+    for path in PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            _take(mp, path)
+            U, P = operator.solve(A, G, F)
+            U_ref, P_ref = by_hand.solve(A, G_free, F)
+            assert np.array_equal(U, U_ref) and np.array_equal(P, P_ref)
+            assert np.array_equal(operator.pressure(A, F), by_hand.pressure(A, F))
+            if kept is None:
+                R = sp.identity(grid.n_cells, format="csr")
+                U, P = operator.solve_reduced(A, R, G, F)
+                U_ref, P_ref = by_hand.solve_reduced(A, R, G_free, F)
+                assert np.array_equal(U, U_ref) and np.array_equal(P, P_ref)
 
 
 @pytest.mark.parametrize("layers", [0, 1])
@@ -575,22 +704,34 @@ def test_dense_solve_of_several_columns_matches_column_solves(layers):
         assert np.abs(u - U[:, j]).max() <= 1e-14 * np.abs(U[:, j]).max()
 
 
-def test_snapshot_columns_beyond_dense_limit_go_through_superlu(superlu_calls):
+def _snapshot_columns_share_one_factorization(calls, name):
     """A snapshot block of more than ``_DENSE_LIMIT`` cells (an 18x16
     element of a 36x32 grid) solves all its boundary-data columns with one
-    SuperLU factorization, and they equal the single-column solves."""
+    factorization ``name``, and they equal the single-column solves."""
     rng = np.random.default_rng(7)
     coarse = build_coarse_grid(build_fine_grid(36, 32), 2, 2)
     shape = LocalShapes(coarse).snapshot(3)[0]
     A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells))
     U, P = shape.operator.solve(A, shape.data, 0.0)
     k = shape.data.shape[1]
-    assert 288 > _DENSE_LIMIT and superlu_calls == [(288, k)]
+    assert 288 > _DENSE_LIMIT and calls == [name]
     for j in range(k):
         u, p = shape.operator.solve(A, shape.data[:, j], 0.0)
         assert np.array_equal(p, P[:, j])
         assert np.abs(u - U[:, j]).max() <= 1e-14 * np.abs(U[:, j]).max()
-    assert len(superlu_calls) == 1 + k
+    assert calls == [name] * (1 + k)
+
+
+def test_snapshot_columns_beyond_dense_limit_go_through_superlu(factorizations, monkeypatch):
+    """Beyond the dense limit, with the band limit lowered, the snapshot
+    columns share one SuperLU factorization."""
+    _take(monkeypatch, "splu")
+    _snapshot_columns_share_one_factorization(factorizations, "_splu_solve")
+
+
+def test_snapshot_columns_beyond_dense_limit_share_one_band_factorization(factorizations):
+    """Beyond the dense limit the snapshot columns share one band factorization."""
+    _snapshot_columns_share_one_factorization(factorizations, "_band_solve")
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 17), (1, 60), (17, 1), (60, 1), (7, 5), (40, 40)])
@@ -627,6 +768,7 @@ def test_nested_dissection_needs_less_fill_than_superlu_defaults(monkeypatch):
     grid = build_fine_grid(40, 40)
     sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid))
     A = assemble_velocity_matrix(grid, 1.0 / gen_synthetic("blobs", 2, 100.0, 40, 40).values)
+    _take(monkeypatch, "splu")
     factors = []
     splu = spla.splu
 
@@ -646,10 +788,10 @@ def test_nested_dissection_needs_less_fill_than_superlu_defaults(monkeypatch):
     assert lu.L.nnz + lu.U.nnz < defaults.L.nnz + defaults.U.nnz
 
 
-def test_sparse_local_solves_match_dense(monkeypatch):
-    """Forced onto SuperLU, the online T+ operator (pressure on the element's
-    cells only) and a snapshot operator with its many boundary-data columns
-    agree with their dense solves to 1e-12."""
+def test_sparse_local_solves_match_dense():
+    """Forced onto the band or SuperLU, the online T+ operator (pressure on
+    the element's cells only) and a snapshot operator with its many
+    boundary-data columns agree with their red-black solves to 1e-12."""
     rng = np.random.default_rng(5)
     coarse = build_coarse_grid(build_fine_grid(24, 24), 3, 3)
     shapes = LocalShapes(coarse)
@@ -659,19 +801,21 @@ def test_sparse_local_solves_match_dense(monkeypatch):
     for shape, G, F in problems:
         A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells))
         U_d, P_d = shape.operator.solve(A, G, F)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("msforch.solve._DENSE_LIMIT", 0)
-            U_s, P_s = shape.operator.solve(A, G, F)
-        assert _rel(P_s, P_d) <= 1e-12 and _rel(U_s, U_d) <= 1e-12
+        for path in ("band", "splu"):
+            with pytest.MonkeyPatch.context() as mp:
+                _take(mp, path)
+                U_s, P_s = shape.operator.solve(A, G, F)
+            assert _rel(P_s, P_d) <= 1e-12 and _rel(U_s, U_d) <= 1e-12
     assert snapshot.data.shape[1] == 40
 
 
-def test_high_contrast_regular_system_solves(monkeypatch):
+def test_high_contrast_regular_system_solves():
     """A checkerboard of permeabilities 1e-7 and 1e7 (contrast 1e14; the two
     columns at the Dirichlet sides at 1e-7, so S's diagonal stays within the
-    dense pivot floor) gives vertex blocks spanning 14 decades and a regular
-    S that SuperLU, without pivoting, solves as the dense path does: cell
-    balance to 1e-10, pressures and velocities to 1e-8 relative."""
+    pivot floor) gives vertex blocks spanning 14 decades and a regular S
+    that the band and SuperLU, without pivoting, solve as the red-black
+    path does: cell balance to 1e-10, pressures and velocities to 1e-8
+    relative."""
     grid = build_fine_grid(16, 16)
     ix, iy = np.arange(grid.n_cells) % 16, np.arange(grid.n_cells) // 16
     kappa = np.where(((ix + iy) % 2 == 0) | (ix == 0) | (ix == 15), 1e-7, 1e7)
@@ -679,18 +823,20 @@ def test_high_contrast_regular_system_solves(monkeypatch):
     sys_ = LinearizedSystem(grid, f, left_right_spec(grid))
     A = assemble_velocity_matrix(grid, 1.0 / kappa)
     U_d, P_d, _ = sys_.solve(A, sys_.G0)
-    monkeypatch.setattr("msforch.solve._DENSE_LIMIT", 0)
-    U, P, _ = sys_.solve(A, sys_.G0)
-    defect = np.abs(cell_divergence(grid, sys_.B, U) - f)
-    scale = (abs(sys_.B).T @ np.abs(U)) / grid.cell_areas
-    assert defect.max() <= 1e-10 * scale.max()
-    assert _rel(P, P_d) <= 1e-8 and _rel(U, U_d) <= 1e-8
+    for path in ("band", "splu"):
+        with pytest.MonkeyPatch.context() as mp:
+            _take(mp, path)
+            U, P, _ = sys_.solve(A, sys_.G0)
+        defect = np.abs(cell_divergence(grid, sys_.B, U) - f)
+        scale = (abs(sys_.B).T @ np.abs(U)) / grid.cell_areas
+        assert defect.max() <= 1e-10 * scale.max()
+        assert _rel(P, P_d) <= 1e-8 and _rel(U, U_d) <= 1e-8
 
 
 def test_regular_high_contrast_system_solves_on_both_paths(monkeypatch):
     """A full 16x16 checkerboard of permeabilities 1e-7 and 1e7 with the
     left-right preset is regular: the saddle oracle solves it.  Both paths
-    should solve it."""
+    should solve it: red-black, banded and by SuperLU."""
     grid = build_fine_grid(16, 16)
     ix, iy = np.arange(grid.n_cells) % 16, np.arange(grid.n_cells) // 16
     kappa = np.where((ix + iy) % 2 == 0, 1e-7, 1e7)
@@ -699,16 +845,17 @@ def test_regular_high_contrast_system_solves_on_both_paths(monkeypatch):
     A = assemble_velocity_matrix(grid, 1.0 / kappa)
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     _, P_ref = saddle_oracle(Ahat, Bfree, G2, sys_.F)
-    for limit in (_DENSE_LIMIT, 0):   # S dense, then by SuperLU
-        monkeypatch.setattr("msforch.solve._DENSE_LIMIT", limit)
-        _, P, _ = sys_.solve(A, sys_.G0)
+    for path in PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            _take(mp, path)
+            _, P, _ = sys_.solve(A, sys_.G0)
         assert np.all(np.isfinite(P)) and _rel(P, P_ref) <= 1e-10
 
 
 
 def _general(A):
     """A without its diagonal: solved by vertex Cholesky, triangular solves
-    and, on the dense path, the nine-point S."""
+    and the nine-point S, banded below the band limit."""
     return VertexBlockMatrix(A.blocks, A.grid)
 
 
@@ -758,20 +905,20 @@ def _scalar_problem(rng, nx, ny, problem, columns):
 )
 def test_diagonal_path_matches_general_path(nx, ny, problem, columns, per_corner, superlu, seed):
     """A scalar coefficient's diagonal matrix (velocities eliminated per
-    edge, the two-point S solved red-black on the dense path) gives the
+    edge, the two-point S solved red-black below the dense limit) gives the
     pressure system of the general path (vertex Cholesky, triangular solves,
-    ``schur_matrix(X)``) to 1e-14 relative, S and right-hand side, and its
-    velocity and pressure (nine-point S) to 1e-13 relative, for one or
-    several right-hand sides, with fixed Neumann DOFs or kept cells, dense
-    or by SuperLU.  The per-edge path forms no X and y, so there is no
-    eliminated system to compare bitwise."""
+    ``schur_matrix(X)``, banded) to 1e-14 relative, S and right-hand side,
+    and its velocity and pressure (nine-point S) to 1e-13 relative, for one
+    or several right-hand sides, with fixed Neumann DOFs or kept cells, or
+    with both paths by SuperLU.  The per-edge path forms no X and y, so
+    there is no eliminated system to compare bitwise."""
     rng = np.random.default_rng(seed)
     grid, operator, G, F = _scalar_problem(rng, nx, ny, problem, columns)
     shape = (grid.n_cells, 4) if per_corner else grid.n_cells
     A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-1.0, 1.0, shape))
     assert A.diagonal is not None
-    data, rhs, _, dense = operator._system(A, G, F)
-    assert dense == operator._red_black_solve
+    data, rhs, _, five_point = operator._system(A, G, F)
+    assert five_point
     _, X, _, rhs_ref = operator._eliminate(_general(A), G, F)
     S_ref = operator._schur_data(X)
     assert np.abs(data - S_ref).max() <= 1e-14 * np.abs(S_ref).max()
@@ -781,7 +928,7 @@ def test_diagonal_path_matches_general_path(nx, ny, problem, columns, per_corner
     assert np.all(np.linalg.norm(rhs - rhs_ref, axis=0) <= 1e-14 * scale)
     with pytest.MonkeyPatch.context() as mp:
         if superlu:
-            mp.setattr("msforch.solve._DENSE_LIMIT", 0)
+            _take(mp, "splu")
         U, P = operator.solve(A, G, F)
         U_ref, P_ref = operator.solve(_general(A), G, F)
         assert _columns_close(U, U_ref, 1e-13) and _columns_close(P, P_ref, 1e-13)
@@ -794,24 +941,19 @@ def test_diagonal_path_matches_general_path(nx, ny, problem, columns, per_corner
             assert _columns_close(U_r, U_rr, 1e-13) and _columns_close(P_r, P_rr, 1e-13)
 
 
-def test_diagonal_path_is_taken_below_and_beyond_the_dense_limit(monkeypatch):
+def test_diagonal_path_is_taken_below_and_beyond_the_dense_limit(factorizations, monkeypatch):
     """A scalar coefficient's blocks are never factored by vertex Cholesky;
-    its S goes red-black up to ``_DENSE_LIMIT`` cells and to SuperLU beyond,
-    where the velocities still come by division."""
-    calls = []
-
-    def spy(owner, name):
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or original(*a))
-
-    spy(msforch.solve, "vertex_cholesky")
-    spy(msforch.solve, "_splu_solve")
-    spy(PreparedOperator, "_red_black_solve")
-    for nx in (17, 18):   # 272 and 288 cells
+    its S goes red-black up to ``_DENSE_LIMIT`` cells, banded beyond, and to
+    SuperLU beyond the band limit, where the velocities still come by
+    division."""
+    monkeypatch.setattr(msforch.solve, "vertex_cholesky",
+                        lambda *a: factorizations.append("vertex_cholesky"))
+    for nx, limit in ((17, _BAND_LIMIT), (18, _BAND_LIMIT), (18, 0)):   # 272, 288, 288 cells
+        monkeypatch.setattr("msforch.solve._BAND_LIMIT", limit)
         grid = build_fine_grid(nx, 16)
         sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), left_right_spec(grid))
         sys_.solve(assemble_velocity_matrix(grid, np.ones(grid.n_cells)), sys_.G0)
-    assert calls == ["_red_black_solve", "_splu_solve"]
+    assert factorizations == ["_red_black_solve", "_band_solve", "_splu_solve"]
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -846,8 +988,8 @@ def test_red_black_solve_matches_dense_cholesky_of_s(nx, ny):
     grid = build_fine_grid(nx, ny)
     operator = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid)).operator
     A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-2.0, 2.0, grid.n_cells))
-    data, _, _, dense = operator._system(A, np.zeros(grid.n_dofs), 0.0)
-    assert dense == operator._red_black_solve
+    data, _, _, five_point = operator._system(A, np.zeros(grid.n_dofs), 0.0)
+    assert five_point
     order = operator._order
     S = operator._csc(data).toarray()
     S_ref = operator.schur_matrix(_vertex_factor(operator, A)[1]).toarray()
@@ -925,11 +1067,12 @@ def _shuffled_map(rng, fine, coarse, kappa, m):
 
 
 @pytest.mark.parametrize("tensor", [False, True])
-def test_reduced_solve_matches_dense_oracle(tensor):
-    """The sparse reduced solve gives the velocity and coarse pressure of a
-    dense solve of the saddle system with pressure space R to 1e-12, for a
-    scalar A (per-edge elimination) and a Newton one (vertex blocks), with
-    R's columns in shuffled element order."""
+def test_reduced_solve_matches_dense_oracle(tensor, factorizations):
+    """The reduced solve, banded and by SuperLU under a lowered band limit,
+    gives the velocity and coarse pressure of a dense solve of the saddle
+    system with pressure space R to 1e-12, for a scalar A (per-edge
+    elimination) and a Newton one (vertex blocks), with R's columns in
+    shuffled element order."""
     rng = np.random.default_rng(3 + tensor)
     fine = build_fine_grid(12, 12)
     coarse = build_coarse_grid(fine, 3, 3)
@@ -942,17 +1085,23 @@ def test_reduced_solve_matches_dense_oracle(tensor):
     else:
         A = assemble_velocity_matrix(fine, 1.0 / kappa.values)
     assert (A.diagonal is None) == tensor
-    U, P, Pr = sys_.solve(A, sys_.G0, R)
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     U_ref, Pr_ref = saddle_oracle(Ahat, (Bfree @ R).tocsr(), G2, R.T @ sys_.F)
-    assert _rel(U, U_ref + sys_.lift) <= 1e-12
-    assert _rel(Pr, Pr_ref) <= 1e-12
-    assert np.array_equal(P, R @ Pr)
+    factorizations.clear()
+    for path in ("band", "splu"):
+        with pytest.MonkeyPatch.context() as mp:
+            _take(mp, path)
+            U, P, Pr = sys_.solve(A, sys_.G0, R)
+        assert _rel(U, U_ref + sys_.lift) <= 1e-12
+        assert _rel(Pr, Pr_ref) <= 1e-12
+        assert np.array_equal(P, R @ Pr)
+    assert factorizations == ["_band_solve", "_splu_solve"]
 
 
 def test_reduced_system_singular_to_roundoff_raises():
     """A second column equal to another to roundoff makes R^T S R singular
-    to roundoff: the pivot test of the SuperLU reduced factor reports it."""
+    to roundoff: the pivot test of the band reduced factor reports it, and
+    so does that of the SuperLU one under a lowered band limit."""
     fine = build_fine_grid(8, 8)
     coarse = build_coarse_grid(fine, 2, 2)
     sys_ = LinearizedSystem(fine, np.zeros(fine.n_cells), left_right_spec(fine))
@@ -964,8 +1113,11 @@ def test_reduced_system_singular_to_roundoff_raises():
     cells, values = rmap.columns[1][1:]
     sys_.solve(A, sys_.G0, rmap.matrix)
     rmap.append_column(1, cells, values * (1.0 + 1e-15 * rng.standard_normal(cells.size)))
-    with pytest.raises(SingularSystemError, match="numerically singular"):
-        sys_.solve(A, sys_.G0, rmap.matrix)
+    for path in ("band", "splu"):
+        with pytest.MonkeyPatch.context() as mp, \
+                pytest.raises(SingularSystemError, match="numerically singular"):
+            _take(mp, path)
+            sys_.solve(A, sys_.G0, rmap.matrix)
 
 
 def test_systems_on_one_grid_share_its_operator():

@@ -23,8 +23,8 @@ its cells numbered along the shorter side of their rectangle (kd = that side
 order, without SuperLU's own ordering or pivoting.  Projected onto a coarse
 pressure space R, the system R^T S R P_r = R^T (B^T A^{-1} G - F) is sparse
 as well (a column of R lives on one coarse element): its unknowns are
-grouped by element in the fine band order, and the same bandwidth limit
-picks banded Cholesky or SuperLU.
+grouped by element in the fine band order and it is always factored by
+banded Cholesky.
 :class:`PreparedOperator` is the one owner of that elimination: it holds
 everything which depends only on the grid and B, it eliminates the
 constrained (Neumann) velocity DOFs itself, and it is the only place that
@@ -164,21 +164,15 @@ def _band_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _splu_solve(S: sp.csc_matrix, rhs: np.ndarray, pivot_test: bool = False) -> np.ndarray:
+def _splu_solve(S: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     """Solve with a sparse SPD S by SuperLU, for one or several right-hand-side
-    columns; raises :class:`SingularSystemError` when S is singular, and with
-    ``pivot_test`` also when it is singular to roundoff, by
-    :func:`_cholesky_solve`'s per-row test (without pivoting, U's diagonal
-    holds the squared Cholesky pivots).  The test copies U out of SuperLU,
-    some 10 MB on a 160x160 grid, so fine systems skip it.  S comes in a
-    fill-reducing order and, being SPD, needs no pivoting."""
+    columns; raises :class:`SingularSystemError` when S is singular.  S comes
+    in a fill-reducing order and, being SPD, needs no pivoting."""
     try:
         lu = spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystemError(f"pressure system is singular: {exc}") from exc
-    if pivot_test and not np.all(lu.U.diagonal() > _PIVOT_FLOOR * S.diagonal()[lu.perm_c]):
-        raise SingularSystemError("pressure system is numerically singular")
     out = lu.solve(rhs)
     if not np.all(np.isfinite(out)):
         raise SingularSystemError("pressure solve produced non-finite values")
@@ -543,9 +537,9 @@ class PreparedOperator:
         ordered by the band rank of their first cell, so that each element's
         columns stay together and the elements follow the fine band order,
         element by element along the coarse grid's shorter side.  Banded
-        Cholesky factors it if its half-bandwidth, read from its pattern, is
-        at most ``_BAND_LIMIT``, SuperLU (with the per-row pivot test) if
-        not.  The velocity follows from the fine pressure R P_r.
+        Cholesky factors it, whatever its half-bandwidth (read from its
+        pattern): in band order a sparse factorization would fill the same
+        envelope.  The velocity follows from the fine pressure R P_r.
         """
         data, rhs, velocity, _ = self._system(A, G, F)
         R = sp.csc_matrix(R)
@@ -556,15 +550,11 @@ class PreparedOperator:
         S = (R_nd.T @ (self._csc(data) @ R_nd)).tocoo()
         rhs = R_nd.T @ rhs[self._order]
         below = S.row - S.col
-        kd = below.max(initial=0)
+        lower = below >= 0
+        ab = np.zeros((below.max(initial=0) + 1, S.shape[0]), order="F")
+        ab[below[lower], S.col[lower]] = S.data[lower]
         Pr = np.empty(R.shape[1])
-        if kd <= _BAND_LIMIT:
-            lower = below >= 0
-            ab = np.zeros((kd + 1, S.shape[0]), order="F")
-            ab[below[lower], S.col[lower]] = S.data[lower]
-            Pr[perm] = _band_solve(ab, rhs)
-        else:
-            Pr[perm] = _splu_solve(S.tocsc(), rhs, pivot_test=True)
+        Pr[perm] = _band_solve(ab, rhs)
         return velocity(R @ Pr), Pr
 
 

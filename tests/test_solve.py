@@ -402,20 +402,21 @@ def test_three_factorizations_match_saddle_oracle(
 @given(
     Nx=st.integers(1, 4), Ny=st.integers(1, 4), mx=st.integers(1, 4), my=st.integers(1, 4),
     tensor=st.booleans(),
-    band_limit=st.integers(0, 30),
+    band_limit=st.sampled_from([0, _BAND_LIMIT]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_reduced_factorizations_match_saddle_oracle(Nx, Ny, mx, my, tensor, band_limit, seed):
+def test_reduced_band_matches_saddle_oracle(Nx, Ny, mx, my, tensor, band_limit, seed):
     """A reduced system, with one to three random orthonormal columns per
     coarse element (at most its cell count) appended in shuffled element
-    order, is factored banded when the band limit is at least its dimension
-    - 1 and banded or by SuperLU below, and its velocity and coarse pressure
-    agree with a dense solve of the saddle system with pressure space R to
-    1e-12."""
+    order, is factored banded whatever the band limit, with the half-bandwidth
+    of R^T S R in the band rank order of each column's first cell, and its
+    velocity and coarse pressure agree with a dense solve of the saddle
+    system with pressure space R to 1e-12."""
     rng = np.random.default_rng(seed)
     sys_, A = _preset_problem(rng, Nx * mx, Ny * my, "left_right", tensor)
-    coarse = build_coarse_grid(sys_.grid, Nx, Ny)
-    rmap = ReductionMap(sys_.grid.n_cells)
+    grid = sys_.grid
+    coarse = build_coarse_grid(grid, Nx, Ny)
+    rmap = ReductionMap(grid.n_cells)
     for i in rng.permutation(coarse.n_elements):
         cells = coarse.coarse_elements[i]
         m = rng.integers(1, min(3, cells.size) + 1)
@@ -424,13 +425,23 @@ def test_reduced_factorizations_match_saddle_oracle(Nx, Ny, mx, my, tensor, band
     R = rmap.matrix
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     U_ref, Pr_ref = saddle_oracle(Ahat, (Bfree @ R).tocsr(), G2, R.T @ sys_.F)
+    # The band order numbers the cells along the grid's shorter side.
+    ix, iy = np.arange(grid.n_cells) % grid.nx, np.arange(grid.n_cells) // grid.nx
+    rank = ix * grid.ny + iy if grid.nx >= grid.ny else iy * grid.nx + ix
+    R_csc = sp.csc_matrix(R)
+    first = [rank[R_csc.indices[a:b]].min() for a, b in zip(R_csc.indptr[:-1], R_csc.indptr[1:])]
+    R_band = R.toarray()[:, np.argsort(first, kind="stable")]
+    B = Bfree.toarray()
+    rows, cols = np.nonzero(R_band.T @ B.T @ Ahat.inverse_sparse().toarray() @ B @ R_band)
+    widths = []
+    band_solve = msforch.solve._band_solve
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("msforch.solve._BAND_LIMIT", band_limit)
+        mp.setattr("msforch.solve._band_solve",
+                   lambda ab, rhs: widths.append(ab.shape[0] - 1) or band_solve(ab, rhs))
         calls = _spy_factorizations(mp)
         U, _, Pr = sys_.solve(A, sys_.G0, R)
-    assert calls in (["_band_solve"], ["_splu_solve"])
-    if band_limit >= R.shape[1] - 1:
-        assert calls == ["_band_solve"]
+    assert calls == ["_band_solve"] and widths == [(rows - cols).max()]
     assert _rel(U, U_ref + sys_.lift) <= 1e-12 and _rel(Pr, Pr_ref) <= 1e-12
 
 
@@ -1068,11 +1079,10 @@ def _shuffled_map(rng, fine, coarse, kappa, m):
 
 @pytest.mark.parametrize("tensor", [False, True])
 def test_reduced_solve_matches_dense_oracle(tensor, factorizations):
-    """The reduced solve, banded and by SuperLU under a lowered band limit,
-    gives the velocity and coarse pressure of a dense solve of the saddle
-    system with pressure space R to 1e-12, for a scalar A (per-edge
-    elimination) and a Newton one (vertex blocks), with R's columns in
-    shuffled element order."""
+    """The banded reduced solve gives the velocity and coarse pressure of a
+    dense solve of the saddle system with pressure space R to 1e-12, for a
+    scalar A (per-edge elimination) and a Newton one (vertex blocks), with
+    R's columns in shuffled element order."""
     rng = np.random.default_rng(3 + tensor)
     fine = build_fine_grid(12, 12)
     coarse = build_coarse_grid(fine, 3, 3)
@@ -1085,23 +1095,19 @@ def test_reduced_solve_matches_dense_oracle(tensor, factorizations):
     else:
         A = assemble_velocity_matrix(fine, 1.0 / kappa.values)
     assert (A.diagonal is None) == tensor
+    factorizations.clear()
+    U, P, Pr = sys_.solve(A, sys_.G0, R)
+    assert factorizations == ["_band_solve"]
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     U_ref, Pr_ref = saddle_oracle(Ahat, (Bfree @ R).tocsr(), G2, R.T @ sys_.F)
-    factorizations.clear()
-    for path in ("band", "splu"):
-        with pytest.MonkeyPatch.context() as mp:
-            _take(mp, path)
-            U, P, Pr = sys_.solve(A, sys_.G0, R)
-        assert _rel(U, U_ref + sys_.lift) <= 1e-12
-        assert _rel(Pr, Pr_ref) <= 1e-12
-        assert np.array_equal(P, R @ Pr)
-    assert factorizations == ["_band_solve", "_splu_solve"]
+    assert _rel(U, U_ref + sys_.lift) <= 1e-12
+    assert _rel(Pr, Pr_ref) <= 1e-12
+    assert np.array_equal(P, R @ Pr)
 
 
 def test_reduced_system_singular_to_roundoff_raises():
     """A second column equal to another to roundoff makes R^T S R singular
-    to roundoff: the pivot test of the band reduced factor reports it, and
-    so does that of the SuperLU one under a lowered band limit."""
+    to roundoff: the pivot test of the band reduced factor reports it."""
     fine = build_fine_grid(8, 8)
     coarse = build_coarse_grid(fine, 2, 2)
     sys_ = LinearizedSystem(fine, np.zeros(fine.n_cells), left_right_spec(fine))
@@ -1113,11 +1119,8 @@ def test_reduced_system_singular_to_roundoff_raises():
     cells, values = rmap.columns[1][1:]
     sys_.solve(A, sys_.G0, rmap.matrix)
     rmap.append_column(1, cells, values * (1.0 + 1e-15 * rng.standard_normal(cells.size)))
-    for path in ("band", "splu"):
-        with pytest.MonkeyPatch.context() as mp, \
-                pytest.raises(SingularSystemError, match="numerically singular"):
-            _take(mp, path)
-            sys_.solve(A, sys_.G0, rmap.matrix)
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        sys_.solve(A, sys_.G0, rmap.matrix)
 
 
 def test_systems_on_one_grid_share_its_operator():

@@ -3,15 +3,16 @@
 ``perfbench/spans.py`` records spans by rebinding msforch functions and
 methods by name, so deleting or renaming one of them breaks the benchmark.
 This test installs the tracer once and checks that leaving it restores the
-package, and that a SuperLU or red-black pressure solve still shows up as
-the ``solve.factor`` span the benchmark's tests require on every workload;
-it only reads ``perfbench/``.
+package, and that a SuperLU factorization or red-black pressure solve
+still shows up as the ``solve.factor`` span the benchmark's tests require on
+every workload; it only reads ``perfbench/``.
 """
 
 import importlib
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse.linalg
 
 import msforch
 import msforch.solve
@@ -36,22 +37,27 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 def test_sparse_factorization_is_traced(monkeypatch):
     """With the band limit at 0, each SuperLU factorization of a system
     beyond the dense limit is one ``solve.factor`` span inside the nonlinear
-    solve's span.  At the default limit the same 24x24 systems (kd 25) are
-    factored banded, which the tracer does not count as ``solve.factor``:
-    it wraps only ``cho_factor`` and ``splu``."""
+    solve's span, and a spy on ``splu`` counts as many.  Later steps reuse
+    the retained factor as a CG preconditioner, so there are fewer
+    factorizations than solves.  At the default limit the same 24x24
+    systems (kd 25) are factored banded, which the tracer does not count as
+    ``solve.factor``: it wraps only ``cho_factor`` and ``splu``."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     grid = msforch.build_fine_grid(24, 24)
     assert grid.n_cells > msforch.solve._DENSE_LIMIT
-    kappa = msforch.ScalarCellField(24, 24, np.ones(grid.n_cells))
-    beta = msforch.ScalarCellField(24, 24, np.zeros(grid.n_cells))
-    bands = []
-    band_solve = msforch.solve._band_solve
+    kappa = msforch.gen_synthetic("blobs", 2, 100.0, 24, 24)
+    beta = msforch.forchheimer_coeff(kappa, 100.0)
+    bands, splus = [], []
+    band_solve, splu = msforch.solve._band_solve, scipy.sparse.linalg.splu
     monkeypatch.setattr(msforch.solve, "_band_solve",
                         lambda *a: bands.append(1) or band_solve(*a))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *a, **k: splus.append(1) or splu(*a, **k))
     for band_limit in (0, msforch.solve._BAND_LIMIT):
         monkeypatch.setattr("msforch.solve._BAND_LIMIT", band_limit)
         bands.clear()
+        splus.clear()
         tracer = spans.Tracer()
         with tracer.installed():
             sol = msforch.nonlinear_solve(grid, kappa, beta, msforch.left_right_spec(grid),
@@ -60,7 +66,11 @@ def test_sparse_factorization_is_traced(monkeypatch):
         assert names[0] == "solve.nonlinear_solve"
         factors = [span for span in tracer.spans if span[0] == "solve.factor"]
         solves = sol.iterations + 1   # the Darcy start, then each step
-        assert (len(factors), len(bands)) == ((solves, 0) if band_limit == 0 else (0, solves))
+        assert sol.converged and solves > 2
+        if band_limit == 0:
+            assert 1 <= len(factors) == len(splus) < solves and bands == []
+        else:
+            assert (len(factors), len(splus), len(bands)) == (0, 0, solves)
         assert all(span[4] == tracer.spans[0][4] for span in factors)
 
 

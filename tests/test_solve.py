@@ -94,9 +94,11 @@ def _take(mp, path):
 
 
 def _spy_factorizations(mp) -> list:
-    """The names of the pressure factorizations called from now on, in order."""
+    """The names of the pressure factorizations made from now on, in order:
+    ``splu`` for each SuperLU factorization (a solve that CG finishes with
+    a retained factor makes none), ``_band_solve`` and ``_red_black_solve``."""
     calls = []
-    for owner, name in ((msforch.solve, "_splu_solve"), (msforch.solve, "_band_solve"),
+    for owner, name in ((spla, "splu"), (msforch.solve, "_band_solve"),
                         (PreparedOperator, "_red_black_solve")):
         original = getattr(owner, name)
         mp.setattr(owner, name, lambda *a, _f=original, _n=name, **k:
@@ -126,7 +128,7 @@ def test_schur_backends_agree(monkeypatch, factorizations):
     U_b, P_b = schur_solve(Ahat, B, G, F)
     _take(monkeypatch, "splu")
     U_s, P_s = schur_solve(Ahat, B, G, F)
-    assert factorizations == ["_band_solve", "_splu_solve"]
+    assert factorizations == ["_band_solve", "splu"]
     assert _rel(P_s, P_b) <= 1e-10
     assert _rel(U_s, U_b) <= 1e-10
 
@@ -393,7 +395,7 @@ def test_three_factorizations_match_saddle_oracle(
     if not tensor and n <= dense_limit:
         expected = "_red_black_solve"
     else:
-        expected = "_band_solve" if min(nx, ny) + 1 <= band_limit else "_splu_solve"
+        expected = "_band_solve" if min(nx, ny) + 1 <= band_limit else "splu"
     assert calls == [expected]
     assert _columns_close(U, U_ref, 1e-12) and _columns_close(P, P_ref, 1e-12)
 
@@ -501,7 +503,7 @@ def test_system_size_picks_the_factorization(nx, superlu, factorizations, monkey
         U, P, _ = sys_.solve(A, sys_.G0)
         assert _rel(U, U_ref + sys_.lift) <= 1e-12
         assert _rel(P, P_ref) <= 1e-12
-    assert factorizations == (["_band_solve", "_splu_solve"] if superlu
+    assert factorizations == (["_band_solve", "splu"] if superlu
                               else ["_red_black_solve"] * 2)
 
 
@@ -527,7 +529,9 @@ def test_numerically_singular_dense_system_raises(factorizations):
 def test_non_finite_right_hand_side_raises_singular_system_error(limit, monkeypatch):
     """A NaN in G reaches the pressure solve, red-black within the dense
     limit, beyond it banded or by SuperLU under a lowered band limit, and
-    comes back as a non-finite solution, reported as a singular system."""
+    comes back as a non-finite solution, reported as a singular system.
+    On SuperLU a finite solve first leaves its factor retained: CG with it
+    gives up on the NaN, and the fresh factorization raises."""
     monkeypatch.setattr("msforch.solve._DENSE_LIMIT", limit)
     grid = build_fine_grid(4, 4)
     sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), left_right_spec(grid))
@@ -536,6 +540,7 @@ def test_non_finite_right_hand_side_raises_singular_system_error(limit, monkeypa
     G[np.flatnonzero(G)[0]] = np.nan
     for band_limit in (_BAND_LIMIT, 0):
         monkeypatch.setattr("msforch.solve._BAND_LIMIT", band_limit)
+        sys_.solve(A, sys_.G0)
         with pytest.raises(SingularSystemError, match="non-finite values"):
             sys_.solve(A, G)
 
@@ -737,7 +742,7 @@ def test_snapshot_columns_beyond_dense_limit_go_through_superlu(factorizations, 
     """Beyond the dense limit, with the band limit lowered, the snapshot
     columns share one SuperLU factorization."""
     _take(monkeypatch, "splu")
-    _snapshot_columns_share_one_factorization(factorizations, "_splu_solve")
+    _snapshot_columns_share_one_factorization(factorizations, "splu")
 
 
 def test_snapshot_columns_beyond_dense_limit_share_one_band_factorization(factorizations):
@@ -964,7 +969,7 @@ def test_diagonal_path_is_taken_below_and_beyond_the_dense_limit(factorizations,
         grid = build_fine_grid(nx, 16)
         sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), left_right_spec(grid))
         sys_.solve(assemble_velocity_matrix(grid, np.ones(grid.n_cells)), sys_.G0)
-    assert factorizations == ["_red_black_solve", "_band_solve", "_splu_solve"]
+    assert factorizations == ["_red_black_solve", "_band_solve", "splu"]
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -1158,5 +1163,122 @@ def test_grid_memo_dies_with_the_grid():
         grid_ref, operator_ref = weakref.ref(grid), weakref.ref(sys_.operator)
         del grid, sys_
         assert grid_ref() is None and operator_ref() is None
+    finally:
+        gc.enable()
+
+
+def _unique_pattern(operator):
+    """S's pattern as ``np.unique`` finds it over every vertex's cell pairs:
+    the reference for :attr:`PreparedOperator._sparse_pattern`."""
+    n = operator.n_pressure
+    cells = operator._rank[operator._cells]
+    rows, cols = cells[:, None, :], cells[None, :, :]
+    valid = (rows < n) & (cols < n)
+    keys, inverse = np.unique((cols.astype(np.int64) * n + rows)[valid], return_inverse=True)
+    index = np.full(valid.shape, keys.size, dtype=np.int32)
+    index[valid] = inverse
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+    return index.ravel(), (keys % n).astype(np.int32), indptr.astype(np.int32)
+
+
+def test_sparse_pattern_matches_the_unique_build():
+    """S's pattern, built by index arithmetic from cell coordinates, equals
+    the ``np.unique`` build bitwise, dtypes included: on squares, on strips
+    in both orientations, and on kept-cell rectangles (an online element
+    inside T+, a rectangle of a grid, snapshot blocks)."""
+    operators = []
+    for nx, ny in ((1, 1), (2, 2), (16, 16), (1, 7), (7, 1), (40, 3), (3, 40), (33, 17)):
+        grid = build_fine_grid(nx, ny)
+        operators.append(PreparedOperator(grid, assemble_divergence(grid)))
+    grid = build_fine_grid(9, 8)
+    kept = grid.cell_id(np.arange(2, 7), np.arange(1, 4)[:, None]).ravel()
+    operators.append(PreparedOperator(grid, assemble_divergence(grid), kept_cells=kept))
+    shapes = LocalShapes(build_coarse_grid(build_fine_grid(24, 18), 3, 3))
+    for i in range(9):
+        operators += [shapes.online(i)[0].operator, shapes.snapshot(i, 1)[0].operator]
+    for operator in operators:
+        for got, want in zip(operator._sparse_pattern, _unique_pattern(operator)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _newton(nx, ny, seed, beta0):
+    """A Newton solve of the left-right problem on an nx x ny blobs field
+    of contrast 100, and its grid."""
+    grid = build_fine_grid(nx, ny)
+    kappa = gen_synthetic("blobs", seed, 100.0, nx, ny)
+    sol = nonlinear_solve(grid, kappa, forchheimer_coeff(kappa, beta0), left_right_spec(grid),
+                          np.zeros(grid.n_cells), NonlinearConfig())
+    return grid, sol
+
+
+@settings(max_examples=12, deadline=None)
+@given(nx=st.integers(18, 30), ny=st.integers(18, 30),
+       beta0=st.sampled_from([10.0, 100.0, 1000.0]), seed=st.integers(0, 2**16))
+def test_retained_factor_matches_fresh_factorizations(nx, ny, beta0, seed):
+    """With SuperLU forced (band limit 0), a Newton solve whose later steps
+    are finished by CG with the retained factor takes as many iterations as
+    one that factors every step (reuse switched off), its pressure and
+    velocity agree to 1e-11 relative, and every cell balances to 1e-12 of
+    its summed flux."""
+    with pytest.MonkeyPatch.context() as mp:
+        _take(mp, "splu")
+        grid, reused = _newton(nx, ny, seed, beta0)
+        mp.setattr(msforch.solve, "_pcg", lambda *a: None)
+        calls = _spy_factorizations(mp)
+        _, fresh = _newton(nx, ny, seed, beta0)
+    assert reused.converged and fresh.converged
+    assert reused.iterations == fresh.iterations and len(calls) == fresh.iterations + 1
+    assert _rel(reused.pressure, fresh.pressure) <= 1e-11
+    assert _rel(reused.velocity, fresh.velocity) <= 1e-11
+    B = assemble_divergence(grid)
+    defect = np.abs(B.T @ reused.velocity)
+    assert np.all(defect <= 1e-12 * (abs(B).T @ np.abs(reused.velocity)))
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 5])
+def test_wide_newton_solve_reuses_its_factors(seed, factorizations):
+    """A 160x160 Newton solve (kd 161, beyond the band limit) makes at most
+    four SuperLU factorizations, fewer than its solves: the later steps are
+    finished by CG with the retained factor."""
+    _, sol = _newton(160, 160, seed, 100.0)
+    assert sol.converged and set(factorizations) == {"splu"}
+    assert len(factorizations) <= 4 < sol.iterations + 1
+
+
+def test_retained_factor_dies_with_the_solve(monkeypatch):
+    """With the cycle collector off, at most one SuperLU factor is alive at
+    a time (the retained one is dropped before S is factored afresh), every
+    factor of a Newton solve is freed once ``nonlinear_solve`` returns, and
+    the grid's shared operator holds none."""
+
+    class Factor:   # a SuperLU factor that a weak reference can follow
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs)
+
+    refs, reuses, alive = [], [], []
+    splu = spla.splu
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        factor = Factor(splu(*args, **kwargs))
+        refs.append(weakref.ref(factor))
+        return factor
+
+    _take(monkeypatch, "splu")
+    monkeypatch.setattr(spla, "splu", tracked)
+    pcg = msforch.solve._pcg
+    monkeypatch.setattr(msforch.solve, "_pcg",
+                        lambda S, lu, b: reuses.append(1) or pcg(S, lu, b))
+    gc.disable()
+    try:
+        grid, sol = _newton(24, 24, 2, 100.0)
+        assert sol.converged and len(refs) > 1 and reuses and not any(alive)
+        assert all(ref() is None for ref in refs)
+        operators = [v for v in grid.memo.values() if isinstance(v, PreparedOperator)]
+        assert operators and not any(isinstance(v, (Factor, msforch.solve.RetainedFactor))
+                                     for op in operators for v in vars(op).values())
     finally:
         gc.enable()

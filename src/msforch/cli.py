@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -270,6 +271,11 @@ class RunConfig:
         return five_spot(fine)
 
 
+def _table(fmt: str, *columns) -> list:
+    """``fmt`` rows of ``columns`` as one :func:`_write_csv` row, by one ``%``."""
+    return ["\n".join([fmt] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))]
+
+
 def _write_csv(path: Path, comments: list, header: str, rows: list) -> None:
     lines = [f"# {c}" for c in comments] + [header] + rows
     path.write_text("\n".join(lines) + "\n")
@@ -306,12 +312,12 @@ def cmd_fine(rc: RunConfig) -> int:
         xs, ys = fine.cell_centers[:, 0], fine.cell_centers[:, 1]
         _write_csv(
             rc.out / f"fine_solution{sfx}.csv", comments, "cell,x,y,p",
-            [f"%d,%{_G},%{_G},%{_G}" % row for row in zip(
-                range(fine.n_cells), xs.tolist(), ys.tolist(), sol.pressure.tolist())],
+            _table(f"%d,%{_G},%{_G},%{_G}", range(fine.n_cells), xs.tolist(), ys.tolist(),
+                   sol.pressure.tolist()),
         )
         _write_csv(
             rc.out / f"fine_velocity{sfx}.csv", comments, "dof,value",
-            [f"%d,%{_G}" % row for row in enumerate(sol.velocity.tolist())],
+            _table(f"%d,%{_G}", range(fine.n_dofs), sol.velocity.tolist()),
         )
         _save_pressure_raster(rc, sol.pressure, f"pressure{sfx}.txt")
     _write_csv(rc.out / "iterations.csv", comments, "beta0,scheme,iterations", iter_rows)

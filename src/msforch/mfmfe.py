@@ -276,8 +276,11 @@ def assemble_velocity_matrix(grid: FineGrid, coeff) -> VertexBlockMatrix:
     scalar adds only to the two (s, s) entries, so the matrix is diagonal:
     its diagonal is summed per DOF by one ``bincount`` over the grid's
     ``elem_corner_dof`` and kept as the matrix's ``diagonal`` (blocks are
-    built only if read).  A tensor's contributions are summed into the
-    blocks by one ``bincount`` over the grid's ``corner_index``.
+    built only if read).  A tensor's contributions are weighted and summed
+    into the blocks one corner at a time over the grid's ``corner_index``:
+    a corner's positions are distinct and a block entry gets at most two
+    terms, so this is bitwise one ``bincount`` over all corners, without
+    its intp copy of the index or a weighted copy of the tensor.
     """
     n = grid.n_cells
     quarter = 0.25 * grid.cell_areas
@@ -291,9 +294,9 @@ def assemble_velocity_matrix(grid: FineGrid, coeff) -> VertexBlockMatrix:
         return VertexBlockMatrix(None, grid, diagonal)
     if values.shape != (n, 4, 2, 2):
         raise ValueError(f"coefficient shape {values.shape} not understood for {n} cells")
-    products = values * quarter[:, None, None, None]
-    blocks = np.bincount(grid.corner_index.ravel(), weights=products.ravel(),
-                         minlength=16 * n_vertices)
+    blocks = np.zeros(16 * n_vertices)
+    for k in range(4):
+        blocks[grid.corner_index[:, k]] += values[:, k] * quarter[:, None, None]
     return VertexBlockMatrix(blocks.reshape(n_vertices, 4, 4), grid)
 
 
@@ -327,10 +330,12 @@ def linearize(grid: FineGrid, kappa: np.ndarray, beta: np.ndarray, U: np.ndarray
     floor = 1e-14 * max(speed.max(), 1.0)
     moving = speed > floor
     scale = np.where(moving, beta[:, None] / np.where(moving, speed, 1.0), 0.0)
+    AtU = slot_sums(scale * speed**2)
     C = np.empty(w.shape + (2,))
     for a, b in np.ndindex(2, 2):
         C[..., a, b] = scale * w[..., a] * w[..., b] + (c if a == b else 0.0)
-    return assemble_velocity_matrix(grid, C), AU, slot_sums(scale * speed**2)
+    del w, c, h, speed, scale   # freed before the blocks are summed, the step's peak
+    return assemble_velocity_matrix(grid, C), AU, AtU
 
 
 def assemble_divergence(grid: FineGrid) -> sp.csr_matrix:

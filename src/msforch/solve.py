@@ -22,12 +22,13 @@ its cells numbered along the shorter side of their rectangle (kd = that side
 + 1); only a wider S goes to SuperLU, numbered in geometric nested-dissection
 order, without SuperLU's own ordering or pivoting.  On that path the steps
 of one nonlinear solve share one factor while they can: each later step is
-solved by CG preconditioned with the last factor, and S is factored afresh
-only when CG would need more than ``_CG_MAX`` iterations (3 factorizations
-instead of 11-12 in a 160 x 160 Newton solve).  Projected onto a coarse
-pressure space R, the system R^T S R P_r = R^T (B^T A^{-1} G - F) is sparse
-as well (a column of R lives on one coarse element): its unknowns are
-grouped by element in the fine band order and it is always factored by
+solved by CG preconditioned with the last factor from the last step's
+pressure, and S is factored afresh only when CG would need more than
+``_CG_MAX`` iterations (3 factorizations instead of 11-12 in a 160 x 160
+Newton solve, about 95 SuperLU solves instead of 150).  Projected onto a
+coarse pressure space R, the system R^T S R P_r = R^T (B^T A^{-1} G - F)
+is sparse as well (a column of R lives on one coarse element): its unknowns
+are grouped by element in the fine band order and it is always factored by
 banded Cholesky.
 :class:`PreparedOperator` is the one owner of that elimination: it holds
 everything which depends only on the grid and B, it eliminates the
@@ -177,40 +178,44 @@ def _band_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class RetainedFactor:
-    """The last SuperLU factor (``lu``, None before the first) of a sequence
-    of pressure solves on one pattern, such as the steps of one nonlinear
-    solve; :func:`_splu_solve` tries it as a CG preconditioner first."""
+    """The last SuperLU factor (``lu``) and one-column solution (``x``, in
+    nested-dissection order) of a sequence of pressure solves on one pattern,
+    such as the steps of one nonlinear solve, None before the first:
+    :func:`_splu_solve` first tries CG preconditioned with ``lu`` from ``x``."""
 
-    __slots__ = ("lu",)
+    __slots__ = ("lu", "x")
 
     def __init__(self):
-        self.lu = None
+        self.lu = self.x = None
 
 
-def _pcg(S: sp.csc_matrix, lu, b: np.ndarray):
+def _pcg(S: sp.csc_matrix, lu, b: np.ndarray, x: np.ndarray | None = None):
     """Solve S x = b by CG preconditioned with ``lu``, the SuperLU factor of
-    a nearby S; None once that takes more than ``_CG_MAX`` iterations or,
-    from ``_CG_PROBE`` iterations on, the mean rate so far predicts so.
+    a nearby S, from ``x`` (zero if None); None once that takes more than
+    ``_CG_MAX`` iterations or, from ``_CG_PROBE`` iterations on, the mean
+    rate of reduction from r0 = b - S x so far predicts so.
 
-    CG starts from zero, so its first iterate is lu^{-1} b scaled to the
-    least S-norm error.  It runs until the recursive residual is below
-    ``_CG_TOL`` ||b|| / 10, which brings the true one down to its roundoff
-    floor, and returns x if ||b - S x|| <= ``_CG_TOL`` ||b||, else restarts
-    from that true residual.  Every decision reads residuals and iteration
-    counts, never the clock, so the outcome is deterministic."""
-    x, r = np.zeros_like(b), b
-    start = res = np.linalg.norm(b)
-    target = 0.1 * _CG_TOL
+    A start that already leaves ||r0|| <= ``_CG_TOL`` ||b|| is returned
+    without a preconditioner solve.  Otherwise CG runs until the recursive
+    residual is below ``_CG_TOL`` ||b|| / 10, which brings the true one down
+    to its roundoff floor, and returns x if ||b - S x|| <= ``_CG_TOL`` ||b||,
+    else restarts from that true residual.  Every decision reads residuals
+    and iteration counts, never the clock, so the outcome is deterministic."""
+    x = np.zeros_like(b) if x is None else x
+    r = b - S @ x
+    scale = np.linalg.norm(b)
+    start = res = np.linalg.norm(r)
+    target = 0.1 * _CG_TOL * scale
     p = rz = None
     for k in range(_CG_MAX + 1):
-        if res <= target * start:
+        if res <= target:
             r = b - S @ x
             res = np.linalg.norm(r)
-            if res <= _CG_TOL * start:
-                return x
             p = None
+        if p is None and res <= _CG_TOL * scale:   # r is a true residual
+            return x
         if k == _CG_MAX or k >= _CG_PROBE and not (   # NaN fails too
-                res < start and k * np.log(target) >= _CG_MAX * np.log(res / start)):
+                res < start and k * np.log(target / start) >= _CG_MAX * np.log(res / start)):
             return None
         z = lu.solve(r)
         rz, rz_old = r @ z, rz
@@ -229,12 +234,14 @@ def _splu_solve(S: sp.csc_matrix, rhs: np.ndarray, retained: RetainedFactor | No
     in a fill-reducing order and, being SPD, needs no pivoting.
 
     With ``retained``, the factor it holds first preconditions CG
-    (:func:`_pcg`) on one right-hand side.  Only if CG gives up is it
-    dropped, before S is factored, so that at most one factor is alive; the
-    new factor is then retained."""
+    (:func:`_pcg`) on one right-hand side, from the solution it holds.
+    Only if CG gives up is it dropped, before S is factored, so that at
+    most one factor is alive; the new factor is then retained.  A solve
+    leaves its solution there, or None for several columns."""
     if retained is not None and retained.lu is not None:
-        out = _pcg(S, retained.lu, rhs) if rhs.ndim == 1 else None
+        out = _pcg(S, retained.lu, rhs, retained.x) if rhs.ndim == 1 else None
         if out is not None:
+            retained.x = out
             return out
         retained.lu = None
     try:
@@ -246,7 +253,7 @@ def _splu_solve(S: sp.csc_matrix, rhs: np.ndarray, retained: RetainedFactor | No
     if not np.all(np.isfinite(out)):
         raise SingularSystemError("pressure solve produced non-finite values")
     if retained is not None:
-        retained.lu = lu
+        retained.lu, retained.x = lu, out if rhs.ndim == 1 else None
     return out
 
 

@@ -590,6 +590,21 @@ def test_prepared_assembly_matches_corner_formula(nx, ny, x0, y0, width, height,
     assert np.abs(got.blocks - want).max() <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (5, 1), (2, 2), (7, 5), (16, 16), (33, 17)])
+def test_tensor_assembly_equals_one_bincount(nx, ny):
+    """A tensor coefficient's blocks, summed one corner at a time, equal one
+    ``np.bincount`` of the |T|/4-weighted tensor over the whole
+    ``corner_index``, bit for bit, on entries spanning 16 decades."""
+    grid = build_fine_grid(nx, ny, (-3.0, 0.7, 2.0, 9.0))
+    rng = np.random.default_rng(100 * nx + ny)
+    shape = grid.corner_index.shape
+    C = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    want = np.bincount(grid.corner_index.ravel(),
+                       weights=(C * (0.25 * grid.cell_areas)[:, None, None, None]).ravel(),
+                       minlength=16 * grid.n_vertices)
+    assert np.array_equal(assemble_velocity_matrix(grid, C).blocks.ravel(), want)
+
+
 @pytest.mark.parametrize("nx, ny, domain", [
     (1, 1, (0.0, 1.0, 0.0, 1.0)),
     (4, 3, (-2.0, 1.5, 3.0, 3.4)),

@@ -1201,31 +1201,67 @@ def test_sparse_pattern_matches_the_unique_build():
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def _newton(nx, ny, seed, beta0):
-    """A Newton solve of the left-right problem on an nx x ny blobs field
-    of contrast 100, and its grid."""
+def _newton(nx, ny, seed, beta0, scheme="newton"):
+    """A Newton (or Picard) solve of the left-right problem on an nx x ny
+    blobs field of contrast 100, and its grid."""
     grid = build_fine_grid(nx, ny)
     kappa = gen_synthetic("blobs", seed, 100.0, nx, ny)
     sol = nonlinear_solve(grid, kappa, forchheimer_coeff(kappa, beta0), left_right_spec(grid),
-                          np.zeros(grid.n_cells), NonlinearConfig())
+                          np.zeros(grid.n_cells), NonlinearConfig(scheme, max_iter=1000))
     return grid, sol
 
 
+class _Factor:
+    """A SuperLU factor that a weak reference can follow; each of its solves
+    appends 1 to ``solves``."""
+
+    def __init__(self, lu, solves):
+        self.lu, self.solves = lu, solves
+
+    def solve(self, rhs):
+        self.solves.append(1)
+        return self.lu.solve(rhs)
+
+
+def test_pcg_returns_a_start_that_meets_the_tolerance():
+    """CG from a start whose residual is already within ``_CG_TOL`` ||b||
+    returns that start without a preconditioner solve; a start near the
+    solution needs fewer preconditioner solves than zero does."""
+    rng = np.random.default_rng(5)
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(12, 12))
+    S = (sp.kronsum(T, T) + sp.diags(rng.uniform(0.01, 0.02, 144))).tocsc()
+    b = rng.standard_normal(144)
+    x = spla.splu(S).solve(b)
+    start = x * (1.0 + 5e-15)   # above the recursion's target, within the tolerance
+    res = np.linalg.norm(b - S @ start) / np.linalg.norm(b)
+    assert 0.1 * msforch.solve._CG_TOL < res <= msforch.solve._CG_TOL
+    solves, nearby = [], (S + sp.diags(rng.uniform(0.0, 0.01, 144))).tocsc()
+    factor = _Factor(spla.splu(nearby), solves)
+    assert msforch.solve._pcg(S, factor, b, start) is start and not solves
+    near = msforch.solve._pcg(S, factor, b, x * (1.0 + 1e-6))
+    warm = len(solves)
+    cold = msforch.solve._pcg(S, factor, b)
+    assert near is not None and cold is not None and 0 < warm < len(solves) - warm
+    assert _rel(near, x) <= 1e-12 and _rel(cold, x) <= 1e-12
+
+
 @settings(max_examples=12, deadline=None)
-@given(nx=st.integers(18, 30), ny=st.integers(18, 30),
-       beta0=st.sampled_from([10.0, 100.0, 1000.0]), seed=st.integers(0, 2**16))
-def test_retained_factor_matches_fresh_factorizations(nx, ny, beta0, seed):
-    """With SuperLU forced (band limit 0), a Newton solve whose later steps
-    are finished by CG with the retained factor takes as many iterations as
-    one that factors every step (reuse switched off), its pressure and
-    velocity agree to 1e-11 relative, and every cell balances to 1e-12 of
-    its summed flux."""
+@given(nx=st.integers(18, 30), ny=st.integers(18, 30), seed=st.integers(0, 2**16),
+       case=st.sampled_from([("newton", 10.0), ("newton", 100.0), ("newton", 1000.0),
+                             ("picard", 1.0), ("picard", 10.0)]))
+def test_retained_factor_matches_fresh_factorizations(nx, ny, seed, case):
+    """With SuperLU forced (band limit 0), a Newton or Picard solve whose
+    later steps are finished by CG with the retained factor, warm-started
+    from the last pressure, takes as many iterations as one that factors
+    every step (reuse switched off), its pressure and velocity agree to
+    1e-11 relative, and every cell balances to 1e-12 of its summed flux."""
+    scheme, beta0 = case
     with pytest.MonkeyPatch.context() as mp:
         _take(mp, "splu")
-        grid, reused = _newton(nx, ny, seed, beta0)
+        grid, reused = _newton(nx, ny, seed, beta0, scheme)
         mp.setattr(msforch.solve, "_pcg", lambda *a: None)
         calls = _spy_factorizations(mp)
-        _, fresh = _newton(nx, ny, seed, beta0)
+        _, fresh = _newton(nx, ny, seed, beta0, scheme)
     assert reused.converged and fresh.converged
     assert reused.iterations == fresh.iterations and len(calls) == fresh.iterations + 1
     assert _rel(reused.pressure, fresh.pressure) <= 1e-11
@@ -1236,13 +1272,18 @@ def test_retained_factor_matches_fresh_factorizations(nx, ny, beta0, seed):
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4, 5])
-def test_wide_newton_solve_reuses_its_factors(seed, factorizations):
+def test_wide_newton_solve_reuses_its_factors(seed, factorizations, monkeypatch):
     """A 160x160 Newton solve (kd 161, beyond the band limit) makes at most
-    four SuperLU factorizations, fewer than its solves: the later steps are
-    finished by CG with the retained factor."""
+    three SuperLU factorizations, fewer than its solves: the later steps are
+    finished by CG with the retained factor, started from the last pressure,
+    in at most 115 solves with the factors in all."""
+    solves = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: _Factor(splu(*a, **k), solves))
     _, sol = _newton(160, 160, seed, 100.0)
     assert sol.converged and set(factorizations) == {"splu"}
-    assert len(factorizations) <= 4 < sol.iterations + 1
+    assert len(factorizations) <= 3 < sol.iterations + 1
+    assert len(solves) <= 115
 
 
 def test_retained_factor_dies_with_the_solve(monkeypatch):
@@ -1251,19 +1292,12 @@ def test_retained_factor_dies_with_the_solve(monkeypatch):
     factor of a Newton solve is freed once ``nonlinear_solve`` returns, and
     the grid's shared operator holds none."""
 
-    class Factor:   # a SuperLU factor that a weak reference can follow
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, rhs):
-            return self.lu.solve(rhs)
-
     refs, reuses, alive = [], [], []
     splu = spla.splu
 
     def tracked(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in refs))
-        factor = Factor(splu(*args, **kwargs))
+        factor = _Factor(splu(*args, **kwargs), [])
         refs.append(weakref.ref(factor))
         return factor
 
@@ -1271,14 +1305,14 @@ def test_retained_factor_dies_with_the_solve(monkeypatch):
     monkeypatch.setattr(spla, "splu", tracked)
     pcg = msforch.solve._pcg
     monkeypatch.setattr(msforch.solve, "_pcg",
-                        lambda S, lu, b: reuses.append(1) or pcg(S, lu, b))
+                        lambda S, lu, b, x: reuses.append(1) or pcg(S, lu, b, x))
     gc.disable()
     try:
         grid, sol = _newton(24, 24, 2, 100.0)
         assert sol.converged and len(refs) > 1 and reuses and not any(alive)
         assert all(ref() is None for ref in refs)
         operators = [v for v in grid.memo.values() if isinstance(v, PreparedOperator)]
-        assert operators and not any(isinstance(v, (Factor, msforch.solve.RetainedFactor))
+        assert operators and not any(isinstance(v, (_Factor, msforch.solve.RetainedFactor))
                                      for op in operators for v in vars(op).values())
     finally:
         gc.enable()

@@ -236,6 +236,9 @@ class RunConfig:
                     raise ConfigurationError(f"{key} {exc}, got {raw[key]!r}") from None
             setattr(self, key, value)
             canon.append(f"{key}={_canon(value)}")
+            # A repeated sweep value would write its outputs twice to one name.
+            if key in ("beta0", "scheme", "dof_per_t") and len(set(map(_canon, value))) < len(value):
+                raise ConfigurationError(f"{key} repeats a value, got {raw[key]!r}")
         self.hash = hashlib.sha256("\n".join(canon).encode()).hexdigest()
 
         if self.nx is None or self.ny is None:
@@ -306,9 +309,9 @@ def cmd_fine(rc: RunConfig) -> int:
     for b0, scheme in combos:
         beta = forchheimer_coeff(kappa, b0)
         sol = nonlinear_solve(fine, kappa, beta, bc, f_cells, rc.solver_config(scheme))
-        _require_converged(sol, f"fine solve (beta0={b0:g}, scheme={scheme})")
+        _require_converged(sol, f"fine solve (beta0={_g(b0)}, scheme={scheme})")
         iter_rows.append(f"{_g(b0)},{scheme},{sol.iterations}")
-        sfx = "" if len(combos) == 1 else f"_b{b0:g}_{scheme}"
+        sfx = "" if len(combos) == 1 else f"_b{_g(b0)}_{scheme}"
         xs, ys = fine.cell_centers[:, 0], fine.cell_centers[:, 1]
         _write_csv(
             rc.out / f"fine_solution{sfx}.csv", comments, "cell,x,y,p",
@@ -341,11 +344,11 @@ def cmd_offline(rc: RunConfig) -> int:
     for b0 in rc.beta0:
         beta = forchheimer_coeff(kappa, b0)
         ref = nonlinear_solve(fine, kappa, beta, bc, f_cells, cfg)
-        _require_converged(ref, f"fine reference (beta0={b0:g})")
+        _require_converged(ref, f"fine reference (beta0={_g(b0)})")
         for m in rc.dof_per_t:
             rmap = maps[m]
             off = solve_offline(fine, kappa, beta, bc, f_cells, rmap, cfg)
-            _require_converged(off, f"offline solve (beta0={b0:g}, dof_per_T={m})")
+            _require_converged(off, f"offline solve (beta0={_g(b0)}, dof_per_T={m})")
             erp_o, eru_o = error_metrics(fine, off, ref)
             if b0 == 0:
                 rows.append(f"{_g(b0)},{m},{_g(erp_o)},{_g(eru_o)},,,,,")
@@ -356,14 +359,14 @@ def cmd_offline(rc: RunConfig) -> int:
                 fine, coarse, rmap, spaces, off.velocity, selected, kappa, beta
             )
             hat = solve_offline(fine, kappa, beta, bc, f_cells, rmap_hat, cfg)
-            _require_converged(hat, f"updated offline solve (beta0={b0:g}, dof_per_T={m})")
+            _require_converged(hat, f"updated offline solve (beta0={_g(b0)}, dof_per_T={m})")
             erp_h, eru_h = error_metrics(fine, hat, ref)
             rmap_til, _ = update_offline(
                 fine, coarse, rmap, spaces, off.velocity,
                 np.arange(coarse.n_elements), kappa, beta,
             )
             til = solve_offline(fine, kappa, beta, bc, f_cells, rmap_til, cfg)
-            _require_converged(til, f"fully updated offline solve (beta0={b0:g}, dof_per_T={m})")
+            _require_converged(til, f"fully updated offline solve (beta0={_g(b0)}, dof_per_T={m})")
             erp_t, eru_t = error_metrics(fine, til, ref)
             rows.append(
                 f"{_g(b0)},{m},{_g(erp_o)},{_g(eru_o)},{_g(erp_h)},{_g(eru_h)},"
@@ -390,11 +393,11 @@ def cmd_online(rc: RunConfig) -> int:
     for b0 in rc.beta0:
         beta = forchheimer_coeff(kappa, b0)
         ref = nonlinear_solve(fine, kappa, beta, bc, f_cells, cfg)
-        _require_converged(ref, f"fine reference (beta0={b0:g})")
+        _require_converged(ref, f"fine reference (beta0={_g(b0)})")
         for m in rc.dof_per_t:
             rmap = assemble_reduction(fine, spaces, m)
             off = solve_offline(fine, kappa, beta, bc, f_cells, rmap, cfg)
-            _require_converged(off, f"offline solve (beta0={b0:g}, dof_per_T={m})")
+            _require_converged(off, f"offline solve (beta0={_g(b0)}, dof_per_T={m})")
             state = init_enrichment(
                 fine, coarse, kappa, beta, bc, f_cells, rmap, cfg, ref, off,
                 variant=_VARIANT_NAMES[rc.variant],
@@ -409,7 +412,7 @@ def cmd_online(rc: RunConfig) -> int:
                 comments.append(
                     f"plateau=true sweep={plateau}" if plateau else "plateau=false"
                 )
-            sfx = f"_b{b0:g}_m{m}_{rc.mode}_{rc.variant}"
+            sfx = f"_b{_g(b0)}_m{m}_{rc.mode}_{rc.variant}"
             _write_csv(
                 rc.out / f"history{sfx}.csv", comments,
                 "level,subiter,dim_Wms,n_added,Erp,Eru,total_residual",

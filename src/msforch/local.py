@@ -22,7 +22,7 @@ import numpy as np
 # it there (a tracer, a test counting calls) sees these calls.
 from . import grid as _grid
 from .grid import CoarseGrid, FineGrid, block_indices, rect_boundary_edges
-from .solve import PreparedOperator, grid_divergence, grid_operator
+from .solve import PreparedOperator, grid_operator
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _online_shape(grid: FineGrid, element_cells: np.ndarray) -> tuple:
     """Operator of the online problem on T+: zero normal flux on the whole
     boundary, pressure pinned to zero outside the element."""
     bdofs = (2 * grid.boundary_edges[:, None] + np.array([0, 1])).ravel()
-    return PreparedOperator(grid, grid_divergence(grid), bdofs, kept_cells=element_cells), None
+    return PreparedOperator(grid, bdofs, kept_cells=element_cells), None
 
 
 class LocalShapes:

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigurationError
-from .grid import FineGrid
+from .grid import CORNER_EDGE_LOCAL, FineGrid
 
 #: Gauss-Legendre nodes/weights on [0, 1] used for Dirichlet edge integrals.
 _GAUSS3 = (
@@ -244,25 +244,20 @@ def vertex_cells(grid: FineGrid) -> np.ndarray:
     return cells
 
 
-def divergence_blocks(grid: FineGrid, B: sp.spmatrix, cells: np.ndarray) -> np.ndarray:
-    """The rows of B at each vertex's DOFs, restricted to the cells around it.
+def divergence_blocks(grid: FineGrid) -> np.ndarray:
+    """The grid's divergence matrix B per vertex, entry-major: (4, 4,
+    n_vertices) with [i, j, v] = B[vertex_dofs[v, i], vertex_cells(grid)[v, j]],
+    zero where there is no DOF or cell.
 
-    Returns (n_vertices, 4, 4) with [v, i, j] = B[vertex_dofs[v, i],
-    cells[v, j]].  Raises ValueError if B couples a DOF to a cell that does
-    not touch the DOF's vertex, which no divergence matrix of the grid does.
+    Corner k of cell c holds the DOFs ``elem_corner_dof[c, k]`` at slot k of
+    vertex ``elements[c, k]``, so one scatter per corner writes each entry
+    -sign * |e| / 2 as :func:`assemble_divergence` forms it.
     """
-    if B.shape != (grid.n_dofs, grid.n_cells):
-        raise ValueError(f"B has shape {B.shape}, expected {(grid.n_dofs, grid.n_cells)}")
-    coo = sp.coo_matrix(B)
-    coo.sum_duplicates()
-    nz = coo.data != 0
-    rows, cols, vals = coo.row[nz], coo.col[nz], coo.data[nz]
-    v = grid.dof_vertex[rows]
-    hit = cells[v] == cols[:, None]
-    if not hit.any(axis=1).all():
-        raise ValueError("B couples a velocity DOF to a cell away from the DOF's vertex")
-    blocks = np.zeros((grid.n_vertices, 4, 4))
-    blocks[v, grid.dof_vslot[rows], hit.argmax(axis=1)] = vals
+    vals = -0.5 * grid.element_edge_signs * grid.edge_lengths[grid.element_edges]
+    slots = grid.dof_vslot[grid.elem_corner_dof]
+    blocks = np.zeros((4, 4, grid.n_vertices))
+    for k in range(4):
+        blocks[slots[:, k], k, grid.elements[:, k, None]] = vals[:, CORNER_EDGE_LOCAL[k]]
     return blocks
 
 

@@ -31,13 +31,14 @@ is sparse as well (a column of R lives on one coarse element): its unknowns
 are grouped by element in the fine band order and it is always factored by
 banded Cholesky.
 :class:`PreparedOperator` is the one owner of that elimination: it holds
-everything which depends only on the grid and B, it eliminates the
-constrained (Neumann) velocity DOFs itself, and it is the only place that
-factors S.  A grid's own B and its operator for one set of constrained DOFs
-are built once per grid object (:func:`grid_operator`) and shared by every
-solve on it.  A linearization step does numerical work only.  A tensor
-(Newton) step factors the vertex blocks in closed form, solves them against
-B and G in one triangular pass, forms and factors S, back-substitutes.  A
+everything which depends only on the grid, whose own B it reads off the
+grid's corners, it eliminates the constrained (Neumann) velocity DOFs
+itself, and it is the only place that factors S.  A grid's operator for one
+set of constrained DOFs is built once per grid object (:func:`grid_operator`)
+and shared by every solve on it.  A linearization step does numerical work
+only.  A tensor (Newton) step factors the vertex blocks in closed form,
+solves them against B and G in one triangular pass, forms and factors S,
+back-substitutes.  A
 scalar coefficient (Picard, the Darcy start, the local problems) makes A
 diagonal and S the two-point (five-point) scheme, eliminated per edge with
 no vertex block; its red-black solve eliminates the red cells by division,
@@ -258,12 +259,14 @@ def _splu_solve(S: sp.csc_matrix, rhs: np.ndarray, retained: RetainedFactor | No
 
 
 class PreparedOperator:
-    """Velocity elimination for one grid and its divergence matrix B.
+    """Velocity elimination for one grid, against its own divergence matrix B.
 
     Everything that does not depend on the velocity matrix is computed once:
     the rows B_v of B at each vertex's DOFs, restricted to the (up to four)
-    cells around the vertex, and the maps between block slots and DOFs or
-    cells, and the slots whose rows and columns of A act as the identity.
+    cells around the vertex, read off the grid
+    (:func:`~msforch.mfmfe.divergence_blocks`), the maps between block slots
+    and DOFs or cells, and the slots whose rows and columns of A act as the
+    identity.
     A tensor A (Newton) then factors the vertex blocks A_v = L_v L_v^T in
     closed form (:func:`~msforch.mfmfe.vertex_cholesky`, the SPD check), forms
     [X_v | y_v] = L_v^{-1} [B_v | G_v] in one triangular pass, sums
@@ -293,7 +296,7 @@ class PreparedOperator:
     Per-vertex arrays are stored entry-major, (4, ..., n_vertices), so each
     block entry is one contiguous vector.  Constrained (Neumann) DOFs are
     eliminated here: the rows of A at ``fixed_dofs`` act as the identity,
-    their rows of B are zeroed and G is read as zero there, so U is zero at
+    their rows of B_v are zeroed and G is read as zero there, so U is zero at
     them and the caller adds any lifting.  With ``kept_cells`` the pressure
     lives on those cells only (in that order) and is zero on the others,
     which pins it there.
@@ -303,13 +306,12 @@ class PreparedOperator:
     solve then raises :class:`SingularSystemError`, whatever its size.
     """
 
-    def __init__(self, grid: FineGrid, B: sp.spmatrix, fixed_dofs=(), kept_cells=None):
+    def __init__(self, grid: FineGrid, fixed_dofs=(), kept_cells=None):
         fixed = np.asarray(fixed_dofs, dtype=np.int64)
         kept = np.arange(grid.n_cells) if kept_cells is None else np.asarray(kept_cells)
         n = self.n_pressure = kept.size
-        cells = vertex_cells(grid)
         fixed_slot, fixed_vertex = grid.dof_vslot[fixed], grid.dof_vertex[fixed]
-        self.Bv = np.ascontiguousarray(divergence_blocks(grid, B, cells).transpose(1, 2, 0))
+        self.Bv = divergence_blocks(grid)
         self.Bv[fixed_slot, :, fixed_vertex] = 0.0
         self._unit = unit_slots(grid, fixed)
         # Pressure numbering of the cells around each vertex.  Padding slots
@@ -328,7 +330,7 @@ class PreparedOperator:
         self._free = np.ones(grid.n_dofs, dtype=bool)
         self._free[fixed] = False
         dtype = index_dtype(4 * grid.n_vertices + grid.n_dofs)
-        self._cells = number[cells].T.astype(dtype)
+        self._cells = number[vertex_cells(grid)].T.astype(dtype)
         dofs = np.where(grid.vertex_dofs >= 0, grid.vertex_dofs, grid.n_dofs)
         dofs[fixed_vertex, fixed_slot] = grid.n_dofs
         self._dofs = dofs.T.astype(dtype)
@@ -338,9 +340,6 @@ class PreparedOperator:
         row_sum = sum(self.Bv[:, j] * on_kept[j] for j in range(4))
         row_abs = sum(np.abs(self.Bv[:, j]) * on_kept[j] for j in range(4))
         self.singular = bool(np.all(np.abs(row_sum) <= 1e-12 * row_abs))
-        # The per-edge path needs B to be the grid's but at fixed DOFs.
-        own = grid_divergence(grid)
-        self._own_divergence = B is own or np.isin((B - own).tocoo().row, fixed).all()
 
     @functools.cached_property
     def _order(self) -> np.ndarray:
@@ -588,12 +587,11 @@ class PreparedOperator:
         """(data, rhs, velocity, five_point): S's :attr:`_sparse_pattern`
         data, rhs = B^T A^{-1} G - F, velocity(P) = A^{-1} (G - B P) in DOF
         order and whether S is the two-point scheme.  Per vertex, unless A is
-        diagonal with d finite and positive and B is the grid's: then per
-        edge, with w = 1/d (0 at fixed DOFs), (B P)_e = (|e|/2) (P_p - P_m)
-        and B^T's entries -sign |e|/2, signs -1, 1, 1, -1 on bottom, right,
-        top, left."""
+        diagonal with d finite and positive: then per edge, with w = 1/d (0
+        at fixed DOFs), (B P)_e = (|e|/2) (P_p - P_m) and B^T's entries
+        -sign |e|/2, signs -1, 1, 1, -1 on bottom, right, top, left."""
         d = A.diagonal
-        if d is None or not (self._own_divergence and d.min() > 0.0 and d.max() < np.inf):
+        if d is None or not (d.min() > 0.0 and d.max() < np.inf):
             L, X, y, rhs = self._eliminate(A, G, F)
             return self._schur_data(X), rhs, lambda P: self._velocity(L, X, y, P), False
         w = self._free / d
@@ -705,36 +703,17 @@ def _gram_entries(X: np.ndarray) -> np.ndarray:
     return np.einsum("ijv,ikv->jkv", X, X).ravel()
 
 
-def schur_solve(
-    A: VertexBlockMatrix,
-    B: sp.spmatrix,
-    G: np.ndarray,
-    F: np.ndarray,
-):
-    """Solve the saddle system via the blockwise-eliminated pressure equation.
-
-    Every velocity DOF of (A, B, G, F) is free: a system with constrained
-    (Neumann) DOFs goes through a :class:`PreparedOperator` built with them
-    as ``fixed_dofs``, which eliminates them inside.  Returns (U, P) with
-    B^T U = F satisfied to solver precision.  Repeated solves on one grid
-    keep a :class:`PreparedOperator` instead.
-    """
-    return PreparedOperator(A.grid, B).solve(A, G, F)
+def schur_solve(A: VertexBlockMatrix, G: np.ndarray, F, fixed_dofs=()):
+    """(U, P) of the saddle system on A's grid, ``fixed_dofs`` eliminated,
+    by the grid's shared operator (:meth:`PreparedOperator.solve`)."""
+    return grid_operator(A.grid, fixed_dofs).solve(A, G, F)
 
 
-def reduced_schur_solve(
-    A: VertexBlockMatrix,
-    B: sp.spmatrix,
-    R: sp.spmatrix,
-    G: np.ndarray,
-    F: np.ndarray,
-):
-    """Schur solve with pressure constrained to the column space of R.
-
-    The reduced SPD system (BR)^T A^{-1} (BR) P_r = (BR)^T A^{-1} G - R^T F is
-    sparse of coarse dimension; the returned velocity lives on the fine grid.
-    """
-    return PreparedOperator(A.grid, B).solve_reduced(A, R, G, F)
+def reduced_schur_solve(A: VertexBlockMatrix, R: sp.spmatrix, G: np.ndarray, F: np.ndarray,
+                        fixed_dofs=()):
+    """(U, P_r) with the pressure in the column space of R, by the grid's
+    shared operator (:meth:`PreparedOperator.solve_reduced`)."""
+    return grid_operator(A.grid, fixed_dofs).solve_reduced(A, R, G, F)
 
 
 def grid_divergence(grid: FineGrid) -> sp.csr_matrix:
@@ -747,14 +726,14 @@ def grid_divergence(grid: FineGrid) -> sp.csr_matrix:
 
 
 def grid_operator(grid: FineGrid, fixed_dofs=()) -> PreparedOperator:
-    """The :class:`PreparedOperator` of the grid's own B with ``fixed_dofs``
-    constrained, built once per grid object and DOF set and shared by every
-    solve on them (an operator changes only by filling its lazy caches)."""
+    """The grid's :class:`PreparedOperator` with ``fixed_dofs`` constrained,
+    built once per grid object and DOF set and shared by every solve on
+    them (an operator changes only by filling its lazy caches)."""
     fixed = np.asarray(fixed_dofs, dtype=np.int64)
     key = ("operator", fixed.tobytes())
     operator = grid.memo.get(key)
     if operator is None:
-        operator = grid.memo[key] = PreparedOperator(grid, grid_divergence(grid), fixed)
+        operator = grid.memo[key] = PreparedOperator(grid, fixed)
     return operator
 
 

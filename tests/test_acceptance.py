@@ -152,7 +152,7 @@ def test_criterion_01_schur_solver_matches_saddle_oracle():
         sys_ = LinearizedSystem(grid, f, bc)
         A = assemble_velocity_matrix(grid, coeff)
         Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
-        U1, P1 = schur_solve(Ahat, Bfree, G2, sys_.F)
+        U1, P1 = schur_solve(A, G2, sys_.F, sys_.cdofs)
         U2, P2 = saddle_oracle(Ahat, Bfree, G2, sys_.F)
         rel_u = np.linalg.norm(U1 - U2) / max(np.linalg.norm(U2), 1e-300)
         rel_p = np.linalg.norm(P1 - P2) / max(np.linalg.norm(P2), 1e-300)

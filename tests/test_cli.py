@@ -92,6 +92,36 @@ def test_fine_sweep_gets_suffixed_files(tmp_path):
     assert not (tmp_path / "fine_solution.csv").exists()
 
 
+def test_close_beta0_values_get_their_own_files(tmp_path):
+    """File names carry beta0 with the 12 digits of the CSV cells, so two
+    values that agree to 6 digits do not write to one name."""
+    assert main(["fine", "--nx", "8", "--ny", "8", "--field", FIELD,
+                 "--beta0", "100,100.00001", "--out", str(tmp_path)]) == 0
+    rows = _data_rows(tmp_path / "iterations.csv")
+    assert [r.split(",")[0] for r in rows] == ["100", "100.00001"]
+    for b0 in ("100", "100.00001"):
+        for name in (f"fine_solution_b{b0}_newton.csv", f"fine_velocity_b{b0}_newton.csv",
+                     f"pressure_b{b0}_newton.txt"):
+            assert (tmp_path / name).exists(), name
+    assert len(list(tmp_path.iterdir())) == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["fine", "--beta0", "100,100.0"],
+    ["fine", "--scheme", "newton,picard,Newton"],
+    ["online", "--coarse-nx", "2", "--coarse-ny", "2", "--dof-per-t", "2,2"],
+])
+def test_repeated_sweep_value_exits_2(tmp_path, capsys, argv):
+    """A beta0, scheme or dof_per_t list that repeats a value would write two
+    runs to one file name: an input error, reported before any output."""
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--nx", "8", "--ny", "8", "--field", FIELD,
+                            "--out", str(out)] + argv[1:]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("msforch: error:") and "repeats" in err[0]
+    assert not out.exists()
+
+
 def test_fine_five_spot_preset(tmp_path):
     rc = main(["fine", "--nx", "8", "--ny", "8", "--field", FIELD,
                "--bc", "preset:five-spot", "--beta0", "10",

@@ -23,12 +23,14 @@ from msforch.mfmfe import (
     assemble_velocity_matrix,
     corner_coefficient,
     corner_velocities,
+    divergence_blocks,
     five_spot,
     left_right_spec,
     linearize,
     no_flow_spec,
     quadrature_norm_matrix,
     unit_slots,
+    vertex_cells,
     vertex_cholesky,
 )
 
@@ -373,6 +375,27 @@ def test_divergence_of_linear_interpolant():
             U[2 * e + k] = p @ n
     got = B.T @ U
     assert np.allclose(got, -2.0 * grid.cell_areas, atol=1e-13)  # div v = 2
+
+
+@pytest.mark.parametrize("nx, ny, domain", [
+    (1, 1, (0.0, 1.0, 0.0, 1.0)),
+    (1, 7, (0.0, 1.0, 0.0, 1.0)),
+    (7, 1, (0.0, 1.0, 0.0, 1.0)),
+    (33, 17, (0.0, 1.0, 0.0, 1.0)),
+    (160, 60, (0.0, 8.0 / 3.0, 0.0, 1.0)),
+    (8, 8, (1e6, 1e6 + 0.08, 1e6, 1e6 + 0.08)),
+])
+def test_divergence_blocks_are_the_gathered_matrix(nx, ny, domain):
+    """The per-vertex blocks built from the grid's corners equal B gathered
+    at [vertex_dofs[v, i], vertex_cells[v, j]] bitwise, zero where the
+    vertex has no DOF i or cell j, entry-major (4, 4, n_vertices)."""
+    grid = build_fine_grid(nx, ny, domain)
+    # Index -1 (no DOF, no cell) reads the appended zero row and column.
+    B = np.pad(assemble_divergence(grid).toarray(), ((0, 1), (0, 1)))
+    gathered = B[grid.vertex_dofs[:, :, None], vertex_cells(grid)[:, None, :]]
+    blocks = divergence_blocks(grid)
+    assert blocks.shape == (4, 4, grid.n_vertices) and blocks.flags.c_contiguous
+    assert np.array_equal(blocks, gathered.transpose(1, 2, 0))
 
 
 def test_rhs_source_term():

@@ -46,7 +46,7 @@ from msforch.solve import (
     velocity_error_norm,
 )
 
-from oracles import eliminate_constraints, saddle_oracle
+from oracles import eliminate_constraints, saddle_oracle, with_identity_rows
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -56,14 +56,14 @@ def _const(grid, value=1.0):
 
 
 def _random_reduced_system(rng, nx, ny):
-    """Random heterogeneous left-right problem, constraints eliminated."""
+    """Random heterogeneous left-right problem: (system, A) and its
+    constraints eliminated by hand, (A_hat, B_free, G_free)."""
     grid = build_fine_grid(nx, ny)
     bc = left_right_spec(grid, rng.uniform(0.5, 2.0), rng.uniform(-1.0, 0.5))
     f = rng.standard_normal(grid.n_cells)
     sys_ = LinearizedSystem(grid, f, bc)
     A = assemble_velocity_matrix(grid, rng.uniform(0.1, 10.0, grid.n_cells))
-    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
-    return Ahat, Bfree, G2, sys_.F
+    return sys_, A, eliminate_constraints(sys_, A)
 
 
 def _vertex_factor(operator, A):
@@ -115,22 +115,23 @@ def test_schur_matches_saddle_oracle():
     rng = np.random.default_rng(42)
     for _ in range(6):
         nx, ny = rng.integers(1, 7, size=2)
-        Ahat, B, G, F = _random_reduced_system(rng, int(nx), int(ny))
-        U1, P1 = schur_solve(Ahat, B, G, F)
-        U2, P2 = saddle_oracle(Ahat, B, G, F)
+        sys_, A, (Ahat, Bfree, G2) = _random_reduced_system(rng, int(nx), int(ny))
+        U1, P1 = schur_solve(A, G2, sys_.F, sys_.cdofs)
+        U2, P2 = saddle_oracle(Ahat, Bfree, G2, sys_.F)
         assert _rel(U1, U2) <= 1e-12
         assert _rel(P1, P2) <= 1e-12
 
 
 def test_schur_backends_agree(monkeypatch, factorizations):
     rng = np.random.default_rng(3)
-    Ahat, B, G, F = _random_reduced_system(rng, 6, 5)
-    U_b, P_b = schur_solve(Ahat, B, G, F)
-    _take(monkeypatch, "splu")
-    U_s, P_s = schur_solve(Ahat, B, G, F)
-    assert factorizations == ["_band_solve", "splu"]
-    assert _rel(P_s, P_b) <= 1e-10
-    assert _rel(U_s, U_b) <= 1e-10
+    sys_, A, (_, _, G2) = _random_reduced_system(rng, 6, 5)
+    U_r, P_r = schur_solve(A, G2, sys_.F, sys_.cdofs)
+    for path in ("band", "splu"):
+        _take(monkeypatch, path)
+        U, P = schur_solve(A, G2, sys_.F, sys_.cdofs)
+        assert _rel(P, P_r) <= 1e-10
+        assert _rel(U, U_r) <= 1e-10
+    assert factorizations == ["_red_black_solve", "_band_solve", "splu"]
 
 
 def test_closed_box_is_singular():
@@ -142,7 +143,7 @@ def test_closed_box_is_singular():
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
     Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
     with pytest.raises(SingularSystemError):
-        schur_solve(Ahat, Bfree, G2, sys_.F)
+        schur_solve(A, G2, sys_.F, sys_.cdofs)
     with pytest.raises(SingularSystemError):
         saddle_oracle(Ahat, Bfree, G2, sys_.F)
 
@@ -152,8 +153,8 @@ def test_zero_data_zero_solution():
     bc = left_right_spec(grid, 0.0, 0.0)
     sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), bc)
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
-    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
-    U, P = schur_solve(Ahat, Bfree, G2, sys_.F)
+    G2 = eliminate_constraints(sys_, A)[2]
+    U, P = schur_solve(A, G2, sys_.F, sys_.cdofs)
     assert np.allclose(U, 0.0, atol=1e-13)
     assert np.allclose(P, 0.0, atol=1e-13)
 
@@ -457,9 +458,9 @@ def test_closed_box_is_singular_in_auto_mode(nx, ny):
     A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-2.0, 2.0, grid.n_cells))
     with pytest.raises(SingularSystemError):
         sys_.solve(A, sys_.G0)
-    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
+    G2 = eliminate_constraints(sys_, A)[2]
     with pytest.raises(SingularSystemError):
-        schur_solve(Ahat, Bfree, G2, sys_.F)
+        schur_solve(A, G2, sys_.F, sys_.cdofs)
 
 
 @pytest.mark.parametrize("n, path", [(3, "splu"), (8, "splu"), (20, "splu"),
@@ -475,9 +476,9 @@ def test_closed_box_is_singular_on_sparse_backends(n, path, monkeypatch):
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
     with pytest.raises(SingularSystemError):
         sys_.solve(A, sys_.G0)
-    Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
+    G2 = eliminate_constraints(sys_, A)[2]
     with pytest.raises(SingularSystemError):
-        schur_solve(Ahat, Bfree, G2, sys_.F)
+        schur_solve(A, G2, sys_.F, sys_.cdofs)
 
 
 def test_closed_box_beyond_dense_limit_is_singular_in_auto_mode():
@@ -632,15 +633,6 @@ def test_indefinite_block_raises_assembly_error():
         sys_.solve(A, sys_.G0, sp.identity(grid.n_cells, format="csr"))
 
 
-def test_schur_solve_rejects_foreign_divergence():
-    grid = build_fine_grid(3, 3)
-    A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
-    B = assemble_divergence(grid).tolil()
-    B[0, grid.n_cells - 1] = 1.0   # DOF 0 sits at vertex 0, far from the last cell
-    with pytest.raises(ValueError, match="away from"):
-        schur_solve(A, B.tocsr(), np.zeros(grid.n_dofs), np.zeros(grid.n_cells))
-
-
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_coefficient_fails_on_first_iteration(monkeypatch):
     """A NaN in beta surfaces as a non-finite vertex block in the first
@@ -665,42 +657,52 @@ def test_non_finite_coefficient_fails_on_first_iteration(monkeypatch):
 
 @pytest.mark.parametrize("problem", ["left_right", "online"])
 def test_operator_eliminates_fixed_dofs(problem):
-    """Given the full B and a G that is nonzero at the fixed DOFs, the prepared
-    operator solves exactly as with those rows of B and entries of G zeroed
-    by hand: on a fine left-right system and on an online T+ problem with
-    pinned cells."""
+    """The prepared operator reads G as zero at its fixed DOFs: a G that is
+    nonzero there solves bitwise as that G zeroed there, on every
+    factorization path, and both agree with the saddle oracle of the
+    constraints eliminated by hand to 1e-12, on a fine left-right system and
+    on an online T+ problem with pinned cells, for a scalar A (per edge) and
+    a tensor one (vertex blocks)."""
     rng = np.random.default_rng(11)
     if problem == "left_right":
         grid = build_fine_grid(7, 5)
         sys_ = LinearizedSystem(grid, rng.standard_normal(grid.n_cells), left_right_spec(grid))
-        fixed, kept, F = sys_.cdofs, None, sys_.F
+        fixed, kept, F = sys_.cdofs, np.arange(grid.n_cells), sys_.F
+        operator = sys_.operator
     else:
         coarse = build_coarse_grid(build_fine_grid(12, 12), 4, 4)
         shape = LocalShapes(coarse).online(5)[0]
-        grid, kept = shape.grid, shape.element_cells
+        grid, kept, operator = shape.grid, shape.element_cells, shape.operator
         fixed = (2 * grid.boundary_edges[:, None] + np.array([0, 1])).ravel()
         F = rng.standard_normal(kept.size)
-    B = assemble_divergence(grid)
-    A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-2.0, 2.0, grid.n_cells))
+    coeff = 10.0 ** rng.uniform(-2.0, 2.0, grid.n_cells)
     G = rng.standard_normal(grid.n_dofs)
-    free = np.ones(grid.n_dofs)
-    free[fixed] = 0.0
     G_free = G.copy()
     G_free[fixed] = 0.0
-    operator = PreparedOperator(grid, B, fixed, kept_cells=kept)
-    by_hand = PreparedOperator(grid, (sp.diags(free) @ B).tocsr(), fixed, kept_cells=kept)
-    for path in PATHS:
-        with pytest.MonkeyPatch.context() as mp:
-            _take(mp, path)
-            U, P = operator.solve(A, G, F)
-            U_ref, P_ref = by_hand.solve(A, G_free, F)
-            assert np.array_equal(U, U_ref) and np.array_equal(P, P_ref)
-            assert np.array_equal(operator.pressure(A, F), by_hand.pressure(A, F))
-            if kept is None:
-                R = sp.identity(grid.n_cells, format="csr")
-                U, P = operator.solve_reduced(A, R, G, F)
-                U_ref, P_ref = by_hand.solve_reduced(A, R, G_free, F)
-                assert np.array_equal(U, U_ref) and np.array_equal(P, P_ref)
+    free = np.ones(grid.n_dofs)
+    free[fixed] = 0.0
+    Bfree = (sp.diags(free) @ assemble_divergence(grid)).tocsc()[:, kept]
+    for tensor, A in enumerate((
+            assemble_velocity_matrix(grid, 1.0 / coeff),
+            linearize(grid, coeff, np.ones(grid.n_cells), rng.standard_normal(grid.n_dofs),
+                      "newton")[0])):
+        assert (A.diagonal is None) == tensor
+        U_ref, P_ref = saddle_oracle(with_identity_rows(A, fixed), Bfree, G_free, F)
+        for path in PATHS:
+            with pytest.MonkeyPatch.context() as mp:
+                _take(mp, path)
+                U, P = operator.solve(A, G, F)
+                U_free, P_free = operator.solve(A, G_free, F)
+                assert np.array_equal(U, U_free) and np.array_equal(P, P_free)
+                assert _rel(U, U_ref) <= 1e-12 and _rel(P, P_ref) <= 1e-12
+                assert np.array_equal(operator.pressure(A, F),
+                                      operator.solve(A, np.zeros(grid.n_dofs), F)[1])
+                if problem == "left_right":
+                    R = sp.identity(grid.n_cells, format="csr")
+                    U_r, P_r = operator.solve_reduced(A, R, G, F)
+                    U_rf, P_rf = operator.solve_reduced(A, R, G_free, F)
+                    assert np.array_equal(U_r, U_rf) and np.array_equal(P_r, P_rf)
+                    assert _rel(U_r, U_ref) <= 1e-12 and _rel(P_r, P_ref) <= 1e-12
 
 
 @pytest.mark.parametrize("layers", [0, 1])
@@ -1049,24 +1051,6 @@ def test_edge_maps_are_lean(nx, ny):
     assert cells.size + positions.size <= 6 * grid.n_edges
 
 
-def test_foreign_divergence_takes_the_vertex_path(monkeypatch):
-    """The per-edge path reads B off the grid's edges, so a B that is not the
-    grid's divergence matrix sends even a diagonal A through the vertex
-    path, which matches the saddle oracle."""
-    grid = build_fine_grid(5, 4)
-    rng = np.random.default_rng(12)
-    B = assemble_divergence(grid).multiply(rng.uniform(0.5, 2.0, (grid.n_dofs, 1))).tocsr()
-    A = assemble_velocity_matrix(grid, rng.uniform(0.1, 10.0, grid.n_cells))
-    G, F = rng.standard_normal(grid.n_dofs), rng.standard_normal(grid.n_cells)
-    calls = []
-    monkeypatch.setattr(msforch.solve, "vertex_cholesky",
-                        lambda *a: calls.append(1) or vertex_cholesky(*a))
-    U, P = schur_solve(A, B, G, F)
-    U_ref, P_ref = saddle_oracle(A, B, G, F)
-    assert calls == [1]
-    assert _rel(U, U_ref) <= 1e-12 and _rel(P, P_ref) <= 1e-12
-
-
 def _shuffled_map(rng, fine, coarse, kappa, m):
     """An offline map with the elements' columns in a random element order,
     then one more column on each of three random elements."""
@@ -1142,7 +1126,7 @@ def test_systems_on_one_grid_share_its_operator():
     assert c.operator is not a.operator and c.operator is grid_operator(grid)
     other = build_fine_grid(6, 5)
     assert LinearizedSystem(other, f, left_right_spec(other)).operator is not a.operator
-    fresh = PreparedOperator(grid, assemble_divergence(grid), a.cdofs)
+    fresh = PreparedOperator(grid, a.cdofs)
     coeff = rng.uniform(0.1, 10.0, grid.n_cells)
     for A in (assemble_velocity_matrix(grid, coeff),
               linearize(grid, coeff, np.ones(grid.n_cells), rng.standard_normal(grid.n_dofs),
@@ -1189,10 +1173,10 @@ def test_sparse_pattern_matches_the_unique_build():
     operators = []
     for nx, ny in ((1, 1), (2, 2), (16, 16), (1, 7), (7, 1), (40, 3), (3, 40), (33, 17)):
         grid = build_fine_grid(nx, ny)
-        operators.append(PreparedOperator(grid, assemble_divergence(grid)))
+        operators.append(PreparedOperator(grid))
     grid = build_fine_grid(9, 8)
     kept = grid.cell_id(np.arange(2, 7), np.arange(1, 4)[:, None]).ravel()
-    operators.append(PreparedOperator(grid, assemble_divergence(grid), kept_cells=kept))
+    operators.append(PreparedOperator(grid, kept_cells=kept))
     shapes = LocalShapes(build_coarse_grid(build_fine_grid(24, 18), 3, 3))
     for i in range(9):
         operators += [shapes.online(i)[0].operator, shapes.snapshot(i, 1)[0].operator]

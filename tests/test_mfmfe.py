@@ -390,9 +390,11 @@ def test_divergence_blocks_are_the_gathered_matrix(nx, ny, domain):
     at [vertex_dofs[v, i], vertex_cells[v, j]] bitwise, zero where the
     vertex has no DOF i or cell j, entry-major (4, 4, n_vertices)."""
     grid = build_fine_grid(nx, ny, domain)
-    # Index -1 (no DOF, no cell) reads the appended zero row and column.
-    B = np.pad(assemble_divergence(grid).toarray(), ((0, 1), (0, 1)))
-    gathered = B[grid.vertex_dofs[:, :, None], vertex_cells(grid)[:, None, :]]
+    # Index -1 (no DOF, no cell) reads the appended empty row and column.
+    B = assemble_divergence(grid).tocsr()
+    B.resize(B.shape[0] + 1, B.shape[1] + 1)
+    rows, cols = np.broadcast_arrays(grid.vertex_dofs[:, :, None], vertex_cells(grid)[:, None, :])
+    gathered = np.asarray(B[rows.ravel(), cols.ravel()]).reshape(rows.shape)
     blocks = divergence_blocks(grid)
     assert blocks.shape == (4, 4, grid.n_vertices) and blocks.flags.c_contiguous
     assert np.array_equal(blocks, gathered.transpose(1, 2, 0))

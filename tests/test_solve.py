@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import msforch.solve
@@ -1185,13 +1185,13 @@ def test_sparse_pattern_matches_the_unique_build():
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def _newton(nx, ny, seed, beta0, scheme="newton"):
+def _newton(nx, ny, seed, beta0, scheme="newton", tol_nl=1e-8):
     """A Newton (or Picard) solve of the left-right problem on an nx x ny
     blobs field of contrast 100, and its grid."""
     grid = build_fine_grid(nx, ny)
     kappa = gen_synthetic("blobs", seed, 100.0, nx, ny)
     sol = nonlinear_solve(grid, kappa, forchheimer_coeff(kappa, beta0), left_right_spec(grid),
-                          np.zeros(grid.n_cells), NonlinearConfig(scheme, max_iter=1000))
+                          np.zeros(grid.n_cells), NonlinearConfig(scheme, tol_nl, 1000))
     return grid, sol
 
 
@@ -1233,6 +1233,11 @@ def test_pcg_returns_a_start_that_meets_the_tolerance():
 @given(nx=st.integers(18, 30), ny=st.integers(18, 30), seed=st.integers(0, 2**16),
        case=st.sampled_from([("newton", 10.0), ("newton", 100.0), ("newton", 1000.0),
                              ("picard", 1.0), ("picard", 10.0)]))
+# Draws whose next-to-last Newton step has eta of about 13 _CG_TOL: were it
+# solved at eta, CG would stop within _CG_TOL but above roundoff, and the
+# last step, returning its start, would keep that cell balance.
+@example(nx=21, ny=19, seed=20856, case=("newton", 100.0))
+@example(nx=18, ny=26, seed=5877, case=("newton", 10.0))
 def test_retained_factor_matches_fresh_factorizations(nx, ny, seed, case):
     """With SuperLU forced (band limit 0), a Newton or Picard solve whose
     later steps are finished by CG with the retained factor, warm-started
@@ -1258,16 +1263,77 @@ def test_retained_factor_matches_fresh_factorizations(nx, ny, seed, case):
 @pytest.mark.parametrize("seed", [2, 3, 4, 5])
 def test_wide_newton_solve_reuses_its_factors(seed, factorizations, monkeypatch):
     """A 160x160 Newton solve (kd 161, beyond the band limit) makes at most
-    three SuperLU factorizations, fewer than its solves: the later steps are
-    finished by CG with the retained factor, started from the last pressure,
-    in at most 115 solves with the factors in all."""
+    two SuperLU factorizations, fewer than its solves: the later steps are
+    finished by CG with the retained factor, started from the last pressure
+    and loosened by the forcing term, in at most 85 solves with the factors
+    in all."""
     solves = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **k: _Factor(splu(*a, **k), solves))
     _, sol = _newton(160, 160, seed, 100.0)
     assert sol.converged and set(factorizations) == {"splu"}
-    assert len(factorizations) <= 3 < sol.iterations + 1
-    assert len(solves) <= 115
+    assert len(factorizations) <= 2 < sol.iterations + 1
+    assert len(solves) <= 85
+
+
+def _steps(mp, scheme="newton", beta0=100.0, tol_nl=1e-8):
+    """With SuperLU forced, a 24x24 solve of :func:`_newton` and, per
+    pressure solve (the Darcy start first), the tolerance its CG was given,
+    whether a factor was retained on entry and whether CG accepted it above
+    ``_CG_TOL``."""
+    steps = []
+    splu_solve = msforch.solve._splu_solve
+
+    def spy(S, rhs, retained):
+        tol, had = retained.tol, retained.lu is not None
+        out = splu_solve(S, rhs, retained)
+        steps.append((tol, had, retained.loose))
+        return out
+
+    _take(mp, "splu")
+    mp.setattr(msforch.solve, "_splu_solve", spy)
+    return _newton(24, 24, 2, beta0, scheme, tol_nl)[1], steps
+
+
+def test_picard_solves_every_step_to_the_cg_tolerance(monkeypatch):
+    """Picard gets no forcing term: every CG with the retained factor is
+    asked for ``_CG_TOL``."""
+    tols = []
+    pcg = msforch.solve._pcg
+    monkeypatch.setattr(msforch.solve, "_pcg", lambda S, lu, b, x, tol:
+                        tols.append(tol) or pcg(S, lu, b, x, tol))
+    sol, steps = _steps(monkeypatch, "picard", 1.0)
+    assert sol.converged and len(tols) == sol.iterations
+    assert set(tols) == {msforch.solve._CG_TOL} and not any(loose for *_, loose in steps)
+
+
+def test_newton_forcing_keeps_the_iteration_count():
+    """A SuperLU-path Newton solve factors its first step afresh at
+    ``_CG_TOL`` (the Darcy start's factor is dropped), accepts some later
+    steps loosely, ends on a step that is not loose, and takes as many
+    iterations as a solve with every step at ``_CG_TOL``."""
+    with pytest.MonkeyPatch.context() as mp:
+        sol, steps = _steps(mp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(msforch.solve, "_FORCING", 0.0)
+        tight, tight_steps = _steps(mp)
+    tol = msforch.solve._CG_TOL
+    assert sol.converged and tight.converged and sol.iterations == tight.iterations
+    assert len(steps) == sol.iterations + 1
+    assert steps[:2] == [(tol, False, False)] * 2
+    assert any(loose for *_, loose in steps) and not steps[-1][2]
+    assert all(t == tol and not loose for t, _, loose in tight_steps)
+
+
+def test_newton_never_converges_on_a_loose_step(monkeypatch):
+    """An increment below ``tol_nl`` on a loosely accepted step does not end
+    the solve: at tol_nl = 1e-3 the first such increment is loose, and the
+    solve goes on to a step that is not."""
+    sol, steps = _steps(monkeypatch, tol_nl=1e-3)
+    loose = [loose for *_, loose in steps[1:]]   # per Newton step
+    first = np.flatnonzero(sol.history[:, 0] <= 1e-3)[0]
+    assert sol.converged and all(loose[first:-1]) and first < sol.iterations - 1
+    assert not loose[-1]
 
 
 def test_retained_factor_dies_with_the_solve(monkeypatch):
@@ -1289,7 +1355,7 @@ def test_retained_factor_dies_with_the_solve(monkeypatch):
     monkeypatch.setattr(spla, "splu", tracked)
     pcg = msforch.solve._pcg
     monkeypatch.setattr(msforch.solve, "_pcg",
-                        lambda S, lu, b, x: reuses.append(1) or pcg(S, lu, b, x))
+                        lambda *a, **k: reuses.append(1) or pcg(*a, **k))
     gc.disable()
     try:
         grid, sol = _newton(24, 24, 2, 100.0)

@@ -427,7 +427,7 @@ def cmd_online(rc: RunConfig) -> int:
 def cmd_gen_field(rc: RunConfig) -> int:
     kind, seed, contrast = rc.field
     field = gen_synthetic(kind, seed, contrast, rc.nx, rc.ny)
-    name = f"field_{kind}_s{seed}_c{contrast:g}_{rc.nx}x{rc.ny}.txt"
+    name = f"field_{kind}_s{seed}_c{_g(contrast)}_{rc.nx}x{rc.ny}.txt"
     save_raster(field, rc.out / name, comment=f"config-hash {rc.hash}")
     print(rc.out / name)
     return 0

@@ -115,8 +115,9 @@ class FineGrid:
     @functools.cached_property
     def memo(self) -> dict:
         """Data other modules derive from this grid object on first use and
-        reuse for its lifetime (its divergence matrix, its prepared
-        operators); filled by :mod:`msforch.solve`."""
+        reuse for its lifetime: its divergence matrix and prepared operators,
+        filled by :mod:`msforch.solve`, and its local problem shapes and their
+        block grids, filled by :mod:`msforch.local`."""
         return {}
 
 

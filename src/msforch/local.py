@@ -5,10 +5,12 @@ element grown by some layers and clipped at the domain.  Up to translation,
 its mesh, divergence matrix, boundary data and index maps depend only on the
 block's extent and on where the element sits inside it, so a uniform
 agglomeration has one interior shape and at most eight boundary-clipped
-ones.  :class:`LocalShapes` builds the coefficient-independent data of each
-shape once, when an element of that shape first asks for it, and places
-every other element of the shape by index arithmetic.  A local solve then
-only assembles its coefficient and runs the shape's
+ones.  :func:`snapshot_shape` and :func:`online_shape` build the
+coefficient-independent data of each shape once per fine grid, when an
+element of that shape first asks for it, keep it in the fine grid's memo,
+and place every other element of the shape by index arithmetic.  Every
+stage, coarse partition and repetition on one fine grid shares it.  A local
+solve then only assembles its coefficient and runs the shape's
 :class:`PreparedOperator`.
 """
 
@@ -55,43 +57,35 @@ def _online_shape(grid: FineGrid, element_cells: np.ndarray) -> tuple:
     return PreparedOperator(grid, bdofs, kept_cells=element_cells), None
 
 
-class LocalShapes:
-    """Per-shape local problem data of one coarse grid, built on first use.
+def snapshot_shape(coarse: CoarseGrid, i: int, layers: int = 0) -> tuple:
+    """Snapshot problem of element i on its block grown by ``layers``:
+    (shape, global cells, global DOFs of the block)."""
+    return _place(_snapshot_shape, coarse, i, layers)
 
-    Shapes are keyed by the problem, the block's extent and the element's
-    offset and extent inside the block; blocks of one extent share their
-    grid.
-    """
 
-    def __init__(self, coarse: CoarseGrid):
-        self.coarse = coarse
-        self._shapes = {}
-        self._grids = {}
+def online_shape(coarse: CoarseGrid, i: int) -> tuple:
+    """Online problem of element i on T+ (one layer):
+    (shape, global cells, global DOFs of the block)."""
+    return _place(_online_shape, coarse, i, 1)
 
-    def snapshot(self, i: int, layers: int = 0) -> tuple:
-        """Snapshot problem of element i on its block grown by ``layers``:
-        (shape, global cells, global DOFs of the block)."""
-        return self._place(_snapshot_shape, i, layers)
 
-    def online(self, i: int) -> tuple:
-        """Online problem of element i on T+ (one layer):
-        (shape, global cells, global DOFs of the block)."""
-        return self._place(_online_shape, i, 1)
-
-    def _place(self, build, i: int, layers: int) -> tuple:
-        fine = self.coarse.fine
-        ox, oy, mx, my = (int(v) for v in self.coarse.element_rect(i))
-        rect = tuple(int(v) for v in self.coarse.oversample_rect(i, layers))
-        inner = (ox - rect[0], oy - rect[1], mx, my)
-        key = (build, rect[2], rect[3], *inner)
-        shape = self._shapes.get(key)
-        if shape is None:
-            if rect[2:] not in self._grids:
-                self._grids[rect[2:]] = _grid.subgrid(fine, *rect).grid
-            local = self._grids[rect[2:]]
-            element_cells, _, element_dofs = block_indices(local, *inner)
-            operator, data = build(local, element_cells)
-            shape = LocalShape(local, operator, element_cells, element_dofs, data)
-            self._shapes[key] = shape
-        cells, _, dofs = block_indices(fine, *rect)
-        return shape, cells, dofs
+def _place(build, coarse: CoarseGrid, i: int, layers: int) -> tuple:
+    """The shape of element i's block, from the fine grid's memo.  Shapes are
+    keyed by the problem, the block's extent and the element's offset and
+    extent inside the block; blocks of one extent share their grid."""
+    fine, memo = coarse.fine, coarse.fine.memo
+    ox, oy, mx, my = (int(v) for v in coarse.element_rect(i))
+    rect = tuple(int(v) for v in coarse.oversample_rect(i, layers))
+    inner = (ox - rect[0], oy - rect[1], mx, my)
+    key = (build, rect[2], rect[3], *inner)
+    shape = memo.get(key)
+    if shape is None:
+        block = ("block", rect[2], rect[3])
+        if block not in memo:
+            memo[block] = _grid.subgrid(fine, *rect).grid
+        local = memo[block]
+        element_cells, _, element_dofs = block_indices(local, *inner)
+        operator, data = build(local, element_cells)
+        shape = memo[key] = LocalShape(local, operator, element_cells, element_dofs, data)
+    cells, _, dofs = block_indices(fine, *rect)
+    return shape, cells, dofs

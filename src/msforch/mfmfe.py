@@ -166,17 +166,9 @@ class VertexBlockMatrix:
         y[vd[mask]] = prod[mask]
         return y
 
-    def cholesky(self, dofs=()) -> np.ndarray:
-        """Lower Cholesky factors (n_vertices, 4, 4) of the blocks, with
-        ``dofs`` eliminated: their rows and columns replaced by those of the
-        identity.  A view of :func:`vertex_cholesky`'s entry-major factors,
-        with its checks.
-        """
-        return vertex_cholesky(self.blocks, unit_slots(self.grid, dofs)).transpose(2, 0, 1)
-
     def check_positive_definite(self) -> bool:
         """Return True if every vertex block is SPD, else raise :class:`AssemblyError`."""
-        self.cholesky()
+        vertex_cholesky(self.blocks, unit_slots(self.grid))
         return True
 
     def inverse_blocks(self) -> np.ndarray:

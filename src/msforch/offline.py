@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from .errors import SingularSystemError
 from .fields import ScalarCellField
 from .grid import CoarseGrid, FineGrid, index_dtype
-from .local import LocalShapes
+from .local import snapshot_shape
 from .mfmfe import (
     BoundarySpec,
     assemble_velocity_matrix,
@@ -85,7 +85,6 @@ def build_snapshots(
     i: int,
     coeff,
     gram_coeff=None,
-    shapes: LocalShapes | None = None,
     layers: int = 0,
 ) -> SpectralSpace:
     """Snapshot space of coarse element i.
@@ -96,19 +95,17 @@ def build_snapshots(
     dropped once the Grams are formed.  ``coeff`` is the coefficient of the
     local solves, per global cell or per (cell, corner);
     ``gram_coeff`` (default: same) is the coefficient of the velocity energy
-    Gram matrix used by the spectral problem.  Pass the coarse grid's
-    ``shapes`` to reuse the per-shape local data across elements; by default
-    it is built for this call.
+    Gram matrix used by the spectral problem.  The per-shape local data
+    comes from the fine grid's memo (:mod:`msforch.local`).
     """
     if layers < 0:
         raise ValueError("oversampling layers must be non-negative")
-    shapes = LocalShapes(coarse) if shapes is None else shapes
-    shape, cells, _ = shapes.snapshot(i, layers)
+    shape, cells, _ = snapshot_shape(coarse, i, layers)
     A = assemble_velocity_matrix(shape.grid, np.asarray(coeff)[cells])
     U, P = shape.operator.solve(A, shape.data, 0.0)
     if layers:
         P, U = P[shape.element_cells], U[shape.element_dofs]
-        shape, cells, _ = shapes.snapshot(i)
+        shape, cells, _ = snapshot_shape(coarse, i)
     if gram_coeff is None and not layers:
         M = A  # the Gram coefficient and grid are those of the solves
     else:
@@ -325,10 +322,9 @@ def build_offline_space(
 ) -> tuple:
     """Snapshot + decompose every coarse element; returns (spaces, ReductionMap)."""
     coeff = 1.0 / kappa.values
-    shapes = LocalShapes(coarse)
     spaces = []
     for i in range(coarse.n_elements):
-        space = build_snapshots(fine, coarse, i, coeff, shapes=shapes, layers=oversample_layers)
+        space = build_snapshots(fine, coarse, i, coeff, layers=oversample_layers)
         spaces.append(spectral_decompose(space, m_off))
     return spaces, assemble_reduction(fine, spaces, m_off)
 
@@ -403,10 +399,9 @@ def update_offline(
     coeff = corner_coefficient(kappa.values, beta.values, speed)
     new_map = rmap.copy()
     new_spaces = list(spaces)
-    shapes = LocalShapes(coarse)
     for i in np.asarray(selected, dtype=int):
         m_i = len(rmap.columns_of(int(i)))
-        space = build_snapshots(fine, coarse, int(i), coeff, gram_coeff=darcy, shapes=shapes)
+        space = build_snapshots(fine, coarse, int(i), coeff, gram_coeff=darcy)
         space = spectral_decompose(space, m_i)
         new_spaces[int(i)] = space
         new_map.replace_element_columns(int(i), space.basis(m_i), space.cells)

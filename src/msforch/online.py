@@ -38,7 +38,7 @@ import numpy as np
 from .errors import SingularSystemError
 from .fields import ScalarCellField
 from .grid import CoarseGrid, FineGrid
-from .local import LocalShapes
+from .local import online_shape
 from .mfmfe import (
     BoundarySpec,
     assemble_velocity_matrix,
@@ -88,9 +88,8 @@ class EnrichmentState:
     variant: str = "updating"
     solution: FlowSolution | None = None
     history: list = field(default_factory=list)
-    # derived once per run (_system, _shapes, _norms) or per solution
+    # derived once per run (_system, _norms) or per solution
     _system: LinearizedSystem | None = None
-    _shapes: LocalShapes | None = None  # per-shape data of the online local problems
     _defect: np.ndarray | None = None   # f - div(u) per fine cell
     _coeff: np.ndarray | None = None    # corner coefficient; the first solution's if fixed
     _A = None                           # fine velocity matrix of _coeff, assembled on use
@@ -100,7 +99,6 @@ class EnrichmentState:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         self._system = LinearizedSystem(self.fine, self.f_cells, self.bc)
-        self._shapes = LocalShapes(self.coarse)
         self._norms = _reference_norms(self.fine, self.reference)
 
     @property
@@ -192,7 +190,7 @@ def online_basis(state: EnrichmentState, i: int):
     orthogonal to the element's existing columns.
     """
     fine = state.fine
-    shape, cells, dofs = state._shapes.online(i)
+    shape, cells, dofs = online_shape(state.coarse, i)
     areas = fine.cell_areas[cells]
 
     # Conservation defect of the current solution on T+.  No zero-mean shift:

@@ -455,10 +455,6 @@ class PreparedOperator:
         _, indices, indptr = self._sparse_pattern
         return sp.csc_matrix((data, indices, indptr), shape=(self.n_pressure,) * 2)
 
-    def schur_matrix(self, X: np.ndarray) -> sp.csc_matrix:
-        """S = sum_v X_v^T X_v in compressed columns, numbered in :attr:`_order`."""
-        return self._csc(self._schur_data(X))
-
     @functools.cached_property
     def _red_black(self) -> tuple:
         """Index maps of :meth:`_red_black_solve`, the cells coloured by the

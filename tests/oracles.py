@@ -7,7 +7,9 @@ saddle-point solve, the explicit constraint elimination that the solvers
 do inside their prepared operator, and LAPACK's Cholesky factor of each
 vertex block.  The corner geometry is derived from the
 grid's vertices, edges and signs by the general bilinear map, not by the
-rectangle shortcut the kernels take.
+rectangle shortcut the kernels take.  Two views of solver data that only
+the tests read live here too: the per-vertex Cholesky factors of a
+VertexBlockMatrix and the sparse S of a PreparedOperator.
 """
 
 import warnings
@@ -18,7 +20,7 @@ import scipy.sparse as sp
 
 from msforch.errors import DegenerateElementError, SingularSystemError
 from msforch.grid import CORNER_EDGE_END, CORNER_EDGE_LOCAL
-from msforch.mfmfe import VertexBlockMatrix
+from msforch.mfmfe import VertexBlockMatrix, unit_slots, vertex_cholesky
 
 # Reference square corners, counter-clockwise from the origin.
 REF_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -232,7 +234,7 @@ def with_identity_rows(A, dofs):
     """A copy of the VertexBlockMatrix A with the rows and columns of ``dofs``
     and of the padding slots zeroed and 1 on their diagonal.
 
-    This is the matrix ``A.cholesky(dofs)`` factors; it keeps the
+    This is the matrix ``vertex_factors(A, dofs)`` factors; it keeps the
     vertex-block structure and symmetry, for solvers that see the
     constrained (Neumann) DOFs eliminated by hand.
     """
@@ -246,6 +248,20 @@ def with_identity_rows(A, dofs):
     blocks[v, :, s] = 0.0
     blocks[v, s, s] = 1.0
     return VertexBlockMatrix(blocks, grid)
+
+
+def vertex_factors(A, dofs=()) -> np.ndarray:
+    """Lower Cholesky factors (n_vertices, 4, 4) of the blocks of the
+    VertexBlockMatrix A, with ``dofs`` eliminated: their rows and columns
+    replaced by those of the identity.  A view of :func:`vertex_cholesky`'s
+    entry-major factors, with its checks."""
+    return vertex_cholesky(A.blocks, unit_slots(A.grid, dofs)).transpose(2, 0, 1)
+
+
+def schur_matrix(operator, X: np.ndarray) -> sp.csc_matrix:
+    """The PreparedOperator's S = sum_v X_v^T X_v in compressed columns,
+    numbered in its ``_order``."""
+    return operator._csc(operator._schur_data(X))
 
 
 def lapack_cholesky(blocks: np.ndarray) -> np.ndarray:

@@ -50,6 +50,19 @@ def test_gen_field_roundtrip(tmp_path, capsys):
     assert path.read_bytes() == first
 
 
+def test_close_contrasts_get_their_own_field_files(tmp_path):
+    """gen-field names carry the contrast with 12 digits, so two contrasts
+    that agree to 6 digits do not write to one name."""
+    for contrast in ("1000000", "1000001"):
+        assert main(["gen-field", "--nx", "4", "--ny", "3", "--field", f"blobs:5:{contrast}",
+                     "--out", str(tmp_path)]) == 0
+    for contrast in (1000000.0, 1000001.0):
+        loaded = load_raster(tmp_path / f"field_blobs_s5_c{contrast:.0f}_4x3.txt", 4, 3)
+        assert np.allclose(loaded.values, gen_synthetic("blobs", 5, contrast, 4, 3).values,
+                           rtol=1e-15)
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 def test_fine_single_combo(tmp_path):
     rc = main(["fine", "--nx", "12", "--ny", "12", "--field", FIELD,
                "--out", str(tmp_path)])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import msforch.grid
 from msforch.fields import ScalarCellField, gen_synthetic
 from msforch.grid import build_coarse_grid, build_fine_grid, rect_boundary_edges, subgrid
-from msforch.local import LocalShapes
+from msforch.local import online_shape, snapshot_shape
 from msforch.mfmfe import BoundarySpec, assemble_divergence, assemble_velocity_matrix, left_right_spec
 from msforch.offline import (
     build_offline_space,
@@ -67,19 +67,18 @@ def test_cached_snapshots_match_saddle_oracle(mx, my, Nx, Ny, layers, per_corner
     fine = build_fine_grid(mx * Nx, my * Ny, domain=(0.0, 1.5, -0.5, 0.5))
     coarse = build_coarse_grid(fine, Nx, Ny)
     coeff = _coefficient(rng, fine.n_cells, per_corner)
-    shapes = LocalShapes(coarse)
     for i in range(coarse.n_elements):   # every shape built by its first element
-        shapes.snapshot(i, layers)
+        snapshot_shape(coarse, i, layers)
     i = pick % coarse.n_elements
 
     rect = coarse.oversample_rect(i, layers)
-    shape, cells, dofs = shapes.snapshot(i, layers)
+    shape, cells, dofs = snapshot_shape(coarse, i, layers)
     sub, P_ref, U_ref = _oracle_snapshots(fine, rect, coeff)
     assert np.array_equal(cells, sub.cells) and np.array_equal(dofs, sub.dofs)
     assert np.allclose(shape.grid.vertices - shape.grid.vertices[0],
                        sub.grid.vertices - sub.grid.vertices[0], rtol=0.0, atol=1e-14)
 
-    space = build_snapshots(fine, coarse, i, coeff, shapes=shapes, layers=layers)
+    space = build_snapshots(fine, coarse, i, coeff, layers=layers)
     element = subgrid(fine, *coarse.element_rect(i))
     cell_pos = {int(c): k for k, c in enumerate(sub.cells)}
     dof_pos = {int(d): k for k, d in enumerate(sub.dofs)}
@@ -187,10 +186,76 @@ def test_local_data_is_built_once_per_shape(monkeypatch, layers):
     calls.clear()
     update_offline(fine, coarse, rmap, spaces, off.velocity, np.arange(coarse.n_elements),
                    kappa, beta)
-    assert len(calls) == len(_block_extents(coarse, 0)) == 1
+    assert calls == []   # the bare-element shapes were built by the offline space
 
     state = init_enrichment(fine, coarse, kappa, beta, bc, f, rmap, cfg, ref, off)
     calls.clear()
     enrich_uniform(state, 3)
-    assert sorted(c[2:] for c in calls) == sorted(_block_extents(coarse, 1))
-    assert len(calls) == 4   # interior, and clipped in x, in y and in both
+    # Only the T+ extents not built before: interior, and clipped in x, in
+    # y and in both, unless the offline space oversampled by that layer.
+    assert sorted(c[2:] for c in calls) == sorted(_block_extents(coarse, 1) - extents)
+    assert len(calls) == (4 if layers == 0 else 0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_partitions_and_problems_share_block_grids_not_shapes(reverse):
+    """On one fine grid, a 6x6 element grown by one layer and a bare 8x8
+    element of another partition both live on 8x8 blocks, at different
+    offsets, and the snapshot and T+ problems of the grown element share its
+    block.  Built in either order, they share one block grid, yet each shape
+    solves its own problem."""
+    rng = np.random.default_rng(17)
+    fine = build_fine_grid(24, 24)
+    grown, bare = build_coarse_grid(fine, 4, 4), build_coarse_grid(fine, 3, 3)
+    coeff = _coefficient(rng, fine.n_cells, per_corner=True)
+    defect = rng.standard_normal(fine.n_cells)
+    i = 5   # interior element of the 4x4 partition
+    builds = [lambda: snapshot_shape(grown, i, 1), lambda: online_shape(grown, i),
+              lambda: snapshot_shape(bare, 4)]
+    for build in builds[::-1] if reverse else builds:
+        build()
+    snapshot, online, bare_snapshot = (build()[0] for build in builds)
+    assert snapshot.grid is online.grid is bare_snapshot.grid
+    assert snapshot.grid.nx == snapshot.grid.ny == 8
+    assert len({id(snapshot), id(online), id(bare_snapshot)}) == 3
+
+    for coarse, j, layers in ((grown, i, 1), (bare, 4, 0)):
+        shape, cells, _ = snapshot_shape(coarse, j, layers)
+        A = assemble_velocity_matrix(shape.grid, coeff[cells])
+        _, P = shape.operator.solve(A, shape.data, 0.0)
+        _, P_ref, _ = _oracle_snapshots(fine, coarse.oversample_rect(j, layers), coeff)
+        assert _rel(P, P_ref) <= 1e-12
+
+    _, cells, _ = online_shape(grown, i)
+    A = assemble_velocity_matrix(online.grid, coeff[cells])
+    p = online.operator.pressure(A, -(defect[cells] * fine.cell_areas[cells])[online.element_cells])
+    assert _rel(p, _pinned_oracle(fine, grown, i, coeff, defect)) <= 1e-12
+
+
+def test_second_round_builds_no_shape(monkeypatch):
+    """A second offline, update and enrichment round on one fine grid builds
+    no block grid, and repeats the first round's solutions bitwise."""
+    fine = build_fine_grid(16, 16)
+    coarse = build_coarse_grid(fine, 4, 4)
+    kappa = gen_synthetic("blobs", 2, 100.0, 16, 16)
+    beta = ScalarCellField(16, 16, 100.0 / kappa.values)
+    bc, f = left_right_spec(fine), np.zeros(fine.n_cells)
+    cfg = NonlinearConfig(scheme="newton", tol_nl=1e-10)
+    ref = nonlinear_solve(fine, kappa, beta, bc, f, cfg)
+
+    calls = _count_subgrid_calls(monkeypatch)
+    rounds = []
+    for _ in range(2):
+        spaces, rmap = build_offline_space(fine, coarse, kappa, 2)
+        off = solve_offline(fine, kappa, beta, bc, f, rmap, cfg)
+        rmap, _ = update_offline(fine, coarse, rmap, spaces, off.velocity,
+                                 np.arange(coarse.n_elements), kappa, beta)
+        updated = solve_offline(fine, kappa, beta, bc, f, rmap, cfg)
+        state = enrich_uniform(init_enrichment(fine, coarse, kappa, beta, bc, f, rmap, cfg,
+                                               ref, updated), 2)
+        rounds.append((len(calls), [off, updated, state.solution], state.history))
+    (first_calls, first, first_history), (second_calls, second, second_history) = rounds
+    assert first_calls > 0 and second_calls == first_calls
+    for a, b in zip(first, second):
+        assert np.array_equal(a.pressure, b.pressure) and np.array_equal(a.velocity, b.velocity)
+    assert first_history == second_history and len(first_history) == 8

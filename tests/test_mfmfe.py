@@ -46,6 +46,7 @@ from oracles import (
     reference_basis,
     reference_divergence,
     to_sparse,
+    vertex_factors,
     with_identity_rows,
 )
 
@@ -668,7 +669,7 @@ def test_non_finite_block_fails_loudly():
         A.check_positive_definite()
     coeff[4] = np.inf
     with pytest.raises(AssemblyError, match="non-finite vertex block"):
-        assemble_velocity_matrix(grid, coeff).cholesky()
+        vertex_factors(assemble_velocity_matrix(grid, coeff))
 
 
 def test_asymmetric_block_fails_symmetry_check():
@@ -676,7 +677,7 @@ def test_asymmetric_block_fails_symmetry_check():
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
     A.blocks[4, 0, 1] += 1e-3
     with pytest.raises(AssemblyError, match="not symmetric"):
-        A.cholesky()
+        vertex_factors(A)
 
 
 def test_cholesky_factors_blocks_with_eliminated_dofs():
@@ -684,7 +685,7 @@ def test_cholesky_factors_blocks_with_eliminated_dofs():
     rng = np.random.default_rng(11)
     A = assemble_velocity_matrix(grid, rng.uniform(0.5, 2.0, grid.n_cells))
     dofs = np.array([0, 3, 9])
-    L = A.cholesky(dofs)
+    L = vertex_factors(A, dofs)
     padded = with_identity_rows(A, dofs).blocks
     assert np.allclose(L @ np.swapaxes(L, 1, 2), padded, atol=1e-14)
     assert np.all(np.triu(L, 1) == 0.0)
@@ -710,7 +711,7 @@ def test_closed_form_cholesky_matches_lapack(nx, ny, share, seed):
     dofs = np.flatnonzero(rng.random(grid.n_dofs) < share)
     slotted = with_identity_rows(A, dofs).blocks
     L_ref = lapack_cholesky(slotted)
-    L = A.cholesky(dofs)
+    L = vertex_factors(A, dofs)
     size = np.abs(L_ref).max(axis=(1, 2))
     assert np.all(np.abs(L - L_ref).max(axis=(1, 2)) <= 1e-14 * size)
     assert np.all(np.triu(L, 1) == 0.0)
@@ -729,7 +730,7 @@ def test_diagonal_blocks_factor_as_lapack_bitwise():
     rng = np.random.default_rng(5)
     A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-4.0, 4.0, (grid.n_cells, 4)))
     dofs = np.array([1, 6, 10])
-    assert np.array_equal(A.cholesky(dofs), lapack_cholesky(with_identity_rows(A, dofs).blocks))
+    assert np.array_equal(vertex_factors(A, dofs), lapack_cholesky(with_identity_rows(A, dofs).blocks))
 
 
 @pytest.mark.parametrize("pivot", [0, 1, 3])
@@ -749,7 +750,7 @@ def test_indefinite_block_error_names_its_vertex(pivot):
                 b[pivot, pivot] * b[pivot - 1, pivot - 1])
     message = rf"not positive definite at vertex {vertex} \(2 failing pivot {pivot}\)"
     with pytest.raises(AssemblyError, match=message):
-        A.cholesky()
+        vertex_factors(A)
     with pytest.raises(AssemblyError, match="not positive definite"):
         A.check_positive_definite()
 

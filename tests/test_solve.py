@@ -15,7 +15,7 @@ import msforch.solve
 from msforch.errors import AssemblyError, SingularSystemError
 from msforch.fields import ScalarCellField, forchheimer_coeff, gen_synthetic
 from msforch.grid import build_coarse_grid, build_fine_grid
-from msforch.local import LocalShapes
+from msforch.local import online_shape, snapshot_shape
 from msforch.offline import ReductionMap, build_offline_space
 from msforch.mfmfe import (
     all_dirichlet_spec,
@@ -46,7 +46,7 @@ from msforch.solve import (
     velocity_error_norm,
 )
 
-from oracles import eliminate_constraints, saddle_oracle, with_identity_rows
+from oracles import eliminate_constraints, saddle_oracle, schur_matrix, with_identity_rows
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -582,7 +582,7 @@ def test_band_and_sparse_schur_share_one_pattern():
         assert np.array_equal(ix * ny + iy if nx >= ny else iy * nx + ix, np.arange(grid.n_cells))
         X = _vertex_factor(operator, A)[1]
         nd = operator._rank[order]   # nested-dissection position of each band position
-        S = operator.schur_matrix(X).toarray()[nd][:, nd]
+        S = schur_matrix(operator, X).toarray()[nd][:, nd]
         assert not np.tril(S, -kd - 1).any() and np.array_equal(S, S.T)
         expected = np.zeros_like(ab)
         for i in range(kd + 1):
@@ -671,7 +671,7 @@ def test_operator_eliminates_fixed_dofs(problem):
         operator = sys_.operator
     else:
         coarse = build_coarse_grid(build_fine_grid(12, 12), 4, 4)
-        shape = LocalShapes(coarse).online(5)[0]
+        shape = online_shape(coarse, 5)[0]
         grid, kept, operator = shape.grid, shape.element_cells, shape.operator
         fixed = (2 * grid.boundary_edges[:, None] + np.array([0, 1])).ravel()
         F = rng.standard_normal(kept.size)
@@ -712,7 +712,7 @@ def test_dense_solve_of_several_columns_matches_column_solves(layers):
     roundoff: the back-substitution of several columns is a batched matmul."""
     rng = np.random.default_rng(layers)
     coarse = build_coarse_grid(build_fine_grid(12, 12), 3, 3)
-    shape = LocalShapes(coarse).snapshot(4, layers)[0]
+    shape = snapshot_shape(coarse, 4, layers)[0]
     A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells))
     U, P = shape.operator.solve(A, shape.data, 0.0)
     assert P.shape == (shape.grid.n_cells, shape.data.shape[1]) and U.shape == shape.data.shape
@@ -728,7 +728,7 @@ def _snapshot_columns_share_one_factorization(calls, name):
     factorization ``name``, and they equal the single-column solves."""
     rng = np.random.default_rng(7)
     coarse = build_coarse_grid(build_fine_grid(36, 32), 2, 2)
-    shape = LocalShapes(coarse).snapshot(3)[0]
+    shape = snapshot_shape(coarse, 3)[0]
     A = assemble_velocity_matrix(shape.grid, 10.0 ** rng.uniform(-2.0, 2.0, shape.grid.n_cells))
     U, P = shape.operator.solve(A, shape.data, 0.0)
     k = shape.data.shape[1]
@@ -762,7 +762,7 @@ def test_nested_dissection_orders_every_cell_once(nx, ny):
     order = operator._order
     assert np.array_equal(np.sort(order), np.arange(grid.n_cells))
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
-    S = operator.schur_matrix(_vertex_factor(operator, A)[1]).toarray()
+    S = schur_matrix(operator, _vertex_factor(operator, A)[1]).toarray()
     ix, iy = order % nx, order // nx
     coupled = (np.abs(ix[:, None] - ix) <= 1) & (np.abs(iy[:, None] - iy) <= 1)
     assert np.all(S[~coupled] == 0.0) and np.array_equal(S, S.T)
@@ -771,9 +771,9 @@ def test_nested_dissection_orders_every_cell_once(nx, ny):
 def test_nested_dissection_of_the_online_element():
     """On the online T+ problem the pressure lives on the element's cells
     only; their order is a permutation of those pressure numbers."""
-    shapes = LocalShapes(build_coarse_grid(build_fine_grid(40, 40), 2, 2))
+    coarse = build_coarse_grid(build_fine_grid(40, 40), 2, 2)
     for i in range(4):
-        shape = shapes.online(i)[0]
+        shape = online_shape(coarse, i)[0]
         operator = shape.operator
         assert operator.n_pressure == shape.element_cells.size == 400
         assert np.array_equal(np.sort(operator._order), np.arange(400))
@@ -801,7 +801,7 @@ def test_nested_dissection_needs_less_fill_than_superlu_defaults(monkeypatch):
     assert np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)
     operator = sys_.operator
     rank = np.argsort(operator._order)
-    natural = operator.schur_matrix(_vertex_factor(operator, A)[1])[rank][:, rank].tocsc()
+    natural = schur_matrix(operator, _vertex_factor(operator, A)[1])[rank][:, rank].tocsc()
     defaults = splu(natural)
     assert lu.L.nnz + lu.U.nnz < defaults.L.nnz + defaults.U.nnz
 
@@ -812,8 +812,7 @@ def test_sparse_local_solves_match_dense():
     boundary-data columns agree with their red-black solves to 1e-12."""
     rng = np.random.default_rng(5)
     coarse = build_coarse_grid(build_fine_grid(24, 24), 3, 3)
-    shapes = LocalShapes(coarse)
-    online, snapshot = shapes.online(4)[0], shapes.snapshot(4, 1)[0]
+    online, snapshot = online_shape(coarse, 4)[0], snapshot_shape(coarse, 4, 1)[0]
     problems = ((online, np.zeros(online.grid.n_dofs), rng.standard_normal(online.element_cells.size)),
                 (snapshot, snapshot.data, 0.0))
     for shape, G, F in problems:
@@ -902,13 +901,13 @@ def _scalar_problem(rng, nx, ny, problem, columns):
     coarse = build_coarse_grid(build_fine_grid(3 * nx, 3 * ny), 3, 3)
     element = int(rng.integers(9))
     if problem == "online":
-        shape = LocalShapes(coarse).online(element)[0]
+        shape = online_shape(coarse, element)[0]
         F = rng.standard_normal((shape.element_cells.size, columns))
         G = rng.standard_normal((shape.grid.n_dofs, columns))
         if columns == 1:
             F, G = F[:, 0], G[:, 0]
         return shape.grid, shape.operator, G, F
-    shape = LocalShapes(coarse).snapshot(element, 1)[0]
+    shape = snapshot_shape(coarse, element, 1)[0]
     return shape.grid, shape.operator, shape.data, 0.0
 
 
@@ -925,7 +924,7 @@ def test_diagonal_path_matches_general_path(nx, ny, problem, columns, per_corner
     """A scalar coefficient's diagonal matrix (velocities eliminated per
     edge, the two-point S solved red-black below the dense limit) gives the
     pressure system of the general path (vertex Cholesky, triangular solves,
-    ``schur_matrix(X)``, banded) to 1e-14 relative, S and right-hand side,
+    ``schur_matrix``, banded) to 1e-14 relative, S and right-hand side,
     and its velocity and pressure (nine-point S) to 1e-13 relative, for one
     or several right-hand sides, with fixed Neumann DOFs or kept cells, or
     with both paths by SuperLU.  The per-edge path forms no X and y, so
@@ -1000,7 +999,7 @@ def test_bad_diagonal_raises_the_vertex_naming_error(bad, message):
 def test_red_black_solve_matches_dense_cholesky_of_s(nx, ny):
     """The red-black solve of a scalar coefficient's two-point S (formed
     per edge) equals a plain dense Cholesky solve of the general path's
-    ``schur_matrix(X)`` to 1e-13, for one and several columns; S couples no
+    ``schur_matrix`` to 1e-13, for one and several columns; S couples no
     two cells of one colour."""
     rng = np.random.default_rng(nx * ny)
     grid = build_fine_grid(nx, ny)
@@ -1010,7 +1009,7 @@ def test_red_black_solve_matches_dense_cholesky_of_s(nx, ny):
     assert five_point
     order = operator._order
     S = operator._csc(data).toarray()
-    S_ref = operator.schur_matrix(_vertex_factor(operator, A)[1]).toarray()
+    S_ref = schur_matrix(operator, _vertex_factor(operator, A)[1]).toarray()
     assert np.abs(S - S_ref).max() <= 1e-14 * np.abs(S_ref).max()
     ix, iy = order % nx, order // nx
     same_colour = (ix + iy)[:, None] % 2 == (ix + iy)[None, :] % 2
@@ -1177,9 +1176,9 @@ def test_sparse_pattern_matches_the_unique_build():
     grid = build_fine_grid(9, 8)
     kept = grid.cell_id(np.arange(2, 7), np.arange(1, 4)[:, None]).ravel()
     operators.append(PreparedOperator(grid, kept_cells=kept))
-    shapes = LocalShapes(build_coarse_grid(build_fine_grid(24, 18), 3, 3))
+    coarse = build_coarse_grid(build_fine_grid(24, 18), 3, 3)
     for i in range(9):
-        operators += [shapes.online(i)[0].operator, shapes.snapshot(i, 1)[0].operator]
+        operators += [online_shape(coarse, i)[0].operator, snapshot_shape(coarse, i, 1)[0].operator]
     for operator in operators:
         for got, want in zip(operator._sparse_pattern, _unique_pattern(operator)):
             assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -62,6 +62,7 @@ class SpectralSpace:
     gram_a: np.ndarray           # (J, J) velocity energy Gram matrix
     gram_s: np.ndarray           # (J, J) pressure L2 Gram matrix
     null_energy: float = 0.0     # velocity energy of the summed snapshots
+    layers: int = 0              # oversampling layers of the snapshot solves
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
     n_selected: int = 0
@@ -121,6 +122,7 @@ def build_snapshots(
         # evaluating 1' gram_a 1 instead would cancel catastrophically because
         # the individual snapshot energies dwarf the sum's.
         null_energy=float(M.gram(U.sum(axis=1, keepdims=True))[0, 0]),
+        layers=layers,
     )
 
 
@@ -175,7 +177,8 @@ def spectral_decompose(space: SpectralSpace, m_off: int) -> SpectralSpace:
             f"(pressure rank of {J} snapshots), got {m_off}"
         )
     W = Q[:, keep] / np.sqrt(s[keep])
-    w, Vt = la.eigh(0.5 * (W.T @ A_work @ W + (W.T @ A_work @ W).T))
+    A_sub = W.T @ A_work @ W
+    w, Vt = la.eigh(0.5 * (A_sub + A_sub.T))
     V = W @ Vt
     if proj is not None:
         # The working eigenvectors live in deflated coordinates; pull them
@@ -205,23 +208,16 @@ class ReductionMap:
     Columns are grouped per coarse element (element-major, eigenvalue-minor
     for offline columns; online columns append at the end).  ``columns``
     lists each column as (element id, cells, values) and ``provenance`` its
-    origin: 'offline', 'updated' or 'online'.  The same columns are kept in
-    compressed-column arrays, which :meth:`append_column` extends and
-    :meth:`replace_element_columns` overwrites in place, so :attr:`matrix`
-    reads no column list.  Change columns through the methods, which keep
-    those arrays and the per-element column index current.
+    origin: 'offline', 'updated' or 'online'.  The column list is the map's
+    only storage: :attr:`matrix` is built from it on its first read after an
+    edit.  Change columns through the methods, which keep the per-element
+    column index current and write into no stored array.
     """
 
     def __init__(self, n_cells: int, columns=(), provenance=()):
         self.n_cells = n_cells
         self.columns, self.provenance = [], []
         self._by_element = {}
-        # Compressed columns with spare capacity: column j holds the entries
-        # _indptr[j]:_indptr[j + 1] of _indices (its cells) and _data.  The
-        # index type is the matrix's, so that building it copies no wider one.
-        dtype = index_dtype(n_cells)
-        self._indptr, self._indices = np.zeros(1, dtype), np.empty(0, dtype)
-        self._data = np.empty(0)
         self._matrix = None
         for (element, cells, values), origin in zip(columns, provenance, strict=True):
             self.append_column(element, cells, values, origin)
@@ -235,10 +231,12 @@ class ReductionMap:
         """The map as an (n_cells, n_columns) compressed-column matrix, which
         owns its arrays: a later edit of the map leaves it unchanged."""
         if self._matrix is None:
-            n = self.n_columns
-            nnz = self._indptr[n]
-            arrays = self._data[:nnz], self._indices[:nnz], self._indptr[:n + 1]
-            self._matrix = sp.csc_matrix(arrays, shape=(self.n_cells, n), copy=True)
+            dtype = index_dtype(self.n_cells)
+            cells = [np.empty(0, dtype)] + [c[1] for c in self.columns]
+            indptr = np.cumsum([0] + [c[1].size for c in self.columns], dtype=dtype)
+            data = np.concatenate([np.empty(0)] + [c[2] for c in self.columns])
+            self._matrix = sp.csc_matrix((data, np.concatenate(cells, dtype=dtype), indptr),
+                                         shape=(self.n_cells, self.n_columns))
         return self._matrix
 
     def columns_of(self, element: int) -> np.ndarray:
@@ -246,28 +244,15 @@ class ReductionMap:
 
     def append_column(self, element: int, cells: np.ndarray, values: np.ndarray,
                       provenance: str = "online") -> None:
-        cells = np.asarray(cells, dtype=int)
-        values = np.asarray(values, dtype=float)
-        j = self.n_columns
-        start = int(self._indptr[j])
-        end = start + cells.size
-        # Capacity doubles, so that k appends copy O(k) columns.
-        if end > self._data.size:
-            self._indices = np.resize(self._indices, 2 * end)
-            self._data = np.resize(self._data, 2 * end)
-        if j + 2 > self._indptr.size:
-            self._indptr = np.resize(self._indptr, 2 * (j + 2))
-        self._indices[start:end] = cells
-        self._data[start:end] = values
-        self._indptr[j + 1] = end
-        self._by_element.setdefault(element, []).append(j)
-        self.columns.append((element, cells, values))
+        """Append one column; ``values`` is copied."""
+        self._by_element.setdefault(element, []).append(self.n_columns)
+        self.columns.append((element, np.asarray(cells, dtype=int), np.array(values, dtype=float)))
         self.provenance.append(provenance)
         self._matrix = None
 
     def replace_element_columns(self, element: int, basis: np.ndarray,
                                 cells: np.ndarray, provenance: str = "updated") -> None:
-        """Overwrite element's columns, in order, by those of ``basis`` on ``cells``,
+        """Replace element's columns, in order, by those of ``basis`` on ``cells``,
         which must be as many as the columns' cells."""
         ids = self.columns_of(element)
         if len(ids) != basis.shape[1]:
@@ -275,16 +260,13 @@ class ReductionMap:
                 f"element {element} holds {len(ids)} columns, replacement has {basis.shape[1]}"
             )
         cells = np.asarray(cells, dtype=int)
-        lengths = self._indptr[ids + 1] - self._indptr[ids]
-        if np.any(lengths != cells.size):
+        lengths = [self.columns[j][1].size for j in ids]
+        if any(n != cells.size for n in lengths):
             raise ValueError(
-                f"element {element}'s columns hold {lengths.tolist()} cells, "
+                f"element {element}'s columns hold {lengths} cells, "
                 f"replacement has {cells.size}"
             )
         for k, j in enumerate(ids):
-            start, end = self._indptr[j], self._indptr[j + 1]
-            self._indices[start:end] = cells
-            self._data[start:end] = basis[:, k]
             self.columns[j] = (element, cells, basis[:, k].copy())
             self.provenance[j] = provenance
         self._matrix = None
@@ -294,8 +276,6 @@ class ReductionMap:
         new = copy.copy(self)
         new.columns, new.provenance = list(self.columns), list(self.provenance)
         new._by_element = {e: list(ids) for e, ids in self._by_element.items()}
-        new._indptr, new._indices, new._data = (
-            self._indptr.copy(), self._indices.copy(), self._data.copy())
         return new
 
 
@@ -390,9 +370,10 @@ def update_offline(
 ) -> tuple:
     """Re-snapshot the selected elements with the solution-dependent coefficient.
 
-    The local problems use 1/kappa + beta |u| at element corners; the
-    spectral problem keeps the Darcy-weighted velocity Gram matrix.  Returns
-    (new ReductionMap, new spaces list); each element's column count is kept.
+    The local problems use 1/kappa + beta |u| at element corners, on the
+    oversampling layers the element's space was built with; the spectral
+    problem keeps the Darcy-weighted velocity Gram matrix.  Returns (new
+    ReductionMap, new spaces list); each element's column count is kept.
     """
     _, speed = corner_velocities(fine, velocity)
     darcy = 1.0 / kappa.values
@@ -401,7 +382,8 @@ def update_offline(
     new_spaces = list(spaces)
     for i in np.asarray(selected, dtype=int):
         m_i = len(rmap.columns_of(int(i)))
-        space = build_snapshots(fine, coarse, int(i), coeff, gram_coeff=darcy)
+        space = build_snapshots(fine, coarse, int(i), coeff, gram_coeff=darcy,
+                                layers=spaces[int(i)].layers)
         space = spectral_decompose(space, m_i)
         new_spaces[int(i)] = space
         new_map.replace_element_columns(int(i), space.basis(m_i), space.cells)

@@ -383,6 +383,26 @@ def test_module_entrypoint(tmp_path):
     assert len(bad.stderr.strip().splitlines()) == 1
 
 
+def test_digit_report_of_two_output_directories(tmp_path):
+    """scripts/cli_digits.py reports an identical file, a changed cell
+    relative to its file's largest value, and a file on one side only."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, cell in ((old, "0.25"), (new, "0.5")):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "same.txt").write_text("# rows cols nnz\n2 1 1\n1 0 -0.75\n")
+        (root / "run" / "errors.csv").write_text(f"# theta=0.75\nm,Erp\n2,{cell}\n")
+    (new / "extra.txt").write_text("1\n")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "cli_digits.py"
+    proc = subprocess.run([sys.executable, str(script), str(old), str(new)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "extra.txt: only in NEW",
+        "run/errors.csv: largest change 1.250e-01 of max |value| 2 (line 3 field 2: 0.25 -> 0.5)",
+        "run/same.txt: identical",
+    ]
+
+
 def test_import_loads_no_scipy_ndimage():
     """The package needs numpy and scipy's sparse and linalg modules only; a
     fresh interpreter shows it, since tests may import scipy.ndimage."""

@@ -241,10 +241,11 @@ def test_select_by_fraction_rules():
         select_by_fraction(np.array([1.0, -0.5]), 0.5)
 
 
-def test_update_with_zero_forchheimer_is_identity():
+@pytest.mark.parametrize("oversample_layers", [0, 1])
+def test_update_with_zero_forchheimer_is_identity(oversample_layers):
     fine, coarse, kappa = _setup(8, 2)
     beta0 = ScalarCellField(8, 8, np.zeros(64))
-    spaces, rmap = build_offline_space(fine, coarse, kappa, 3)
+    spaces, rmap = build_offline_space(fine, coarse, kappa, 3, oversample_layers)
     sol = solve_offline(
         fine, kappa, beta0, left_right_spec(fine), np.zeros(64), rmap,
         NonlinearConfig(scheme="picard"),
@@ -252,7 +253,7 @@ def test_update_with_zero_forchheimer_is_identity():
     new_map, new_spaces = update_offline(
         fine, coarse, rmap, spaces, sol.velocity, np.arange(4), kappa, beta0
     )
-    # same coefficient -> identical snapshots -> identical deterministic basis
+    # same coefficient and layers -> identical snapshots -> identical basis
     assert np.allclose(
         new_map.matrix.toarray(), rmap.matrix.toarray(), atol=1e-12
     )
@@ -407,6 +408,27 @@ def test_map_edits_match_coo_build_and_copies_are_independent(edits):
     for original, dense in kept:
         assert np.array_equal(original.matrix.toarray(), dense)
         assert _same_matrix(original.matrix, _coo_built(original))
+
+
+def test_map_matrix_keeps_int32_indices_and_columns_own_their_values():
+    """Appends, replacements and copies keep the matrix's indices and
+    pointers int32, and editing the caller's array after an append changes
+    neither the column nor the matrix."""
+    rmap = ReductionMap(10)
+    values = np.array([1.0, 2.0, 3.0])
+    rmap.append_column(0, np.array([2, 0, 1]), values)
+    values[:] = -1.0
+    assert np.array_equal(rmap.columns[0][2], [1.0, 2.0, 3.0])
+    assert np.array_equal(rmap.matrix.toarray()[[2, 0, 1], 0], [1.0, 2.0, 3.0])
+    maps = [rmap]
+    rmap.append_column(1, np.array([5, 6]), np.ones(2))
+    maps.append(rmap.copy())
+    maps[-1].replace_element_columns(0, np.ones((3, 1)), np.array([2, 0, 1]))
+    maps[-1].append_column(0, np.array([2, 0, 1]), np.zeros(3))
+    for m in maps:
+        assert m.matrix.indices.dtype == np.int32
+        assert m.matrix.indptr.dtype == np.int32
+    assert maps[0].n_columns == 2 and maps[1].n_columns == 3
 
 
 def test_replacement_on_other_cells_is_rejected():

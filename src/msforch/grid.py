@@ -64,7 +64,6 @@ class FineGrid:
     edge_nodes: np.ndarray        # (n_edges, 2) endpoint vertex ids
     edge_lengths: np.ndarray      # (n_edges,)
     element_edges: np.ndarray     # (n_cells, 4) edge ids: bottom, right, top, left
-    element_edge_signs: np.ndarray  # (n_cells, 4)
     edge_side: np.ndarray         # (n_edges,) -1 interior, 0/1/2/3 bottom/right/top/left
     edge_boundary_sign: np.ndarray  # (n_edges,) sign in the unique adjacent element
     vertex_dofs: np.ndarray       # (n_vertices, 4) dof ids padded with -1
@@ -170,7 +169,6 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     element_edges = np.column_stack(
         [hid(cix, ciy), wid(cix + 1, ciy), hid(cix, ciy + 1), wid(cix, ciy)]
     )
-    element_edge_signs = np.tile(ELEMENT_EDGE_SIGNS, (nx * ny, 1))
 
     edge_side = np.full(n_h + n_v, -1, dtype=np.int8)
     edge_side[hid(hx, hy)[hy == 0]] = 0
@@ -181,7 +179,7 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     # Sign of each boundary edge in its unique adjacent element.  Interior
     # contributions cancel (+1 and -1), which doubles as a sanity check.
     edge_boundary_sign = np.zeros(n_h + n_v, dtype=np.int64)
-    np.add.at(edge_boundary_sign, element_edges.ravel(), element_edge_signs.ravel())
+    np.add.at(edge_boundary_sign, element_edges.ravel(), np.tile(ELEMENT_EDGE_SIGNS, nx * ny))
     if np.any(edge_boundary_sign[edge_side < 0] != 0):
         raise AssertionError("interior edge orientation signs do not cancel")
 
@@ -215,7 +213,6 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
         edge_nodes=edge_nodes,
         edge_lengths=edge_lengths,
         element_edges=element_edges,
-        element_edge_signs=element_edge_signs,
         edge_side=edge_side,
         edge_boundary_sign=edge_boundary_sign,
         vertex_dofs=vertex_dofs,

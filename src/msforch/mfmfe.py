@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigurationError
-from .grid import CORNER_EDGE_LOCAL, FineGrid
+from .grid import CORNER_EDGE_LOCAL, ELEMENT_EDGE_SIGNS, FineGrid
 
 #: Gauss-Legendre nodes/weights on [0, 1] used for Dirichlet edge integrals.
 _GAUSS3 = (
@@ -245,7 +245,7 @@ def divergence_blocks(grid: FineGrid) -> np.ndarray:
     vertex ``elements[c, k]``, so one scatter per corner writes each entry
     -sign * |e| / 2 as :func:`assemble_divergence` forms it.
     """
-    vals = -0.5 * grid.element_edge_signs * grid.edge_lengths[grid.element_edges]
+    vals = -0.5 * ELEMENT_EDGE_SIGNS * grid.edge_lengths[grid.element_edges]
     slots = grid.dof_vslot[grid.elem_corner_dof]
     blocks = np.zeros((4, 4, grid.n_vertices))
     for k in range(4):
@@ -328,9 +328,7 @@ def linearize(grid: FineGrid, kappa: np.ndarray, beta: np.ndarray, U: np.ndarray
 def assemble_divergence(grid: FineGrid) -> sp.csr_matrix:
     """Divergence matrix B with entries -sign * |e| / 2 per edge-endpoint DOF."""
     edges = grid.element_edges            # (n_c, 4)
-    signs = grid.element_edge_signs
-    lens = grid.edge_lengths[edges]
-    vals = -0.5 * signs * lens            # per (cell, local edge)
+    vals = -0.5 * ELEMENT_EDGE_SIGNS * grid.edge_lengths[edges]   # per (cell, local edge)
     rows = np.stack([2 * edges, 2 * edges + 1], axis=-1).ravel()
     data = np.repeat(vals.ravel(), 2)
     cols = np.repeat(np.arange(grid.n_cells), 8)

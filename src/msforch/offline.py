@@ -402,17 +402,21 @@ def save_triplets(rmap: ReductionMap, path, comment: str) -> None:
 
 
 def load_triplets(path) -> sp.csr_matrix:
-    """Read a triplet file written by :func:`save_triplets`."""
+    """Read a triplet file written by :func:`save_triplets`; a malformed file
+    raises ValueError naming it."""
     with open(path) as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
+        lines = [ln.split("#", 1)[0].split() for ln in fh]
     lines = [ln for ln in lines if ln]
-    rows_, cols_, nnz_ = (int(t) for t in lines[0].split())
-    if len(lines) - 1 != nnz_:
-        raise ValueError(f"triplet file {path} promises {nnz_} entries, has {len(lines) - 1}")
-    data = np.array([[float(t) for t in ln.split()] for ln in lines[1:]])
-    if data.size == 0:
-        return sp.csr_matrix((rows_, cols_))
-    return sp.csr_matrix(
-        (data[:, 2], (data[:, 0].astype(int), data[:, 1].astype(int))),
-        shape=(rows_, cols_),
-    )
+    if not lines or any(len(ln) != 3 for ln in lines):
+        raise ValueError(f"triplet file {path} is not a size line and 'row col value' lines")
+    try:
+        rows_, cols_, nnz_ = (int(t) for t in lines[0])
+        data = np.array(lines[1:], dtype=float).reshape(-1, 3)
+    except ValueError as exc:
+        raise ValueError(f"triplet file {path}: {exc}") from exc
+    if len(data) != nnz_:
+        raise ValueError(f"triplet file {path} promises {nnz_} entries, has {len(data)}")
+    row, col = data[:, :2].astype(int).T
+    if np.any((row < 0) | (row >= rows_) | (col < 0) | (col >= cols_)):
+        raise ValueError(f"triplet file {path} has an index outside its {rows_} x {cols_} shape")
+    return sp.csr_matrix((data[:, 2], (row, col)), shape=(rows_, cols_))

@@ -39,16 +39,17 @@ itself, and it is the only place that factors S.  A grid's operator for one
 set of constrained DOFs is built once per grid object (:func:`grid_operator`)
 and shared by every solve on it.  A linearization step does numerical work
 only.  A tensor (Newton) step factors the vertex blocks in closed form,
-solves them against B and G in one triangular pass, forms and factors S,
-back-substitutes.  A
-scalar coefficient (Picard, the Darcy start, the local problems) makes A
-diagonal and S the two-point (five-point) scheme, eliminated per edge with
-no vertex block; its red-black solve eliminates the red cells by division,
-factoring only the black half.  Convergence is declared on
-the relative increment max_z ||z^{n+1} - z^n|| / max(||z^n||, eps) over
-both state vectors z = P, U; the velocity must take part because
-on uniform flow a constant linearized coefficient scales out of the pressure
-system entirely, leaving P exact while U is still moving.
+solves them against B and its one G in one triangular pass, forms and
+factors S, back-substitutes.  A scalar coefficient (Picard, the Darcy start,
+the local problems) makes A diagonal and S the two-point (five-point)
+scheme, eliminated per edge with no vertex block; its red-black solve
+eliminates the red cells by division, factoring only the black half.
+Several right-hand-side columns (the snapshots) apply to a diagonal A only.
+Convergence is declared on the relative increment
+max_z ||z^{n+1} - z^n|| / max(||z^n||, eps) over both state vectors
+z = P, U; the velocity must take part because on uniform flow a constant
+linearized coefficient scales out of the pressure system entirely, leaving
+P exact while U is still moving.
 """
 
 from __future__ import annotations
@@ -289,9 +290,9 @@ class PreparedOperator:
     identity.
     A tensor A (Newton) then factors the vertex blocks A_v = L_v L_v^T in
     closed form (:func:`~msforch.mfmfe.vertex_cholesky`, the SPD check), forms
-    [X_v | y_v] = L_v^{-1} [B_v | G_v] in one triangular pass, sums
-    S = sum_v X_v^T X_v and the right-hand side sum_v X_v^T y_v - F by
-    bincount, factors S and recovers U_v = L_v^{-T} (y_v - X_v P_v).  S has
+    [X_v | y_v] = L_v^{-1} [B_v | G_v] for its one column G in one triangular
+    pass, sums S = sum_v X_v^T X_v and the right-hand side sum_v X_v^T y_v - F
+    by bincount, factors S and recovers U_v = L_v^{-T} (y_v - X_v P_v).  S has
     one pattern, built on first use: the fixed 9-point pattern in compressed
     columns, in the cells' nested-dissection order.
 
@@ -558,33 +559,26 @@ class PreparedOperator:
         return P
 
     def _cell_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-vertex entries (4, [k,] n_vertices) summed into their cells: (n, [k])."""
+        """Per-vertex entries (4, n_vertices) summed into their cells: (n,)."""
         n = self.n_pressure
-        if values.ndim == 2:
-            return np.bincount(self._cells.ravel(), weights=values.ravel(), minlength=n + 1)[:n]
-        # Slot j of distinct vertices holds distinct cells (a cell has one
-        # corner j), so only the dropped bin n sees repeated indices.
-        sums = np.zeros((n + 1, values.shape[1]))
-        for j in range(4):
-            sums[self._cells[j]] += values[j].T
-        return sums[:n]
+        return np.bincount(self._cells.ravel(), weights=values.ravel(), minlength=n + 1)[:n]
 
     def _eliminate(self, A: VertexBlockMatrix, G: np.ndarray, F):
         """(L, X, y, rhs): the vertex Cholesky factors of A, X = L^{-1} B_v,
         y = L^{-1} G_v and rhs = sum_v X_v^T y_v - F, with X and y from one
-        triangular pass.  G is one vector (n_dofs,) or holds one right-hand
-        side per column."""
+        triangular pass.  G is one vector (n_dofs,), else ValueError."""
         L = vertex_cholesky(A.blocks, self._unit)
-        Gv = _per_vertex(G, self._dofs)
-        Xy = lower_solve(L, np.concatenate([self.Bv, Gv.reshape(4, -1, Gv.shape[-1])], axis=1))
-        X, y = Xy[:, :4], Xy[:, 4:].reshape(Gv.shape)
-        return L, X, y, self._cell_sums(_blocks_times(X, y, transpose=True)) - F
+        if G.ndim != 1:
+            raise ValueError("a tensor velocity matrix takes one right-hand side")
+        Gv = np.append(G, 0.0)[self._dofs]
+        Xy = lower_solve(L, np.concatenate([self.Bv, Gv[:, None]], axis=1))
+        X, y = Xy[:, :4], Xy[:, 4]
+        return L, X, y, self._cell_sums(np.einsum("jiv,jv->iv", X, y)) - F
 
     def _velocity(self, L: np.ndarray, X: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:
         """U = A^{-1} (G - B P) = L^{-T} (y - X P_v) per vertex, in DOF order."""
-        U = lower_transpose_solve(L, y - _blocks_times(X, _per_vertex(P, self._cells)))
-        U = U.ravel() if U.ndim == 2 else U.transpose(0, 2, 1).reshape(-1, U.shape[1])
-        return U[self._slot_of_dof]
+        U = lower_transpose_solve(L, y - np.einsum("ijv,jv->iv", X, np.append(P, 0.0)[self._cells]))
+        return U.ravel()[self._slot_of_dof]
 
     @functools.cached_property
     def _edges(self) -> tuple:
@@ -632,9 +626,9 @@ class PreparedOperator:
               retained: RetainedFactor | None = None):
         """(U, P) of the saddle system on the full pressure space.
 
-        G is (n_dofs,) or holds one right-hand side per column, (n_dofs, k);
-        U and P then carry the same columns.  A SuperLU-path solve with
-        ``retained`` reuses and updates its factor.
+        G is (n_dofs,) or, for a diagonal A only, holds one right-hand side
+        per column, (n_dofs, k); U and P then carry the same columns.  A
+        SuperLU-path solve with ``retained`` reuses and updates its factor.
         """
         self._check_regular()
         data, rhs, velocity, five_point = self._system(A, G, F)
@@ -694,24 +688,6 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
 def _slot_sum(g: np.ndarray) -> np.ndarray:
     """g[:, 0] + g[:, 1] + g[:, 2] + g[:, 3], in that order."""
     return g[:, 0] + g[:, 1] + g[:, 2] + g[:, 3]
-
-
-def _blocks_times(X: np.ndarray, y: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """X_v y_v (or X_v^T y_v) per vertex, entry-major: X (4, 4, n), y (4, [k,] n)."""
-    if y.ndim == 2:
-        return np.einsum("jiv,jv->iv" if transpose else "ijv,jv->iv", X, y)
-    # Several columns: a batched matmul, several times faster than einsum here.
-    Xv = X.T if transpose else X.transpose(2, 0, 1)
-    return (Xv @ y.transpose(2, 0, 1)).transpose(1, 2, 0)
-
-
-def _per_vertex(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``values[index]`` entry-major, (4, [k,] n_vertices), for a (n,) or
-    (n, k) ``values``; padding indices (n) read zero."""
-    if values.ndim == 1:
-        return np.append(values, 0.0)[index]
-    padded = np.concatenate([values, np.zeros((1, values.shape[1]))])
-    return padded[index].transpose(0, 2, 1)
 
 
 def _gram_entries(X: np.ndarray) -> np.ndarray:

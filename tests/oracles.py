@@ -19,7 +19,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from msforch.errors import DegenerateElementError, SingularSystemError
-from msforch.grid import CORNER_EDGE_END, CORNER_EDGE_LOCAL
+from msforch.grid import CORNER_EDGE_END, CORNER_EDGE_LOCAL, ELEMENT_EDGE_SIGNS
 from msforch.mfmfe import VertexBlockMatrix, unit_slots, vertex_cholesky
 
 # Reference square corners, counter-clockwise from the origin.
@@ -83,7 +83,7 @@ def corner_geometry(grid):
     for c in range(grid.n_cells):
         _, DF[c], J[c] = bilinear_map(grid.vertices[grid.elements[c]], REF_CORNERS)
     edges = grid.element_edges[:, CORNER_EDGE_LOCAL]
-    t = grid.element_edge_signs[:, CORNER_EDGE_LOCAL] * grid.edge_lengths[edges]
+    t = ELEMENT_EDGE_SIGNS[CORNER_EDGE_LOCAL] * grid.edge_lengths[edges]
     return DF, J, t, 2 * edges + CORNER_EDGE_END
 
 

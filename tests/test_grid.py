@@ -7,6 +7,7 @@ from msforch.errors import DegenerateElementError
 from msforch.grid import (
     CORNER_EDGE_END,
     CORNER_EDGE_LOCAL,
+    ELEMENT_EDGE_SIGNS,
     block_indices,
     build_coarse_grid,
     build_fine_grid,
@@ -70,7 +71,7 @@ def test_interior_edges_have_opposite_signs():
     g = build_fine_grid(3, 3)
     seen = {}
     for c in range(g.n_cells):
-        for e, s in zip(g.element_edges[c], g.element_edge_signs[c]):
+        for e, s in zip(g.element_edges[c], ELEMENT_EDGE_SIGNS):
             seen.setdefault(int(e), []).append(int(s))
     for e, signs in seen.items():
         if g.edge_side[e] == -1:

@@ -339,6 +339,18 @@ def test_triplet_roundtrip(tmp_path):
         load_triplets(path)
 
 
+@pytest.mark.parametrize("text", [
+    "# comments only\n",
+    "2 2 1\n0 1\n",
+    "2 2 2\n0 1 1.0\n2 0 1.0\n",
+], ids=["no-size-line", "two-field-entry", "row-outside-shape"])
+def test_malformed_triplet_file_raises_value_error_naming_it(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad.txt"):
+        load_triplets(path)
+
+
 def test_replace_element_columns_count_mismatch():
     rmap = ReductionMap(4, [], [])
     rmap.append_column(0, np.array([0, 1]), np.array([1.0, 2.0]), provenance="offline")

@@ -42,7 +42,6 @@ from msforch.solve import (
     grid_operator,
     nonlinear_solve,
     schur_solve,
-    _per_vertex,
     velocity_error_norm,
 )
 
@@ -375,8 +374,9 @@ def test_three_factorizations_match_saddle_oracle(
     factorization the rule names (red-black for a five-point S within the
     dense limit, else banded while kd = min(nx, ny) + 1 is within the band
     limit, else SuperLU), and its velocity and pressure agree with the
-    dense saddle oracle to 1e-12, for a scalar or tensor A and one or
-    several right-hand-side columns."""
+    dense saddle oracle to 1e-12, for a scalar A with one or several
+    right-hand-side columns and a tensor A with one; a tensor A raises on
+    several."""
     rng = np.random.default_rng(seed)
     sys_, A = _preset_problem(rng, nx, ny, preset, tensor)
     n, fixed = sys_.grid.n_cells, sys_.cdofs
@@ -384,6 +384,10 @@ def test_three_factorizations_match_saddle_oracle(
     F = rng.standard_normal((n, columns))
     if columns == 1:
         G, F = G[:, 0], F[:, 0]
+    elif tensor:
+        with pytest.raises(ValueError, match="one right-hand side"):
+            sys_.operator.solve(A, G, F)
+        return
     G_free = G.copy()
     G_free[fixed] = 0.0
     Ahat, Bfree, _ = eliminate_constraints(sys_, A)
@@ -592,17 +596,22 @@ def test_band_and_sparse_schur_share_one_pattern():
 
 @pytest.mark.parametrize("columns", [False, True])
 def test_fused_triangular_pass_matches_separate_solves(columns):
-    """[X | y] from one triangular pass equals X and y solved apart, bitwise."""
+    """[X | y] from one triangular pass equals X and y solved apart, bitwise;
+    a tensor A takes one right-hand side, and several columns raise."""
     grid = build_fine_grid(5, 4)
     sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), left_right_spec(grid))
     rng = np.random.default_rng(9)
     A = linearize(grid, 1.0 / rng.uniform(0.1, 10.0, grid.n_cells), np.ones(grid.n_cells),
                   rng.standard_normal(grid.n_dofs), "newton")[0]
     operator = sys_.operator
-    G = rng.standard_normal((grid.n_dofs, 2) if columns else grid.n_dofs)
-    L, X, y, rhs = operator._eliminate(A, G, sys_.F[:, None] if columns else sys_.F)
+    if columns:
+        with pytest.raises(ValueError, match="one right-hand side"):
+            operator._eliminate(A, rng.standard_normal((grid.n_dofs, 2)), sys_.F[:, None])
+        return
+    G = rng.standard_normal(grid.n_dofs)
+    L, X, y, rhs = operator._eliminate(A, G, sys_.F)
     L_ref, X_ref = _vertex_factor(operator, A)
-    y_ref = lower_solve(L_ref, _per_vertex(G, operator._dofs))
+    y_ref = lower_solve(L_ref, np.append(G, 0.0)[operator._dofs])
     assert np.array_equal(L, L_ref) and np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
 
@@ -876,6 +885,17 @@ def _general(A):
     return VertexBlockMatrix(A.blocks, A.grid)
 
 
+def _by_column(solve, G, F):
+    """The arrays solve(G, F) returns, for a vector G; for a 2-D G, those of
+    solve(G_j, F_j) for each column j, stacked as columns (F_j is F's column
+    j, or F itself if scalar): the general (vertex) path takes one
+    right-hand side."""
+    if G.ndim == 1:
+        return solve(G, F)
+    runs = [solve(G[:, j], F[:, j] if np.ndim(F) else F) for j in range(G.shape[1])]
+    return tuple(np.stack(r, axis=-1) for r in zip(*runs))
+
+
 def _columns_close(a, b, rtol):
     """Every column of a within rtol of b's, relative to b's norm."""
     a, b = a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)
@@ -927,8 +947,9 @@ def test_diagonal_path_matches_general_path(nx, ny, problem, columns, per_corner
     ``schur_matrix``, banded) to 1e-14 relative, S and right-hand side,
     and its velocity and pressure (nine-point S) to 1e-13 relative, for one
     or several right-hand sides, with fixed Neumann DOFs or kept cells, or
-    with both paths by SuperLU.  The per-edge path forms no X and y, so
-    there is no eliminated system to compare bitwise."""
+    with both paths by SuperLU.  The general path takes one column at a
+    time.  The per-edge path forms no X and y, so there is no eliminated
+    system to compare bitwise."""
     rng = np.random.default_rng(seed)
     grid, operator, G, F = _scalar_problem(rng, nx, ny, problem, columns)
     shape = (grid.n_cells, 4) if per_corner else grid.n_cells
@@ -936,8 +957,8 @@ def test_diagonal_path_matches_general_path(nx, ny, problem, columns, per_corner
     assert A.diagonal is not None
     data, rhs, _, five_point = operator._system(A, G, F)
     assert five_point
-    _, X, _, rhs_ref = operator._eliminate(_general(A), G, F)
-    S_ref = operator._schur_data(X)
+    S_ref = operator._schur_data(_vertex_factor(operator, A)[1])
+    rhs_ref, = _by_column(lambda g, f: operator._eliminate(_general(A), g, f)[3:], G, F)
     assert np.abs(data - S_ref).max() <= 1e-14 * np.abs(S_ref).max()
     # Relative to the two terms of rhs = B^T A^{-1} G - F, which may cancel.
     F_full = np.broadcast_to(F, rhs.shape)
@@ -947,10 +968,11 @@ def test_diagonal_path_matches_general_path(nx, ny, problem, columns, per_corner
         if superlu:
             _take(mp, "splu")
         U, P = operator.solve(A, G, F)
-        U_ref, P_ref = operator.solve(_general(A), G, F)
+        U_ref, P_ref = _by_column(lambda g, f: operator.solve(_general(A), g, f), G, F)
         assert _columns_close(U, U_ref, 1e-13) and _columns_close(P, P_ref, 1e-13)
         if problem == "online":
-            assert _columns_close(operator.pressure(A, F), operator.pressure(_general(A), F), 1e-13)
+            P_ref, = _by_column(lambda g, f: (operator.pressure(_general(A), f),), G, F)
+            assert _columns_close(operator.pressure(A, F), P_ref, 1e-13)
         if problem == "left_right" and columns == 1:
             R = sp.identity(grid.n_cells, format="csr")
             U_r, P_r = operator.solve_reduced(A, R, G, F)
@@ -981,7 +1003,9 @@ def test_diagonal_path_is_taken_below_and_beyond_the_dense_limit(factorizations,
 ])
 def test_bad_diagonal_raises_the_vertex_naming_error(bad, message):
     """A diagonal that is not finite and positive falls back to the vertex
-    Cholesky, which names the vertex: the same error as the general path."""
+    Cholesky, which names the vertex: the same error as the general path,
+    also for several right-hand-side columns: the vertex check comes before
+    the general path's one-column check."""
     grid = build_fine_grid(4, 3)
     sys_ = LinearizedSystem(grid, np.zeros(grid.n_cells), all_dirichlet_spec(grid, 0.0))
     coeff = np.ones(grid.n_cells)
@@ -993,6 +1017,9 @@ def test_bad_diagonal_raises_the_vertex_naming_error(bad, message):
     with pytest.raises(AssemblyError) as general:
         sys_.solve(_general(A), sys_.G0)
     assert str(diagonal.value) == str(general.value)
+    with pytest.raises(AssemblyError) as columns:
+        sys_.operator.solve(A, np.zeros((grid.n_dofs, 3)), np.zeros((grid.n_cells, 3)))
+    assert str(columns.value) == str(diagonal.value)
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (2, 2), (7, 5), (16, 16), (17, 16)])

@@ -34,7 +34,6 @@ from .fields import (
 from .grid import (
     CoarseGrid,
     FineGrid,
-    Subgrid,
     build_coarse_grid,
     build_fine_grid,
     subgrid,

@@ -355,19 +355,15 @@ def cmd_offline(rc: RunConfig) -> int:
                 continue
             residuals = conservation_residuals(fine, coarse, off.velocity, f_cells)
             selected = select_by_fraction(residuals, rc.theta)
-            rmap_hat, _ = update_offline(
-                fine, coarse, rmap, spaces, off.velocity, selected, kappa, beta
-            )
-            hat = solve_offline(fine, kappa, beta, bc, f_cells, rmap_hat, cfg)
-            _require_converged(hat, f"updated offline solve (beta0={_g(b0)}, dof_per_T={m})")
-            erp_h, eru_h = error_metrics(fine, hat, ref)
-            rmap_til, _ = update_offline(
-                fine, coarse, rmap, spaces, off.velocity,
-                np.arange(coarse.n_elements), kappa, beta,
-            )
-            til = solve_offline(fine, kappa, beta, bc, f_cells, rmap_til, cfg)
-            _require_converged(til, f"fully updated offline solve (beta0={_g(b0)}, dof_per_T={m})")
-            erp_t, eru_t = error_metrics(fine, til, ref)
+            errors = []
+            for name, elements in (("updated", selected),
+                                   ("fully updated", np.arange(coarse.n_elements))):
+                new_map, _ = update_offline(fine, coarse, rmap, spaces, off.velocity, elements,
+                                            kappa, beta)
+                sol = solve_offline(fine, kappa, beta, bc, f_cells, new_map, cfg)
+                _require_converged(sol, f"{name} offline solve (beta0={_g(b0)}, dof_per_T={m})")
+                errors += error_metrics(fine, sol, ref)
+            erp_h, eru_h, erp_t, eru_t = errors
             rows.append(
                 f"{_g(b0)},{m},{_g(erp_o)},{_g(eru_o)},{_g(erp_h)},{_g(eru_h)},"
                 f"{len(selected)},{_g(erp_t)},{_g(eru_t)}"

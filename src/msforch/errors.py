@@ -2,7 +2,7 @@
 
 
 class DegenerateElementError(ValueError):
-    """Bilinear element map has a non-positive Jacobian determinant."""
+    """A collapsed cell (zero or negative width or height): its Jacobian is not positive."""
 
 
 class AssemblyError(RuntimeError):

@@ -225,17 +225,6 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     )
 
 
-@dataclass(frozen=True)
-class Subgrid:
-    """A rectangular block of fine cells re-meshed as a standalone grid."""
-
-    grid: FineGrid
-    rect: tuple                # (ox, oy, mx, my) in fine-cell indices
-    cells: np.ndarray          # local cell -> global cell
-    edges: np.ndarray          # local edge -> global edge
-    dofs: np.ndarray           # local dof -> global dof
-
-
 def block_indices(grid: FineGrid, ox: int, oy: int, mx: int, my: int) -> tuple:
     """(cells, edges, dofs) of ``grid`` for the mx-by-my cell block with
     lower-left cell (ox, oy), listed in the numbering of the block's own grid."""
@@ -251,15 +240,16 @@ def block_indices(grid: FineGrid, ox: int, oy: int, mx: int, my: int) -> tuple:
     return cells, edges, dofs
 
 
-def subgrid(fine: FineGrid, ox: int, oy: int, mx: int, my: int) -> Subgrid:
-    """Extract the mx-by-my block of cells with lower-left cell (ox, oy)."""
-    cells, edges, dofs = block_indices(fine, ox, oy, mx, my)
+def subgrid(fine: FineGrid, ox: int, oy: int, mx: int, my: int) -> FineGrid:
+    """The mx-by-my block of cells with lower-left cell (ox, oy) as a standalone
+    grid, numbered as :func:`block_indices` lists the block; ValueError if outside."""
+    if not (0 <= ox and ox + mx <= fine.nx and 0 <= oy and oy + my <= fine.ny):
+        raise ValueError(f"block ({ox},{oy},{mx},{my}) outside {fine.nx}x{fine.ny} grid")
     hx, hy = fine.spacing
     x0, _, y0, _ = fine.domain
-    local = build_fine_grid(
+    return build_fine_grid(
         mx, my, (x0 + ox * hx, x0 + (ox + mx) * hx, y0 + oy * hy, y0 + (oy + my) * hy)
     )
-    return Subgrid(grid=local, rect=(ox, oy, mx, my), cells=cells, edges=edges, dofs=dofs)
 
 
 def rect_boundary_edges(fine: FineGrid, ox: int, oy: int, mx: int, my: int) -> np.ndarray:

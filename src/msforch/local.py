@@ -82,7 +82,7 @@ def _place(build, coarse: CoarseGrid, i: int, layers: int) -> tuple:
     if shape is None:
         block = ("block", rect[2], rect[3])
         if block not in memo:
-            memo[block] = _grid.subgrid(fine, *rect).grid
+            memo[block] = _grid.subgrid(fine, *rect)
         local = memo[block]
         element_cells, _, element_dofs = block_indices(local, *inner)
         operator, data = build(local, element_cells)

@@ -65,18 +65,15 @@ class SpectralSpace:
     layers: int = 0              # oversampling layers of the snapshot solves
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
-    n_selected: int = 0
-    rank_deficient: bool = False
 
     @property
     def n_snapshots(self) -> int:
         return self.snapshots_p.shape[1]
 
-    def basis(self, m: int | None = None) -> np.ndarray:
-        """Pressure basis columns on the element's cells (L2-orthonormal)."""
+    def basis(self, m: int) -> np.ndarray:
+        """The first m pressure basis columns on the element's cells (L2-orthonormal)."""
         if self.eigenvectors is None:
             raise ValueError("spectral decomposition has not been run")
-        m = self.n_selected if m is None else m
         return self.snapshots_p @ self.eigenvectors[:, :m]
 
 
@@ -133,11 +130,12 @@ def spectral_decompose(space: SpectralSpace, m_off: int) -> SpectralSpace:
     responses — e.g. pure circulation patterns with zero pressure — which
     makes the pressure Gram matrix S rank-deficient and a direct generalized
     eigensolve unreliable.  The eigenproblem is therefore restricted to the
-    S-positive subspace: modes of S below 1e-12 of its largest eigenvalue
-    carry no pressure content and are dropped before solving.  The returned
-    eigenvectors are S-orthonormal, so the pressure basis is L2-orthonormal
-    on the element; signs are fixed so the largest-magnitude entry of each
-    eigenvector is positive.
+    S-positive subspace: modes below 1e-12 of S's own scale (the larger of its
+    largest diagonal entry and the working matrix's largest eigenvalue) carry
+    no pressure content and are dropped, so a one-cell element, which
+    deflation leaves with roundoff only, has rank 1.  The returned eigenvectors
+    are S-orthonormal, so the pressure basis is L2-orthonormal on the element;
+    signs are fixed so the largest-magnitude entry of each eigenvector is positive.
     """
     J = space.n_snapshots
     A = 0.5 * (space.gram_a + space.gram_a.T)
@@ -166,7 +164,7 @@ def spectral_decompose(space: SpectralSpace, m_off: int) -> SpectralSpace:
         A_work, S_work = A, S
 
     s, Q = la.eigh(0.5 * (S_work + S_work.T))
-    keep = s > 1e-12 * max(s.max(), 0.0)
+    keep = s > 1e-12 * max(s.max(), S.diagonal().max())
     sub_rank = int(keep.sum())
     rank = sub_rank + (1 if deflate else 0)
     if rank == 0:
@@ -197,30 +195,23 @@ def spectral_decompose(space: SpectralSpace, m_off: int) -> SpectralSpace:
     V[:, flip] *= -1.0
     space.eigenvalues = w
     space.eigenvectors = V
-    space.n_selected = m_off
-    space.rank_deficient = rank < J
     return space
 
 
 class ReductionMap:
     """Sparse map from coarse pressure coefficients to fine cell pressures.
 
-    Columns are grouped per coarse element (element-major, eigenvalue-minor
-    for offline columns; online columns append at the end).  ``columns``
-    lists each column as (element id, cells, values) and ``provenance`` its
-    origin: 'offline', 'updated' or 'online'.  The column list is the map's
-    only storage: :attr:`matrix` is built from it on its first read after an
-    edit.  Change columns through the methods, which keep the per-element
-    column index current and write into no stored array.
+    A new map has no columns.  Columns are grouped per coarse element
+    (element-major, eigenvalue-minor for offline columns; online columns
+    append at the end).  ``columns`` lists each column as (element id, cells,
+    values) and is the map's only storage: :attr:`matrix` is built from it on
+    its first read after an edit.  Change columns through the methods, which
+    keep the per-element column index current and write into no stored array.
     """
 
-    def __init__(self, n_cells: int, columns=(), provenance=()):
+    def __init__(self, n_cells: int):
         self.n_cells = n_cells
-        self.columns, self.provenance = [], []
-        self._by_element = {}
-        self._matrix = None
-        for (element, cells, values), origin in zip(columns, provenance, strict=True):
-            self.append_column(element, cells, values, origin)
+        self.columns, self._by_element, self._matrix = [], {}, None
 
     @property
     def n_columns(self) -> int:
@@ -242,16 +233,13 @@ class ReductionMap:
     def columns_of(self, element: int) -> np.ndarray:
         return np.array(self._by_element.get(element, []), dtype=int)
 
-    def append_column(self, element: int, cells: np.ndarray, values: np.ndarray,
-                      provenance: str = "online") -> None:
+    def append_column(self, element: int, cells: np.ndarray, values: np.ndarray) -> None:
         """Append one column; ``values`` is copied."""
         self._by_element.setdefault(element, []).append(self.n_columns)
         self.columns.append((element, np.asarray(cells, dtype=int), np.array(values, dtype=float)))
-        self.provenance.append(provenance)
         self._matrix = None
 
-    def replace_element_columns(self, element: int, basis: np.ndarray,
-                                cells: np.ndarray, provenance: str = "updated") -> None:
+    def replace_element_columns(self, element: int, basis: np.ndarray, cells: np.ndarray) -> None:
         """Replace element's columns, in order, by those of ``basis`` on ``cells``,
         which must be as many as the columns' cells."""
         ids = self.columns_of(element)
@@ -268,13 +256,12 @@ class ReductionMap:
             )
         for k, j in enumerate(ids):
             self.columns[j] = (element, cells, basis[:, k].copy())
-            self.provenance[j] = provenance
         self._matrix = None
 
     def copy(self) -> "ReductionMap":
         """An independent map: an edit of either leaves the other unchanged."""
         new = copy.copy(self)
-        new.columns, new.provenance = list(self.columns), list(self.provenance)
+        new.columns = list(self.columns)
         new._by_element = {e: list(ids) for e, ids in self._by_element.items()}
         return new
 
@@ -285,11 +272,11 @@ def assemble_reduction(fine: FineGrid, spaces: list, m_off) -> ReductionMap:
     ``m_off`` is a single basis count or one per coarse element.
     """
     counts = np.broadcast_to(np.asarray(m_off, dtype=int), (len(spaces),))
-    rmap = ReductionMap(fine.n_cells, [], [])
+    rmap = ReductionMap(fine.n_cells)
     for space, m in zip(spaces, counts):
         basis = space.basis(int(m))
         for k in range(basis.shape[1]):
-            rmap.append_column(space.element, space.cells, basis[:, k], provenance="offline")
+            rmap.append_column(space.element, space.cells, basis[:, k])
     return rmap
 
 

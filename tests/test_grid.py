@@ -216,16 +216,17 @@ def test_boundary_edges_counter_clockwise():
 def test_subgrid_index_maps():
     fine = build_fine_grid(6, 4, domain=(0.0, 3.0, 0.0, 2.0))
     sub = subgrid(fine, 2, 1, 3, 2)
-    assert sub.grid.n_cells == 6
-    assert len(sub.cells) == 6
-    assert len(sub.edges) == sub.grid.n_edges
-    assert len(sub.dofs) == sub.grid.n_dofs
+    cells, edges, dofs = block_indices(fine, 2, 1, 3, 2)
+    assert sub.n_cells == 6
+    assert len(cells) == 6
+    assert len(edges) == sub.n_edges
+    assert len(dofs) == sub.n_dofs
     # geometry of the local grid matches the carved-out block
     assert np.allclose(
-        sub.grid.cell_centers, fine.cell_centers[sub.cells]
+        sub.cell_centers, fine.cell_centers[cells]
     )
     assert np.allclose(
-        sub.grid.edge_lengths, fine.edge_lengths[sub.edges]
+        sub.edge_lengths, fine.edge_lengths[edges]
     )
     with pytest.raises(ValueError):
         subgrid(fine, 5, 0, 3, 2)

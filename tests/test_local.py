@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import msforch.grid
 from msforch.fields import ScalarCellField, gen_synthetic
-from msforch.grid import build_coarse_grid, build_fine_grid, rect_boundary_edges, subgrid
+from msforch.grid import (
+    block_indices,
+    build_coarse_grid,
+    build_fine_grid,
+    rect_boundary_edges,
+    subgrid,
+)
 from msforch.local import online_shape, snapshot_shape
 from msforch.mfmfe import BoundarySpec, assemble_divergence, assemble_velocity_matrix, left_right_spec
 from msforch.offline import (
@@ -39,14 +45,15 @@ def _oracle_snapshots(fine, rect, coeff):
     boundary edge (indicator datum) through the generic boundary assembly and
     the dense saddle oracle."""
     sub = subgrid(fine, *rect)
-    local_edge = {int(e): k for k, e in enumerate(sub.edges)}
-    A = assemble_velocity_matrix(sub.grid, coeff[sub.cells])
+    cells, edges, _ = block_indices(fine, *rect)
+    local_edge = {int(e): k for k, e in enumerate(edges)}
+    A = assemble_velocity_matrix(sub, coeff[cells])
     P, U = [], []
     for e in rect_boundary_edges(fine, *rect):
         datum = local_edge[int(e)]
         bc = BoundarySpec(dirichlet={int(le): float(le == datum)
-                                     for le in sub.grid.boundary_edges})
-        sys_ = LinearizedSystem(sub.grid, np.zeros(sub.grid.n_cells), bc)
+                                     for le in sub.boundary_edges})
+        sys_ = LinearizedSystem(sub, np.zeros(sub.n_cells), bc)
         Ahat, Bfree, G2 = eliminate_constraints(sys_, A)
         u, p = saddle_oracle(Ahat, Bfree, G2, sys_.F)
         P.append(p)
@@ -74,19 +81,22 @@ def test_cached_snapshots_match_saddle_oracle(mx, my, Nx, Ny, layers, per_corner
     rect = coarse.oversample_rect(i, layers)
     shape, cells, dofs = snapshot_shape(coarse, i, layers)
     sub, P_ref, U_ref = _oracle_snapshots(fine, rect, coeff)
-    assert np.array_equal(cells, sub.cells) and np.array_equal(dofs, sub.dofs)
+    sub_cells, _, sub_dofs = block_indices(fine, *rect)
+    assert np.array_equal(cells, sub_cells) and np.array_equal(dofs, sub_dofs)
     assert np.allclose(shape.grid.vertices - shape.grid.vertices[0],
-                       sub.grid.vertices - sub.grid.vertices[0], rtol=0.0, atol=1e-14)
+                       sub.vertices - sub.vertices[0], rtol=0.0, atol=1e-14)
 
     space = build_snapshots(fine, coarse, i, coeff, layers=layers)
-    element = subgrid(fine, *coarse.element_rect(i))
-    cell_pos = {int(c): k for k, c in enumerate(sub.cells)}
-    dof_pos = {int(d): k for k, d in enumerate(sub.dofs)}
-    P_ref = P_ref[[cell_pos[int(c)] for c in element.cells]]
-    U_ref = U_ref[[dof_pos[int(d)] for d in element.dofs]]
-    assert np.array_equal(space.cells, element.cells)
+    element_rect = coarse.element_rect(i)
+    element = subgrid(fine, *element_rect)
+    element_cells, _, element_dofs = block_indices(fine, *element_rect)
+    cell_pos = {int(c): k for k, c in enumerate(sub_cells)}
+    dof_pos = {int(d): k for k, d in enumerate(sub_dofs)}
+    P_ref = P_ref[[cell_pos[int(c)] for c in element_cells]]
+    U_ref = U_ref[[dof_pos[int(d)] for d in element_dofs]]
+    assert np.array_equal(space.cells, element_cells)
     assert _rel(space.snapshots_p, P_ref) <= 1e-12
-    gram_ref = assemble_velocity_matrix(element.grid, coeff[element.cells]).gram(U_ref)
+    gram_ref = assemble_velocity_matrix(element, coeff[element_cells]).gram(U_ref)
     assert _rel(space.gram_a, gram_ref) <= 1e-12
 
 
@@ -95,16 +105,17 @@ def _pinned_oracle(fine, coarse, i, coeff, defect):
     flux on the boundary of T+, pressure pinned to zero outside the element,
     source = defect; solved as a dense saddle system on the kept cells.
     Returns the pressure on the element's cells."""
-    sub = subgrid(fine, *coarse.oversample_rect(i, 1))
-    A = assemble_velocity_matrix(sub.grid, coeff[sub.cells])
-    bdofs = (2 * sub.grid.boundary_edges[:, None] + np.array([0, 1])).ravel()
-    free = np.ones(sub.grid.n_dofs)
+    rect = coarse.oversample_rect(i, 1)
+    sub, cells = subgrid(fine, *rect), block_indices(fine, *rect)[0]
+    A = assemble_velocity_matrix(sub, coeff[cells])
+    bdofs = (2 * sub.boundary_edges[:, None] + np.array([0, 1])).ravel()
+    free = np.ones(sub.n_dofs)
     free[bdofs] = 0.0
-    B = sp.diags(free) @ assemble_divergence(sub.grid)
-    keep = np.flatnonzero(np.isin(sub.cells, coarse.coarse_elements[i]))
-    areas = sub.grid.cell_areas
+    B = sp.diags(free) @ assemble_divergence(sub)
+    keep = np.flatnonzero(np.isin(cells, coarse.coarse_elements[i]))
+    areas = sub.cell_areas
     _, p = saddle_oracle(with_identity_rows(A, bdofs), sp.csr_matrix(B)[:, keep],
-                         np.zeros(sub.grid.n_dofs), -(defect[sub.cells] * areas)[keep])
+                         np.zeros(sub.n_dofs), -(defect[cells] * areas)[keep])
     return p
 
 

@@ -61,7 +61,7 @@ def _identity_map(fine, coarse):
     element_of_cell = np.empty(fine.n_cells, dtype=int)
     for i, cells in enumerate(coarse.coarse_elements):
         element_of_cell[cells] = i
-    rmap = ReductionMap(fine.n_cells, [], [])
+    rmap = ReductionMap(fine.n_cells)
     for c in range(fine.n_cells):
         rmap.append_column(int(element_of_cell[c]), np.array([c]), np.array([1.0]))
     return rmap

@@ -1085,7 +1085,7 @@ def _shuffled_map(rng, fine, coarse, kappa, m):
     for i in rng.permutation(coarse.n_elements):
         basis = spaces[i].basis(m)
         for k in range(m):
-            rmap.append_column(int(i), spaces[i].cells, basis[:, k], "offline")
+            rmap.append_column(int(i), spaces[i].cells, basis[:, k])
     for i in rng.choice(coarse.n_elements, 3, replace=False):
         cells = coarse.coarse_elements[i]
         rmap.append_column(int(i), cells, rng.standard_normal(cells.size))

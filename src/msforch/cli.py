@@ -286,7 +286,9 @@ def _write_csv(path: Path, comments: list, header: str, rows: list) -> None:
 
 def _require_converged(sol, what: str):
     if not sol.converged:
-        raise _SolverFailure(f"{what} did not converge within {sol.iterations} iterations")
+        increment, residual = sol.history[-1]
+        raise _SolverFailure(f"{what} did not converge within {sol.iterations} iterations "
+                             f"(last increment {_g(increment)}, momentum residual {_g(residual)})")
     return sol
 
 

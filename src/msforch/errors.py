@@ -2,7 +2,8 @@
 
 
 class DegenerateElementError(ValueError):
-    """A collapsed cell (zero or negative width or height): its Jacobian is not positive."""
+    """A collapsed cell (zero or negative width or height, or an area that
+    underflows to 0 or overflows): its Jacobian is not positive and finite."""
 
 
 class AssemblyError(RuntimeError):

@@ -131,9 +131,14 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     widths, heights = np.diff(xs), np.diff(ys)
-    # Far from the origin linspace can collapse neighbouring vertices.
-    if np.any(widths <= 0) or np.any(heights <= 0):
-        raise DegenerateElementError("grid contains a cell of zero or negative width or height")
+    # Far from the origin linspace can collapse neighbouring vertices, and a
+    # tiny or huge extent makes cell areas underflow to 0 or overflow.  The
+    # areas' range is checked in Python floats, which do so without a warning.
+    small, large = (float(f(widths)) * float(f(heights)) for f in (np.min, np.max))
+    if np.any(widths <= 0) or np.any(heights <= 0) or not (small > 0.0 and large < np.inf):
+        raise DegenerateElementError(
+            "grid contains a cell of zero or negative width or height, or of zero or "
+            "infinite area")
     vx, vy = np.meshgrid(xs, ys)
     vertices = np.column_stack([vx.ravel(), vy.ravel()])
 

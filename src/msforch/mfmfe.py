@@ -171,30 +171,6 @@ class VertexBlockMatrix:
         vertex_cholesky(self.blocks, unit_slots(self.grid))
         return True
 
-    def inverse_blocks(self) -> np.ndarray:
-        positions, values = unit_slots(self.grid)
-        # Entry-major position e * n + v is row-major 16 v + e.
-        entry, v = np.divmod(positions, self.grid.n_vertices)
-        blocks = self.blocks.copy()
-        blocks.reshape(-1)[16 * v + entry] = values
-        try:
-            inv = np.linalg.inv(blocks)
-        except np.linalg.LinAlgError as exc:
-            raise AssemblyError(f"singular vertex block: {exc}") from exc
-        return inv
-
-    def _sparse_from_blocks(self, blocks: np.ndarray) -> sp.csr_matrix:
-        vd = self.grid.vertex_dofs
-        rows = np.broadcast_to(vd[:, :, None], (vd.shape[0], 4, 4))
-        cols = np.broadcast_to(vd[:, None, :], (vd.shape[0], 4, 4))
-        mask = (rows >= 0) & (cols >= 0)
-        mat = sp.csr_matrix(
-            (blocks[mask], (rows[mask], cols[mask])),
-            shape=(self.n_dofs, self.n_dofs),
-        )
-        mat.sum_duplicates()
-        return mat
-
     def gram(self, U: np.ndarray) -> np.ndarray:
         """U^T A U for the columns of a (n_dofs, k) U, formed blockwise."""
         if self.diagonal is not None:
@@ -204,7 +180,22 @@ class VertexBlockMatrix:
 
     def inverse_sparse(self) -> sp.csr_matrix:
         """Blockwise inverse as a sparse matrix (pad slots become unit diagonal)."""
-        return self._sparse_from_blocks(self.inverse_blocks())
+        positions, values = unit_slots(self.grid)
+        # Entry-major position e * n + v is row-major 16 v + e.
+        entry, v = np.divmod(positions, self.grid.n_vertices)
+        blocks = self.blocks.copy()
+        blocks.reshape(-1)[16 * v + entry] = values
+        try:
+            inv = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError(f"singular vertex block: {exc}") from exc
+        vd = self.grid.vertex_dofs
+        rows = np.broadcast_to(vd[:, :, None], inv.shape)
+        cols = np.broadcast_to(vd[:, None, :], inv.shape)
+        mask = (rows >= 0) & (cols >= 0)
+        mat = sp.csr_matrix((inv[mask], (rows[mask], cols[mask])), shape=(self.n_dofs,) * 2)
+        mat.sum_duplicates()
+        return mat
 
 
 def lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:

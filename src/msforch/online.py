@@ -221,7 +221,7 @@ def online_basis(state: EnrichmentState, i: int):
         return None
     A = assemble_velocity_matrix(shape.grid, state._coeff[cells])
     try:
-        phi = shape.operator.pressure(A, -(r * areas)[keep])
+        phi = shape.operator.solve(A, np.zeros(shape.grid.n_dofs), -(r * areas)[keep])[1]
     except SingularSystemError as exc:
         raise SingularSystemError(f"online problem on element {i}: {exc}") from exc
 
@@ -244,10 +244,9 @@ def ms_solve(state: EnrichmentState) -> FlowSolution:
     """One linearized solve in the current reduced space (no nonlinear loop)."""
     A = state.velocity_matrix()
     sys_ = state._system
-    U, P_fine, Pr = sys_.solve(A, sys_.G0, state.rmap.matrix)
+    U, P = sys_.solve(A, sys_.G0, state.rmap.matrix)
     sol = FlowSolution(
-        pressure=P_fine, velocity=U, iterations=1, converged=True,
-        history=np.zeros((0, 2)), coefficients=Pr,
+        pressure=P, velocity=U, iterations=1, converged=True, history=np.zeros((0, 2)),
     )
     state.set_solution(sol)
     return sol

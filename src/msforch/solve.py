@@ -14,36 +14,21 @@ gives a step its one assembled matrix, A(|u^n|) U^n for the residual and
 A_t U^n, without a matrix-vector product.
 
 Because A is blockwise invertible, each step reduces to the SPD pressure
-system  B^T A^{-1} B P = B^T A^{-1} G - F, solved by a direct factorization
-chosen by one rule: a five-point S (a scalar coefficient) of at most
-``_DENSE_LIMIT`` cells is solved red-black (below); any other S whose
-half-bandwidth kd is at most ``_BAND_LIMIT`` is factored by banded Cholesky,
-its cells numbered along the shorter side of their rectangle (kd = that side
-+ 1); only a wider S goes to SuperLU, numbered in geometric nested-dissection
-order, without SuperLU's own ordering or pivoting.  On that path the steps
-of one nonlinear solve share one factor while they can: each later step is
-solved by CG preconditioned with the last factor from the last step's
-pressure, and S is factored afresh only when CG would need more than
-``_CG_MAX`` iterations.  A Newton step after the first asks CG only for a
-forcing term tied to the last increment (inexact Newton), and the iteration
-ends only on a step solved to ``_CG_TOL``: 2 factorizations instead of
-11-12 in a 160 x 160 Newton solve, about 62 SuperLU solves instead of 150.
-Projected onto a coarse pressure space R, the system
-R^T S R P_r = R^T (B^T A^{-1} G - F) is sparse as well (a column of R lives
-on one coarse element): its unknowns are grouped by element in the fine band
-order and it is always factored by banded Cholesky.
+system  S P = B^T A^{-1} G - F,  S = B^T A^{-1} B, or, projected onto a
+coarse pressure space R, to  R^T S R P_r = R^T (B^T A^{-1} G - F)  with
+P = R P_r.
 :class:`PreparedOperator` is the one owner of that elimination: it holds
 everything which depends only on the grid, whose own B it reads off the
 grid's corners, it eliminates the constrained (Neumann) velocity DOFs
-itself, and it is the only place that factors S.  A grid's operator for one
-set of constrained DOFs is built once per grid object (:func:`grid_operator`)
-and shared by every solve on it.  A linearization step does numerical work
-only.  A tensor (Newton) step factors the vertex blocks in closed form,
-solves them against B and its one G in one triangular pass, forms and
-factors S, back-substitutes.  A scalar coefficient (Picard, the Darcy start,
-the local problems) makes A diagonal and S the two-point (five-point)
-scheme, eliminated per edge with no vertex block; its red-black solve
-eliminates the red cells by division, factoring only the black half.
+itself, and it is the only place that factors S, by the one rule its
+docstring states.  A grid's operator for one set of constrained DOFs is
+built once per grid object (:func:`grid_operator`) and shared by every
+solve on it.  A linearization step does numerical work only.  A tensor
+(Newton) step factors the vertex blocks in closed form, solves them against
+B and its one G in one triangular pass, forms and factors S,
+back-substitutes.  A scalar coefficient (Picard, the Darcy start, the local
+problems) makes A diagonal and S the two-point (five-point) scheme,
+eliminated per edge with no vertex block.
 Several right-hand-side columns (the snapshots) apply to a diagonal A only.
 Convergence is declared on the relative increment
 max_z ||z^{n+1} - z^n|| / max(||z^n||, eps) over both state vectors
@@ -140,8 +125,8 @@ class FlowSolution:
 
     ``history`` has one row per iteration: relative pressure increment and
     the momentum-equation residual norm of the iterate that step produced.
-    For reduced solves ``coefficients`` holds the coarse pressure vector and
-    ``pressure`` its fine-grid expansion.
+    ``pressure`` is on the fine cells, for a reduced solve its expansion
+    R P_r.
     """
 
     pressure: np.ndarray
@@ -149,7 +134,6 @@ class FlowSolution:
     iterations: int
     converged: bool
     history: np.ndarray
-    coefficients: np.ndarray | None = None
 
 
 def _cholesky_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -301,18 +285,23 @@ class PreparedOperator:
     edge e adds t = (|e|/2)^2 (1/d_2e + 1/d_2e+1) to its cells' diagonal
     entries and -t to their coupling.
 
-    S is factored by one rule (:meth:`_pressure`).  A five-point S of up to
-    ``_DENSE_LIMIT`` cells is solved by :meth:`_red_black_solve`: with the
-    cells coloured red and black by the parity of ix + iy, red cells couple
-    only to black ones, so they are eliminated by division and dense
-    Cholesky factors the black half.  Any other S whose half-bandwidth kd in
-    band order (the cells numbered along the shorter side, kd = that side +
-    1) is at most ``_BAND_LIMIT`` has its entries scattered into the lower
-    band and is factored by banded Cholesky.  SuperLU factors a wider S as
-    it is, in nested-dissection order; given a :class:`RetainedFactor`, it
-    first tries CG preconditioned with the factor held there, and keeps the
-    new factor there when it factors.  The operator itself keeps no factor:
-    it is shared by every solve on its grid, and its state is its caches.
+    S is factored by one rule.  A five-point S of up to ``_DENSE_LIMIT``
+    cells is solved by :meth:`_red_black_solve`: with the cells coloured red
+    and black by the parity of ix + iy, red cells couple only to black ones,
+    so they are eliminated by division and dense Cholesky factors the black
+    half.  Any other S whose half-bandwidth kd in band order (the cells
+    numbered along the shorter side, kd = that side + 1) is at most
+    ``_BAND_LIMIT`` has its entries scattered into the lower band and is
+    factored by banded Cholesky.  SuperLU factors a wider S as it is, in
+    nested-dissection order, without its own ordering or pivoting; given a
+    :class:`RetainedFactor`, it first tries CG preconditioned with the factor
+    held there, and keeps the new factor there when it factors.  So the
+    steps of one nonlinear solve share one factor while CG needs at most
+    ``_CG_MAX`` iterations: 2 factorizations instead of 11-12 in a 160 x 160
+    Newton solve, about 62 SuperLU solves instead of 150.  A reduced system
+    (:meth:`solve_reduced`) is always factored by banded Cholesky.  The
+    operator itself keeps no factor: it is shared by every solve on its
+    grid, and its state is its caches.
 
     Per-vertex arrays are stored entry-major, (4, ..., n_vertices), so each
     block entry is one contiguous vector.  Constrained (Neumann) DOFs are
@@ -441,11 +430,6 @@ class PreparedOperator:
         size = (kd + 1) * n
         return np.where(r >= c, c * (kd + 1) + r - c, size).astype(index_dtype(size + 1))
 
-    def _check_regular(self) -> None:
-        if self.singular:
-            raise SingularSystemError(
-                "pressure system is singular: no pressure datum fixes the constant")
-
     def _schur_data(self, X: np.ndarray) -> np.ndarray:
         """The entries of S = sum_v X_v^T X_v in :attr:`_sparse_pattern`."""
         index, indices, _ = self._sparse_pattern
@@ -540,10 +524,7 @@ class PreparedOperator:
     def _pressure(self, data: np.ndarray, rhs: np.ndarray, five_point: bool,
                   retained: RetainedFactor | None = None) -> np.ndarray:
         """Solve S P = rhs, S given as :attr:`_sparse_pattern` data, for one
-        or several right-hand-side columns: red-black if S is ``five_point``
-        and of at most ``_DENSE_LIMIT`` cells, else by banded Cholesky while
-        its half-bandwidth is at most ``_BAND_LIMIT``, else by SuperLU, by CG
-        with ``retained``'s factor when it converges fast enough."""
+        or several right-hand-side columns, by the class's factorization rule."""
         n = self.n_pressure
         if five_point and n <= _DENSE_LIMIT:
             return self._red_black_solve(data, rhs)
@@ -630,19 +611,16 @@ class PreparedOperator:
         per column, (n_dofs, k); U and P then carry the same columns.  A
         SuperLU-path solve with ``retained`` reuses and updates its factor.
         """
-        self._check_regular()
+        if self.singular:
+            raise SingularSystemError(
+                "pressure system is singular: no pressure datum fixes the constant")
         data, rhs, velocity, five_point = self._system(A, G, F)
         P = self._pressure(data, rhs, five_point, retained)
         return velocity(P), P
 
-    def pressure(self, A: VertexBlockMatrix, F: np.ndarray) -> np.ndarray:
-        """P alone for zero velocity data (G = 0): S P = -F."""
-        self._check_regular()
-        data, rhs, _, five_point = self._system(A, np.zeros((self._free.size,) + F.shape[1:]), F)
-        return self._pressure(data, rhs, five_point)
-
     def solve_reduced(self, A: VertexBlockMatrix, R: sp.spmatrix, G: np.ndarray, F: np.ndarray):
-        """(U, P_r) with the pressure constrained to the column space of R.
+        """(U, P) with the pressure constrained to the column space of R:
+        P = R P_r on the fine cells.
 
         The reduced system R^T S R P_r = R^T (B^T A^{-1} G - F) is sparse of
         coarse dimension: a column of a reduction map lives on one coarse
@@ -652,7 +630,7 @@ class PreparedOperator:
         element by element along the coarse grid's shorter side.  Banded
         Cholesky factors it, whatever its half-bandwidth (read from its
         pattern): in band order a sparse factorization would fill the same
-        envelope.  The velocity follows from the fine pressure R P_r.
+        envelope.
         """
         data, rhs, velocity, _ = self._system(A, G, F)
         R = sp.csc_matrix(R)
@@ -668,7 +646,8 @@ class PreparedOperator:
         ab[below[lower], S.col[lower]] = S.data[lower]
         Pr = np.empty(R.shape[1])
         Pr[perm] = _band_solve(ab, rhs)
-        return velocity(R @ Pr), Pr
+        P = R @ Pr
+        return velocity(P), P
 
 
 def _nested_dissection(nx: int, ny: int) -> np.ndarray:
@@ -703,8 +682,9 @@ def schur_solve(A: VertexBlockMatrix, G: np.ndarray, F, fixed_dofs=()):
 
 def reduced_schur_solve(A: VertexBlockMatrix, R: sp.spmatrix, G: np.ndarray, F: np.ndarray,
                         fixed_dofs=()):
-    """(U, P_r) with the pressure in the column space of R, by the grid's
-    shared operator (:meth:`PreparedOperator.solve_reduced`)."""
+    """(U, P) with the pressure in the column space of R, P = R P_r on the
+    fine cells, by the grid's shared operator
+    (:meth:`PreparedOperator.solve_reduced`)."""
     return grid_operator(A.grid, fixed_dofs).solve_reduced(A, R, G, F)
 
 
@@ -757,13 +737,14 @@ class LinearizedSystem:
         self.retained = RetainedFactor()
 
     def solve(self, A: VertexBlockMatrix, G: np.ndarray, R: sp.spmatrix | None = None):
-        """(U, fine pressure, pressure coefficients) of one linearized step."""
+        """(U, P) of one linearized step, P on the fine cells; with R, P lies
+        in R's column space."""
         G2 = G - A.matvec(self.lift) if self.lift.any() else G
         if R is None:
             U, P = self.operator.solve(A, G2, self.F, self.retained)
-            return U + self.lift, P, P
-        U, Pr = self.operator.solve_reduced(A, R, G2, self.F)
-        return U + self.lift, np.asarray(R @ Pr).ravel(), Pr
+        else:
+            U, P = self.operator.solve_reduced(A, R, G2, self.F)
+        return U + self.lift, P
 
 
 def nonlinear_solve(
@@ -794,7 +775,7 @@ def nonlinear_solve(
     cfg.validate()
     kappa.require_positive("permeability")
     sys_ = LinearizedSystem(grid, f_cells, bc)
-    U, P_fine, _ = sys_.solve(assemble_velocity_matrix(grid, 1.0 / kappa.values), sys_.G0, R)
+    U, P_fine = sys_.solve(assemble_velocity_matrix(grid, 1.0 / kappa.values), sys_.G0, R)
     retained = sys_.retained
     newton = cfg.scheme == "newton"
     if newton:
@@ -803,16 +784,14 @@ def nonlinear_solve(
 
     history = []
     converged = False
-    iterations = 0
-    Pr = None
-    for n in range(cfg.max_iter):
+    for _ in range(cfg.max_iter):
         A, AU, AtU = linearize(grid, kappa.values, beta.values, U, cfg.scheme)
         if history:
             history[-1][1] = _momentum_residual(sys_, AU, P_fine)
             if newton:
                 eta = min(_FORCING * history[-1][0] ** 2, _FORCING_MAX)
                 retained.tol = eta if eta > 100 * _CG_TOL else _CG_TOL
-        U_new, P_new, Pr = sys_.solve(A, sys_.G0 + AtU, R)
+        U_new, P_new = sys_.solve(A, sys_.G0 + AtU, R)
         # Freed before the next linearization, which overlaps the retained factor.
         del A, AU, AtU
         rel_p = np.linalg.norm(P_new - P_fine) / max(np.linalg.norm(P_fine), _EPS_NORM)
@@ -820,21 +799,19 @@ def nonlinear_solve(
         rel = max(rel_p, rel_u)
         history.append([rel, np.nan])
         U, P_fine = U_new, P_new
-        iterations = n + 1
         if rel <= cfg.tol_nl and not retained.loose:
             converged = True
             break
 
-    if history:
-        AU = linearize(grid, kappa.values, beta.values, U, None)[1]
-        history[-1][1] = _momentum_residual(sys_, AU, P_fine)
+    # cfg.validate() requires max_iter >= 1, so history has a last row.
+    AU = linearize(grid, kappa.values, beta.values, U, None)[1]
+    history[-1][1] = _momentum_residual(sys_, AU, P_fine)
     return FlowSolution(
         pressure=P_fine,
         velocity=U,
-        iterations=iterations,
+        iterations=len(history),
         converged=converged,
-        history=np.array(history) if history else np.zeros((0, 2)),
-        coefficients=Pr if R is not None else None,
+        history=np.array(history),
     )
 
 

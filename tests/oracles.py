@@ -227,7 +227,11 @@ def edge_normals(grid) -> np.ndarray:
 
 def to_sparse(A):
     """The VertexBlockMatrix A as a global sparse matrix."""
-    return A._sparse_from_blocks(A.blocks)
+    vd = A.grid.vertex_dofs
+    rows = np.broadcast_to(vd[:, :, None], A.blocks.shape)
+    cols = np.broadcast_to(vd[:, None, :], A.blocks.shape)
+    mask = (rows >= 0) & (cols >= 0)
+    return sp.csr_matrix((A.blocks[mask], (rows[mask], cols[mask])), shape=(A.n_dofs,) * 2)
 
 
 def with_identity_rows(A, dofs):

@@ -1,8 +1,10 @@
 """Batch CLI: artifacts, schemas, exit codes, determinism, config handling."""
 
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +165,19 @@ def test_exit_2_collapsed_cells(tmp_path, capsys):
     assert "width or height" in err[0]
 
 
+@pytest.mark.parametrize("extent", ["1e-200", "1e200"])
+def test_exit_2_cell_areas_out_of_range(tmp_path, capsys, extent):
+    """A box whose cell areas underflow to 0 or overflow is a configuration
+    error, reported on one line and without a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["fine", "--nx", "4", "--ny", "4", "--field", "blobs:1:10",
+                   "--domain", f"0,{extent},0,{extent}", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("msforch: error:") and "area" in err[0]
+
+
 def test_exit_2_config_errors(tmp_path, capsys):
     base = ["--field", FIELD, "--out", str(tmp_path)]
     # coarse grid must divide the fine grid
@@ -199,7 +214,11 @@ def test_exit_1_nonconvergence(tmp_path, capsys):
                "--beta0", "10000", "--scheme", "picard", "--max-iter", "3",
                "--out", str(tmp_path)])
     assert rc == 1
-    assert "did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "did not converge within 3 iterations" in err
+    found = re.search(r"\(last increment (\S+), momentum residual (\S+)\)", err)
+    increment, residual = map(float, found.groups())
+    assert increment > 1e-8 and 0.0 < residual < np.inf
 
 
 def test_offline_table_schema(tmp_path):

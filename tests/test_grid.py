@@ -1,5 +1,7 @@
 """Mesh construction, numbering invariants and coarse agglomeration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,19 @@ def test_collapsed_cells_rejected():
     # Spacing 0.5 rounds to nothing at 1e16, so neighbouring vertices coincide.
     with pytest.raises(DegenerateElementError):
         build_fine_grid(4, 1, (1e16, 1e16 + 2, 0, 1))
+
+
+@pytest.mark.parametrize("bad, good", [(1e-200, 1e-150), (1e200, 1e150)])
+def test_cell_areas_out_of_range_rejected(bad, good):
+    """Cell areas of a tiny box underflow to 0 and of a huge one overflow:
+    the grid is rejected as degenerate, without a RuntimeWarning, while
+    boxes of extent 1e-150 and 1e150 keep finite positive areas."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateElementError, match="area"):
+            build_fine_grid(4, 4, (0.0, bad, 0.0, bad))
+        g = build_fine_grid(4, 4, (0.0, good, 0.0, good))
+    assert np.all((g.cell_areas > 0) & np.isfinite(g.cell_areas))
 
 
 def test_cell_areas_far_from_origin():

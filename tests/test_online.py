@@ -198,7 +198,7 @@ def test_appended_target_direction_is_recovered_exactly(problem):
     state = _fresh_state(p, variant="fixed_offline")
     fine = p["fine"]
     A_frozen = state.velocity_matrix()
-    U_star, P_star, _ = state._system.solve(A_frozen, state._system.G0)
+    U_star, P_star = state._system.solve(A_frozen, state._system.G0)
     M = quadrature_norm_matrix(fine)
     d0 = np.sqrt((state.solution.velocity - U_star) @ M.matvec(state.solution.velocity - U_star))
     assert d0 > 1e-8

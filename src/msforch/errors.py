@@ -2,8 +2,9 @@
 
 
 class DegenerateElementError(ValueError):
-    """A collapsed cell (zero or negative width or height, or an area that
-    underflows to 0 or overflows): its Jacobian is not positive and finite."""
+    """A collapsed cell (zero or negative width or height), or one whose
+    area or squared edge length is subnormal or infinite: its Jacobian or
+    transmissibilities are not positive, normal and finite."""
 
 
 class AssemblyError(RuntimeError):

@@ -132,13 +132,14 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     ys = np.linspace(y0, y1, ny + 1)
     widths, heights = np.diff(xs), np.diff(ys)
     # Far from the origin linspace can collapse neighbouring vertices, and a
-    # tiny or huge extent makes cell areas underflow to 0 or overflow.  The
-    # areas' range is checked in Python floats, which do so without a warning.
-    small, large = (float(f(widths)) * float(f(heights)) for f in (np.min, np.max))
-    if np.any(widths <= 0) or np.any(heights <= 0) or not (small > 0.0 and large < np.inf):
+    # tiny or huge extent takes the corner weights |T|/4 or the squared edge
+    # lengths |e|^2 and (|e|/2)^2 out of the normal float range: short^2 / 4
+    # and long^2 bound them, in Python floats, which leave it without a warning.
+    short, long = (float(f(np.concatenate([widths, heights]))) for f in (np.min, np.max))
+    if not (short > 0.0 and short * short / 4 >= np.finfo(float).tiny and long * long < np.inf):
         raise DegenerateElementError(
-            "grid contains a cell of zero or negative width or height, or of zero or "
-            "infinite area")
+            "grid contains a cell of zero or negative width or height, or one whose "
+            "area or squared edge length leaves the normal float range")
     vx, vy = np.meshgrid(xs, ys)
     vertices = np.column_stack([vx.ravel(), vy.ravel()])
 

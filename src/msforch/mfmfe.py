@@ -149,19 +149,12 @@ class VertexBlockMatrix:
     def n_dofs(self) -> int:
         return self.grid.n_dofs
 
-    def _gathered(self, x: np.ndarray) -> np.ndarray:
-        vd = self.grid.vertex_dofs
-        safe = np.where(vd >= 0, vd, 0)
-        vals = x[safe]
-        vals[vd < 0] = 0.0
-        return vals
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self.diagonal is not None:
             return self.diagonal * x
         vd = self.grid.vertex_dofs
         y = np.zeros(self.n_dofs)
-        prod = np.einsum("vij,vj->vi", self.blocks, self._gathered(x))
+        prod = np.einsum("vij,vj->vi", self.blocks, np.append(x, 0.0)[vd])
         mask = vd >= 0
         y[vd[mask]] = prod[mask]
         return y
@@ -172,11 +165,9 @@ class VertexBlockMatrix:
         return True
 
     def gram(self, U: np.ndarray) -> np.ndarray:
-        """U^T A U for the columns of a (n_dofs, k) U, formed blockwise."""
-        if self.diagonal is not None:
-            return (U * self.diagonal[:, None]).T @ U
-        Uv = self._gathered(U)
-        return np.tensordot(Uv, self.blocks @ Uv, axes=([0, 1], [0, 1]))
+        """U^T A U for the columns of a (n_dofs, k) U, for a diagonal A only
+        (``diagonal`` set, a scalar coefficient)."""
+        return (U * self.diagonal[:, None]).T @ U
 
     def inverse_sparse(self) -> sp.csr_matrix:
         """Blockwise inverse as a sparse matrix (pad slots become unit diagonal)."""

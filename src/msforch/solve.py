@@ -272,7 +272,8 @@ class PreparedOperator:
     (:func:`~msforch.mfmfe.divergence_blocks`), the maps between block slots
     and DOFs or cells, and the slots whose rows and columns of A act as the
     identity.
-    A tensor A (Newton) then factors the vertex blocks A_v = L_v L_v^T in
+    A tensor A (Newton) is eliminated by vertex, in one method
+    (:meth:`_vertex_system`): it factors the vertex blocks A_v = L_v L_v^T in
     closed form (:func:`~msforch.mfmfe.vertex_cholesky`, the SPD check), forms
     [X_v | y_v] = L_v^{-1} [B_v | G_v] for its one column G in one triangular
     pass, sums S = sum_v X_v^T X_v and the right-hand side sum_v X_v^T y_v - F
@@ -402,21 +403,15 @@ class PreparedOperator:
         return index.ravel().astype(out), rows[valid].astype(out), indptr.astype(out)
 
     @functools.cached_property
-    def _band_width(self) -> int:
-        """The half-bandwidth kd of a 9-point S in :attr:`_band` order: the
-        shorter side of the rectangle + 1."""
-        iy, ix = self._kept_yx
-        return int(min(ix.max() - ix.min(), iy.max() - iy.min())) + 2
-
-    @functools.cached_property
     def _band(self) -> tuple:
-        """(order, rank): the pressure numbers in band order, their cells
-        numbered along the shorter side of the rectangle, and each pressure
-        number's position in it."""
+        """(order, rank, kd): the pressure numbers in band order, their cells
+        numbered along the shorter side of the rectangle, each pressure
+        number's position in it, and the half-bandwidth of a 9-point S in
+        that order, the shorter side + 1."""
         iy, ix = (v - v.min() for v in self._kept_yx)
         width, height = ix.max() + 1, iy.max() + 1
         rank = ix * height + iy if width >= height else iy * width + ix
-        return np.argsort(rank), rank.astype(index_dtype(rank.size))
+        return np.argsort(rank), rank.astype(index_dtype(rank.size)), int(min(width, height)) + 1
 
     @functools.cached_property
     def _band_positions(self) -> np.ndarray:
@@ -424,16 +419,12 @@ class PreparedOperator:
         lower band (kd + 1, n) in band order, stored column-major; past its
         end if above the diagonal.  Built only by the band path."""
         _, rows, indptr = self._sparse_pattern
-        kd, n = self._band_width, self.n_pressure
-        rank = self._band[1][self._order].astype(np.int64)   # of each pattern row and column
+        _, rank, kd = self._band
+        n = self.n_pressure
+        rank = rank[self._order].astype(np.int64)   # of each pattern row and column
         r, c = rank[rows], np.repeat(rank, np.diff(indptr))
         size = (kd + 1) * n
         return np.where(r >= c, c * (kd + 1) + r - c, size).astype(index_dtype(size + 1))
-
-    def _schur_data(self, X: np.ndarray) -> np.ndarray:
-        """The entries of S = sum_v X_v^T X_v in :attr:`_sparse_pattern`."""
-        index, indices, _ = self._sparse_pattern
-        return np.bincount(index, weights=_gram_entries(X), minlength=indices.size + 1)[:-1]
 
     def _csc(self, data: np.ndarray) -> sp.csc_matrix:
         """S in compressed columns, numbered in :attr:`_order`, from its data."""
@@ -529,9 +520,8 @@ class PreparedOperator:
         if five_point and n <= _DENSE_LIMIT:
             return self._red_black_solve(data, rhs)
         P = np.empty(rhs.shape)
-        kd = self._band_width
+        order, _, kd = self._band
         if kd <= _BAND_LIMIT:
-            order = self._band[0]
             ab = np.zeros((kd + 1) * n + 1)
             ab[self._band_positions] = data
             P[order] = _band_solve(ab[:-1].reshape(n, kd + 1).T, rhs[order])
@@ -539,27 +529,27 @@ class PreparedOperator:
             P[self._order] = _splu_solve(self._csc(data), rhs[self._order], retained)
         return P
 
-    def _cell_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-vertex entries (4, n_vertices) summed into their cells: (n,)."""
-        n = self.n_pressure
-        return np.bincount(self._cells.ravel(), weights=values.ravel(), minlength=n + 1)[:n]
-
-    def _eliminate(self, A: VertexBlockMatrix, G: np.ndarray, F):
-        """(L, X, y, rhs): the vertex Cholesky factors of A, X = L^{-1} B_v,
-        y = L^{-1} G_v and rhs = sum_v X_v^T y_v - F, with X and y from one
-        triangular pass.  G is one vector (n_dofs,), else ValueError."""
+    def _vertex_system(self, A: VertexBlockMatrix, G: np.ndarray, F):
+        """(data, rhs, velocity) of :meth:`_system` by vertex, as the class
+        docstring describes.  G is one vector (n_dofs,), else ValueError."""
         L = vertex_cholesky(A.blocks, self._unit)
         if G.ndim != 1:
             raise ValueError("a tensor velocity matrix takes one right-hand side")
         Gv = np.append(G, 0.0)[self._dofs]
         Xy = lower_solve(L, np.concatenate([self.Bv, Gv[:, None]], axis=1))
         X, y = Xy[:, :4], Xy[:, 4]
-        return L, X, y, self._cell_sums(np.einsum("jiv,jv->iv", X, y)) - F
+        n, cells = self.n_pressure, self._cells
+        rhs = np.bincount(cells.ravel(), weights=np.einsum("jiv,jv->iv", X, y).ravel(),
+                          minlength=n + 1)[:n] - F
+        index, indices, _ = self._sparse_pattern
+        data = np.bincount(index, weights=np.einsum("ijv,ikv->jkv", X, X).ravel(),
+                           minlength=indices.size + 1)[:-1]
 
-    def _velocity(self, L: np.ndarray, X: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:
-        """U = A^{-1} (G - B P) = L^{-T} (y - X P_v) per vertex, in DOF order."""
-        U = lower_transpose_solve(L, y - np.einsum("ijv,jv->iv", X, np.append(P, 0.0)[self._cells]))
-        return U.ravel()[self._slot_of_dof]
+        def velocity(P):
+            U = lower_transpose_solve(L, y - np.einsum("ijv,jv->iv", X, np.append(P, 0.0)[cells]))
+            return U.ravel()[self._slot_of_dof]
+
+        return data, rhs, velocity
 
     @functools.cached_property
     def _edges(self) -> tuple:
@@ -583,8 +573,7 @@ class PreparedOperator:
         -sign |e|/2, signs -1, 1, 1, -1 on bottom, right, top, left."""
         d = A.diagonal
         if d is None or not (d.min() > 0.0 and d.max() < np.inf):
-            L, X, y, rhs = self._eliminate(A, G, F)
-            return self._schur_data(X), rhs, lambda P: self._velocity(L, X, y, P), False
+            return *self._vertex_system(A, G, F), False
         w = self._free / d
         cells, positions = self._edges
         half = self._half
@@ -667,11 +656,6 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
 def _slot_sum(g: np.ndarray) -> np.ndarray:
     """g[:, 0] + g[:, 1] + g[:, 2] + g[:, 3], in that order."""
     return g[:, 0] + g[:, 1] + g[:, 2] + g[:, 3]
-
-
-def _gram_entries(X: np.ndarray) -> np.ndarray:
-    """The entries [j, k, v] of every X_v^T X_v, flattened."""
-    return np.einsum("ijv,ikv->jkv", X, X).ravel()
 
 
 def schur_solve(A: VertexBlockMatrix, G: np.ndarray, F, fixed_dofs=()):

@@ -264,8 +264,15 @@ def vertex_factors(A, dofs=()) -> np.ndarray:
 
 def schur_matrix(operator, X: np.ndarray) -> sp.csc_matrix:
     """The PreparedOperator's S = sum_v X_v^T X_v in compressed columns,
-    numbered in its ``_order``."""
-    return operator._csc(operator._schur_data(X))
+    numbered in its ``_order``, by a COO scatter apart from its pattern:
+    entry [j, k, v] of X_v^T X_v goes to the ranks of the cells at slots
+    j and k of vertex v, in (j, k, v) order, padding dropped."""
+    n = operator.n_pressure
+    rank = operator._rank[operator._cells]
+    rows, cols = np.broadcast_arrays(rank[:, None], rank[None])
+    kept = (rows < n) & (cols < n)
+    values = np.einsum("ijv,ikv->jkv", X, X)[kept]
+    return sp.coo_matrix((values, (rows[kept], cols[kept])), shape=(n, n)).tocsc()
 
 
 def lapack_cholesky(blocks: np.ndarray) -> np.ndarray:

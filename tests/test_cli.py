@@ -165,14 +165,21 @@ def test_exit_2_collapsed_cells(tmp_path, capsys):
     assert "width or height" in err[0]
 
 
-@pytest.mark.parametrize("extent", ["1e-200", "1e200"])
-def test_exit_2_cell_areas_out_of_range(tmp_path, capsys, extent):
-    """A box whose cell areas underflow to 0 or overflow is a configuration
-    error, reported on one line and without a RuntimeWarning."""
+@pytest.mark.parametrize("domain", [
+    pytest.param("0,1e-200,0,1e-200", id="1e-200"),
+    pytest.param("0,1e200,0,1e200", id="1e200"),
+    pytest.param("0,1e-153,0,1e-153", id="1e-153"),
+    pytest.param("0,1e160,0,1e-150", id="1e160x1e-150"),
+    pytest.param("0,1e-150,0,1e160", id="1e-150x1e160"),
+])
+def test_exit_2_cell_areas_out_of_range(tmp_path, capsys, domain):
+    """A box whose cell areas underflow to 0 or overflow, whose corner
+    weights are subnormal or whose squared edge lengths overflow is a
+    configuration error, reported on one line and without a RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rc = main(["fine", "--nx", "4", "--ny", "4", "--field", "blobs:1:10",
-                   "--domain", f"0,{extent},0,{extent}", "--out", str(tmp_path)])
+                   "--domain", domain, "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("msforch: error:") and "area" in err[0]

@@ -106,17 +106,26 @@ def test_collapsed_cells_rejected():
         build_fine_grid(4, 1, (1e16, 1e16 + 2, 0, 1))
 
 
-@pytest.mark.parametrize("bad, good", [(1e-200, 1e-150), (1e200, 1e150)])
+@pytest.mark.parametrize("bad, good", [
+    ((1e-200, 1e-200), (1e-150, 1e-150)),
+    ((1e200, 1e200), (1e150, 1e150)),
+    ((1e-153, 1e-153), (1e-152, 1e-152)),
+    ((1e160, 1e-150), (1e150, 1e-150)),
+    ((1e-150, 1e160), (1e-150, 1e150)),
+], ids=["1e-200-1e-150", "1e+200-1e+150", "1e-153-1e-152", "1e160x1e-150", "1e-150x1e160"])
 def test_cell_areas_out_of_range_rejected(bad, good):
-    """Cell areas of a tiny box underflow to 0 and of a huge one overflow:
-    the grid is rejected as degenerate, without a RuntimeWarning, while
-    boxes of extent 1e-150 and 1e150 keep finite positive areas."""
+    """A box of width x height whose cell areas underflow to 0 or overflow,
+    whose corner weights |T|/4 are subnormal, or whose squared edge lengths
+    overflow is rejected as degenerate, without a RuntimeWarning, while the
+    slightly smaller or larger box keeps normal, finite areas and edges."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateElementError, match="area"):
-            build_fine_grid(4, 4, (0.0, bad, 0.0, bad))
-        g = build_fine_grid(4, 4, (0.0, good, 0.0, good))
-    assert np.all((g.cell_areas > 0) & np.isfinite(g.cell_areas))
+            build_fine_grid(4, 4, (0.0, bad[0], 0.0, bad[1]))
+        g = build_fine_grid(4, 4, (0.0, good[0], 0.0, good[1]))
+    tiny = np.finfo(float).tiny
+    assert np.all((g.cell_areas / 4 >= tiny) & np.isfinite(g.cell_areas))
+    assert np.all((g.edge_lengths**2 / 4 >= tiny) & np.isfinite(g.edge_lengths**2))
 
 
 def test_cell_areas_far_from_origin():

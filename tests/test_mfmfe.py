@@ -771,15 +771,14 @@ def test_picard_product_is_the_diagonal_times_u(nx, ny):
 
 @pytest.mark.parametrize("per_corner", [False, True])
 def test_diagonal_products_match_the_blocks(per_corner):
-    """matvec and gram of a diagonal matrix read its diagonal and agree with
-    the products of its (lazily built) blocks to 1e-14 relative."""
+    """matvec of a diagonal matrix reads its diagonal and agrees with the
+    product of its (lazily built) blocks to 1e-14 relative."""
     grid = build_fine_grid(10, 10)
     rng = np.random.default_rng(4)
     shape = (grid.n_cells, 4) if per_corner else grid.n_cells
     A = assemble_velocity_matrix(grid, 10.0 ** rng.uniform(-1.0, 1.0, shape))
-    U = rng.standard_normal((grid.n_dofs, 40))
-    gram, Ax = A.gram(U), A.matvec(U[:, 0])
+    x = rng.standard_normal(grid.n_dofs)
+    Ax = A.matvec(x)
     assert A._blocks is None
     blocks = VertexBlockMatrix(A.blocks, grid)
-    assert np.abs(gram - blocks.gram(U)).max() <= 1e-14 * np.abs(gram).max()
-    assert np.abs(Ax - blocks.matvec(U[:, 0])).max() <= 1e-14 * np.abs(Ax).max()
+    assert np.abs(Ax - blocks.matvec(x)).max() <= 1e-14 * np.abs(Ax).max()

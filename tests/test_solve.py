@@ -28,6 +28,7 @@ from msforch.mfmfe import (
     linearize,
     VertexBlockMatrix,
     lower_solve,
+    lower_transpose_solve,
     no_flow_spec,
     quadrature_norm_matrix,
     vertex_cholesky,
@@ -571,13 +572,13 @@ def test_band_and_sparse_schur_share_one_pattern():
         with pytest.MonkeyPatch.context() as mp:
             _take(mp, "splu")
             sys_.solve(A, sys_.G0)
-        assert "_band_positions" not in vars(operator) and "_band" not in vars(operator)
+        assert "_band_positions" not in vars(operator)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("msforch.solve._band_solve", capture)
             sys_.solve(A, sys_.G0)
         assert operator._band_positions.dtype == np.int32
         ab = captured.pop()
-        (order, rank), kd = operator._band, operator._band_width
+        order, rank, kd = operator._band
         assert kd == min(nx, ny) + 1 and ab.shape == (kd + 1, grid.n_cells)
         assert ab.flags.f_contiguous
         ix, iy = order % nx, order // nx
@@ -595,8 +596,10 @@ def test_band_and_sparse_schur_share_one_pattern():
 
 @pytest.mark.parametrize("columns", [False, True])
 def test_fused_triangular_pass_matches_separate_solves(columns):
-    """[X | y] from one triangular pass equals X and y solved apart, bitwise;
-    a tensor A takes one right-hand side, and several columns raise."""
+    """The vertex path's S data, right-hand side and velocity from one
+    triangular pass on [B_v | G_v] equal those of X and y solved apart,
+    bitwise; a tensor A takes one right-hand side, and several columns
+    raise."""
     grid = build_fine_grid(5, 4)
     sys_ = LinearizedSystem(grid, np.ones(grid.n_cells), left_right_spec(grid))
     rng = np.random.default_rng(9)
@@ -605,13 +608,20 @@ def test_fused_triangular_pass_matches_separate_solves(columns):
     operator = sys_.operator
     if columns:
         with pytest.raises(ValueError, match="one right-hand side"):
-            operator._eliminate(A, rng.standard_normal((grid.n_dofs, 2)), sys_.F[:, None])
+            operator._vertex_system(A, rng.standard_normal((grid.n_dofs, 2)), sys_.F[:, None])
         return
     G = rng.standard_normal(grid.n_dofs)
-    L, X, y, rhs = operator._eliminate(A, G, sys_.F)
-    L_ref, X_ref = _vertex_factor(operator, A)
-    y_ref = lower_solve(L_ref, np.append(G, 0.0)[operator._dofs])
-    assert np.array_equal(L, L_ref) and np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
+    data, rhs, velocity = operator._vertex_system(A, G, sys_.F)
+    L, X = _vertex_factor(operator, A)
+    y = lower_solve(L, np.append(G, 0.0)[operator._dofs])
+    assert np.array_equal(operator._csc(data).toarray(), schur_matrix(operator, X).toarray())
+    n, cells = operator.n_pressure, operator._cells
+    rhs_ref = np.bincount(cells.ravel(), weights=np.einsum("jiv,jv->iv", X, y).ravel(),
+                          minlength=n + 1)[:n] - sys_.F
+    P = rng.standard_normal(n)
+    U_ref = lower_transpose_solve(L, y - np.einsum("ijv,jv->iv", X, np.append(P, 0.0)[cells]))
+    assert np.array_equal(rhs, rhs_ref)
+    assert np.array_equal(velocity(P), U_ref.ravel()[operator._slot_of_dof])
 
 
 def test_one_pressure_datum_makes_the_box_regular():
@@ -954,9 +964,10 @@ def test_diagonal_path_matches_general_path(nx, ny, problem, columns, per_corner
     assert A.diagonal is not None
     data, rhs, _, five_point = operator._system(A, G, F)
     assert five_point
-    S_ref = operator._schur_data(_vertex_factor(operator, A)[1])
-    rhs_ref, = _by_column(lambda g, f: operator._eliminate(_general(A), g, f)[3:], G, F)
-    assert np.abs(data - S_ref).max() <= 1e-14 * np.abs(S_ref).max()
+    S = operator._csc(data).toarray()
+    S_ref = schur_matrix(operator, _vertex_factor(operator, A)[1]).toarray()
+    rhs_ref, = _by_column(lambda g, f: operator._vertex_system(_general(A), g, f)[1:2], G, F)
+    assert np.abs(S - S_ref).max() <= 1e-14 * np.abs(S_ref).max()
     # Relative to the two terms of rhs = B^T A^{-1} G - F, which may cancel.
     F_full = np.broadcast_to(F, rhs.shape)
     scale = np.linalg.norm(rhs_ref + F_full, axis=0) + np.linalg.norm(F_full, axis=0)

@@ -23,9 +23,10 @@ with determinant ``cell_areas`` at every corner.  The corner quadrature then
 needs no per-cell factors: the velocity at corner k of cell c is
 ``(U[d0], U[d1])`` with ``(d0, d1) = elem_corner_dof[c, k]``, the DOFs of
 the vertical edge (x component) and of the horizontal edge (y component),
-and the corner weighs ``cell_areas[c] / 4``.  ``corner_index[c, k, s, l]``
-is the flat position of the (s, l) contribution in the (n_vertices, 4, 4)
-vertex-block array.
+and the corner weighs ``cell_areas[c] / 4``.  Vertex-block slots are
+geometric: 0 and 1 hold the horizontal edges left and right of the vertex,
+2 and 3 the vertical edges below and above it (-1 where missing), so every
+cell's corner k holds its vertex's slots ``CORNER_SLOTS[k]``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .errors import DegenerateElementError
 # is (0 = left/bottom endpoint).
 CORNER_EDGE_LOCAL = np.array([[3, 0], [1, 0], [1, 2], [3, 2]])
 CORNER_EDGE_END = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
+# Their vertex-block slots, and the corner's (dx, dy) from the cell's lower left.
+CORNER_SLOTS = np.array([[3, 1], [3, 0], [2, 0], [2, 1]])
+CORNER_OFFSETS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 # Edge orientation signs of an element: bottom, right, top, left.
 ELEMENT_EDGE_SIGNS = np.array([-1, 1, 1, -1])
@@ -66,14 +70,13 @@ class FineGrid:
     element_edges: np.ndarray     # (n_cells, 4) edge ids: bottom, right, top, left
     edge_side: np.ndarray         # (n_edges,) -1 interior, 0/1/2/3 bottom/right/top/left
     edge_boundary_sign: np.ndarray  # (n_edges,) sign in the unique adjacent element
-    vertex_dofs: np.ndarray       # (n_vertices, 4) dof ids padded with -1
+    vertex_dofs: np.ndarray       # (n_vertices, 4) dof ids by geometric slot, -1 if no edge
     dof_vertex: np.ndarray        # (n_dofs,)
-    dof_vslot: np.ndarray         # (n_dofs,) slot of the dof inside its vertex block
+    dof_vslot: np.ndarray         # (n_dofs,) geometric slot: [1, 0] horizontal, [3, 2] vertical
     cell_areas: np.ndarray        # (n_cells,)
     cell_centers: np.ndarray      # (n_cells, 2)
     # Corner DOFs, slot 0 = vertical edge (x), slot 1 = horizontal edge (y).
     elem_corner_dof: np.ndarray   # (n_cells, 4, 2)
-    corner_index: np.ndarray      # (n_cells, 4, 2, 2) vertex-block scatter index
 
     @property
     def n_cells(self) -> int:
@@ -189,23 +192,15 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     if np.any(edge_boundary_sign[edge_side < 0] != 0):
         raise AssertionError("interior edge orientation signs do not cancel")
 
-    # Vertex blocks: the DOFs of all edges incident to a vertex, at that
-    # endpoint, sorted ascending.  dof i sits at vertex edge_nodes.ravel()[i].
-    dof_vertex = edge_nodes.ravel()
-    n_vertices = vertices.shape[0]
-    order = np.argsort(dof_vertex, kind="stable")
-    degree = np.bincount(dof_vertex, minlength=n_vertices)
-    offsets = np.concatenate([[0], np.cumsum(degree)])
-    dof_vslot = np.empty(dof_vertex.shape[0], dtype=np.int64)
-    dof_vslot[order] = np.arange(dof_vertex.shape[0]) - np.repeat(offsets[:-1], degree)
-    vertex_dofs = np.full((n_vertices, 4), -1, dtype=np.int64)
-    vertex_dofs[dof_vertex[order], dof_vslot[order]] = order
-
     elem_corner_edge = element_edges[:, CORNER_EDGE_LOCAL]        # (n_c, 4, 2)
     elem_corner_dof = 2 * elem_corner_edge + CORNER_EDGE_END[None, :, :]
 
-    slot = dof_vslot[elem_corner_dof]
-    corner_index = 16 * elements[:, :, None, None] + 4 * slot[..., :, None] + slot[..., None, :]
+    # Vertex blocks: every DOF is some corner's, in that corner's geometric slot.
+    dof_vertex = edge_nodes.ravel()
+    dof_vslot = np.empty(dof_vertex.shape[0], dtype=np.int64)
+    dof_vslot[elem_corner_dof] = CORNER_SLOTS
+    vertex_dofs = np.full((vertices.shape[0], 4), -1, dtype=np.int64)
+    vertex_dofs[dof_vertex, dof_vslot] = np.arange(dof_vertex.shape[0])
 
     cell_areas = np.outer(heights, widths).ravel()
     cell_centers = vertices[elements].mean(axis=1)
@@ -227,7 +222,6 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
         cell_areas=cell_areas,
         cell_centers=cell_centers,
         elem_corner_dof=elem_corner_dof.astype(index_dtype(2 * edge_nodes.shape[0])),
-        corner_index=corner_index.astype(index_dtype(16 * n_vertices)),
     )
 
 

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigurationError
-from .grid import CORNER_EDGE_LOCAL, ELEMENT_EDGE_SIGNS, FineGrid
+from .grid import CORNER_EDGE_LOCAL, CORNER_OFFSETS, CORNER_SLOTS, ELEMENT_EDGE_SIGNS, FineGrid
 
 #: Gauss-Legendre nodes/weights on [0, 1] used for Dirichlet edge integrals.
 _GAUSS3 = (
@@ -124,10 +124,11 @@ def vertex_cholesky(blocks: np.ndarray, unit: tuple) -> np.ndarray:
 class VertexBlockMatrix:
     """Symmetric velocity matrix stored as one dense block per mesh vertex.
 
-    Blocks are padded to 4x4; ``vertex_dofs`` maps block slots to global DOF
-    ids (-1 for padding).  Each DOF belongs to exactly one block, so matvec,
-    inversion and Cholesky checks all act blockwise.  Padding slots hold zeros,
-    or a unit diagonal once DOFs are eliminated.  ``diagonal`` is set when the
+    Blocks are 4x4 in the grid's geometric slots; ``vertex_dofs`` maps them
+    to global DOF ids (-1 for padding, a missing edge's own slot).  Each DOF
+    belongs to exactly one block, so matvec, inversion and Cholesky checks
+    all act blockwise.  Padding slots hold zeros, or a unit diagonal once
+    DOFs are eliminated.  ``diagonal`` is set when the
     whole matrix is diagonal (a scalar coefficient): it is that diagonal, per
     DOF, read by products and solvers; its blocks are built on first read.
     """
@@ -223,15 +224,15 @@ def divergence_blocks(grid: FineGrid) -> np.ndarray:
     n_vertices) with [i, j, v] = B[vertex_dofs[v, i], vertex_cells(grid)[v, j]],
     zero where there is no DOF or cell.
 
-    Corner k of cell c holds the DOFs ``elem_corner_dof[c, k]`` at slot k of
-    vertex ``elements[c, k]``, so one scatter per corner writes each entry
-    -sign * |e| / 2 as :func:`assemble_divergence` forms it.
+    Corner k of cell c holds the DOFs ``elem_corner_dof[c, k]`` in the slots
+    ``CORNER_SLOTS[k]`` of vertex ``elements[c, k]``, and the cell in its
+    cell slot k, so one scatter per corner writes each entry -sign * |e| / 2
+    as :func:`assemble_divergence` forms it.
     """
     vals = -0.5 * ELEMENT_EDGE_SIGNS * grid.edge_lengths[grid.element_edges]
-    slots = grid.dof_vslot[grid.elem_corner_dof]
     blocks = np.zeros((4, 4, grid.n_vertices))
     for k in range(4):
-        blocks[slots[:, k], k, grid.elements[:, k, None]] = vals[:, CORNER_EDGE_LOCAL[k]]
+        blocks[CORNER_SLOTS[k], k, grid.elements[:, k, None]] = vals[:, CORNER_EDGE_LOCAL[k]]
     return blocks
 
 
@@ -245,16 +246,17 @@ def assemble_velocity_matrix(grid: FineGrid, coeff) -> VertexBlockMatrix:
     scalar adds only to the two (s, s) entries, so the matrix is diagonal:
     its diagonal is summed per DOF by one ``bincount`` over the grid's
     ``elem_corner_dof`` and kept as the matrix's ``diagonal`` (blocks are
-    built only if read).  A tensor's contributions are weighted and summed
-    into the blocks one corner at a time over the grid's ``corner_index``:
-    a corner's positions are distinct and a block entry gets at most two
-    terms, so this is bitwise one ``bincount`` over all corners, without
-    its intp copy of the index or a weighted copy of the tensor.
+    built only if read).  A tensor is summed entry-major into a (4, 4,
+    ny + 1, nx + 1) array by one slice add per corner, no index array:
+    corner k of cell (ix, iy) is vertex (ix, iy) + ``CORNER_OFFSETS[k]``,
+    and its entry (a, b) is block entry ``CORNER_SLOTS[k]`` (a, b).  An
+    entry gets at most two terms, added in corner order, so this is bitwise
+    one ``bincount`` over all corners.  The blocks are the (n_vertices, 4, 4)
+    view of that array, which :func:`vertex_cholesky` copies contiguously.
     """
     n = grid.n_cells
     quarter = 0.25 * grid.cell_areas
     values = np.asarray(coeff, dtype=float)
-    n_vertices = grid.n_vertices
     if values.shape in ((n,), (n, 4)):
         scalar = (values if values.ndim == 2 else values[:, None]) * quarter[:, None]
         # Eight corner DOF slots per cell, two per corner.
@@ -263,10 +265,13 @@ def assemble_velocity_matrix(grid: FineGrid, coeff) -> VertexBlockMatrix:
         return VertexBlockMatrix(None, grid, diagonal)
     if values.shape != (n, 4, 2, 2):
         raise ValueError(f"coefficient shape {values.shape} not understood for {n} cells")
-    blocks = np.zeros(16 * n_vertices)
-    for k in range(4):
-        blocks[grid.corner_index[:, k]] += values[:, k] * quarter[:, None, None]
-    return VertexBlockMatrix(blocks.reshape(n_vertices, 4, 4), grid)
+    nx, ny = grid.nx, grid.ny
+    blocks = np.zeros((4, 4, ny + 1, nx + 1))
+    for k, (dx, dy) in enumerate(CORNER_OFFSETS):
+        s = CORNER_SLOTS[k]
+        blocks[s[:, None], s, dy:dy + ny, dx:dx + nx] += (
+            values[:, k] * quarter[:, None, None]).transpose(1, 2, 0).reshape(2, 2, ny, nx)
+    return VertexBlockMatrix(blocks.reshape(16, -1).T.reshape(-1, 4, 4), grid)
 
 
 def linearize(grid: FineGrid, kappa: np.ndarray, beta: np.ndarray, U: np.ndarray, scheme):

@@ -49,7 +49,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularSystemError
 from .fields import ScalarCellField
-from .grid import FineGrid, index_dtype
+from .grid import CORNER_OFFSETS, FineGrid, index_dtype
 from .mfmfe import (
     BoundarySpec,
     VertexBlockMatrix,
@@ -394,7 +394,7 @@ class PreparedOperator:
         np.put_along_axis(place, sort, np.arange(9, dtype=dtype), axis=1)
         place += indptr[:-1, None]
         place[neighbours == n] = nnz
-        sx, sy = np.array([0, -1, -1, 0]), np.array([0, 0, -1, -1])
+        sx, sy = -np.array(CORNER_OFFSETS).T
         offset = (3 * (sy[:, None] - sy + 1) + sx[:, None] - sx + 1).astype(dtype)   # [j, k]
         # Column n (padding) is nine more nnz entries.
         lookup = np.append(place.ravel(), np.full(9, nnz, dtype=dtype))

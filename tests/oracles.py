@@ -9,7 +9,8 @@ vertex block.  The corner geometry is derived from the
 grid's vertices, edges and signs by the general bilinear map, not by the
 rectangle shortcut the kernels take.  Two views of solver data that only
 the tests read live here too: the per-vertex Cholesky factors of a
-VertexBlockMatrix and the sparse S of a PreparedOperator.
+VertexBlockMatrix and the sparse S of a PreparedOperator, and the scatter
+index a one-``bincount`` assembly of the vertex blocks would use.
 """
 
 import warnings
@@ -232,6 +233,14 @@ def to_sparse(A):
     cols = np.broadcast_to(vd[:, None, :], A.blocks.shape)
     mask = (rows >= 0) & (cols >= 0)
     return sp.csr_matrix((A.blocks[mask], (rows[mask], cols[mask])), shape=(A.n_dofs,) * 2)
+
+
+def corner_scatter_index(grid) -> np.ndarray:
+    """Flat position of each corner's (s, l) entry in the (n_vertices, 4, 4)
+    vertex-block array, (n_cells, 4, 2, 2): 16 v + 4 slot_s + slot_l, read
+    off ``elements`` and ``dof_vslot`` of the corner's two DOFs."""
+    slot = grid.dof_vslot[grid.elem_corner_dof]
+    return 16 * grid.elements[:, :, None, None] + 4 * slot[..., :, None] + slot[..., None, :]
 
 
 def with_identity_rows(A, dofs):

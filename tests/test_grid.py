@@ -9,6 +9,7 @@ from msforch.errors import DegenerateElementError
 from msforch.grid import (
     CORNER_EDGE_END,
     CORNER_EDGE_LOCAL,
+    CORNER_SLOTS,
     ELEMENT_EDGE_SIGNS,
     block_indices,
     build_coarse_grid,
@@ -256,10 +257,32 @@ def test_subgrid_index_maps():
         subgrid(fine, 5, 0, 3, 2)
 
 
-def test_corner_indices_are_int32():
-    """The corner DOF ids and the vertex-block scatter index are stored in
-    the index type ``index_dtype`` picks for their range."""
+def test_corner_dofs_are_int32():
+    """The corner DOF ids are stored in the index type ``index_dtype`` picks
+    for their range."""
     g = build_fine_grid(7, 5)
-    assert g.elem_corner_dof.dtype == g.corner_index.dtype == np.int32
+    assert g.elem_corner_dof.dtype == np.int32
     corner_edges = g.element_edges[:, CORNER_EDGE_LOCAL]
     assert np.array_equal(g.elem_corner_dof, 2 * corner_edges + CORNER_EDGE_END)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (7, 1), (33, 17)])
+def test_vertex_slots_are_geometric(nx, ny):
+    """Corner k of every cell holds the slots ``CORNER_SLOTS[k]`` of its
+    vertex, and slot 0, 1, 2, 3 of every vertex holds the DOF of the edge to
+    its left, right, below and above at that vertex, or -1 where there is no
+    such edge."""
+    g = build_fine_grid(nx, ny)
+    for k in range(4):
+        assert np.array_equal(g.dof_vslot[g.elem_corner_dof[:, k]],
+                              np.broadcast_to(CORNER_SLOTS[k], (g.n_cells, 2)))
+    vy, vx = np.divmod(np.arange(g.n_vertices), nx + 1)
+    # Each edge's DOF at its right (top) endpoint is 2 e + 1, at its left
+    # (bottom) endpoint 2 e; missing edges read -1.
+    want = np.stack([
+        np.where(vx > 0, 2 * g.horizontal_edge(vx - 1, vy) + 1, -1),
+        np.where(vx < nx, 2 * g.horizontal_edge(vx, vy), -1),
+        np.where(vy > 0, 2 * g.vertical_edge(vx, vy - 1) + 1, -1),
+        np.where(vy < ny, 2 * g.vertical_edge(vx, vy), -1),
+    ], axis=1)
+    assert np.array_equal(g.vertex_dofs, want)

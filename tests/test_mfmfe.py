@@ -39,6 +39,7 @@ from oracles import (
     REF_CORNERS,
     SingularCornerError,
     corner_geometry,
+    corner_scatter_index,
     corner_velocity,
     edge_normals,
     lapack_cholesky,
@@ -616,16 +617,22 @@ def test_prepared_assembly_matches_corner_formula(nx, ny, x0, y0, width, height,
     assert np.abs(got.blocks - want).max() <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (5, 1), (2, 2), (7, 5), (16, 16), (33, 17)])
-def test_tensor_assembly_equals_one_bincount(nx, ny):
-    """A tensor coefficient's blocks, summed one corner at a time, equal one
-    ``np.bincount`` of the |T|/4-weighted tensor over the whole
-    ``corner_index``, bit for bit, on entries spanning 16 decades."""
-    grid = build_fine_grid(nx, ny, (-3.0, 0.7, 2.0, 9.0))
+@pytest.mark.parametrize("nx, ny, domain", [
+    *(pytest.param(nx, ny, (-3.0, 0.7, 2.0, 9.0), id=f"{nx}-{ny}")
+      for nx, ny in [(1, 1), (1, 6), (5, 1), (2, 2), (7, 5), (16, 16), (33, 17)]),
+    pytest.param(160, 60, (0.0, 8.0 / 3.0, 0.0, 1.0), id="160-60"),
+])
+def test_tensor_assembly_equals_one_bincount(nx, ny, domain):
+    """A tensor coefficient's blocks, summed by corner slices, equal one
+    ``np.bincount`` of the |T|/4-weighted tensor over every corner's
+    scatter index (read off ``elements`` and ``dof_vslot``), bit for bit,
+    on entries spanning 16 decades."""
+    grid = build_fine_grid(nx, ny, domain)
     rng = np.random.default_rng(100 * nx + ny)
-    shape = grid.corner_index.shape
+    index = corner_scatter_index(grid)
+    shape = index.shape
     C = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
-    want = np.bincount(grid.corner_index.ravel(),
+    want = np.bincount(index.ravel(),
                        weights=(C * (0.25 * grid.cell_areas)[:, None, None, None]).ravel(),
                        minlength=16 * grid.n_vertices)
     assert np.array_equal(assemble_velocity_matrix(grid, C).blocks.ravel(), want)
@@ -736,8 +743,20 @@ def test_diagonal_blocks_factor_as_lapack_bitwise():
 @pytest.mark.parametrize("pivot", [0, 1, 3])
 def test_indefinite_block_error_names_its_vertex(pivot):
     """A block that fails at its first, second or last pivot is reported
-    with its vertex, even when later vertices fail too."""
+    with its vertex, even when later vertices fail too.  The pivot named is
+    the geometric slot: on a left-boundary vertex slot 0 is padding, so a
+    negative entry there fails nothing and one at slot 1 or 3 fails that
+    pivot."""
     grid = build_fine_grid(4, 4)
+    left = grid.nx + 1    # vertex (0, 1), with no edge to its left
+    assert grid.vertex_dofs[left, 0] == -1 and np.all(grid.vertex_dofs[left, 1:] >= 0)
+    A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
+    A.blocks[left, pivot, pivot] = -1.0
+    if pivot == 0:
+        vertex_factors(A)
+    else:
+        with pytest.raises(AssemblyError, match=rf"at vertex {left} \(1 failing pivot {pivot}\)"):
+            vertex_factors(A)
     A = assemble_velocity_matrix(grid, np.ones(grid.n_cells))
     vertex, later = np.flatnonzero((grid.vertex_dofs >= 0).all(axis=1))[:2]
     for v in (vertex, later):

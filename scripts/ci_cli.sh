@@ -28,7 +28,9 @@ run fine fine --nx 8 --ny 8 --field blobs:2:100
 run offline offline --nx 16 --ny 16 --coarse-nx 2 --coarse-ny 2 --field blobs:2:100 --dof-per-t 2
 run oversample offline --nx 16 --ny 16 --coarse-nx 4 --coarse-ny 4 --field blobs:2:100 --dof-per-t 2,3 --oversample 1
 run online online --nx 16 --ny 16 --coarse-nx 2 --coarse-ny 2 --field blobs:2:100 --dof-per-t 2 --sweeps 1
+run study offline --nx 16 --ny 16 --coarse-nx 4 --coarse-ny 4 --field blobs:2:100 --beta0 0,100 --dof-per-t 2,3 --theta 0.5
 run shared online --nx 16 --ny 16 --coarse-nx 4 --coarse-ny 4 --field blobs:2:100 --dof-per-t 2,3 --oversample 1 --sweeps 2
+run plateau online --nx 16 --ny 16 --coarse-nx 2 --coarse-ny 2 --field blobs:2:100 --dof-per-t 2 --variant fixed --sweeps 3
 run picard fine --nx 16 --ny 16 --field channel:7:100 --scheme picard,newton --beta0 0,100
 run band fine --nx 100 --ny 30 --field blobs:2:100 --beta0 100 --scheme newton
 run reuse fine --nx 120 --ny 110 --field blobs:2:100 --beta0 100 --scheme newton

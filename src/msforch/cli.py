@@ -357,11 +357,12 @@ def cmd_offline(rc: RunConfig) -> int:
                 continue
             residuals = conservation_residuals(fine, coarse, off.velocity, f_cells)
             selected = select_by_fraction(residuals, rc.theta)
-            errors = []
-            for name, elements in (("updated", selected),
-                                   ("fully updated", np.arange(coarse.n_elements))):
-                new_map, _ = update_offline(fine, coarse, rmap, spaces, off.velocity, elements,
-                                            kappa, beta)
+            rest = np.setdiff1d(np.arange(coarse.n_elements), selected)
+            new_map, new_spaces, errors = rmap, spaces, []
+            # The full update continues from the partial one: each element once.
+            for name, elements in (("updated", selected), ("fully updated", rest)):
+                new_map, new_spaces = update_offline(fine, coarse, new_map, new_spaces,
+                                                     off.velocity, elements, kappa, beta)
                 sol = solve_offline(fine, kappa, beta, bc, f_cells, new_map, cfg)
                 _require_converged(sol, f"{name} offline solve (beta0={_g(b0)}, dof_per_T={m})")
                 errors += error_metrics(fine, sol, ref)
@@ -388,12 +389,12 @@ def cmd_online(rc: RunConfig) -> int:
     spaces, _ = build_offline_space(
         fine, coarse, kappa, max(rc.dof_per_t), oversample_layers=rc.oversample
     )
+    maps = {m: assemble_reduction(fine, spaces, m) for m in rc.dof_per_t}
     for b0 in rc.beta0:
         beta = forchheimer_coeff(kappa, b0)
         ref = nonlinear_solve(fine, kappa, beta, bc, f_cells, cfg)
         _require_converged(ref, f"fine reference (beta0={_g(b0)})")
-        for m in rc.dof_per_t:
-            rmap = assemble_reduction(fine, spaces, m)
+        for m, rmap in maps.items():
             off = solve_offline(fine, kappa, beta, bc, f_cells, rmap, cfg)
             _require_converged(off, f"offline solve (beta0={_g(b0)}, dof_per_T={m})")
             state = init_enrichment(

@@ -4,13 +4,21 @@ The fine mesh is an axis-aligned tensor grid of ``nx`` by ``ny`` cells.
 
 Conventions relied on by every assembly routine downstream:
 
-* cells, vertices and edges are numbered row-major with the bottom row first;
+* cells, vertices and edges are numbered row-major with the bottom row first,
+  vertex (ix, iy) as ``iy*(nx + 1) + ix``;
 * horizontal edges (global unit normal +y) come before vertical edges (+x);
 * each edge carries two velocity degrees of freedom, one per endpoint:
   ``2*edge`` at the left/bottom endpoint and ``2*edge + 1`` at the other;
 * element corners are ordered counter-clockwise from the lower left, and the
   element's edges are listed bottom, right, top, left with orientation sign
   +1 exactly when the global edge normal points out of the element.
+
+All of it is arithmetic from one vertex v: the cell c with lower-left vertex
+v has corners v + (0, 1, nx + 2, nx + 1), its ``CORNER_OFFSETS``, and edges
+(c, left + 1, c + nx, left) with left = nx*(ny + 1) + c + c // nx; the
+horizontal edge starting at v ends at v + 1, the vertical one at v + nx + 1.
+A boundary edge's ``edge_side`` is its local edge number in its one cell, so
+``ELEMENT_EDGE_SIGNS[side]`` is its sign there.
 
 A velocity DOF value is the normal component of the field with respect to the
 *global* edge normal at that endpoint.  Because the two DOFs an element sees
@@ -31,8 +39,7 @@ cell's corner k holds its vertex's slots ``CORNER_SLOTS[k]``.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,12 +71,12 @@ class FineGrid:
     ny: int
     domain: tuple
     vertices: np.ndarray          # (n_vertices, 2)
-    elements: np.ndarray          # (n_cells, 4) vertex ids, counter-clockwise
-    edge_nodes: np.ndarray        # (n_edges, 2) endpoint vertex ids
+    elements: np.ndarray          # (n_cells, 4) lower-left vertex + CORNER_OFFSETS, ccw
+    edge_nodes: np.ndarray        # (n_edges, 2) endpoint vertex ids, left/bottom first
     edge_lengths: np.ndarray      # (n_edges,)
     element_edges: np.ndarray     # (n_cells, 4) edge ids: bottom, right, top, left
-    edge_side: np.ndarray         # (n_edges,) -1 interior, 0/1/2/3 bottom/right/top/left
-    edge_boundary_sign: np.ndarray  # (n_edges,) sign in the unique adjacent element
+    edge_side: np.ndarray         # (n_edges,) -1 interior, else its local edge: 0 bottom..3 left
+    edge_boundary_sign: np.ndarray  # (n_edges,) ELEMENT_EDGE_SIGNS[edge_side], 0 interior
     vertex_dofs: np.ndarray       # (n_vertices, 4) dof ids by geometric slot, -1 if no edge
     dof_vertex: np.ndarray        # (n_dofs,)
     dof_vslot: np.ndarray         # (n_dofs,) geometric slot: [1, 0] horizontal, [3, 2] vertical
@@ -77,6 +84,10 @@ class FineGrid:
     cell_centers: np.ndarray      # (n_cells, 2)
     # Corner DOFs, slot 0 = vertical edge (x), slot 1 = horizontal edge (y).
     elem_corner_dof: np.ndarray   # (n_cells, 4, 2)
+    # What other modules derive from this grid object on first use and reuse
+    # for its lifetime: its divergence matrix and prepared operators (filled by
+    # msforch.solve), its local problem shapes and their block grids (msforch.local).
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_cells(self) -> int:
@@ -114,14 +125,6 @@ class FineGrid:
     def cell_id(self, ix, iy):
         return iy * self.nx + ix
 
-    @functools.cached_property
-    def memo(self) -> dict:
-        """Data other modules derive from this grid object on first use and
-        reuse for its lifetime: its divergence matrix and prepared operators,
-        filled by :mod:`msforch.solve`, and its local problem shapes and their
-        block grids, filled by :mod:`msforch.local`."""
-        return {}
-
 
 def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     """Build the nx-by-ny rectangular mesh of the given domain."""
@@ -146,54 +149,29 @@ def build_fine_grid(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0)) -> FineGrid:
     vx, vy = np.meshgrid(xs, ys)
     vertices = np.column_stack([vx.ravel(), vy.ravel()])
 
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    cix, ciy = np.meshgrid(np.arange(nx), np.arange(ny))
-    cix, ciy = cix.ravel(), ciy.ravel()
-    elements = np.column_stack(
-        [vid(cix, ciy), vid(cix + 1, ciy), vid(cix + 1, ciy + 1), vid(cix, ciy + 1)]
-    )
-
-    # Horizontal edges first (normal +y), then vertical (normal +x).
-    n_h = nx * (ny + 1)
-    n_v = (nx + 1) * ny
-    hx, hy = np.meshgrid(np.arange(nx), np.arange(ny + 1))
-    hx, hy = hx.ravel(), hy.ravel()
-    h_nodes = np.column_stack([vid(hx, hy), vid(hx + 1, hy)])
-    wx, wy = np.meshgrid(np.arange(nx + 1), np.arange(ny))
-    wx, wy = wx.ravel(), wy.ravel()
-    v_nodes = np.column_stack([vid(wx, wy), vid(wx, wy + 1)])
-    edge_nodes = np.vstack([h_nodes, v_nodes])
+    # Each number is an offset from its cell's or edge's first vertex (module docstring).
+    row = nx + 1
+    v = np.arange((ny + 1) * row).reshape(ny + 1, row)
+    elements = v[:-1, :-1].reshape(-1, 1) + np.array([dx + dy * row for dx, dy in CORNER_OFFSETS])
+    h_left, w_bottom = v[:, :-1].ravel(), v[:-1].ravel()
+    edge_nodes = np.vstack([np.column_stack([h_left, h_left + 1]),
+                            np.column_stack([w_bottom, w_bottom + row])])
     edge_lengths = np.linalg.norm(
         vertices[edge_nodes[:, 1]] - vertices[edge_nodes[:, 0]], axis=1
     )
 
-    def hid(ix, iy):
-        return iy * nx + ix
+    n_h = nx * (ny + 1)
+    c = np.arange(nx * ny)
+    left = n_h + c + c // nx
+    element_edges = np.column_stack([c, left + 1, c + nx, left])
 
-    def wid(ix, iy):
-        return n_h + iy * (nx + 1) + ix
+    # Sides are numbered as a cell's local edges, so each side names its sign.
+    edge_side = np.full(edge_nodes.shape[0], -1, dtype=np.int8)
+    h_side, w_side = edge_side[:n_h].reshape(ny + 1, nx), edge_side[n_h:].reshape(ny, row)
+    h_side[0], w_side[:, -1], h_side[-1], w_side[:, 0] = 0, 1, 2, 3
+    edge_boundary_sign = np.append(ELEMENT_EDGE_SIGNS, 0)[edge_side]
 
-    element_edges = np.column_stack(
-        [hid(cix, ciy), wid(cix + 1, ciy), hid(cix, ciy + 1), wid(cix, ciy)]
-    )
-
-    edge_side = np.full(n_h + n_v, -1, dtype=np.int8)
-    edge_side[hid(hx, hy)[hy == 0]] = 0
-    edge_side[hid(hx, hy)[hy == ny]] = 2
-    edge_side[wid(wx, wy)[wx == 0]] = 3
-    edge_side[wid(wx, wy)[wx == nx]] = 1
-
-    # Sign of each boundary edge in its unique adjacent element.  Interior
-    # contributions cancel (+1 and -1), which doubles as a sanity check.
-    edge_boundary_sign = np.zeros(n_h + n_v, dtype=np.int64)
-    np.add.at(edge_boundary_sign, element_edges.ravel(), np.tile(ELEMENT_EDGE_SIGNS, nx * ny))
-    if np.any(edge_boundary_sign[edge_side < 0] != 0):
-        raise AssertionError("interior edge orientation signs do not cancel")
-
-    elem_corner_edge = element_edges[:, CORNER_EDGE_LOCAL]        # (n_c, 4, 2)
-    elem_corner_dof = 2 * elem_corner_edge + CORNER_EDGE_END[None, :, :]
+    elem_corner_dof = 2 * element_edges[:, CORNER_EDGE_LOCAL] + CORNER_EDGE_END
 
     # Vertex blocks: every DOF is some corner's, in that corner's geometric slot.
     dof_vertex = edge_nodes.ravel()

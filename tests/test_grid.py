@@ -70,17 +70,52 @@ def test_dofs_partition_into_vertex_blocks():
     assert np.array_equal((g.vertex_dofs >= 0).sum(axis=1), degree)
 
 
-def test_interior_edges_have_opposite_signs():
-    g = build_fine_grid(3, 3)
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (7, 1), (3, 3), (33, 17)])
+def test_interior_edges_have_opposite_signs(nx, ny):
+    """Each interior edge is seen by two cells with opposite signs, each
+    boundary edge by one, whose sign ``edge_boundary_sign`` holds; it is 0 on
+    interior edges."""
+    g = build_fine_grid(nx, ny)
     seen = {}
     for c in range(g.n_cells):
         for e, s in zip(g.element_edges[c], ELEMENT_EDGE_SIGNS):
             seen.setdefault(int(e), []).append(int(s))
+    assert sorted(seen) == list(range(g.n_edges))
     for e, signs in seen.items():
         if g.edge_side[e] == -1:
             assert sorted(signs) == [-1, 1]
+            assert g.edge_boundary_sign[e] == 0
         else:
-            assert len(signs) == 1
+            assert signs == [g.edge_boundary_sign[e]]
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (7, 1), (5, 4)])
+def test_numbering_follows_the_module_conventions(nx, ny):
+    """Cell by cell: vertex (ix, iy) is iy (nx + 1) + ix, corners run
+    counter-clockwise from the lower left, edges bottom, right, top, left,
+    each edge lists its left or bottom endpoint first, and a boundary edge's
+    side is its local edge number in its cell."""
+    g = build_fine_grid(nx, ny, (0.0, 2.0, 0.0, 1.0))
+    xs, ys = np.linspace(0.0, 2.0, nx + 1), np.linspace(0.0, 1.0, ny + 1)
+    side = np.full(g.n_edges, -1)
+    for iy in range(ny):
+        for ix in range(nx):
+            c = g.cell_id(ix, iy)
+            corners = [iy * (nx + 1) + ix, iy * (nx + 1) + ix + 1,
+                       (iy + 1) * (nx + 1) + ix + 1, (iy + 1) * (nx + 1) + ix]
+            edges = [g.horizontal_edge(ix, iy), g.vertical_edge(ix + 1, iy),
+                     g.horizontal_edge(ix, iy + 1), g.vertical_edge(ix, iy)]
+            assert g.elements[c].tolist() == corners
+            assert g.vertices[corners[0]].tolist() == [xs[ix], ys[iy]]
+            assert g.element_edges[c].tolist() == edges
+            ends = [(0, 1), (1, 2), (3, 2), (0, 3)]
+            for e, (a, b) in zip(edges, ends):
+                assert g.edge_nodes[e].tolist() == [corners[a], corners[b]]
+            on_boundary = [iy == 0, ix == nx - 1, iy == ny - 1, ix == 0]
+            for k, e in enumerate(edges):
+                if on_boundary[k]:
+                    side[e] = k
+    assert np.array_equal(g.edge_side, side)
 
 
 def test_determinism():

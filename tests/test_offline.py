@@ -331,6 +331,30 @@ def test_update_reduces_velocity_error_full_at_least_partial():
     assert eru_til < eru_off
 
 
+@pytest.mark.parametrize("layers", [0, 1])
+def test_full_update_continues_from_a_partial_one(layers):
+    """Updating the elements a theta-update left, from its map and spaces,
+    gives the full update of the original map bitwise."""
+    fine, coarse, kappa = _setup(12, 3)
+    beta = ScalarCellField(12, 12, 100.0 / kappa.values)
+    f = np.zeros(fine.n_cells)
+    spaces, rmap = build_offline_space(fine, coarse, kappa, 3, layers)
+    off = solve_offline(fine, kappa, beta, left_right_spec(fine), f, rmap,
+                        NonlinearConfig(scheme="newton", tol_nl=1e-10, max_iter=100))
+    selected = select_by_fraction(conservation_residuals(fine, coarse, off.velocity, f), 0.5)
+    rest = np.setdiff1d(np.arange(coarse.n_elements), selected)
+    assert 0 < len(selected) < coarse.n_elements
+    map_hat, spaces_hat = update_offline(fine, coarse, rmap, spaces, off.velocity, selected,
+                                         kappa, beta)
+    chained, _ = update_offline(fine, coarse, map_hat, spaces_hat, off.velocity, rest,
+                                kappa, beta)
+    full, _ = update_offline(fine, coarse, rmap, spaces, off.velocity,
+                             np.arange(coarse.n_elements), kappa, beta)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(chained.matrix, name), getattr(full.matrix, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("layers, per_element", [(0, 1), (1, 2)])
 def test_snapshots_assemble_the_gram_matrix_only_when_it_differs(layers, per_element, monkeypatch):
     """Without oversampling or a separate Gram coefficient the Gram matrix is

@@ -151,17 +151,15 @@ def spectral_decompose(space: SpectralSpace, m_off: int) -> SpectralSpace:
     phi_sum = space.snapshots_p.sum(axis=1)
     level = abs(phi_sum).max()
     deflate = level > 0 and np.ptp(phi_sum) <= 1e-8 * level
+    proj = np.eye(J)
     if deflate:
         ones = np.ones(J)
         s_mass = ones @ S @ ones
         v0 = ones / np.sqrt(s_mass)
         lam0 = space.null_energy / s_mass
-        proj = np.eye(J) - np.outer(v0, S @ v0)
-        A_work = proj.T @ A @ proj
-        S_work = proj.T @ S @ proj
-    else:
-        proj = None
-        A_work, S_work = A, S
+        proj -= np.outer(v0, S @ v0)
+    A_work = proj.T @ A @ proj
+    S_work = proj.T @ S @ proj
 
     s, Q = la.eigh(0.5 * (S_work + S_work.T))
     keep = s > 1e-12 * max(s.max(), S.diagonal().max())
@@ -177,12 +175,11 @@ def spectral_decompose(space: SpectralSpace, m_off: int) -> SpectralSpace:
     W = Q[:, keep] / np.sqrt(s[keep])
     A_sub = W.T @ A_work @ W
     w, Vt = la.eigh(0.5 * (A_sub + A_sub.T))
-    V = W @ Vt
-    if proj is not None:
-        # The working eigenvectors live in deflated coordinates; pull them
-        # back through the projector so they are S-orthogonal to the constant
-        # mode (and S-orthonormal among themselves) in the original grams.
-        V = proj @ V
+    # The working eigenvectors live in deflated coordinates (proj is the
+    # identity when nothing is deflated); pulled back through the projector
+    # they are S-orthogonal to the constant mode (and S-orthonormal among
+    # themselves) in the original grams.
+    V = proj @ (W @ Vt)
     # Rayleigh-quotient refinement in the original Gram matrices: the
     # eigensolver's absolute error scales with ||A||, which buries small
     # eigenvalues of high-contrast elements; the quotient restores them.

@@ -22,8 +22,10 @@ at the current multiscale velocity before every local solve and reduced
 solve; 'fixed_offline' freezes the coefficient at the initial offline
 velocity, which is cheaper but stalls at a positive error plateau.
 
-:class:`EnrichmentState` keeps only what the schedule reads and derives each
-quantity once.  Per solution: the cell defect f - div(u), which feeds both
+:class:`EnrichmentState` (also named ``init_enrichment``) builds a run
+complete in one call, with its own copy of the map and the offline solution
+as its first; it accepts ``cfg`` unread.  The state keeps only what the
+schedule reads and derives each quantity once.  Per solution: the cell defect f - div(u), which feeds both
 the local problems and the per-element residuals, and (for 'updating') the
 corner coefficient with its fine velocity matrix; 'fixed_offline' computes
 those two once.  Per run: the reference norms of the relative errors.
@@ -31,7 +33,7 @@ those two once.  Per run: the reference norms of the relative errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,34 +74,38 @@ class HistoryRow:
     total_residual: float
 
 
-@dataclass
 class EnrichmentState:
-    """Mutable record of an online enrichment run."""
+    """Mutable record of an online enrichment run, built complete in one call.
 
-    fine: FineGrid
-    coarse: CoarseGrid
-    kappa: ScalarCellField
-    beta: ScalarCellField
-    bc: BoundarySpec
-    f_cells: np.ndarray
-    rmap: ReductionMap
-    cfg: NonlinearConfig
-    reference: FlowSolution
-    variant: str = "updating"
-    solution: FlowSolution | None = None
-    history: list = field(default_factory=list)
-    # derived once per run (_system, _norms) or per solution
-    _system: LinearizedSystem | None = None
-    _defect: np.ndarray | None = None   # f - div(u) per fine cell
-    _coeff: np.ndarray | None = None    # corner coefficient; the first solution's if fixed
-    _A = None                           # fine velocity matrix of _coeff, assembled on use
-    _norms: tuple = ()                  # reference norms, see _reference_norms
+    ``bc`` is read only here and ``cfg`` not at all; ``cfg`` stays in the
+    signature because ``perfbench/workloads.py`` passes it.
+    """
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        self._system = LinearizedSystem(self.fine, self.f_cells, self.bc)
-        self._norms = _reference_norms(self.fine, self.reference)
+    def __init__(
+        self,
+        fine: FineGrid,
+        coarse: CoarseGrid,
+        kappa: ScalarCellField,
+        beta: ScalarCellField,
+        bc: BoundarySpec,
+        f_cells: np.ndarray,
+        rmap: ReductionMap,
+        cfg: NonlinearConfig,
+        reference: FlowSolution,
+        offline_solution: FlowSolution,
+        variant: str = "updating",
+    ):
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        self.fine, self.coarse, self.kappa, self.beta = fine, coarse, kappa, beta
+        self.f_cells = np.asarray(f_cells, dtype=float)
+        self.rmap = rmap.copy()
+        self.reference, self.variant = reference, variant
+        self.history: list = []
+        self._system = LinearizedSystem(fine, self.f_cells, bc)
+        self._norms = _reference_norms(fine, reference)
+        self._coeff = None
+        self.set_solution(offline_solution)
 
     @property
     def dim(self) -> int:
@@ -147,27 +153,7 @@ def error_metrics(fine: FineGrid, sol: FlowSolution, ref: FlowSolution) -> tuple
     return _relative_errors(fine, sol, ref, _reference_norms(fine, ref))
 
 
-def init_enrichment(
-    fine: FineGrid,
-    coarse: CoarseGrid,
-    kappa: ScalarCellField,
-    beta: ScalarCellField,
-    bc: BoundarySpec,
-    f_cells: np.ndarray,
-    rmap: ReductionMap,
-    cfg: NonlinearConfig,
-    reference: FlowSolution,
-    offline_solution: FlowSolution,
-    variant: str = "updating",
-) -> EnrichmentState:
-    """Set up an enrichment run starting from a converged offline solution."""
-    state = EnrichmentState(
-        fine=fine, coarse=coarse, kappa=kappa, beta=beta, bc=bc,
-        f_cells=np.asarray(f_cells, dtype=float), rmap=rmap.copy(), cfg=cfg,
-        reference=reference, variant=variant,
-    )
-    state.set_solution(offline_solution)
-    return state
+init_enrichment = EnrichmentState
 
 
 def color_classes(coarse: CoarseGrid) -> list:

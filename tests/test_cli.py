@@ -411,12 +411,14 @@ def test_module_entrypoint(tmp_path):
 
 def test_digit_report_of_two_output_directories(tmp_path):
     """scripts/cli_digits.py reports an identical file, a changed cell
-    relative to its file's largest value, and a file on one side only."""
+    relative to OLD's largest non-integer value, so an index column does not
+    swamp it, and a file on one side only."""
     old, new = tmp_path / "old", tmp_path / "new"
-    for root, cell in ((old, "0.25"), (new, "0.5")):
+    for root, cell, p in ((old, "0.25", "0.004"), (new, "0.5", "0.0041")):
         (root / "run").mkdir(parents=True)
         (root / "run" / "same.txt").write_text("# rows cols nnz\n2 1 1\n1 0 -0.75\n")
         (root / "run" / "errors.csv").write_text(f"# theta=0.75\nm,Erp\n2,{cell}\n")
+        (root / "run" / "cells.csv").write_text(f"cell,p\n0,0.002\n255,{p}\n")
     (new / "extra.txt").write_text("1\n")
     script = Path(__file__).resolve().parents[1] / "scripts" / "cli_digits.py"
     proc = subprocess.run([sys.executable, str(script), str(old), str(new)],
@@ -424,7 +426,10 @@ def test_digit_report_of_two_output_directories(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "extra.txt: only in NEW",
-        "run/errors.csv: largest change 1.250e-01 of max |value| 2 (line 3 field 2: 0.25 -> 0.5)",
+        "run/cells.csv: largest change 2.500e-02 of OLD's max non-integer |value| 0.004"
+        " (line 3 field 2: 0.004 -> 0.0041)",
+        "run/errors.csv: largest change 1.000e+00 of OLD's max non-integer |value| 0.25"
+        " (line 3 field 2: 0.25 -> 0.5)",
         "run/same.txt: identical",
     ]
 

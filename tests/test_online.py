@@ -86,6 +86,28 @@ def test_variant_and_reference_validation(problem):
         )
 
 
+def test_enrichment_state_is_built_in_one_step(problem):
+    """A positional EnrichmentState(...) call is the whole set-up of a run: the
+    offline solution is its first, with its defect and coefficient, f_cells
+    becomes a float array and the run appends to its own copy of the map."""
+    p = problem
+    inputs = [p[k] for k in ("fine", "coarse", "kappa", "beta", "bc", "f", "rmap", "cfg", "ref")]
+    state = msforch.online.EnrichmentState(*inputs, p["off"])
+    other = init_enrichment(*inputs, p["off"])
+    assert state._defect.tobytes() == other._defect.tobytes()
+    assert state._coeff.tobytes() == other._coeff.tobytes()
+    assert state.solution is p["off"] and state.history == []
+    inputs[5] = p["f"].tolist()
+    state = msforch.online.EnrichmentState(*inputs, p["off"])
+    assert isinstance(state.f_cells, np.ndarray) and state.f_cells.dtype == float
+    assert np.array_equal(state.f_cells, p["f"])
+    n_columns = p["rmap"].n_columns
+    cells = p["coarse"].coarse_elements[0]
+    state.rmap.append_column(0, cells, np.ones(cells.size))
+    assert state.rmap.n_columns == n_columns + 1
+    assert p["rmap"].n_columns == n_columns
+
+
 def test_error_metrics_identities(problem):
     p = problem
     fine, ref = p["fine"], p["ref"]
